@@ -241,13 +241,14 @@ def _pattern_label(args) -> str:
 
 
 def _cmd_estimate(args) -> int:
+    workers = counting.worker_count_from_env()
     seed = _resolve_seed(args)
     h = _pattern_from_args(args, seed)
     d, design_label = _design_from_args(args, h.n)
     bases = _bases_from_args(args, d.t)
     rep = counting.estimate_expected_copies(
         h, d, bases, samples=args.samples, master_seed=seed,
-        workers=counting.worker_count_from_env(),
+        workers=workers,
     )
     _emit(_report_record(_pattern_label(args), design_label, seed, rep) | {
         "baseline": str(rep.baseline), "capture_means": list(rep.capture_means),
@@ -334,6 +335,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    workers = counting.worker_count_from_env()
     seed = _resolve_seed(args)
     cfg = ExperimentConfig(
         pattern_kind=args.pattern, pattern_n=args.n, pattern_k=args.k,
@@ -363,7 +365,7 @@ def _cmd_experiment(args) -> int:
     else:
         rep = counting.estimate_expected_copies(
             h, d, bases, samples=args.samples, master_seed=seed,
-            workers=counting.worker_count_from_env(),
+            workers=workers,
         )
         record = _report_record(_pattern_label(args), design_label, seed, rep)
         extra = {"capture_means": list(rep.capture_means)}

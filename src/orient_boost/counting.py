@@ -4,9 +4,10 @@ A labeled copy of a pattern H in a tournament T is a permutation of the
 vertex set mapping every directed edge of H onto an edge of T.  Under the
 block-randomized tournament of a decomposition, the success probability of a
 fixed permutation factors over blocks; this module computes that probability
-exactly (per-block closed forms for the common shapes, injection enumeration
-for everything else), sums it over all permutations on tiny instances, and
-estimates it by seeded Monte Carlo otherwise.
+exactly (per-block closed forms for the common shapes, injection enumeration,
+memoised per captured shape, for everything else), sums it over all
+permutations on tiny instances, and estimates it by seeded Monte Carlo
+otherwise.
 """
 
 from __future__ import annotations
@@ -67,11 +68,12 @@ def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -
     constraints: list[list[tuple[int, bool]]] = [[] for _ in order]
     for u, v in h.edges:
         iu, iv = pos_in_order[u], pos_in_order[v]
+        # (idx, True): the edge runs from the earlier vertex order[idx] into the
+        # newly placed one; (idx, False): from the newly placed one to order[idx]
         if iu < iv:
-            constraints[iv].append((iu, True))   # earlier vertex beats the new one? no:
+            constraints[iv].append((iu, True))
         else:
             constraints[iu].append((iv, False))
-    # (idx, True): edge order[idx] -> new vertex; (idx, False): new vertex -> order[idx]
 
     rows = t.rows
     assigned = [0] * len(order)
@@ -209,7 +211,16 @@ class ExactSummary:
 
 
 class CopyKernel:
-    """Per-permutation machinery for one (pattern, decomposition, bases) triple."""
+    """Per-permutation machinery for one (pattern, decomposition, bases) triple.
+
+    One pass over the blocks a copy touches gives both the success ratio and
+    the capture statistics.  Single-edge blocks contribute nothing; the
+    closed-form factors are multiplied as integer numerators and
+    denominators; a complete block the closed forms do not cover is looked up
+    in a memo of enumerated probabilities, keyed by its base tournament, its
+    size and its captured edges relabelled by first appearance.  The memo
+    belongs to the instance, since callers may pass their own bases.
+    """
 
     def __init__(self, h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
                  *, injection_budget: int = 500_000):
@@ -225,22 +236,14 @@ class CopyKernel:
         self.t = d.t
         self.h_edges = sorted(h.edges)
         self.e = len(self.h_edges)
-        self.h_pairs = {(u, v) if u < v else (v, u) for u, v in self.h_edges}
         self.pair_block = d.pair_block_index()
         self.block_kind = [b.kind for b in d.blocks]
         t = d.t
-        self.factor_consistent = Fraction(t - 1, 4 * (t - 2))
-        self.factor_inconsistent = Fraction(t - 3, 4 * (t - 2))
-        self.factor_cyclic = Fraction(t + 1, 8 * (t - 2))
-        self.factor_transitive = Fraction(t - 3, 8 * (t - 2))
-        # ratio contributions (factor times 2^edges); singles contribute 1
-        self.r_consistent = self.factor_consistent * 4
-        self.r_inconsistent = self.factor_inconsistent * 4
-        self.r_cyclic = self.factor_cyclic * 8
-        self.r_transitive = self.factor_transitive * 8
-        self._vertex_index = [
-            {v: k for k, v in enumerate(b.vertices)} for b in d.blocks
-        ]
+        # ratio factors (probability times 2^edges) of the closed-form shapes
+        # in a size-t block, as (numerator, denominator), indexed as [c, i, f, g]
+        self._closed = ((t - 1, t - 2), (t - 3, t - 2), (t + 1, t - 2), (t - 3, t - 2))
+        self._pair_capture, self._triangle_capture = _local_captures(self.h_edges)
+        self._fallback_memo: dict[tuple, tuple[int, int]] = {}
 
     # -- grouping ----------------------------------------------------------
 
@@ -248,74 +251,103 @@ class CopyKernel:
         """H-edges keyed by the index of the block covering their image."""
         out: dict[int, list[tuple[int, int]]] = {}
         pair_block = self.pair_block
-        for u, v in self.h_edges:
-            bid = pair_block[pi[u]][pi[v]]
-            if bid in out:
-                out[bid].append((u, v))
+        for edge in self.h_edges:
+            bid = pair_block[pi[edge[0]]][pi[edge[1]]]
+            group = out.get(bid)
+            if group is None:
+                out[bid] = [edge]
             else:
-                out[bid] = [(u, v)]
+                group.append(edge)
         return out
 
-    # -- classification ----------------------------------------------------
+    # -- the one pass --------------------------------------------------------
 
-    def _pair_kind(self, e1: tuple[int, int], e2: tuple[int, int]) -> str | None:
-        """'c'/'i' for an induced consistent/inconsistent pair, None otherwise."""
-        u1, v1 = e1
-        u2, v2 = e2
-        shared = {u1, v1} & {u2, v2}
-        if len(shared) != 1:
-            return None
-        s = shared.pop()
-        a = u1 if v1 == s else v1
-        b = u2 if v2 == s else v2
-        key = (a, b) if a < b else (b, a)
-        if key in self.h_pairs:
-            return None  # outer endpoints adjacent: not induced
-        into_a = v1 == s
-        into_b = v2 == s
-        return "c" if into_a != into_b else "i"
-
-    def _triangle_kind(self, edges3) -> str | None:
-        verts = set()
-        for u, v in edges3:
-            verts.add(u)
-            verts.add(v)
-        if len(verts) != 3:
-            return None
-        heads = {v for _, v in edges3}
-        return "f" if len(heads) == 3 else "g"
-
-    def block_stats(self, pi) -> CopyBlockStats:
-        c = i = f = g = 0
+    def _terms(self, pi) -> tuple[int, int, list[int], bool]:
+        """(numerator, denominator, [c, i, f, g], typical) of one copy; not reduced."""
+        num = den = 1
+        caps = [0, 0, 0, 0]
         typical = True
+        pair_capture = self._pair_capture
+        triangle_capture = self._triangle_capture
+        block_kind = self.block_kind
         for bid, group in self.groups(pi).items():
             m = len(group)
-            if m < 2:
+            if m == 1:
                 continue
-            kind = self.block_kind[bid]
-            if kind != BlockKind.KT:
-                typical = False
-            for e1, e2 in combinations(group, 2):
-                pk = self._pair_kind(e1, e2)
-                if pk == "c":
-                    c += 1
-                elif pk == "i":
-                    i += 1
-            if m >= 3:
+            shape = None
+            if m == 2:
+                shape = pair_capture.get((group[0], group[1]))
+                if shape is not None:
+                    caps[shape] += 1
+            else:
+                for pair in combinations(group, 2):
+                    k = pair_capture.get(pair)
+                    if k is not None:
+                        caps[k] += 1
                 for tri in combinations(group, 3):
-                    tk = self._triangle_kind(tri)
-                    if tk == "f":
-                        f += 1
-                    elif tk == "g":
-                        g += 1
-                if kind == BlockKind.KT and (m > 3 or self._triangle_kind(tuple(group)) is None):
-                    # three-plus edges in one size-t block that are not a single triangle
-                    typical = False
-        return CopyBlockStats(c, i, f, g, typical)
+                    k = triangle_capture.get(tri)
+                    if k is not None:
+                        caps[k] += 1
+                        shape = k
+            kind = block_kind[bid]
+            if kind is BlockKind.KT and (m == 2 or (m == 3 and shape is not None)):
+                # an induced pair, a triangle, or two disjoint edges (factor 1)
+                if shape is not None:
+                    a, b = self._closed[shape]
+                    num *= a
+                    den *= b
+                continue
+            typical = False
+            if kind is BlockKind.KT or kind is BlockKind.K2T1:
+                a, b = self._memo_factor(bid, group, pi)
+            else:
+                a, b = self._coin_hits(bid, group, pi) << (m - 1), 1
+            num *= a
+            den *= b
+        return num, den, caps, typical
+
+    def _memo_factor(self, bid: int, group, pi) -> tuple[int, int]:
+        key, m = self._complete_shape(bid, group, pi)
+        factor = self._fallback_memo.get(key)
+        if factor is None:
+            hits, total = self._injection_hits(bid, key, m)
+            factor = self._fallback_memo[key] = (hits << len(group), total)
+        return factor
+
+    def ratio_and_stats(self, pi) -> tuple[Fraction, CopyBlockStats]:
+        num, den, caps, typical = self._terms(pi)
+        return Fraction(num, den), CopyBlockStats(*caps, typical)
+
+    def block_stats(self, pi) -> CopyBlockStats:
+        return self.ratio_and_stats(pi)[1]
+
+    def ratio(self, pi, *, method: str = "auto") -> Fraction:
+        """Success probability of the copy, scaled by 2^e(H).
+
+        ``method="enumerate"`` skips the closed forms and the memo: every
+        block, single edges included, is enumerated afresh, so it serves as
+        an independent oracle for the default ``"auto"``.
+        """
+        if method == "auto":
+            return self.ratio_and_stats(pi)[0]
+        if method != "enumerate":
+            raise ValueError(f"unknown method {method!r}; use 'auto' or 'enumerate'")
+        result = Fraction(1)
+        for bid, group in self.groups(pi).items():
+            if self.block_kind[bid] in (BlockKind.KT, BlockKind.K2T1):
+                hits, total = self._injection_hits(bid, *self._complete_shape(bid, group, pi))
+            else:
+                hits, total = self._coin_hits(bid, group, pi), 2
+            result *= Fraction(hits, total) * (1 << len(group))
+        return result
+
+    def probability(self, pi, *, method: str = "auto") -> Fraction:
+        return self.ratio(pi, method=method) / (1 << self.e)
 
     # -- per-block success probabilities ------------------------------------
 
-    def _coin_block_probability(self, bid: int, group, pi) -> Fraction:
+    def _coin_hits(self, bid: int, group, pi) -> int:
+        """Coin outcomes (of two) of a cycle/star-path/edge block that orient every captured edge."""
         block = self.d.blocks[bid]
         vs = block.vertices
         k = len(vs)
@@ -331,82 +363,58 @@ class CopyKernel:
             u, v = vs
             outcomes = [{(u, v)}, {(v, u)}]
         mapped = [(pi[u], pi[v]) for u, v in group]
-        hits = sum(1 for oc in outcomes if all(e in oc for e in mapped))
-        return Fraction(hits, 2)
+        return sum(1 for oc in outcomes if all(e in oc for e in mapped))
 
-    def _complete_block_probability(self, bid: int, group, pi) -> Fraction:
-        block = self.d.blocks[bid]
-        base = self.bases.r if block.kind == BlockKind.KT else self.bases.rstar
-        size = len(block.vertices)
-        vidx = self._vertex_index[bid]
-        touched: list[int] = []
+    def _complete_shape(self, bid: int, group, pi) -> tuple[tuple, int]:
+        """Memo key (kind, block size, captured edges relabelled by first appearance) and vertex count."""
         seen: dict[int, int] = {}
-        mapped: list[tuple[int, int]] = []
-        for u, v in group:
-            a, b = vidx[pi[u]], vidx[pi[v]]
-            for x in (a, b):
-                if x not in seen:
-                    seen[x] = len(touched)
-                    touched.append(x)
-            mapped.append((seen[a], seen[b]))
-        m = len(touched)
+        mapped = tuple((seen.setdefault(pi[u], len(seen)), seen.setdefault(pi[v], len(seen)))
+                       for u, v in group)
+        return (self.block_kind[bid], len(self.d.blocks[bid].vertices), mapped), len(seen)
+
+    def _injection_hits(self, bid: int, key: tuple, m: int) -> tuple[int, int]:
+        """(injections of the m captured vertices into the base that orient every edge, all injections)."""
+        kind, size, mapped = key
         total = math.perm(size, m)
         if total > self.injection_budget:
             raise BudgetExceededError(
                 f"block {bid} needs {total} injections, over the budget "
                 f"{self.injection_budget}", size=total, budget=self.injection_budget,
             )
+        rows = (self.bases.r if kind == BlockKind.KT else self.bases.rstar).rows
         hits = 0
         for inj in permutations(range(size), m):
-            if all(base.beats(inj[a], inj[b]) for a, b in mapped):
+            if all((rows[inj[a]] >> inj[b]) & 1 for a, b in mapped):
                 hits += 1
-        return Fraction(hits, total)
+        return hits, total
 
-    def _auto_block_factor(self, bid: int, group) -> tuple[Fraction, bool]:
-        """(probability * 2^edges, handled) for the closed-form shapes."""
-        kind = self.block_kind[bid]
-        m = len(group)
-        if m == 1:
-            return Fraction(1), True
-        if kind == BlockKind.KT:
-            if m == 2:
-                pk = self._pair_kind(group[0], group[1])
-                if pk == "c":
-                    return self.r_consistent, True
-                if pk == "i":
-                    return self.r_inconsistent, True
-                # disjoint edges: independent halves
-                return Fraction(1), True
-            if m == 3:
-                tk = self._triangle_kind(group)
-                if tk == "f":
-                    return self.r_cyclic, True
-                if tk == "g":
-                    return self.r_transitive, True
-        return Fraction(0), False
 
-    def ratio(self, pi, *, method: str = "auto") -> Fraction:
-        """Success probability of the copy, scaled by 2^e(H)."""
-        result = Fraction(1)
-        for bid, group in self.groups(pi).items():
-            kind = self.block_kind[bid]
-            if method == "auto":
-                fac, handled = self._auto_block_factor(bid, group)
-                if handled:
-                    result *= fac
-                    continue
-            if kind in (BlockKind.KT, BlockKind.K2T1):
-                p = self._complete_block_probability(bid, group, pi)
-            else:
-                p = self._coin_block_probability(bid, group, pi)
-            result *= p * (1 << len(group))
-        return result
+def _local_captures(h_edges) -> tuple[dict, dict]:
+    """Capture kind of every induced pair and triangle of H, as an index into [c, i, f, g].
 
-    def probability(self, pi, *, method: str = "auto") -> Fraction:
-        return self.ratio(pi, method=method) / (1 << self.e)
-
-    def ratio_and_stats(self, pi) -> tuple[Fraction, CopyBlockStats]:
-        return self.ratio(pi), self.block_stats(pi)
+    Pairs are keyed (e1, e2) and triangles (e1, e2, e3) in the order of
+    ``h_edges``, the order in which ``groups`` lists a block's edges.
+    """
+    edge_set = set(h_edges)
+    h_pairs = {(u, v) if u < v else (v, u) for u, v in h_edges}
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for edge in h_edges:
+        for x in edge:
+            incident.setdefault(x, []).append(edge)
+    pairs: dict[tuple, int] = {}
+    triangles: dict[tuple, int] = {}
+    for s, edges in incident.items():
+        for e1, e2 in combinations(edges, 2):
+            a = e1[0] if e1[1] == s else e1[1]
+            b = e2[0] if e2[1] == s else e2[1]
+            if (min(a, b), max(a, b)) not in h_pairs:
+                # consistent iff exactly one of the two edges points into s
+                pairs[e1, e2] = 0 if (e1[1] == s) != (e2[1] == s) else 1
+                continue
+            tri = tuple(sorted((e1, e2, (a, b) if (a, b) in edge_set else (b, a))))
+            heads = {v for _, v in tri}
+            triangles[tri] = 2 if len(heads) == 3 else 3
+    return pairs, triangles
 
 
 def typical_closed_form(stats: CopyBlockStats, e: int, t: int) -> Fraction:
@@ -436,6 +444,41 @@ def copy_probability(pi, h: Orientation, d: Decomposition, bases: BaseTournament
     return CopyKernel(h, d, bases).probability(pi, method=method)
 
 
+class _ExactSums:
+    """Exact sums over copies of the ratio, its square and the capture counts.
+
+    Ratios are summed as integer numerators keyed by their reduced
+    denominator, and squares keyed by its square, so a copy costs one gcd
+    instead of two Fraction additions.
+    """
+
+    def __init__(self):
+        self.r: dict[int, int] = {}
+        self.r_sq: dict[int, int] = {}
+        self.typical = 0
+        self.s = [0, 0, 0, 0]
+        self.sq = [0, 0, 0, 0]
+
+    def add(self, num: int, den: int, caps: list[int], typical: bool) -> None:
+        g = math.gcd(num, den)
+        num //= g
+        den //= g
+        self.r[den] = self.r.get(den, 0) + num
+        den *= den
+        self.r_sq[den] = self.r_sq.get(den, 0) + num * num
+        self.typical += typical
+        for k, x in enumerate(caps):
+            if x:
+                self.s[k] += x
+                self.sq[k] += x * x
+
+    def totals(self) -> tuple[Fraction, Fraction, int, list[int], list[int]]:
+        """(sum of ratios, sum of squared ratios, typical copies, capture sums, squared capture sums)."""
+        def total(by_den):
+            return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+        return total(self.r), total(self.r_sq), self.typical, self.s, self.sq
+
+
 # ---------------------------------------------------------------------------
 # exact expectation on tiny instances
 # ---------------------------------------------------------------------------
@@ -450,17 +493,10 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
             size=n, budget=budget_n,
         )
     kernel = CopyKernel(h, d, bases)
-    total = Fraction(0)
-    typical = 0
-    sums = [0, 0, 0, 0]
+    acc = _ExactSums()
     for pi in permutations(range(n)):
-        r, st = kernel.ratio_and_stats(pi)
-        total += r
-        typical += st.typical
-        sums[0] += st.c
-        sums[1] += st.i
-        sums[2] += st.f
-        sums[3] += st.g
+        acc.add(*kernel._terms(pi))
+    total, _, typical, sums, _ = acc.totals()
     nfact = math.factorial(n)
     return ExactSummary(
         expectation=total / (1 << kernel.e),
@@ -518,23 +554,10 @@ def _scan_chunk(h: Orientation, d: Decomposition, bases: BaseTournaments,
                 master: int, lo: int, hi: int):
     """Exact partial sums over sample indices [lo, hi)."""
     kernel = CopyKernel(h, d, bases)
-    n = h.n
-    r_sum = Fraction(0)
-    r_sq = Fraction(0)
-    typical = 0
-    s = [0, 0, 0, 0]
-    sq = [0, 0, 0, 0]
+    acc = _ExactSums()
     for index in range(lo, hi):
-        pi = stream_for(master, index).permutation(n)
-        r, st = kernel.ratio_and_stats(pi)
-        r_sum += r
-        r_sq += r * r
-        typical += st.typical
-        vals = (st.c, st.i, st.f, st.g)
-        for k in range(4):
-            s[k] += vals[k]
-            sq[k] += vals[k] * vals[k]
-    return r_sum, r_sq, typical, s, sq
+        acc.add(*kernel._terms(stream_for(master, index).permutation(h.n)))
+    return acc.totals()
 
 
 def _scan_chunk_star(args):
@@ -546,6 +569,7 @@ def _scan_samples(h, d, bases, samples: int, master: int, workers: int):
         return _scan_chunk(h, d, bases, master, 0, samples)
     chunk = max(256, samples // (workers * 8))
     spans = [(h, d, bases, master, lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
+    workers = min(workers, len(spans))
     r_sum = Fraction(0)
     r_sq = Fraction(0)
     typical = 0
@@ -563,12 +587,15 @@ def _scan_samples(h, d, bases, samples: int, master: int, workers: int):
 
 
 def worker_count_from_env() -> int:
-    """ORIENT_BOOST_THREADS; never affects numeric output, only wall time."""
+    """ORIENT_BOOST_THREADS, capped at the CPU count; never affects numeric output, only wall time."""
     raw = os.environ.get("ORIENT_BOOST_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"ORIENT_BOOST_THREADS must be an integer >= 1, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def _mean_stderr(total, total_sq, m: int) -> tuple[float, float]:

@@ -229,3 +229,14 @@ def test_custom_base_tournament_flag(capsys, tmp_path):
                        "--base", str(base), "--samples", "50", "--seed", "2")
     assert code == 0
     assert json.loads(out)["t"] == 7
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_thread_count_is_reported_up_front(capsys, tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("ORIENT_BOOST_THREADS", threads)
+    path = tmp_path / "never.csv"
+    code, _, err = run(capsys, "experiment", "--pattern", "cycle", "--n", "9", "--t", "3",
+                       "--samples", "50", "--seed", "1", "--output", str(path))
+    assert code == 2
+    assert "ORIENT_BOOST_THREADS" in json.loads(err)["message"]
+    assert not path.exists()

@@ -1,11 +1,15 @@
 import math
+import os
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orient_boost.counting import (
     CopyKernel,
+    _scan_chunk,
     baseline_expected_copies,
     copy_block_stats,
     copy_probability,
@@ -18,8 +22,16 @@ from orient_boost.counting import (
     exact_copy_summary,
     exact_expected_copies,
     typical_closed_form,
+    worker_count_from_env,
 )
-from orient_boost.designs import Block, BlockKind, Decomposition, steiner_triple_system
+from orient_boost.designs import (
+    Block,
+    BlockKind,
+    Decomposition,
+    adjusted_decomposition,
+    extend_to_even,
+    steiner_triple_system,
+)
 from orient_boost.errors import BudgetExceededError
 from orient_boost.orientations import (
     make_pattern,
@@ -394,3 +406,111 @@ def test_injection_budget_error_names_block():
     kernel = CopyKernel(h, d5, bases, injection_budget=10)
     with pytest.raises(BudgetExceededError, match="block 0"):
         kernel.probability(list(range(5)), method="enumerate")
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernel: golden partial sums, differential oracles, shape memo
+# ---------------------------------------------------------------------------
+
+GOLDEN_SCANS = {
+    # (master seed 7, sample indices [0, 300)) -> exact partial sums of _scan_chunk
+    "cycle21-pg24": (
+        Fraction(1790377, 2187), Fraction(12670119367, 4782969), 124,
+        [984, 0, 0, 0], [3882, 0, 0, 0]),
+    "reg2-pg24": (
+        Fraction(4092767488, 1594323), Fraction(219417711799328768, 2541865828329), 0,
+        [3797, 1723, 0, 128], [50191, 11147, 0, 168]),
+    "cycle8-even7": (
+        Fraction(731), Fraction(2331), 255, [332, 0, 0, 0], [514, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_scan_partial_sums_are_golden(name):
+    if name == "cycle8-even7":
+        h, d = make_pattern("cycle", 8), extend_to_even(steiner_triple_system(7))
+    else:
+        d = adjusted_decomposition(21, 5)
+        h = make_pattern("cycle", 21) if name == "cycle21-pg24" else \
+            make_pattern("k_regular_random", 21, k=2, seed=7)
+    assert _scan_chunk(h, d, BaseTournaments.circulant(d.t), 7, 0, 300) == GOLDEN_SCANS[name]
+
+
+DIFFERENTIAL_DESIGNS = {
+    "fano": steiner_triple_system(7),
+    "even8": extend_to_even(steiner_triple_system(7)),  # star-path and edge coin blocks
+    "adjusted11": adjusted_decomposition(11, 3),        # holds a K_(2t-1) block
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(DIFFERENTIAL_DESIGNS)), density=st.floats(0.1, 0.9),
+       pattern_seed=st.integers(0, 10 ** 6), perm_seed=st.integers(0, 10 ** 6))
+def test_one_pass_equals_enumeration_and_reference(name, density, pattern_seed, perm_seed):
+    d = DIFFERENTIAL_DESIGNS[name]
+    h = random_orientation(d.n, max(1, round(density * d.n * (d.n - 1) / 2)), seed=pattern_seed)
+    kernel = CopyKernel(h, d)
+    for index in range(12):  # later copies hit shapes memoised by earlier ones
+        pi = stream_for(perm_seed, index).permutation(d.n)
+        r, stats = kernel.ratio_and_stats(pi)
+        assert r == kernel.ratio(pi, method="enumerate")
+        assert (stats.c, stats.i, stats.f, stats.g, stats.typical) == reference_block_stats(pi, h, d)
+
+
+def test_memo_key_separates_kt_and_k2t1_bases():
+    # a K5 block and a K9 block (t=5) share vertex 8; edge blocks cover the rest
+    big, small = tuple(range(9)), tuple(range(8, 13))
+    edges = tuple(Block(BlockKind.EDGE, (u, v)) for u in range(8) for v in range(9, 13))
+    d = Decomposition(13, 5, (Block(BlockKind.K2T1, big), Block(BlockKind.KT, small)) + edges)
+    h = orientation_from_edges(13, [(0, 1), (1, 2), (2, 3)])  # a directed 3-edge path
+    kernel = CopyKernel(h, d)
+    into_big = list(range(13))
+    into_small = [9, 10, 11, 12] + list(range(9))
+    factors = []
+    for pi in (into_big, into_small):
+        assert kernel.ratio(pi) == kernel.ratio(pi, method="enumerate")
+        factors.append(kernel.ratio(pi))
+    assert len(kernel._fallback_memo) == 2
+    assert factors[0] != factors[1]  # one shape, two bases: a shared key would be wrong
+
+
+def test_enumerate_never_touches_the_memo():
+    kernel = CopyKernel(make_pattern("cycle", 11), adjusted_decomposition(11, 3))
+    pis = [stream_for(3, index).permutation(11) for index in range(60)]
+    oracle = [kernel.ratio(pi, method="enumerate") for pi in pis]
+    assert kernel._fallback_memo == {}
+    assert [kernel.ratio(pi) for pi in pis] == oracle
+    assert kernel._fallback_memo
+    for key in kernel._fallback_memo:  # poison every entry; only "auto" may read them
+        kernel._fallback_memo[key] = (0, 1)  # success probability 0
+    assert [kernel.ratio(pi, method="enumerate") for pi in pis] == oracle
+    assert [kernel.ratio(pi) for pi in pis] != oracle
+
+
+def test_ratio_rejects_unknown_method():
+    kernel = CopyKernel(make_pattern("cycle", 7), steiner_triple_system(7))
+    with pytest.raises(ValueError, match="enumerate"):
+        kernel.ratio(list(range(7)), method="closed")
+
+
+# ---------------------------------------------------------------------------
+# ORIENT_BOOST_THREADS
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("raw,cpus,expected", [
+    (None, 8, 1), ("1", 8, 1), ("3", 8, 3), (" 2 ", 8, 2), ("64", 4, 4), ("5", None, 1),
+])
+def test_worker_count_from_env(monkeypatch, raw, cpus, expected):
+    if raw is None:
+        monkeypatch.delenv("ORIENT_BOOST_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ORIENT_BOOST_THREADS", raw)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert worker_count_from_env() == expected
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "1.5", "0", "-2"])
+def test_worker_count_from_env_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("ORIENT_BOOST_THREADS", raw)
+    with pytest.raises(ValueError, match="ORIENT_BOOST_THREADS"):
+        worker_count_from_env()
