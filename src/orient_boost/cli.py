@@ -107,7 +107,7 @@ def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
             raise OrientBoostError(f"design file invalid: {report.first_violation}")
         return d, f"file:{os.path.basename(args.design)}"
     t = args.t
-    budget = getattr(args, "node_budget", 2_000_000)
+    budget = args.node_budget
     if n % 2 == 1:
         return designs.adjusted_decomposition(n, t, node_budget=budget), f"adjusted(t={t})"
     d = designs.extend_to_even(designs.adjusted_decomposition(n - 1, t, node_budget=budget))
@@ -152,12 +152,7 @@ def _cmd_decompose(args) -> int:
     elif args.kind == "pg":
         d = designs.projective_plane_decomposition(args.q)
     else:
-        if args.n % 2 == 1:
-            d = designs.adjusted_decomposition(args.n, args.t, node_budget=args.node_budget)
-        else:
-            d = designs.extend_to_even(
-                designs.adjusted_decomposition(args.n - 1, args.t, node_budget=args.node_budget)
-            )
+        d, _ = _design_from_args(args, args.n)
     if args.even:
         d = designs.extend_to_even(d)
     report = designs.validate(d)
@@ -181,13 +176,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
-    if args.design:
-        with open(args.design) as fh:
-            d = designs.decomposition_from_json(fh.read())
-    elif args.n is None:
+    if not args.design and args.n is None:
         raise ValueError("need either --design or --n")
-    else:
-        d, _ = _design_from_args(argparse.Namespace(design=None, t=args.t, node_budget=args.node_budget), args.n)
+    d, _ = _design_from_args(args, args.n)
     bases = _bases_from_args(args, d.t)
     chunks = []
     for index in range(args.samples):
@@ -407,10 +398,20 @@ def _add_design_args(p) -> None:
     p.add_argument("--base-star", default=None, help="regular tournament file for size-(2t-1) blocks")
 
 
-def _add_budget_args(p) -> None:
-    p.add_argument("--node-budget", type=int, default=2_000_000)
-    p.add_argument("--support-budget", type=int, default=1_000_000)
-    p.add_argument("--brute-budget", type=int, default=10)
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _add_budget_args(p, *, brute_default: int = 10) -> None:
+    p.add_argument("--node-budget", type=_positive_int, default=2_000_000)
+    p.add_argument("--support-budget", type=_positive_int, default=1_000_000)
+    p.add_argument("--brute-budget", type=_positive_int, default=brute_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,11 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("sample", help="draw block-randomized tournaments")
-    p.add_argument("--design", default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--base", default=None)
-    p.add_argument("--base-star", default=None)
+    _add_design_args(p)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=["json", "hex"], default="json")
@@ -469,9 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_args(p)
     _add_design_args(p)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--brute-budget", type=int, default=9)
-    p.add_argument("--node-budget", type=int, default=2_000_000)
-    p.add_argument("--support-budget", type=int, default=1_000_000)
+    _add_budget_args(p, brute_default=9)
     p.set_defaults(func=_cmd_exact_expect)
 
     p = sub.add_parser("solve", help="least odd block size for the target inequalities")

@@ -308,84 +308,105 @@ class _Budget:
 def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = 2_000_000) -> list[Block] | None:
     """Partition an edge set into K_t blocks by deterministic backtracking.
 
-    Branches on the lexicographically smallest uncovered pair.  Returns the
-    block list, or None once the search space is exhausted.  Raises
-    CongruenceError up front when the divisibility preconditions fail and
-    BudgetExceededError when the node budget runs out.
+    Branches on the lexicographically smallest uncovered pair and tries the
+    K_t blocks through it in lexicographic order; each vertex's residual
+    neighbourhood is one bitset.  Forward check: once a block is removed,
+    every residual edge at a block vertex must still lie in a K_t of the
+    residual graph, i.e. its common neighbourhood must still span a
+    K_(t-2).  An edge that fails can never be covered, so the check only
+    cuts subtrees without a solution: the first decomposition found, and
+    the None result, are those of the plain lexicographic search, which
+    tries a superset of these candidates.
+
+    Returns the block list, or None once the search space is exhausted.
+    Raises ValueError for a node budget below 1, CongruenceError up front
+    when the divisibility preconditions fail, and BudgetExceededError when
+    the node budget (one node per candidate block tried) runs out.
     """
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
     edge_list = [tuple(sorted(e)) for e in edges]
     if len(set(edge_list)) != len(edge_list):
         raise InvalidDecompositionError("duplicate edge in input graph")
     if not edge_list:
         return []
     verts = sorted({v for e in edge_list for v in e})
-    adj: dict[int, set[int]] = {v: set() for v in verts}
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)  # bit j of adj[i]: edge {verts[i], verts[j]} still uncovered
     for u, v in edge_list:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
     per_block = t * (t - 1) // 2
     if len(edge_list) % per_block:
         raise CongruenceError(f"{len(edge_list)} edges not divisible by t(t-1)/2 = {per_block}")
-    for v in verts:
-        if len(adj[v]) % (t - 1):
-            raise CongruenceError(f"degree of vertex {v} is {len(adj[v])}, not divisible by t-1 = {t - 1}")
+    for i, v in enumerate(verts):
+        if adj[i].bit_count() % (t - 1):
+            raise CongruenceError(f"degree of vertex {v} is {adj[i].bit_count()}, not divisible by t-1 = {t - 1}")
 
     budget = _Budget(node_budget)
     blocks: list[tuple[int, ...]] = []
 
-    def smallest_uncovered() -> tuple[int, int] | None:
-        for u in verts:
-            if adj[u]:
-                return u, min(adj[u])
-        return None
+    def cliques(chosen: tuple[int, ...], pool: int, out: list[tuple[int, ...]]) -> None:
+        """Extend `chosen` by vertices of `pool` to K_t vertex sets, in lexicographic order."""
+        need = t - len(chosen)
+        if need == 0:
+            out.append(chosen)
+            return
+        while pool.bit_count() >= need:
+            low = pool & -pool
+            pool ^= low
+            w = low.bit_length() - 1
+            cliques(chosen + (w,), pool & adj[w], out)
 
-    def cliques_through(u: int, v: int):
-        """K_t vertex sets containing the pair {u,v}, in lexicographic order."""
-        base = [u, v] if u < v else [v, u]
-        cands = sorted(w for w in adj[u] & adj[v] if w not in base)
-
-        def extend(chosen: list[int], pool: list[int]):
-            if len(chosen) == t:
-                yield tuple(sorted(chosen))
-                return
-            need = t - len(chosen)
-            for idx, w in enumerate(pool):
-                if len(pool) - idx < need:
-                    break
-                nxt = [x for x in pool[idx + 1:] if x in adj[w]]
-                yield from extend(chosen + [w], nxt)
-
-        yield from extend(base, cands)
-
-    def remove(vs: tuple[int, ...]):
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                adj[vs[a]].discard(vs[b])
-                adj[vs[b]].discard(vs[a])
-
-    def restore(vs: tuple[int, ...]):
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                adj[vs[a]].add(vs[b])
-                adj[vs[b]].add(vs[a])
-
-    def search() -> bool:
-        pick = smallest_uncovered()
-        if pick is None:
+    def has_clique(pool: int, k: int) -> bool:
+        """Whether the vertices of `pool` span a K_k of the residual graph."""
+        if k == 0:
             return True
-        u, v = pick
-        for vs in cliques_through(u, v):
-            budget.spend()
-            remove(vs)
-            blocks.append(vs)
-            if search():
+        while pool.bit_count() >= k:
+            low = pool & -pool
+            pool ^= low
+            if has_clique(pool & adj[low.bit_length() - 1], k - 1):
                 return True
-            blocks.pop()
-            restore(vs)
         return False
 
-    if search():
-        return [Block(BlockKind.KT, vs) for vs in blocks]
+    def coverable(vs: tuple[int, ...]) -> bool:
+        """Forward check: every residual edge at a block vertex still lies in a K_t."""
+        for x in vs:
+            rest = adj[x]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not has_clique(adj[x] & adj[low.bit_length() - 1], t - 2):
+                    return False
+        return True
+
+    def search(u: int) -> bool:
+        # vertices before u have no uncovered edge left, and removals never add one
+        while u < len(adj) and not adj[u]:
+            u += 1
+        if u == len(adj):
+            return True
+        v = (adj[u] & -adj[u]).bit_length() - 1  # v > u: a neighbour below u would be uncovered
+        candidates: list[tuple[int, ...]] = []
+        cliques((u, v), adj[u] & adj[v], candidates)
+        for vs in candidates:
+            budget.spend()
+            mask = 0
+            for x in vs:
+                mask |= 1 << x
+            for x in vs:
+                adj[x] &= ~mask
+            if coverable(vs):
+                blocks.append(vs)
+                if search(u):
+                    return True
+                blocks.pop()
+            for x in vs:
+                adj[x] |= mask ^ (1 << x)
+        return False
+
+    if search(0):
+        return [Block(BlockKind.KT, tuple(verts[x] for x in vs)) for vs in blocks]
     return None
 
 
@@ -508,9 +529,11 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = 2_000_000) -> D
     K_(2t-1) copies until the edge count is divisible by t(t-1)/2; (3)
     K_t-decompose the rest, via the explicit triple-system / projective-plane
     families when they apply and lexicographic backtracking otherwise.
-    Raises InfeasibleAtDeskScale when the instance needs more structure than
-    desk-scale search provides.
+    Raises ValueError for a node budget below 1, and InfeasibleAtDeskScale
+    when the instance needs more structure than desk-scale search provides.
     """
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
     if n % 2 == 0 or t % 2 == 0 or t < 3:
         raise CongruenceError(f"need odd n and odd t >= 3, got n={n}, t={t}")
     if n < t:
@@ -565,6 +588,8 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = 2_000_000) -> D
             kt_blocks = list(projective_plane_decomposition(4).blocks)
     if kt_blocks is None:
         try:
+            if budget.left < 1:  # the earlier steps spent the whole budget
+                raise BudgetExceededError("search node budget exhausted", budget=0)
             kt_blocks = backtracking_kt_decomposition(residual, t, node_budget=budget.left)
         except BudgetExceededError as exc:
             raise InfeasibleAtDeskScale(

@@ -240,3 +240,35 @@ def test_bad_thread_count_is_reported_up_front(capsys, tmp_path, monkeypatch, th
     assert code == 2
     assert "ORIENT_BOOST_THREADS" in json.loads(err)["message"]
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--n", "25", "--t", "5", "--node-budget", "0"),
+    ("decompose", "--n", "25", "--t", "5", "--node-budget", "-3"),
+    ("sample", "--n", "7", "--node-budget", "x"),
+    ("estimate", "--n", "7", "--samples", "5", "--support-budget", "0"),
+    ("exact-expect", "--n", "7", "--node-budget", "0"),
+    ("exact-expect", "--n", "7", "--brute-budget", "-1"),
+    ("experiment", "--n", "7", "--exact", "--output", "never.csv", "--brute-budget", "0"),
+])
+def test_non_positive_budgets_are_rejected_up_front(capsys, argv):
+    flag = next(a for a in argv if a.endswith("-budget"))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a positive integer" in err
+
+
+def test_sample_validates_its_design_file(capsys, tmp_path):
+    from orient_boost.designs import Decomposition, steiner_triple_system
+
+    d = steiner_triple_system(7)
+    bad = tmp_path / "bad.json"
+    bad.write_text(Decomposition(7, 3, d.blocks + d.blocks[:1]).to_json())
+    code, out, err = run(capsys, "sample", "--design", str(bad), "--seed", "1")
+    assert code == 2
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "OrientBoostError"
+    assert obj["message"].startswith("design file invalid: pair") and "covered 2 times" in obj["message"]

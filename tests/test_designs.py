@@ -1,5 +1,12 @@
-import pytest
+import hashlib
+import random
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orient_boost import designs
 from orient_boost.designs import (
     Block,
     BlockKind,
@@ -25,6 +32,69 @@ from orient_boost.errors import (
 
 def complete_edges(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def reference_kt_decomposition(edges, t, node_budget):
+    """The plain set-based lexicographic search: the oracle for the pruned one.
+
+    Returns (blocks or None, nodes spent), one node per candidate block tried.
+    """
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    verts = sorted(adj)
+    budget = _Budget(node_budget)
+    blocks = []
+
+    def cliques_through(u, v):
+        def extend(chosen, pool):
+            if len(chosen) == t:
+                yield tuple(sorted(chosen))
+                return
+            for idx, w in enumerate(pool):
+                if len(pool) - idx < t - len(chosen):
+                    break
+                yield from extend(chosen + [w], [x for x in pool[idx + 1:] if x in adj[w]])
+
+        yield from extend([u, v], sorted(adj[u] & adj[v]))
+
+    def toggle(vs, op):
+        for a in vs:
+            for b in vs:
+                if a != b:
+                    op(adj[a], b)
+
+    def search():
+        u = next((u for u in verts if adj[u]), None)
+        if u is None:
+            return True
+        for vs in cliques_through(u, min(adj[u])):
+            budget.spend()
+            toggle(vs, set.discard)
+            blocks.append(vs)
+            if search():
+                return True
+            blocks.pop()
+            toggle(vs, set.add)
+        return False
+
+    found = search()
+    spent = node_budget - budget.left
+    return ([Block(BlockKind.KT, vs) for vs in blocks] if found else None), spent
+
+
+def counted_search(edges, t, node_budget=2_000_000):
+    """backtracking_kt_decomposition with the nodes it spent, counted through _Budget."""
+    spent = []
+
+    class CountingBudget(_Budget):
+        def spend(self):
+            spent.append(None)
+            super().spend()
+
+    with mock.patch.object(designs, "_Budget", CountingBudget):
+        return backtracking_kt_decomposition(edges, t, node_budget=node_budget), len(spent)
 
 
 @pytest.mark.parametrize("n", [7, 9, 13, 15, 19, 21, 25, 27, 31, 33])
@@ -90,6 +160,89 @@ def test_backtracking_divisibility_errors():
 def test_backtracking_node_budget():
     with pytest.raises(BudgetExceededError):
         backtracking_kt_decomposition(complete_edges(13), 3, node_budget=3)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_non_positive_node_budget_is_rejected(budget):
+    with pytest.raises(ValueError, match="node budget"):
+        backtracking_kt_decomposition(complete_edges(7), 3, node_budget=budget)
+    with pytest.raises(ValueError, match="node budget"):
+        adjusted_decomposition(25, 5, node_budget=budget)
+
+
+# The (25,5) design found by the plain lexicographic search, which spent
+# 837,572 nodes on it; the seeded samples at n = 25 and 26 depend on it.
+GOLDEN_25_5 = (
+    (0, 1, 2, 3, 4), (0, 5, 6, 7, 8), (0, 9, 10, 11, 12), (0, 13, 14, 15, 16), (0, 17, 18, 19, 20),
+    (0, 21, 22, 23, 24), (1, 5, 9, 13, 17), (1, 6, 10, 14, 21), (1, 7, 11, 18, 22), (1, 8, 15, 19, 23),
+    (1, 12, 16, 20, 24), (2, 5, 10, 19, 24), (2, 6, 11, 15, 20), (2, 7, 16, 17, 21), (2, 8, 12, 13, 22),
+    (2, 9, 14, 18, 23), (3, 5, 11, 16, 23), (3, 6, 13, 18, 24), (3, 7, 12, 14, 19), (3, 8, 9, 20, 21),
+    (3, 10, 15, 17, 22), (4, 5, 14, 20, 22), (4, 6, 12, 17, 23), (4, 7, 9, 15, 24), (4, 8, 10, 16, 18),
+    (4, 11, 13, 19, 21), (5, 12, 15, 18, 21), (6, 9, 16, 19, 22), (7, 10, 13, 20, 23), (8, 11, 14, 17, 24),
+)
+
+
+def test_adjusted_25_5_is_the_golden_design():
+    text = adjusted_decomposition(25, 5).to_json()
+    golden = Decomposition(25, 5, tuple(Block(BlockKind.KT, b) for b in GOLDEN_25_5))
+    assert text == golden.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "95236661bce802d34f2e2fe90383e9b2593530f99da87ce6463166c232eae1d1"
+    )
+    blocks, spent = counted_search(complete_edges(25), 5)
+    assert tuple(b.vertices for b in blocks) == GOLDEN_25_5
+    assert spent == 25_417  # the forward check cuts the plain search's 837,572
+
+
+@pytest.mark.parametrize("edges, t", [
+    (complete_edges(7), 3),
+    (complete_edges(9), 3),
+    (complete_edges(13), 3),
+    (complete_edges(15), 3),
+    (complete_edges(21), 5),
+    ([e for e in complete_edges(11) if e not in set(complete_edges(5))], 3),
+], ids=["K7", "K9", "K13", "K15", "K21-t5", "K11-K5"])
+def test_backtracking_matches_reference_on_fixed_graphs(edges, t):
+    want, want_spent = reference_kt_decomposition(edges, t, 2_000_000)
+    got, spent = counted_search(edges, t)
+    assert got == want
+    assert spent <= want_spent
+
+
+@st.composite
+def kt_unions(draw):
+    """Seeded unions of edge-disjoint K_t blocks (t = 3 or 5) on at most 13
+    vertices; half of them also hold a circulant that passes the
+    divisibility checks but is no union of K_t's (C_m, or the 4-regular
+    C_10(1,2)), laid down before the blocks."""
+    t = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(t, 13))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = set()
+    sizes = [m for m in ((6, 9, 12) if t == 3 else (10,)) if m <= n]
+    if sizes and draw(st.booleans()):
+        m = rng.choice(sizes)
+        ring = rng.sample(range(n), m)
+        edges = {tuple(sorted((ring[i], ring[(i + s) % m])))
+                 for i in range(m) for s in ((1,) if t == 3 else (1, 2))}
+    for _ in range(60):
+        vs = sorted(rng.sample(range(n), t))
+        block = {(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]}
+        if not block & edges:
+            edges |= block
+    return sorted(edges), t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kt_unions())
+def test_backtracking_matches_reference_search(case):
+    edges, t = case
+    want, want_spent = reference_kt_decomposition(edges, t, 2_000_000)
+    got, spent = counted_search(edges, t)
+    assert got == want
+    assert spent <= want_spent
+    if got is not None:
+        assert sorted(e for b in got for e in b.edges()) == edges
 
 
 def test_adjusted_7_3_is_pure():
