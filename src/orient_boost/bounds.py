@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, permutations
 
+from .counting import count_embeddings
 from .errors import BudgetExceededError, InvalidTournamentError
 from .orientations import Tournament, as_fraction
 
@@ -64,7 +65,8 @@ def verify_relabel_probabilities(r: Tournament, *, method: str = "auto") -> Rela
     and that {x,y,z} induces a directed triangle.  The 'permutations' method
     tallies every relabeling separately per triple (t <= 7); 'injections'
     groups the t! relabelings by their restriction to the triple, which is
-    uniform over ordered injections, and scales exactly (t <= 13).
+    uniform over ordered injections, and counts the directed 2-paths and
+    3-cycles with ``count_embeddings`` (t <= 13).
     """
     t = r.n
     if t % 2 == 0:
@@ -73,11 +75,11 @@ def verify_relabel_probabilities(r: Tournament, *, method: str = "auto") -> Rela
         raise InvalidTournamentError("base tournament must be regular")
     if method == "auto":
         method = "permutations" if t <= 7 else "injections"
-    bm = tuple(tuple((r.rows[a] >> b) & 1 for b in range(t)) for a in range(t))
 
     if method == "permutations":
         if t > 7:
             raise BudgetExceededError(f"permutation tally infeasible at t={t}; use injections")
+        bm = tuple(tuple((r.rows[a] >> b) & 1 for b in range(t)) for a in range(t))
         perms = list(permutations(range(t)))
         total = len(perms)
         cons_counts = set()
@@ -104,24 +106,13 @@ def verify_relabel_probabilities(r: Tournament, *, method: str = "auto") -> Rela
     else:
         if t > 13:
             raise BudgetExceededError(f"injection tally infeasible at t={t}")
-        cons = cyc = 0
-        total = t * (t - 1) * (t - 2)
-        for a in range(t):
-            for b in range(t):
-                if b == a:
-                    continue
-                for c in range(t):
-                    if c in (a, b):
-                        continue
-                    if bm[a][b] == bm[b][c]:
-                        cons += 1
-                        if bm[a][b] == bm[c][a]:
-                            cyc += 1
         # the restriction of a uniform relabeling to any ordered triple is a
-        # uniform injection, identically for every source triple
+        # uniform injection, identically for every source triple; a consistent
+        # (cyclic) triple is a directed 2-path (3-cycle) in one of two directions
+        total = t * (t - 1) * (t - 2)
         uniform = True
-        cons = Fraction(cons, total)
-        cyc = Fraction(cyc, total)
+        cons = Fraction(2 * count_embeddings(((0, 1), (1, 2)), 3, r.rows), total)
+        cyc = Fraction(2 * count_embeddings(((0, 1), (1, 2), (2, 0)), 3, r.rows), total)
 
     return RelabelCheck(
         t=t,

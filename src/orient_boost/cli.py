@@ -48,7 +48,6 @@ class ExperimentConfig:
     csv_path: str
     sidecar_path: str | None
     node_budget: int
-    support_budget: int
     brute_budget: int
 
     def to_dict(self) -> dict:
@@ -60,7 +59,7 @@ class ExperimentConfig:
         for path in (cfg.design_file, cfg.base_file, cfg.base_star_file):
             if path is not None and not os.path.exists(path):
                 raise OrientBoostError(f"referenced file does not exist: {path}")
-        for name in ("node_budget", "support_budget", "brute_budget"):
+        for name in ("node_budget", "brute_budget"):
             if getattr(cfg, name) <= 0:
                 raise OrientBoostError(f"{name} must be positive")
         if cfg.samples < 0 or (cfg.samples == 0 and not cfg.exact):
@@ -195,19 +194,22 @@ def _cmd_sample(args) -> int:
 
 def _cmd_count(args) -> int:
     t = _load_tournament(args.tournament)
-    method = args.method
-    out: dict = {"n": t.n, "method": method}
-    if args.pattern == "cycle" and method in ("dp", "auto") and t.n > 3:
-        cycles = counting.count_hamilton_cycles(t)
-        out |= {"pattern": "cycle", "cycles": cycles, "labeled_copies": cycles * t.n}
-    elif args.pattern == "path" and method in ("dp", "auto"):
-        paths = counting.count_hamilton_paths(t)
-        out |= {"pattern": "path", "paths": paths, "labeled_copies": paths}
+    has_dp = args.pattern in ("cycle", "path") and not args.pattern_file
+    if args.method == "dp" and not has_dp:
+        raise OrientBoostError(f"no Hamilton DP for pattern {_pattern_label(args)}; use brute or auto")
+    h = _pattern_from_args(args, args.seed if args.seed is not None else 0)
+    if h.n != t.n:
+        raise OrientBoostError(f"pattern has {h.n} vertices, tournament has {t.n}")
+    out: dict = {"n": t.n, "method": args.method, "pattern": _pattern_label(args)}
+    if has_dp and args.method != "brute":
+        if args.pattern == "cycle":
+            cycles = counting.count_hamilton_cycles(t)
+            out |= {"cycles": cycles, "labeled_copies": cycles * t.n}
+        else:
+            paths = counting.count_hamilton_paths(t)
+            out |= {"paths": paths, "labeled_copies": paths}
     else:
-        seed = args.seed if args.seed is not None else 0
-        h = _pattern_from_args(args, seed)
-        out |= {"pattern": args.pattern,
-                "labeled_copies": counting.count_labeled_copies(h, t, budget_n=args.brute_budget)}
+        out["labeled_copies"] = counting.count_labeled_copies(h, t, budget_n=args.brute_budget)
     _emit(out)
     return 0
 
@@ -334,8 +336,7 @@ def _cmd_experiment(args) -> int:
         base_file=args.base, base_star_file=args.base_star,
         samples=args.samples, exact=args.exact, master_seed=seed,
         csv_path=args.output, sidecar_path=args.sidecar,
-        node_budget=args.node_budget, support_budget=args.support_budget,
-        brute_budget=args.brute_budget,
+        node_budget=args.node_budget, brute_budget=args.brute_budget,
     )
     cfg = ExperimentConfig.from_dict(cfg.to_dict())  # validation pass
     h = _pattern_from_args(args, seed)
@@ -410,7 +411,6 @@ def _positive_int(text: str) -> int:
 
 def _add_budget_args(p, *, brute_default: int = 10) -> None:
     p.add_argument("--node-budget", type=_positive_int, default=2_000_000)
-    p.add_argument("--support-budget", type=_positive_int, default=1_000_000)
     p.add_argument("--brute-budget", type=_positive_int, default=brute_default)
 
 

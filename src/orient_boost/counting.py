@@ -4,10 +4,15 @@ A labeled copy of a pattern H in a tournament T is a permutation of the
 vertex set mapping every directed edge of H onto an edge of T.  Under the
 block-randomized tournament of a decomposition, the success probability of a
 fixed permutation factors over blocks; this module computes that probability
-exactly (per-block closed forms for the common shapes, injection enumeration,
+exactly (per-block closed forms for the common shapes, an embedding count,
 memoised per captured shape, for everything else), sums it over all
 permutations on tiny instances, and estimates it by seeded Monte Carlo
 otherwise.
+
+``count_embeddings`` is the one embedding counter, shared by
+``count_labeled_copies``, the complete-block fallbacks of ``CopyKernel`` and
+``bounds``; ``CopyKernel.ratio(pi, method="enumerate")`` lists injections
+instead and stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -29,28 +34,29 @@ from .sampling import BaseTournaments
 # exact counting in a fixed tournament
 # ---------------------------------------------------------------------------
 
-def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -> int:
-    """Number of vertex permutations mapping every edge of h onto an edge of t.
+def count_embeddings(edges, m: int, rows) -> int:
+    """Injective maps of vertices 0..m-1 into the tournament with bit rows ``rows``
+    that send every edge (u, v) onto an edge.
 
-    Brute force with backtracking; the unlabeled count is this divided by
-    aut(h).  Over the budget, use the Hamilton-path/cycle DP or the
-    estimator instead.
+    Backtracking over the vertices on edges, each component grown from its
+    highest-degree vertex, so every later vertex of a component has an
+    earlier neighbour.  The candidates at each depth form one bitset: the
+    unused vertices, ANDed with the row of every earlier tail and the
+    complement of the row of every earlier head (in a tournament, the
+    complement of a row minus the used vertices is exactly the
+    in-neighbourhood).  The last depth is a popcount; vertices on no edge
+    multiply the count by the injections of the free slots.
     """
-    if h.n != t.n:
-        raise ValueError(f"pattern has {h.n} vertices, tournament has {t.n}")
-    n = h.n
-    if n > budget_n:
-        raise BudgetExceededError(
-            f"n={n} over the brute-force budget {budget_n}; use the Hamilton DP "
-            "specializations or the Monte Carlo estimator",
-            size=n, budget=budget_n,
-        )
-
-    adj = h.underlying_adjacency()
-    # place connected, high-degree vertices first
+    size = len(rows)
+    if m > size:
+        return 0
+    adj: list[set[int]] = [set() for _ in range(m)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
     order: list[int] = []
-    seen = [False] * n
-    for start in sorted(range(n), key=lambda v: -len(adj[v])):
+    seen = [False] * m
+    for start in sorted(range(m), key=lambda v: -len(adj[v])):
         if seen[start] or not adj[start]:
             continue
         queue = [start]
@@ -62,111 +68,78 @@ def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
-    free = n - len(order)
+    placed = len(order)
+    free = math.perm(size - placed, m - placed)
+    if not placed:
+        return free
 
-    pos_in_order = {u: idx for idx, u in enumerate(order)}
-    constraints: list[list[tuple[int, bool]]] = [[] for _ in order]
-    for u, v in h.edges:
-        iu, iv = pos_in_order[u], pos_in_order[v]
-        # (idx, True): the edge runs from the earlier vertex order[idx] into the
-        # newly placed one; (idx, False): from the newly placed one to order[idx]
-        if iu < iv:
-            constraints[iv].append((iu, True))
+    depth_of = {u: k for k, u in enumerate(order)}
+    # tails[k]/heads[k]: depths of the earlier vertices with an edge into/out of order[k]
+    tails: list[list[int]] = [[] for _ in order]
+    heads: list[list[int]] = [[] for _ in order]
+    for u, v in edges:
+        du, dv = depth_of[u], depth_of[v]
+        if du < dv:
+            tails[dv].append(du)
         else:
-            constraints[iu].append((iv, False))
+            heads[du].append(dv)
+    full = (1 << size) - 1
+    last = placed - 1
+    placed_rows = [0] * placed
 
+    def rec(depth: int, used: int) -> int:
+        cand = full & ~used
+        for k in tails[depth]:
+            cand &= placed_rows[k]
+        for k in heads[depth]:
+            cand &= ~placed_rows[k]
+        if depth == last:
+            return cand.bit_count()
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            placed_rows[depth] = rows[low.bit_length() - 1]
+            total += rec(depth + 1, used | low)
+        return total
+
+    return rec(0, 0) * free
+
+
+def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -> int:
+    """Number of vertex permutations mapping every edge of h onto an edge of t.
+
+    The spanning case of ``count_embeddings``; the unlabeled count is this
+    divided by aut(h).  Over the budget, use the Hamilton-path/cycle DP or
+    the estimator instead.
+    """
+    if h.n != t.n:
+        raise ValueError(f"pattern has {h.n} vertices, tournament has {t.n}")
+    if h.n > budget_n:
+        raise BudgetExceededError(
+            f"n={h.n} over the brute-force budget {budget_n}; use the Hamilton DP "
+            "specializations or the Monte Carlo estimator",
+            size=h.n, budget=budget_n,
+        )
+    return count_embeddings(h.edges, h.n, t.rows)
+
+
+def _hamilton_path_ends(t: Tournament, starts) -> dict[int, int]:
+    """Directed Hamilton paths of t that start in ``starts``, counted by end vertex.
+
+    Subset DP over (mask, endpoint); each layer is dropped once extended.
+    """
     rows = t.rows
-    assigned = [0] * len(order)
-    total = 0
-
-    def rec(depth: int, used: int):
-        nonlocal total
-        if depth == len(order):
-            total += 1
-            return
-        cons = constraints[depth]
-        for p in range(n):
-            if (used >> p) & 1:
-                continue
-            ok = True
-            for idx, earlier_is_tail in cons:
-                q = assigned[idx]
-                if earlier_is_tail:
-                    if not (rows[q] >> p) & 1:
-                        ok = False
-                        break
-                else:
-                    if not (rows[p] >> q) & 1:
-                        ok = False
-                        break
-            if ok:
-                assigned[depth] = p
-                rec(depth + 1, used | (1 << p))
-
-    rec(0, 0)
-    return total * math.factorial(free)
-
-
-def count_hamilton_cycles(t: Tournament, *, budget_n: int = 24) -> int:
-    """Directed Hamilton cycles by subset DP over (mask, endpoint)."""
-    n = t.n
-    if n > budget_n:
-        raise BudgetExceededError(f"n={n} over the DP budget {budget_n}", size=n, budget=budget_n)
-    if n < 3:
-        return 0
-    rows = t.rows
-    full = (1 << n) - 1
-    # dp[mask][v]: paths starting at 0, covering mask, ending at v
-    dp = [None] * (1 << n)
-    dp[1] = {0: 1}
-    total = 0
-    for mask in range(1, 1 << n):
-        cur = dp[mask]
-        if cur is None or not (mask & 1):
-            continue
-        for v, cnt in cur.items():
-            avail = rows[v] & ~mask & full
-            while avail:
-                low = avail & -avail
-                w = low.bit_length() - 1
-                avail ^= low
-                nm = mask | low
-                d = dp[nm]
-                if d is None:
-                    d = {}
-                    dp[nm] = d
-                d[w] = d.get(w, 0) + cnt
-        if mask != full:
-            dp[mask] = None  # free memory
-    last = dp[full] or {}
-    for v, cnt in last.items():
-        if v != 0 and (rows[v] >> 0) & 1:
-            total += cnt
-    return total
-
-
-def count_hamilton_paths(t: Tournament, *, budget_n: int = 24) -> int:
-    """Directed Hamilton paths by subset DP over (mask, endpoint)."""
-    n = t.n
-    if n > budget_n:
-        raise BudgetExceededError(f"n={n} over the DP budget {budget_n}", size=n, budget=budget_n)
-    if n == 1:
-        return 1
-    rows = t.rows
-    full = (1 << n) - 1
-    dp = [None] * (1 << n)
-    for v in range(n):
+    full = (1 << t.n) - 1
+    dp: list[dict[int, int] | None] = [None] * (1 << t.n)
+    for v in starts:
         dp[1 << v] = {v: 1}
-    total = 0
-    for mask in range(1, 1 << n):
+    for mask in range(1, full):
         cur = dp[mask]
         if cur is None:
             continue
-        if mask == full:
-            total += sum(cur.values())
-            continue
         for v, cnt in cur.items():
-            avail = rows[v] & ~mask & full
+            avail = rows[v] & ~mask
             while avail:
                 low = avail & -avail
                 w = low.bit_length() - 1
@@ -178,7 +151,26 @@ def count_hamilton_paths(t: Tournament, *, budget_n: int = 24) -> int:
                     dp[nm] = d
                 d[w] = d.get(w, 0) + cnt
         dp[mask] = None
-    return total
+    return dp[full] or {}
+
+
+def count_hamilton_cycles(t: Tournament, *, budget_n: int = 24) -> int:
+    """Directed Hamilton cycles: paths from vertex 0 whose end beats vertex 0."""
+    n = t.n
+    if n > budget_n:
+        raise BudgetExceededError(f"n={n} over the DP budget {budget_n}", size=n, budget=budget_n)
+    if n < 3:
+        return 0
+    rows = t.rows
+    return sum(cnt for v, cnt in _hamilton_path_ends(t, (0,)).items() if rows[v] & 1)
+
+
+def count_hamilton_paths(t: Tournament, *, budget_n: int = 24) -> int:
+    """Directed Hamilton paths, from every start vertex."""
+    n = t.n
+    if n > budget_n:
+        raise BudgetExceededError(f"n={n} over the DP budget {budget_n}", size=n, budget=budget_n)
+    return sum(_hamilton_path_ends(t, range(n)).values())
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +209,10 @@ class CopyKernel:
     the capture statistics.  Single-edge blocks contribute nothing; the
     closed-form factors are multiplied as integer numerators and
     denominators; a complete block the closed forms do not cover is looked up
-    in a memo of enumerated probabilities, keyed by its base tournament, its
-    size and its captured edges relabelled by first appearance.  The memo
+    in a memo of probabilities, keyed by its base tournament, its size and its
+    captured edges relabelled by first appearance.  A miss counts embeddings
+    with ``count_embeddings``; both it and ``ratio(pi, method="enumerate")``
+    first check ``perm(size, m)`` against ``injection_budget``.  The memo
     belongs to the instance, since callers may pass their own bases.
     """
 
@@ -310,7 +304,8 @@ class CopyKernel:
         key, m = self._complete_shape(bid, group, pi)
         factor = self._fallback_memo.get(key)
         if factor is None:
-            hits, total = self._injection_hits(bid, key, m)
+            rows, total = self._base_injections(bid, key, m)
+            hits = count_embeddings(key[2], m, rows)
             factor = self._fallback_memo[key] = (hits << len(group), total)
         return factor
 
@@ -372,16 +367,21 @@ class CopyKernel:
                        for u, v in group)
         return (self.block_kind[bid], len(self.d.blocks[bid].vertices), mapped), len(seen)
 
-    def _injection_hits(self, bid: int, key: tuple, m: int) -> tuple[int, int]:
-        """(injections of the m captured vertices into the base that orient every edge, all injections)."""
-        kind, size, mapped = key
+    def _base_injections(self, bid: int, key: tuple, m: int) -> tuple[tuple[int, ...], int]:
+        """(bit rows of the block's base, perm(size, m)); raises over ``injection_budget``."""
+        kind, size, _ = key
         total = math.perm(size, m)
         if total > self.injection_budget:
             raise BudgetExceededError(
                 f"block {bid} needs {total} injections, over the budget "
                 f"{self.injection_budget}", size=total, budget=self.injection_budget,
             )
-        rows = (self.bases.r if kind == BlockKind.KT else self.bases.rstar).rows
+        return (self.bases.r if kind == BlockKind.KT else self.bases.rstar).rows, total
+
+    def _injection_hits(self, bid: int, key: tuple, m: int) -> tuple[int, int]:
+        """(injections that orient every captured edge, all injections), by listing every injection."""
+        rows, total = self._base_injections(bid, key, m)
+        _, size, mapped = key
         hits = 0
         for inj in permutations(range(size), m):
             if all((rows[inj[a]] >> inj[b]) & 1 for a, b in mapped):

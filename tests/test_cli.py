@@ -98,6 +98,38 @@ def test_count_methods_agree(capsys, tmp_path):
     assert json.loads(out_dp)["labeled_copies"] == json.loads(out_brute)["labeled_copies"]
 
 
+@pytest.fixture
+def tournament7(capsys, tmp_path):
+    path = tmp_path / "t7.json"
+    code, _, _ = run(capsys, "sample", "--n", "7", "--seed", "3", "--output", str(path))
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["auto", "brute"])
+def test_count_honours_the_pattern_file(capsys, tmp_path, tournament7, method):
+    edge = tmp_path / "edge.txt"
+    edge.write_text("7\n0 1\n")
+    code, out, _ = run(capsys, "count", "--n", "7", "--pattern-file", str(edge),
+                       "--tournament", tournament7, "--method", method)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["labeled_copies"] == 2520  # 7!/2 for one edge in any 7-tournament
+    assert obj["pattern"] == "file:edge.txt"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--n", "5", "--pattern", "cycle"), "pattern has 5 vertices, tournament has 7"),
+    (("--n", "5", "--pattern", "path", "--method", "brute"), "pattern has 5 vertices"),
+    (("--n", "8", "--pattern", "matching", "--method", "dp"), "no Hamilton DP for pattern matching"),
+])
+def test_count_rejects_mismatched_requests(capsys, tournament7, argv, message):
+    code, out, err = run(capsys, "count", *argv, "--tournament", tournament7)
+    assert code == 2
+    assert out == ""
+    assert message in json.loads(err)["message"]
+
+
 def test_exact_expect_subcommand(capsys):
     code, out, _ = run(capsys, "exact-expect", "--pattern", "cycle", "--n", "7", "--t", "3")
     assert code == 0
@@ -204,7 +236,7 @@ def test_experiment_config_validation(tmp_path):
         pattern_kind="cycle", pattern_n=7, pattern_k=None, design_file=None,
         design_t=3, base_file=None, base_star_file=None, samples=0, exact=True,
         master_seed=0, csv_path="x.csv", sidecar_path=None,
-        node_budget=1, support_budget=1, brute_budget=1,
+        node_budget=1, brute_budget=1,
     )
     ExperimentConfig.from_dict(base)
     with pytest.raises(OrientBoostError, match="does not exist"):
@@ -246,7 +278,7 @@ def test_bad_thread_count_is_reported_up_front(capsys, tmp_path, monkeypatch, th
     ("decompose", "--n", "25", "--t", "5", "--node-budget", "0"),
     ("decompose", "--n", "25", "--t", "5", "--node-budget", "-3"),
     ("sample", "--n", "7", "--node-budget", "x"),
-    ("estimate", "--n", "7", "--samples", "5", "--support-budget", "0"),
+    ("estimate", "--n", "7", "--samples", "5", "--node-budget", "0"),
     ("exact-expect", "--n", "7", "--node-budget", "0"),
     ("exact-expect", "--n", "7", "--brute-budget", "-1"),
     ("experiment", "--n", "7", "--exact", "--output", "never.csv", "--brute-budget", "0"),

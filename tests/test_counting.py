@@ -13,6 +13,7 @@ from orient_boost.counting import (
     baseline_expected_copies,
     copy_block_stats,
     copy_probability,
+    count_embeddings,
     count_hamilton_cycles,
     count_hamilton_paths,
     count_labeled_copies,
@@ -101,6 +102,38 @@ def test_hamilton_dp_random_tournaments(n, seeds):
 def test_hamilton_dp_circulant(n):
     t = circulant_regular_tournament(n)
     assert count_labeled_copies(make_pattern("cycle", n), t) == n * count_hamilton_cycles(t)
+
+
+def brute_embeddings(edges, m, rows):
+    """Oracle: list every injection of 0..m-1 into the tournament."""
+    return sum(all((rows[inj[u]] >> inj[v]) & 1 for u, v in edges)
+               for inj in permutations(range(len(rows)), m))
+
+
+@st.composite
+def digraph_into_tournament(draw):
+    size = draw(st.integers(1, 7))
+    m = draw(st.integers(1, size))  # m < size: injective; m == size: spanning
+    arcs = [(u, v) for u in range(m) for v in range(m) if u != v]
+    edges = draw(st.lists(st.sampled_from(arcs), unique=True, max_size=len(arcs))) if arcs else []
+    if size % 2 and size > 1 and draw(st.booleans()):
+        t = circulant_regular_tournament(size)
+    else:
+        t = random_tournament(size, draw(st.integers(0, 10 ** 6)))
+    return edges, m, t.rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=digraph_into_tournament())
+def test_count_embeddings_equals_injection_listing(case):
+    # vertices on no edge, opposite arcs and both m < size and m == size all occur
+    edges, m, rows = case
+    assert count_embeddings(edges, m, rows) == brute_embeddings(edges, m, rows)
+
+
+def test_count_embeddings_pins_hamilton_cycles_of_circulant9():
+    t = circulant_regular_tournament(9)
+    assert count_embeddings(make_pattern("cycle", 9).edges, 9, t.rows) == 9 * count_hamilton_cycles(t) == 1998
 
 
 def test_transitive_tournament_counts():
@@ -406,6 +439,19 @@ def test_injection_budget_error_names_block():
     kernel = CopyKernel(h, d5, bases, injection_budget=10)
     with pytest.raises(BudgetExceededError, match="block 0"):
         kernel.probability(list(range(5)), method="enumerate")
+
+
+def test_auto_path_keeps_the_injection_budget():
+    bases = BaseTournaments.circulant(3)
+    d5 = Decomposition(5, 3, (Block(BlockKind.K2T1, (0, 1, 2, 3, 4)),))
+    h = random_orientation(5, 6, seed=2)
+    m = len({x for e in h.edges for x in e})
+    kernel = CopyKernel(h, d5, bases, injection_budget=math.perm(5, m) - 1)
+    with pytest.raises(BudgetExceededError, match="block 0"):
+        kernel.ratio(list(range(5)))
+    assert kernel._fallback_memo == {}
+    kernel = CopyKernel(h, d5, bases, injection_budget=math.perm(5, m))  # the bound itself is allowed
+    assert kernel.ratio(list(range(5))) == kernel.ratio(list(range(5)), method="enumerate")
 
 
 # ---------------------------------------------------------------------------
