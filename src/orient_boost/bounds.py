@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, permutations
 
-from .counting import count_embeddings
+from .counting import capture_factors, count_embeddings
 from .errors import BudgetExceededError, InvalidTournamentError
 from .orientations import Tournament, as_fraction
 
@@ -66,7 +66,7 @@ def verify_relabel_probabilities(r: Tournament, *, method: str = "auto") -> Rela
     tallies every relabeling separately per triple (t <= 7); 'injections'
     groups the t! relabelings by their restriction to the triple, which is
     uniform over ordered injections, and counts the directed 2-paths and
-    3-cycles with ``count_embeddings`` (t <= 13).
+    3-cycles with ``count_embeddings``.
     """
     t = r.n
     if t % 2 == 0:
@@ -104,8 +104,6 @@ def verify_relabel_probabilities(r: Tournament, *, method: str = "auto") -> Rela
         cons = Fraction(cons_counts.pop(), total)
         cyc = Fraction(cyc_counts.pop(), total)
     else:
-        if t > 13:
-            raise BudgetExceededError(f"injection tally infeasible at t={t}")
         # the restriction of a uniform relabeling to any ordered triple is a
         # uniform injection, identically for every source triple; a consistent
         # (cyclic) triple is a directed 2-path (3-cycle) in one of two directions
@@ -143,7 +141,8 @@ def inequalities_hold(t: int, eps, k: int) -> tuple[bool, bool, bool]:
     eps = as_fraction(eps)
     exp3 = Fraction(3) - eps
     u, v = exp3.numerator, exp3.denominator
-    first = Fraction(t + 1, t - 2) ** v >= Fraction(t - 1, t - 2) ** u
+    consistent, _, cyclic, _ = (Fraction(a, b) for a, b in capture_factors(t))
+    first = cyclic ** v >= consistent ** u
 
     rho = Fraction(1, t - 2)
     kk = Fraction(2 * k * k) / eps
@@ -199,8 +198,8 @@ class GeometricMeanBound:
 def amgm_bound(averages, t: int, eps=None) -> GeometricMeanBound:
     """Geometric-mean lower bound on the boost ratio from capture averages.
 
-    averages = (C, I, F, G): average per-copy captures.  The bound is
-    ((t-1)/(t-2))^C ((t-3)/(t-2))^I ((t+1)/(t-2))^F ((t-3)/(t-2))^G.  With
+    averages = (C, I, F, G): average per-copy captures.  The bound is the
+    product of the ``capture_factors(t)`` raised to these averages.  With
     eps given, also reports the exponent margin C + (3-eps)F - I - G against
     the required eps*t/2.
     """
@@ -215,12 +214,9 @@ def amgm_bound(averages, t: int, eps=None) -> GeometricMeanBound:
             return 0.0
         return math.exp(exponent * math.log(num / den))
 
-    value = (
-        power(t - 1, t - 2, c)
-        * power(t - 3, t - 2, i)
-        * power(t + 1, t - 2, f)
-        * power(t - 3, t - 2, g)
-    )
+    value = 1.0
+    for exponent, (num, den) in zip((c, i, f, g), capture_factors(t)):
+        value *= power(num, den, exponent)
     if eps is None:
         return GeometricMeanBound(value, None, None)
     eps = float(as_fraction(eps))

@@ -53,18 +53,19 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        cfg = cls(**{f: obj[f] for f in cls.__dataclass_fields__})
-        for path in (cfg.design_file, cfg.base_file, cfg.base_star_file):
+    def __post_init__(self):
+        for path in (self.design_file, self.base_file, self.base_star_file):
             if path is not None and not os.path.exists(path):
                 raise OrientBoostError(f"referenced file does not exist: {path}")
         for name in ("node_budget", "brute_budget"):
-            if getattr(cfg, name) <= 0:
+            if getattr(self, name) <= 0:
                 raise OrientBoostError(f"{name} must be positive")
-        if cfg.samples < 0 or (cfg.samples == 0 and not cfg.exact):
+        if self.samples < 0 or (self.samples == 0 and not self.exact):
             raise OrientBoostError("need --samples >= 1 or --exact")
-        return cfg
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        return cls(**{f: obj[f] for f in cls.__dataclass_fields__})
 
 
 def _resolve_seed(args) -> int:
@@ -197,11 +198,14 @@ def _cmd_count(args) -> int:
     has_dp = args.pattern in ("cycle", "path") and not args.pattern_file
     if args.method == "dp" and not has_dp:
         raise OrientBoostError(f"no Hamilton DP for pattern {_pattern_label(args)}; use brute or auto")
+    method = args.method
+    if method == "auto":
+        method = "dp" if has_dp else "brute"
     h = _pattern_from_args(args, args.seed if args.seed is not None else 0)
     if h.n != t.n:
         raise OrientBoostError(f"pattern has {h.n} vertices, tournament has {t.n}")
-    out: dict = {"n": t.n, "method": args.method, "pattern": _pattern_label(args)}
-    if has_dp and args.method != "brute":
+    out: dict = {"n": t.n, "method": method, "pattern": _pattern_label(args)}
+    if method == "dp":
         if args.pattern == "cycle":
             cycles = counting.count_hamilton_cycles(t)
             out |= {"cycles": cycles, "labeled_copies": cycles * t.n}
@@ -338,7 +342,6 @@ def _cmd_experiment(args) -> int:
         csv_path=args.output, sidecar_path=args.sidecar,
         node_budget=args.node_budget, brute_budget=args.brute_budget,
     )
-    cfg = ExperimentConfig.from_dict(cfg.to_dict())  # validation pass
     h = _pattern_from_args(args, seed)
     d, design_label = _design_from_args(args, h.n)
     bases = _bases_from_args(args, d.t)
@@ -409,9 +412,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_budget_args(p, *, brute_default: int = 10) -> None:
-    p.add_argument("--node-budget", type=_positive_int, default=2_000_000)
-    p.add_argument("--brute-budget", type=_positive_int, default=brute_default)
+def _add_node_budget(p) -> None:
+    p.add_argument("--node-budget", type=_positive_int, default=2_000_000,
+                   help="search nodes allowed when building a design from --n and --t")
+
+
+def _add_brute_budget(p, *, default: int) -> None:
+    p.add_argument("--brute-budget", type=_positive_int, default=default,
+                   help="largest n for the exhaustive count or sum")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=4, help="plane order for --kind pg")
     p.add_argument("--even", action="store_true", help="extend the result by one vertex")
     p.add_argument("--output", default=None)
-    _add_budget_args(p)
+    _add_node_budget(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("validate", help="validate a decomposition file")
@@ -444,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=["json", "hex"], default="json")
     p.add_argument("--output", default=None)
-    _add_budget_args(p)
+    _add_node_budget(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("count", help="exact labeled-copy counts in a tournament file")
@@ -452,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tournament", required=True)
     p.add_argument("--method", choices=["auto", "brute", "dp"], default="auto")
     p.add_argument("--seed", type=int, default=None)
-    _add_budget_args(p)
+    _add_brute_budget(p, default=10)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("estimate", help="Monte Carlo expected-copy estimate")
@@ -460,14 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_args(p)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    _add_budget_args(p)
+    _add_node_budget(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("exact-expect", help="exact expected copies on tiny instances")
     _add_pattern_args(p)
     _add_design_args(p)
     p.add_argument("--seed", type=int, default=None)
-    _add_budget_args(p, brute_default=9)
+    _add_node_budget(p)
+    _add_brute_budget(p, default=9)
     p.set_defaults(func=_cmd_exact_expect)
 
     p = sub.add_parser("solve", help="least odd block size for the target inequalities")
@@ -492,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--sidecar", default=None)
-    _add_budget_args(p)
+    _add_node_budget(p)
+    _add_brute_budget(p, default=10)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

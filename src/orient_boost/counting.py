@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 
 from .designs import BlockKind, Decomposition
 from .errors import BudgetExceededError
-from .orientations import Orientation, Tournament
+from .orientations import Orientation, Tournament, local_shapes
 from .rng import stream_for
 from .sampling import BaseTournaments
 
@@ -232,11 +232,9 @@ class CopyKernel:
         self.e = len(self.h_edges)
         self.pair_block = d.pair_block_index()
         self.block_kind = [b.kind for b in d.blocks]
-        t = d.t
-        # ratio factors (probability times 2^edges) of the closed-form shapes
-        # in a size-t block, as (numerator, denominator), indexed as [c, i, f, g]
-        self._closed = ((t - 1, t - 2), (t - 3, t - 2), (t + 1, t - 2), (t - 3, t - 2))
-        self._pair_capture, self._triangle_capture = _local_captures(self.h_edges)
+        self._closed = capture_factors(d.t)
+        # keyed in the order of h_edges, the order in which groups lists a block's edges
+        self._pair_capture, self._triangle_capture = local_shapes(self.h_edges)
         self._fallback_memo: dict[tuple, tuple[int, int]] = {}
 
     # -- grouping ----------------------------------------------------------
@@ -343,22 +341,9 @@ class CopyKernel:
 
     def _coin_hits(self, bid: int, group, pi) -> int:
         """Coin outcomes (of two) of a cycle/star-path/edge block that orient every captured edge."""
-        block = self.d.blocks[bid]
-        vs = block.vertices
-        k = len(vs)
-        if block.kind in (BlockKind.C3, BlockKind.C4):
-            outcomes = [
-                {(vs[a], vs[(a + 1) % k]) for a in range(k)},
-                {(vs[(a + 1) % k], vs[a]) for a in range(k)},
-            ]
-        elif block.kind == BlockKind.STARPATH:
-            l1, cc, l2 = vs
-            outcomes = [{(l1, cc), (cc, l2)}, {(l2, cc), (cc, l1)}]
-        else:
-            u, v = vs
-            outcomes = [{(u, v)}, {(v, u)}]
+        arcs = set(self.d.blocks[bid].arcs())
         mapped = [(pi[u], pi[v]) for u, v in group]
-        return sum(1 for oc in outcomes if all(e in oc for e in mapped))
+        return all(e in arcs for e in mapped) + all((v, u) in arcs for u, v in mapped)
 
     def _complete_shape(self, bid: int, group, pi) -> tuple[tuple, int]:
         """Memo key (kind, block size, captured edges relabelled by first appearance) and vertex count."""
@@ -376,7 +361,7 @@ class CopyKernel:
                 f"block {bid} needs {total} injections, over the budget "
                 f"{self.injection_budget}", size=total, budget=self.injection_budget,
             )
-        return (self.bases.r if kind == BlockKind.KT else self.bases.rstar).rows, total
+        return self.bases.of(kind).rows, total
 
     def _injection_hits(self, bid: int, key: tuple, m: int) -> tuple[int, int]:
         """(injections that orient every captured edge, all injections), by listing every injection."""
@@ -389,45 +374,20 @@ class CopyKernel:
         return hits, total
 
 
-def _local_captures(h_edges) -> tuple[dict, dict]:
-    """Capture kind of every induced pair and triangle of H, as an index into [c, i, f, g].
-
-    Pairs are keyed (e1, e2) and triangles (e1, e2, e3) in the order of
-    ``h_edges``, the order in which ``groups`` lists a block's edges.
+def capture_factors(t: int) -> tuple[tuple[int, int], ...]:
+    """Ratio factors (probability times 2^edges) of the shapes a size-t block
+    captures, as (numerator, denominator), indexed as [c, i, f, g]: a
+    consistent or inconsistent induced pair, a cyclic or transitive triangle.
     """
-    edge_set = set(h_edges)
-    h_pairs = {(u, v) if u < v else (v, u) for u, v in h_edges}
-    incident: dict[int, list[tuple[int, int]]] = {}
-    for edge in h_edges:
-        for x in edge:
-            incident.setdefault(x, []).append(edge)
-    pairs: dict[tuple, int] = {}
-    triangles: dict[tuple, int] = {}
-    for s, edges in incident.items():
-        for e1, e2 in combinations(edges, 2):
-            a = e1[0] if e1[1] == s else e1[1]
-            b = e2[0] if e2[1] == s else e2[1]
-            if (min(a, b), max(a, b)) not in h_pairs:
-                # consistent iff exactly one of the two edges points into s
-                pairs[e1, e2] = 0 if (e1[1] == s) != (e2[1] == s) else 1
-                continue
-            tri = tuple(sorted((e1, e2, (a, b) if (a, b) in edge_set else (b, a))))
-            heads = {v for _, v in tri}
-            triangles[tri] = 2 if len(heads) == 3 else 3
-    return pairs, triangles
+    return ((t - 1, t - 2), (t - 3, t - 2), (t + 1, t - 2), (t - 3, t - 2))
 
 
 def typical_closed_form(stats: CopyBlockStats, e: int, t: int) -> Fraction:
     """Product formula for the success probability of a typical copy."""
-    p = Fraction(1, 2) ** (e - 2 * stats.c - 2 * stats.i - 3 * stats.f - 3 * stats.g)
-    if stats.c:
-        p *= Fraction(t - 1, 4 * (t - 2)) ** stats.c
-    if stats.i:
-        p *= Fraction(t - 3, 4 * (t - 2)) ** stats.i
-    if stats.f:
-        p *= Fraction(t + 1, 8 * (t - 2)) ** stats.f
-    if stats.g:
-        p *= Fraction(t - 3, 8 * (t - 2)) ** stats.g
+    p = Fraction(1, 1 << e)
+    for count, (a, b) in zip((stats.c, stats.i, stats.f, stats.g), capture_factors(t)):
+        if count:
+            p *= Fraction(a, b) ** count
     return p
 
 

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .errors import (
     BudgetExceededError,
@@ -45,23 +46,23 @@ class Block:
     kind: BlockKind
     vertices: tuple[int, ...]
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Unordered pairs covered by this block, as sorted tuples."""
+    def arcs(self) -> list[tuple[int, int]]:
+        """The block's edges directed along its vertex order.
+
+        (vertices[a], vertices[b]) for every a < b of a complete block, the
+        closed cycle of a C3/C4 and the path of a STARPATH/EDGE.  A coin block
+        is oriented as these arcs or as their reverse.
+        """
         vs = self.vertices
         if self.kind in (BlockKind.KT, BlockKind.K2T1):
-            return [(vs[a], vs[b]) if vs[a] < vs[b] else (vs[b], vs[a])
-                    for a in range(len(vs)) for b in range(a + 1, len(vs))]
+            return list(combinations(vs, 2))
         if self.kind in (BlockKind.C3, BlockKind.C4):
-            out = []
-            for a in range(len(vs)):
-                u, v = vs[a], vs[(a + 1) % len(vs)]
-                out.append((u, v) if u < v else (v, u))
-            return out
-        if self.kind == BlockKind.STARPATH:
-            l1, c, l2 = vs
-            return [(l1, c) if l1 < c else (c, l1), (l2, c) if l2 < c else (c, l2)]
-        u, v = vs
-        return [(u, v) if u < v else (v, u)]
+            return list(zip(vs, vs[1:] + vs[:1]))
+        return list(zip(vs, vs[1:]))
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Unordered pairs covered by this block, as sorted tuples in the order of ``arcs``."""
+        return [(u, v) if u < v else (v, u) for u, v in self.arcs()]
 
 
 @dataclass(frozen=True)

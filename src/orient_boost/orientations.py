@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InvalidOrientationError, InvalidTournamentError, RejectionBudgetError
 from .rng import stream_for
@@ -120,57 +121,46 @@ class OrientationStats:
 
 def stats(h: Orientation) -> OrientationStats:
     n = h.n
-    dout = [0] * n
-    din = [0] * n
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in h.edges:
-        dout[u] += 1
-        din[v] += 1
-        adj[u].add(v)
-        adj[v].add(u)
-
+    dout = h.out_degrees()
+    din = h.in_degrees()
     plus = sum(dout[v] * din[v] for v in range(n))
     minus = sum(dout[v] * (dout[v] - 1) // 2 + din[v] * (din[v] - 1) // 2 for v in range(n))
-    maxdeg = max((len(adj[v]) for v in range(n)), default=0)
-
-    edges = h.edges
-    f, g = _triangle_counts(h, adj)
-
-    c = i = 0
-    for v in range(n):
-        nb = sorted(adj[v])
-        for idx_a in range(len(nb)):
-            a = nb[idx_a]
-            for b in nb[idx_a + 1:]:
-                if b in adj[a]:
-                    continue  # pair is not induced
-                into_a = (a, v) in edges
-                into_b = (b, v) in edges
-                if into_a != into_b:
-                    c += 1
-                else:
-                    i += 1
-    return OrientationStats(plus, minus, c, i, f, g, len(edges), maxdeg)
+    maxdeg = max(dout[v] + din[v] for v in range(n))
+    pairs, triangles = local_shapes(sorted(h.edges))
+    counts = [0, 0, 0, 0]
+    for k in (*pairs.values(), *triangles.values()):
+        counts[k] += 1
+    return OrientationStats(plus, minus, *counts, len(h.edges), maxdeg)
 
 
-def _triangle_counts(h: Orientation, adj: list[set[int]]) -> tuple[int, int]:
-    edges = h.edges
-    f = g = 0
-    for u in range(h.n):
-        for v in adj[u]:
-            if v <= u:
+def local_shapes(h_edges) -> tuple[dict, dict]:
+    """Shape of every induced pair and triangle of a pattern, as an index into [c, i, f, g].
+
+    An induced pair is two edges at a common vertex whose outer endpoints are
+    non-adjacent: consistent (0) iff exactly one edge points into the common
+    vertex, inconsistent (1) otherwise.  A triangle is cyclic (2) iff its
+    three heads differ, transitive (3) otherwise.  Pairs are keyed (e1, e2)
+    and triangles (e1, e2, e3) in the order of ``h_edges``.
+    """
+    edge_set = set(h_edges)
+    h_pairs = {(u, v) if u < v else (v, u) for u, v in h_edges}
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for edge in h_edges:
+        for x in edge:
+            incident.setdefault(x, []).append(edge)
+    pairs: dict[tuple, int] = {}
+    triangles: dict[tuple, int] = {}
+    for s, edges in incident.items():
+        for e1, e2 in combinations(edges, 2):
+            a = e1[0] if e1[1] == s else e1[1]
+            b = e2[0] if e2[1] == s else e2[1]
+            if (min(a, b), max(a, b)) not in h_pairs:
+                pairs[e1, e2] = 0 if (e1[1] == s) != (e2[1] == s) else 1
                 continue
-            for w in adj[u] & adj[v]:
-                if w <= v:
-                    continue
-                cyclic = ((u, v) in edges and (v, w) in edges and (w, u) in edges) or (
-                    (v, u) in edges and (w, v) in edges and (u, w) in edges
-                )
-                if cyclic:
-                    f += 1
-                else:
-                    g += 1
-    return f, g
+            tri = tuple(sorted((e1, e2, (a, b) if (a, b) in edge_set else (b, a))))
+            heads = {v for _, v in tri}
+            triangles[tri] = 2 if len(heads) == 3 else 3
+    return pairs, triangles
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Block-randomized tournaments over a decomposition.
 
-Each block is oriented independently: complete blocks receive a fixed regular
-base tournament under a uniformly random vertex relabeling, cycles become
-directed cycles with a fair coin for the direction, star-paths become
-directed 2-edge paths, and single edges get a fair coin.  For odd n the
+Each block is oriented independently: complete blocks receive the fixed
+regular base tournament of their kind (``BaseTournaments.of``) under a
+uniformly random vertex relabeling; cycles, star-paths and single edges are
+oriented along ``Block.arcs()`` or all reversed, on one fair coin.  For odd n the
 result is always a regular tournament; the even-n star-path layer yields a
 balanced one.
 """
@@ -66,6 +66,10 @@ class BaseTournaments:
     def circulant(cls, t: int) -> "BaseTournaments":
         return cls(circulant_regular_tournament(t), circulant_regular_tournament(2 * t - 1))
 
+    def of(self, kind: BlockKind) -> Tournament:
+        """The base tournament relabelled onto a complete block of this kind."""
+        return self.r if kind == BlockKind.KT else self.rstar
+
 
 @dataclass(frozen=True)
 class SampleSeed:
@@ -81,36 +85,20 @@ class SampleSeed:
 def _orient_block(block: Block, bases: BaseTournaments, stream: Stream, rows: list[int]) -> None:
     vs = block.vertices
     if block.kind in (BlockKind.KT, BlockKind.K2T1):
-        base = bases.r if block.kind == BlockKind.KT else bases.rstar
+        base = bases.of(block.kind)
         sigma = stream.permutation(len(vs))
+        # the pairs of arcs(), inlined: this loop is most of the cost of sample()
         for a in range(len(vs)):
             for b in range(a + 1, len(vs)):
                 if base.beats(sigma[a], sigma[b]):
                     rows[vs[a]] |= 1 << vs[b]
                 else:
                     rows[vs[b]] |= 1 << vs[a]
-    elif block.kind in (BlockKind.C3, BlockKind.C4):
-        forward = stream.coin()
-        k = len(vs)
-        for a in range(k):
-            u, v = vs[a], vs[(a + 1) % k]
-            if forward:
-                rows[u] |= 1 << v
-            else:
-                rows[v] |= 1 << u
-    elif block.kind == BlockKind.STARPATH:
-        l1, c, l2 = vs
-        if stream.coin():
-            rows[l1] |= 1 << c
-            rows[c] |= 1 << l2
-        else:
-            rows[l2] |= 1 << c
-            rows[c] |= 1 << l1
-    else:  # EDGE
-        u, v = vs
-        if stream.coin():
+    elif stream.coin():
+        for u, v in block.arcs():
             rows[u] |= 1 << v
-        else:
+    else:
+        for u, v in block.arcs():
             rows[v] |= 1 << u
 
 
@@ -127,33 +115,18 @@ def sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tourna
 
 def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
     """Distinct edge orientations of one block with their probabilities."""
-    vs = block.vertices
-    if block.kind in (BlockKind.KT, BlockKind.K2T1):
-        base = bases.r if block.kind == BlockKind.KT else bases.rstar
-        k = len(vs)
-        counts: dict[tuple[tuple[int, int], ...], int] = {}
-        for sigma in permutations(range(k)):
-            edges = []
-            for a in range(k):
-                for b in range(a + 1, k):
-                    if base.beats(sigma[a], sigma[b]):
-                        edges.append((vs[a], vs[b]))
-                    else:
-                        edges.append((vs[b], vs[a]))
-            key = tuple(edges)
-            counts[key] = counts.get(key, 0) + 1
-        total = math.factorial(k)
-        return [(key, Fraction(cnt, total)) for key, cnt in sorted(counts.items())]
-    if block.kind in (BlockKind.C3, BlockKind.C4):
-        k = len(vs)
-        fwd = tuple((vs[a], vs[(a + 1) % k]) for a in range(k))
-        bwd = tuple((vs[(a + 1) % k], vs[a]) for a in range(k))
-        return [(fwd, Fraction(1, 2)), (bwd, Fraction(1, 2))]
-    if block.kind == BlockKind.STARPATH:
-        l1, c, l2 = vs
-        return [(((l1, c), (c, l2)), Fraction(1, 2)), (((l2, c), (c, l1)), Fraction(1, 2))]
-    u, v = vs
-    return [(((u, v),), Fraction(1, 2)), (((v, u),), Fraction(1, 2))]
+    arcs = tuple(block.arcs())
+    if block.kind not in (BlockKind.KT, BlockKind.K2T1):
+        return [(arcs, Fraction(1, 2)), (tuple((v, u) for u, v in arcs), Fraction(1, 2))]
+    base = bases.of(block.kind)
+    k = len(block.vertices)
+    counts: dict[tuple[tuple[int, int], ...], int] = {}
+    for sigma in permutations(range(k)):
+        label = dict(zip(block.vertices, sigma))
+        key = tuple((u, v) if base.beats(label[u], label[v]) else (v, u) for u, v in arcs)
+        counts[key] = counts.get(key, 0) + 1
+    total = math.factorial(k)
+    return [(key, Fraction(cnt, total)) for key, cnt in sorted(counts.items())]
 
 
 def support_size(d: Decomposition) -> int:

@@ -13,6 +13,7 @@ from orient_boost.bounds import (
     solve_parameters,
     verify_relabel_probabilities,
 )
+from orient_boost.counting import capture_factors
 from orient_boost.errors import BudgetExceededError, InvalidTournamentError
 from orient_boost.orientations import transitive_tournament
 from orient_boost.sampling import circulant_regular_tournament, quadratic_residue_tournament
@@ -40,6 +41,25 @@ def test_relabel_probabilities_t9_and_base_independence():
     circ = verify_relabel_probabilities(circulant_regular_tournament(7))
     assert qr.ok and circ.ok
     assert (qr.consistent, qr.cyclic) == (circ.consistent, circ.cyclic)
+
+
+@pytest.mark.parametrize("r", [circulant_regular_tournament(15), quadratic_residue_tournament(19)],
+                         ids=["circulant15", "qr19"])
+def test_relabel_injections_beyond_t13(r):
+    chk = verify_relabel_probabilities(r)
+    assert chk.ok and chk.method == "injections"
+    assert (chk.consistent, chk.cyclic) == (expected_consistent(r.n), expected_cyclic(r.n))
+
+
+@pytest.mark.parametrize("t", [3, 5, 7, 9])
+def test_capture_factors_match_measured_relabel_probabilities(t):
+    # one fixed orientation of a 2-path (4 of them) or a triangle (8 of them):
+    # a consistent pair is one of 2, an inconsistent one of 2, a cyclic
+    # triangle one of 2 and a transitive one of 6
+    chk = verify_relabel_probabilities(circulant_regular_tournament(t))
+    measured = (chk.consistent * 4 / 2, chk.inconsistent * 4 / 2,
+                chk.cyclic * 8 / 2, chk.transitive * 8 / 6)
+    assert tuple(Fraction(a, b) for a, b in capture_factors(t)) == measured
 
 
 def test_relabel_methods_agree():

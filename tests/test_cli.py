@@ -118,6 +118,26 @@ def test_count_honours_the_pattern_file(capsys, tmp_path, tournament7, method):
     assert obj["pattern"] == "file:edge.txt"
 
 
+@pytest.mark.parametrize("method,pattern,expected", [
+    ("auto", ("--pattern", "cycle"), "dp"),
+    ("auto", ("--pattern", "path"), "dp"),
+    ("auto", ("--pattern-file", "edge"), "brute"),
+    ("dp", ("--pattern", "cycle"), "dp"),
+    ("brute", ("--pattern", "cycle"), "brute"),
+])
+def test_count_reports_the_method_it_took(capsys, tmp_path, tournament7, method, pattern, expected):
+    if pattern[0] == "--pattern-file":
+        edge = tmp_path / "edge.txt"
+        edge.write_text("7\n0 1\n")
+        pattern = ("--pattern-file", str(edge))
+    code, out, _ = run(capsys, "count", "--n", "7", *pattern, "--tournament", tournament7,
+                       "--method", method)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["method"] == expected
+    assert ("cycles" in obj or "paths" in obj) == (expected == "dp")
+
+
 @pytest.mark.parametrize("argv,message", [
     (("--n", "5", "--pattern", "cycle"), "pattern has 5 vertices, tournament has 7"),
     (("--n", "5", "--pattern", "path", "--method", "brute"), "pattern has 5 vertices"),
@@ -247,6 +267,20 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig.from_dict(base | {"exact": False, "samples": 0})
 
 
+def test_experiment_config_validates_on_construction():
+    fields = dict(
+        pattern_kind="cycle", pattern_n=7, pattern_k=None, design_file=None,
+        design_t=3, base_file=None, base_star_file=None, samples=0, exact=False,
+        master_seed=0, csv_path="x.csv", sidecar_path=None,
+        node_budget=1, brute_budget=1,
+    )
+    with pytest.raises(OrientBoostError, match="samples"):
+        ExperimentConfig(**fields)
+    with pytest.raises(OrientBoostError, match="brute_budget must be positive"):
+        ExperimentConfig(**fields | {"samples": 5, "brute_budget": 0})
+    assert ExperimentConfig(**fields | {"samples": 5}).samples == 5
+
+
 def test_custom_base_tournament_flag(capsys, tmp_path):
     from orient_boost.designs import Block, BlockKind, Decomposition
     from orient_boost.sampling import quadratic_residue_tournament
@@ -290,6 +324,20 @@ def test_non_positive_budgets_are_rejected_up_front(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: expected a positive integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--n", "7", "--brute-budget", "3"),
+    ("sample", "--n", "7", "--seed", "3", "--brute-budget", "3"),
+    ("estimate", "--n", "7", "--samples", "5", "--brute-budget", "3"),
+    ("count", "--n", "7", "--tournament", "t7.json", "--node-budget", "1"),
+])
+def test_subcommands_take_only_the_budgets_they_read(capsys, argv):
+    flag = next(a for a in argv if a.endswith("-budget"))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_sample_validates_its_design_file(capsys, tmp_path):

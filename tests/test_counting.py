@@ -317,6 +317,19 @@ def test_exact_matches_support_average_for_k2t1_design():
         assert acc == exact
 
 
+def test_coin_blocks_match_support_weighted_count(coin_design6):
+    # every block is a 3-cycle, 4-cycle, star-path or edge, so every factor of
+    # a copy comes from the coin-block captures
+    bases = BaseTournaments.circulant(3)
+    support = list(enumerate_support(coin_design6, bases))
+    c6 = make_pattern("cycle", 6)
+    assert exact_expected_copies(c6, coin_design6, bases) == Fraction(105, 4)
+    assert sum(w * 6 * count_hamilton_cycles(t) for t, w in support) == Fraction(105, 4)
+    for h in (make_pattern("path", 6), random_orientation(6, 9, seed=4)):
+        exact = exact_expected_copies(h, coin_design6, bases)
+        assert exact == sum(w * count_labeled_copies(h, t) for t, w in support)
+
+
 def test_expectation_matches_direct_sampled_counts_at_n9():
     # whole-pipeline cross-check: summing per-permutation probabilities must
     # agree with counting copies in actually sampled tournaments

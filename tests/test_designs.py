@@ -404,3 +404,16 @@ def test_decomposition_json_round_trip():
 
 def test_gcd_identity_for_odd_t():
     assert all(gcd_identity_holds(t) for t in range(3, 100, 2))
+
+
+@pytest.mark.parametrize("kind,vertices,arcs", [
+    (BlockKind.KT, (4, 0, 2), [(4, 0), (4, 2), (0, 2)]),
+    (BlockKind.C3, (2, 0, 1), [(2, 0), (0, 1), (1, 2)]),
+    (BlockKind.C4, (0, 3, 1, 4), [(0, 3), (3, 1), (1, 4), (4, 0)]),
+    (BlockKind.STARPATH, (3, 5, 1), [(3, 5), (5, 1)]),
+    (BlockKind.EDGE, (5, 4), [(5, 4)]),
+])
+def test_block_arcs_follow_the_vertex_order(kind, vertices, arcs):
+    block = Block(kind, vertices)
+    assert block.arcs() == arcs
+    assert block.edges() == [(min(u, v), max(u, v)) for u, v in arcs]

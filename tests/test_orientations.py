@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from orient_boost.errors import InvalidOrientationError, InvalidTournamentError
 from orient_boost.orientations import (
     classify,
     consistency_check,
+    local_shapes,
     make_pattern,
     orientation_from_edges,
     orientation_from_json,
@@ -59,6 +61,32 @@ def test_identities_on_random_orientations():
         assert s.plus == 3 * s.f + s.c + s.g
         assert s.minus == 2 * s.g + s.i
         assert s.plus == sum(do * di for do, di in zip(h.out_degrees(), h.in_degrees()))
+
+
+def triple_shape_counts(h):
+    """[c, i, f, g] by inspecting every vertex triple of h on its own."""
+    counts = [0, 0, 0, 0]
+    for triple in combinations(range(h.n), 3):
+        inside = [(u, v) for u, v in h.edges if u in triple and v in triple]
+        if len(inside) == 3:
+            counts[2 if len({v for _, v in inside}) == 3 else 3] += 1
+        elif len(inside) == 2:
+            (a, b), (c, d) = inside
+            centre = ({a, b} & {c, d}).pop()
+            counts[0 if (b == centre) != (d == centre) else 1] += 1
+    return counts
+
+
+def test_local_shapes_match_a_triple_by_triple_count():
+    for seed in range(150):
+        n = 3 + seed % 9
+        h = random_orientation(n, seed % (n * (n - 1) // 2 + 1), seed=seed)
+        pairs, triangles = local_shapes(sorted(h.edges))
+        counts = [0, 0, 0, 0]
+        for k in (*pairs.values(), *triangles.values()):
+            counts[k] += 1
+        s = stats(h)
+        assert counts == [s.c, s.i, s.f, s.g] == triple_shape_counts(h)
 
 
 def test_stats_relabel_invariance():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -140,3 +141,40 @@ def test_support_matches_sampler_distribution():
     support = {t.rows for t, _ in enumerate_support(fano, bases)}
     for index in range(50):
         assert sample(fano, bases, SampleSeed(31, index)).rows in support
+
+
+def test_base_tournaments_of_block_kind():
+    bases = BaseTournaments.circulant(5)
+    assert bases.of(BlockKind.KT) is bases.r
+    assert bases.of(BlockKind.K2T1) is bases.rstar
+
+
+def _rows_digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Golden pins: seeded rows and support outcomes, recorded before the coin
+# blocks were oriented through Block.arcs(); any change to the draw shows here.
+@pytest.mark.parametrize("design,first_rows,digest", [
+    ("coin6", [(44, 17, 10, 50, 37, 6), (42, 20, 49, 6, 9, 26), (10, 52, 49, 6, 41, 9)],
+     "dcafd41fd31ea4c21aa45d7f0d1d07b5c8d7a1b0171e7865ecec7949b4a8f027"),
+    ("even12", [(810, 3288, 1411, 2292, 357, 3654, 2949, 1585, 682, 3102, 345, 1429),
+                (1240, 3621, 2673, 422, 1354, 2961, 1194, 3350, 2631, 217, 2860, 601),
+                (1190, 3640, 3466, 241, 1413, 2772, 2327, 1858, 2603, 93, 2920, 665)],
+     "d56c46cf98f645c4c112d8d62e1357c727cb36fabc79c9e3f5cca4f21cb703ff"),
+])
+def test_sample_rows_are_pinned(coin_design6, design, first_rows, digest):
+    d = coin_design6 if design == "coin6" else extend_to_even(adjusted_decomposition(11, 3))
+    bases = BaseTournaments.circulant(3)
+    assert [sample(d, bases, SampleSeed(7, i)).rows for i in range(3)] == first_rows
+    lines = [" ".join(map(str, sample(d, bases, SampleSeed(s, s % 5)).rows)) for s in range(300)]
+    assert _rows_digest(lines) == digest
+
+
+def test_enumerate_support_of_coin_blocks_is_pinned(coin_design6):
+    outcomes = list(enumerate_support(coin_design6, BaseTournaments.circulant(3)))
+    assert len(outcomes) == 64
+    assert all(w == Fraction(1, 64) for _, w in outcomes)
+    assert outcomes[0][0].rows == (42, 20, 41, 18, 37, 10)
+    assert _rows_digest(f"{' '.join(map(str, t.rows))} {w}" for t, w in outcomes) == (
+        "4f860f9e6d53ea4d948bbf14c717909ec7d49dd6d0eb1fa86d405d30d0ff62ce")
