@@ -11,21 +11,15 @@ from .bounds import (
     verify_relabel_probabilities,
 )
 from .counting import (
-    BlockAverages,
     CopyBlockStats,
     CopyKernel,
     EstimateReport,
     baseline_expected_copies,
-    copy_block_stats,
-    copy_probability,
     count_hamilton_cycles,
     count_hamilton_paths,
     count_labeled_copies,
-    empirical_block_averages,
     estimate_expected_copies,
-    exact_block_averages,
     exact_copy_summary,
-    exact_expected_copies,
     typical_closed_form,
 )
 from .designs import (
@@ -77,7 +71,6 @@ from .sampling import (
     enumerate_support,
     quadratic_residue_tournament,
     sample,
-    support_size,
 )
 
 __version__ = "0.1.0"

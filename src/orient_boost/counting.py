@@ -6,8 +6,10 @@ block-randomized tournament of a decomposition, the success probability of a
 fixed permutation factors over blocks; this module computes that probability
 exactly (per-block closed forms for the common shapes, an embedding count,
 memoised per captured shape, for everything else), sums it over all
-permutations on tiny instances, and estimates it by seeded Monte Carlo
-otherwise.
+permutations on tiny instances (``exact_copy_summary``), and estimates it
+by seeded Monte Carlo otherwise (``estimate_expected_copies``).  Both
+accumulate into one record of exact partial sums, ``_ExactSums``; the worker
+pool merges the records of its chunks with ``_ExactSums.merge``.
 
 ``count_embeddings`` is the one embedding counter, shared by
 ``count_labeled_copies``, the complete-block fallbacks of ``CopyKernel`` and
@@ -22,6 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import combinations, permutations
 
 from .designs import BlockKind, Decomposition
@@ -154,8 +157,12 @@ def _hamilton_path_ends(t: Tournament, starts) -> dict[int, int]:
     return dp[full] or {}
 
 
-def count_hamilton_cycles(t: Tournament, *, budget_n: int = 24) -> int:
-    """Directed Hamilton cycles: paths from vertex 0 whose end beats vertex 0."""
+def count_hamilton_cycles(t: Tournament, *, budget_n: int = 20) -> int:
+    """Directed Hamilton cycles: paths from vertex 0 whose end beats vertex 0.
+
+    The DP keeps a list of 2^n slots; the default budget is the largest size
+    measured, n = 20 (about 8 s and 84 MB peak on a 2-vCPU host).
+    """
     n = t.n
     if n > budget_n:
         raise BudgetExceededError(f"n={n} over the DP budget {budget_n}", size=n, budget=budget_n)
@@ -165,7 +172,7 @@ def count_hamilton_cycles(t: Tournament, *, budget_n: int = 24) -> int:
     return sum(cnt for v, cnt in _hamilton_path_ends(t, (0,)).items() if rows[v] & 1)
 
 
-def count_hamilton_paths(t: Tournament, *, budget_n: int = 24) -> int:
+def count_hamilton_paths(t: Tournament, *, budget_n: int = 20) -> int:
     """Directed Hamilton paths, from every start vertex."""
     n = t.n
     if n > budget_n:
@@ -307,7 +314,12 @@ class CopyKernel:
             factor = self._fallback_memo[key] = (hits << len(group), total)
         return factor
 
+    def _check_size(self, pi) -> None:
+        if len(pi) != self.n:
+            raise ValueError("permutation, pattern, and decomposition sizes must agree")
+
     def ratio_and_stats(self, pi) -> tuple[Fraction, CopyBlockStats]:
+        self._check_size(pi)
         num, den, caps, typical = self._terms(pi)
         return Fraction(num, den), CopyBlockStats(*caps, typical)
 
@@ -325,6 +337,7 @@ class CopyKernel:
             return self.ratio_and_stats(pi)[0]
         if method != "enumerate":
             raise ValueError(f"unknown method {method!r}; use 'auto' or 'enumerate'")
+        self._check_size(pi)
         result = Fraction(1)
         for bid, group in self.groups(pi).items():
             if self.block_kind[bid] in (BlockKind.KT, BlockKind.K2T1):
@@ -391,25 +404,15 @@ def typical_closed_form(stats: CopyBlockStats, e: int, t: int) -> Fraction:
     return p
 
 
-def copy_block_stats(pi, h: Orientation, d: Decomposition) -> CopyBlockStats:
-    if len(pi) != h.n or h.n != d.n:
-        raise ValueError("permutation, pattern, and decomposition sizes must agree")
-    return CopyKernel(h, d).block_stats(pi)
-
-
-def copy_probability(pi, h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
-                     *, method: str = "auto") -> Fraction:
-    if len(pi) != h.n or h.n != d.n:
-        raise ValueError("permutation, pattern, and decomposition sizes must agree")
-    return CopyKernel(h, d, bases).probability(pi, method=method)
-
-
 class _ExactSums:
-    """Exact sums over copies of the ratio, its square and the capture counts.
+    """The one record of a run's exact partial sums: over its copies, the
+    ratio, its square and the capture counts.
 
     Ratios are summed as integer numerators keyed by their reduced
     denominator, and squares keyed by its square, so a copy costs one gcd
-    instead of two Fraction additions.
+    instead of two Fraction additions.  Records of disjoint index ranges
+    combine with ``merge``, which adds integers only, so the merged record
+    does not depend on how the range was split or in which order.
     """
 
     def __init__(self):
@@ -431,6 +434,17 @@ class _ExactSums:
             if x:
                 self.s[k] += x
                 self.sq[k] += x * x
+
+    def merge(self, other: "_ExactSums") -> "_ExactSums":
+        """Add the sums of ``other`` into this record and return it."""
+        for mine, theirs in ((self.r, other.r), (self.r_sq, other.r_sq)):
+            for den, num in theirs.items():
+                mine[den] = mine.get(den, 0) + num
+        self.typical += other.typical
+        for k in range(4):
+            self.s[k] += other.s[k]
+            self.sq[k] += other.sq[k]
+        return self
 
     def totals(self) -> tuple[Fraction, Fraction, int, list[int], list[int]]:
         """(sum of ratios, sum of squared ratios, typical copies, capture sums, squared capture sums)."""
@@ -466,16 +480,6 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     )
 
 
-def exact_expected_copies(h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
-                          *, budget_n: int = 9) -> Fraction:
-    return exact_copy_summary(h, d, bases, budget_n=budget_n).expectation
-
-
-def exact_block_averages(h: Orientation, d: Decomposition,
-                         *, budget_n: int = 9) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    return exact_copy_summary(h, d, budget_n=budget_n).capture_averages
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------
@@ -495,55 +499,28 @@ class EstimateReport:
     estimate_log2: float
     typical_fraction: float
     capture_means: tuple[float, float, float, float]
-
-
-@dataclass(frozen=True)
-class BlockAverages:
-    samples: int
-    c_avg: float
-    i_avg: float
-    f_avg: float
-    g_avg: float
-    c_stderr: float
-    i_stderr: float
-    f_stderr: float
-    g_stderr: float
+    capture_stderrs: tuple[float, float, float, float]
 
 
 def _scan_chunk(h: Orientation, d: Decomposition, bases: BaseTournaments,
-                master: int, lo: int, hi: int):
-    """Exact partial sums over sample indices [lo, hi)."""
+                master: int, lo: int, hi: int) -> _ExactSums:
+    """The record of sample indices [lo, hi)."""
     kernel = CopyKernel(h, d, bases)
     acc = _ExactSums()
     for index in range(lo, hi):
         acc.add(*kernel._terms(stream_for(master, index).permutation(h.n)))
-    return acc.totals()
+    return acc
 
 
-def _scan_chunk_star(args):
-    return _scan_chunk(*args)
-
-
-def _scan_samples(h, d, bases, samples: int, master: int, workers: int):
+def _scan_samples(h, d, bases, samples: int, master: int, workers: int) -> _ExactSums:
+    """The record of sample indices [0, samples): one chunk, or pool chunks merged in span order."""
     if workers <= 1 or samples < 2:
         return _scan_chunk(h, d, bases, master, 0, samples)
     chunk = max(256, samples // (workers * 8))
-    spans = [(h, d, bases, master, lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-    workers = min(workers, len(spans))
-    r_sum = Fraction(0)
-    r_sq = Fraction(0)
-    typical = 0
-    s = [0, 0, 0, 0]
-    sq = [0, 0, 0, 0]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for pr, pq, pt, ps, psq in pool.map(_scan_chunk_star, spans):
-            r_sum += pr
-            r_sq += pq
-            typical += pt
-            for k in range(4):
-                s[k] += ps[k]
-                sq[k] += psq[k]
-    return r_sum, r_sq, typical, s, sq
+    los = range(0, samples, chunk)
+    his = [min(lo + chunk, samples) for lo in los]
+    with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
+        return reduce(_ExactSums.merge, pool.map(partial(_scan_chunk, h, d, bases, master), los, his))
 
 
 def worker_count_from_env() -> int:
@@ -573,22 +550,20 @@ def estimate_expected_copies(h: Orientation, d: Decomposition, bases: BaseTourna
 
     Per-sample probabilities are exact rationals; sums are accumulated
     exactly and converted to floats only in the report, so results are
-    bit-identical for any worker count.
+    bit-identical for any worker count.  The report gives the mean ratio and
+    the mean captures [c, i, f, g], each with its standard error.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if bases is None:
         bases = BaseTournaments.circulant(d.t)
-    r_sum, r_sq, typical, s, sq = _scan_samples(h, d, bases, samples, master_seed, workers)
+    r_sum, r_sq, typical, s, sq = _scan_samples(h, d, bases, samples, master_seed, workers).totals()
     e = h.edge_count
     n = h.n
     baseline = Fraction(math.factorial(n), 1 << e)
     ratio, stderr = _mean_stderr(r_sum, r_sq, samples)
     baseline_log2 = log2_fraction(baseline)
-    means = []
-    for k in range(4):
-        mk, _ = _mean_stderr(Fraction(s[k]), Fraction(sq[k]), samples)
-        means.append(mk)
+    captures = [_mean_stderr(Fraction(s[k]), Fraction(sq[k]), samples) for k in range(4)]
     estimate = float(baseline) * ratio if baseline < Fraction(10 ** 300) else math.inf
     return EstimateReport(
         n=n, t=d.t, e=e, samples=samples, master_seed=master_seed,
@@ -597,24 +572,8 @@ def estimate_expected_copies(h: Orientation, d: Decomposition, bases: BaseTourna
         estimate=estimate,
         estimate_log2=baseline_log2 + (math.log2(ratio) if ratio > 0 else -math.inf),
         typical_fraction=typical / samples,
-        capture_means=tuple(means),
-    )
-
-
-def empirical_block_averages(h: Orientation, d: Decomposition, *, samples: int,
-                             master_seed: int, workers: int = 1) -> BlockAverages:
-    """Sample means of the per-copy block captures over uniform permutations."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    bases = BaseTournaments.circulant(d.t)
-    _, _, _, s, sq = _scan_samples(h, d, bases, samples, master_seed, workers)
-    out = []
-    for k in range(4):
-        out.append(_mean_stderr(Fraction(s[k]), Fraction(sq[k]), samples))
-    return BlockAverages(
-        samples=samples,
-        c_avg=out[0][0], i_avg=out[1][0], f_avg=out[2][0], g_avg=out[3][0],
-        c_stderr=out[0][1], i_stderr=out[1][1], f_stderr=out[2][1], g_stderr=out[3][1],
+        capture_means=tuple(mean for mean, _ in captures),
+        capture_stderrs=tuple(err for _, err in captures),
     )
 
 

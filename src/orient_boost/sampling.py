@@ -129,31 +129,35 @@ def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tu
     return [(key, Fraction(cnt, total)) for key, cnt in sorted(counts.items())]
 
 
-def support_size(d: Decomposition) -> int:
-    """Raw outcome count: t! per complete block of size t, 2 per coin block."""
-    size = 1
-    for block in d.blocks:
-        if block.kind in (BlockKind.KT, BlockKind.K2T1):
-            size *= math.factorial(len(block.vertices))
-        else:
-            size *= 2
-    return size
-
-
 def enumerate_support(d: Decomposition, bases: BaseTournaments, *, budget: int = 1_000_000):
     """Yield every (tournament, probability) of the block-randomized space.
 
     Identical block orientations reached by different relabelings are merged
     first, so the yielded outcomes are distinct per block.  Weights sum to 1.
+    The budget bounds the product of the per-block distinct outcome counts;
+    a complete block whose t! relabelings alone are over it is refused
+    before they are listed, and the count stops at the first block that
+    takes the product over the budget.
     """
     if bases.r.n != d.t:
         raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
-    raw = support_size(d)
-    if raw > budget:
-        raise BudgetExceededError(
-            f"support has {raw} outcomes, over the budget of {budget}", size=raw, budget=budget
-        )
-    per_block = [_block_outcomes(block, bases) for block in d.blocks]
+    per_block = []
+    size = 1
+    for block in d.blocks:
+        if block.kind in (BlockKind.KT, BlockKind.K2T1):
+            relabelings = math.factorial(len(block.vertices))
+            if relabelings > budget:
+                raise BudgetExceededError(
+                    f"block {block.vertices} has {relabelings} relabelings, over the budget of {budget}",
+                    size=relabelings, budget=budget,
+                )
+        per_block.append(_block_outcomes(block, bases))
+        size *= len(per_block[-1])
+        if size > budget:
+            raise BudgetExceededError(
+                f"support has at least {size} distinct outcomes, over the budget of {budget}",
+                size=size, budget=budget,
+            )
 
     def rec(idx: int, rows: list[int], weight: Fraction):
         if idx == len(per_block):

@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 
 from orient_boost.counting import (
     CopyKernel,
+    _ExactSums,
     _scan_chunk,
+    _scan_samples,
     baseline_expected_copies,
-    copy_block_stats,
-    copy_probability,
     count_embeddings,
     count_hamilton_cycles,
     count_hamilton_paths,
     count_labeled_copies,
-    empirical_block_averages,
     estimate_expected_copies,
-    exact_block_averages,
     exact_copy_summary,
-    exact_expected_copies,
     typical_closed_form,
     worker_count_from_env,
 )
@@ -136,6 +133,19 @@ def test_count_embeddings_pins_hamilton_cycles_of_circulant9():
     assert count_embeddings(make_pattern("cycle", 9).edges, 9, t.rows) == 9 * count_hamilton_cycles(t) == 1998
 
 
+@pytest.mark.parametrize("count", [count_hamilton_cycles, count_hamilton_paths], ids=["cycles", "paths"])
+def test_hamilton_dp_refuses_n21_before_allocating(monkeypatch, count):
+    import orient_boost.counting as counting
+
+    def allocated(*args):
+        raise AssertionError("DP slots allocated")
+
+    monkeypatch.setattr(counting, "_hamilton_path_ends", allocated)
+    with pytest.raises(BudgetExceededError) as err:
+        count(circulant_regular_tournament(21))
+    assert (err.value.size, err.value.budget) == (21, 20)
+
+
 def test_transitive_tournament_counts():
     for n in (4, 6, 8):
         t = transitive_tournament(n)
@@ -208,9 +218,10 @@ def test_block_stats_against_reference():
         random_orientation(7, 10, seed=3),
     ]
     for h in patterns:
+        kernel = CopyKernel(h, fano)
         for idx in range(250):
             pi = stream_for(h.edge_count, idx).permutation(7)
-            st = copy_block_stats(pi, h, fano)
+            st = kernel.block_stats(pi)
             assert (st.c, st.i, st.f, st.g, st.typical) == reference_block_stats(pi, h, fano)
 
 
@@ -232,7 +243,7 @@ def test_block_stats_trivial_cases():
     rest = [v for v in range(7) if v not in line]
     pi[0], pi[1], pi[2] = line
     pi[3], pi[4], pi[5], pi[6] = rest
-    st = copy_block_stats(pi, h, fano)
+    st = CopyKernel(h, fano).block_stats(pi)
     assert (st.c, st.i, st.f, st.g, st.typical) == (1, 0, 0, 0, True)
 
 
@@ -254,10 +265,11 @@ def test_probability_vanishes_for_transitive_triangle_in_triple_block():
     others = [v for v in range(7) if v not in line]
     pi[0], pi[1], pi[2] = line
     pi[3:] = others
-    st = copy_block_stats(pi, h, fano)
+    kernel = CopyKernel(h, fano)
+    st = kernel.block_stats(pi)
     assert st.g == 1
-    assert copy_probability(pi, h, fano) == 0
-    assert copy_probability(pi, h, fano, method="enumerate") == 0
+    assert kernel.probability(pi) == 0
+    assert kernel.probability(pi, method="enumerate") == 0
 
 
 def test_closed_form_equals_enumeration_everywhere():
@@ -278,23 +290,23 @@ def test_exact_expectation_single_edge():
     bases = BaseTournaments.circulant(3)
     d5 = Decomposition(5, 3, (Block(BlockKind.K2T1, (0, 1, 2, 3, 4)),))
     single = orientation_from_edges(5, [(0, 1)])
-    assert exact_expected_copies(single, d5, bases) == Fraction(math.factorial(5), 2)
+    assert exact_copy_summary(single, d5, bases).expectation == Fraction(math.factorial(5), 2)
     fano = steiner_triple_system(7)
     single7 = orientation_from_edges(7, [(2, 5)])
-    assert exact_expected_copies(single7, fano, bases) == Fraction(math.factorial(7), 2)
+    assert exact_copy_summary(single7, fano, bases).expectation == Fraction(math.factorial(7), 2)
 
 
 def test_exact_expectation_budget():
     fano = steiner_triple_system(7)
     with pytest.raises(BudgetExceededError):
-        exact_expected_copies(make_pattern("cycle", 7), fano, budget_n=6)
+        exact_copy_summary(make_pattern("cycle", 7), fano, budget_n=6)
 
 
 def test_exact_matches_support_average_for_path():
     fano = steiner_triple_system(7)
     bases = BaseTournaments.circulant(3)
     p7 = make_pattern("path", 7)
-    exact = exact_expected_copies(p7, fano, bases)
+    exact = exact_copy_summary(p7, fano, bases).expectation
     acc = Fraction(0)
     for t, w in enumerate_support(fano, bases):
         acc += w * count_labeled_copies(p7, t)
@@ -307,7 +319,7 @@ def test_exact_matches_support_average_for_k2t1_design():
     d5 = Decomposition(5, 3, (Block(BlockKind.K2T1, (0, 1, 2, 3, 4)),))
     for seed in (1, 6):
         h = random_orientation(5, 5, seed=seed)
-        exact = exact_expected_copies(h, d5, bases)
+        exact = exact_copy_summary(h, d5, bases).expectation
         acc = Fraction(0)
         total = Fraction(0)
         for t, w in enumerate_support(d5, bases):
@@ -323,11 +335,20 @@ def test_coin_blocks_match_support_weighted_count(coin_design6):
     bases = BaseTournaments.circulant(3)
     support = list(enumerate_support(coin_design6, bases))
     c6 = make_pattern("cycle", 6)
-    assert exact_expected_copies(c6, coin_design6, bases) == Fraction(105, 4)
+    assert exact_copy_summary(c6, coin_design6, bases).expectation == Fraction(105, 4)
     assert sum(w * 6 * count_hamilton_cycles(t) for t, w in support) == Fraction(105, 4)
     for h in (make_pattern("path", 6), random_orientation(6, 9, seed=4)):
-        exact = exact_expected_copies(h, coin_design6, bases)
+        exact = exact_copy_summary(h, coin_design6, bases).expectation
         assert exact == sum(w * count_labeled_copies(h, t) for t, w in support)
+
+
+def test_exact_matches_support_weighted_cycles_on_sts9():
+    # 6^12 relabellings, but only 2^12 distinct outcomes for enumerate_support to list
+    d = steiner_triple_system(9)
+    bases = BaseTournaments.circulant(3)
+    exact = exact_copy_summary(make_pattern("cycle", 9), d, bases).expectation
+    assert exact == Fraction(8181, 4)
+    assert sum(w * 9 * count_hamilton_cycles(t) for t, w in enumerate_support(d, bases)) == exact
 
 
 def test_expectation_matches_direct_sampled_counts_at_n9():
@@ -355,10 +376,10 @@ def test_even_extension_expectation():
     # matchings appear the same number of times in every tournament, so the
     # expectation over the balanced space equals the coin-flip baseline
     m4 = make_pattern("matching", 8)
-    assert exact_expected_copies(m4, d8, bases) == Fraction(math.factorial(8), 2 ** 4)
+    assert exact_copy_summary(m4, d8, bases).expectation == Fraction(math.factorial(8), 2 ** 4)
     # full oracle for the 8-cycle over the 2048-outcome support
     c8 = make_pattern("cycle", 8)
-    exact = exact_expected_copies(c8, d8, bases)
+    exact = exact_copy_summary(c8, d8, bases).expectation
     acc = Fraction(0)
     for t, w in enumerate_support(d8, bases, budget=5_000_000):
         acc += w * 8 * count_hamilton_cycles(t)
@@ -415,24 +436,24 @@ def test_estimator_report_fields():
 def test_exact_block_averages_cycle_on_triple_system():
     fano = steiner_triple_system(7)
     c7 = make_pattern("cycle", 7)
-    avgs = exact_block_averages(c7, fano)
+    avgs = exact_copy_summary(c7, fano).capture_averages
     assert avgs == (Fraction(7, 5), 0, 0, 0)
 
 
 def test_empirical_block_averages_match_exact_mean():
     fano = steiner_triple_system(7)
     c7 = make_pattern("cycle", 7)
-    ba = empirical_block_averages(c7, fano, samples=4000, master_seed=12)
-    assert abs(ba.c_avg - 1.4) <= 3 * ba.c_stderr
-    assert ba.i_avg == ba.f_avg == ba.g_avg == 0
+    rep = estimate_expected_copies(c7, fano, samples=4000, master_seed=12)
+    assert abs(rep.capture_means[0] - 1.4) <= 3 * rep.capture_stderrs[0]
+    assert rep.capture_means[1:] == (0, 0, 0)
 
 
 def test_empirical_block_averages_matching_pattern_is_zero():
     # no two matching edges share a vertex, so every capture statistic is 0
     d = steiner_triple_system(9)
     m = orientation_from_edges(9, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    ba = empirical_block_averages(m, d, samples=500, master_seed=3)
-    assert (ba.c_avg, ba.i_avg, ba.f_avg, ba.g_avg) == (0, 0, 0, 0)
+    rep = estimate_expected_copies(m, d, samples=500, master_seed=3)
+    assert rep.capture_means == (0, 0, 0, 0)
 
 
 def test_disjoint_edge_pattern_never_boosts_on_pure_design():
@@ -492,7 +513,7 @@ def test_scan_partial_sums_are_golden(name):
         d = adjusted_decomposition(21, 5)
         h = make_pattern("cycle", 21) if name == "cycle21-pg24" else \
             make_pattern("k_regular_random", 21, k=2, seed=7)
-    assert _scan_chunk(h, d, BaseTournaments.circulant(d.t), 7, 0, 300) == GOLDEN_SCANS[name]
+    assert _scan_chunk(h, d, BaseTournaments.circulant(d.t), 7, 0, 300).totals() == GOLDEN_SCANS[name]
 
 
 DIFFERENTIAL_DESIGNS = {
@@ -550,6 +571,51 @@ def test_ratio_rejects_unknown_method():
     kernel = CopyKernel(make_pattern("cycle", 7), steiner_triple_system(7))
     with pytest.raises(ValueError, match="enumerate"):
         kernel.ratio(list(range(7)), method="closed")
+
+
+def test_per_copy_methods_check_the_permutation_size():
+    kernel = CopyKernel(make_pattern("cycle", 7), steiner_triple_system(7))
+    for pi in (list(range(6)), list(range(8))):
+        for call in (kernel.ratio_and_stats, kernel.block_stats, kernel.ratio, kernel.probability,
+                     lambda pi: kernel.ratio(pi, method="enumerate")):
+            with pytest.raises(ValueError, match="sizes must agree"):
+                call(pi)
+
+
+# ---------------------------------------------------------------------------
+# the partial-sum record: one merge rule for chunks, the pool and the serial scan
+# ---------------------------------------------------------------------------
+
+MERGE_DESIGNS = {"fano": steiner_triple_system(7), "even8": extend_to_even(steiner_triple_system(7))}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(MERGE_DESIGNS)), n_samples=st.integers(1, 600),
+       pattern_seed=st.integers(0, 10 ** 6), master=st.integers(0, 10 ** 6))
+def test_merged_chunk_records_equal_one_scan(data, name, n_samples, pattern_seed, master):
+    d = MERGE_DESIGNS[name]
+    h = random_orientation(d.n, data.draw(st.integers(1, d.n * (d.n - 1) // 2)), seed=pattern_seed)
+    bases = BaseTournaments.circulant(d.t)
+    cuts = data.draw(st.lists(st.integers(1, n_samples - 1), unique=True, max_size=6)) if n_samples > 1 else []
+    bounds = [0, *sorted(cuts), n_samples]
+    chunks = [_scan_chunk(h, d, bases, master, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    merged = _ExactSums()
+    for chunk in data.draw(st.permutations(chunks)):
+        assert merged.merge(chunk) is merged
+    whole = _scan_chunk(h, d, bases, master, 0, n_samples)
+    assert vars(merged) == vars(whole)
+    assert merged.totals() == whole.totals()
+
+
+def test_pool_and_serial_scans_give_one_record():
+    # 600 samples at 2 workers span three chunks of at most 256 samples
+    d = extend_to_even(steiner_triple_system(7))
+    h = random_orientation(8, 12, seed=5)
+    bases = BaseTournaments.circulant(3)
+    serial = _scan_samples(h, d, bases, 600, 11, 1)
+    pooled = _scan_samples(h, d, bases, 600, 11, 2)
+    assert type(serial) is type(pooled) is _ExactSums
+    assert vars(serial) == vars(pooled)
 
 
 # ---------------------------------------------------------------------------

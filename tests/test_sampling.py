@@ -20,7 +20,6 @@ from orient_boost.sampling import (
     enumerate_support,
     quadratic_residue_tournament,
     sample,
-    support_size,
 )
 
 
@@ -104,8 +103,9 @@ def test_marginal_edge_fairness():
 def test_enumerate_support_triple_system():
     fano = steiner_triple_system(7)
     bases = BaseTournaments.circulant(3)
-    assert support_size(fano) == 6 ** 7
-    outcomes = list(enumerate_support(fano, bases))
+    outcomes = list(enumerate_support(fano, bases, budget=128))  # 2 distinct outcomes per block
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_support(fano, bases, budget=127))
     assert len(outcomes) == 128
     assert all(w == Fraction(1, 128) for _, w in outcomes)
     assert sum(w for _, w in outcomes) == 1
@@ -120,18 +120,41 @@ def test_enumerate_support_coin_blocks():
         Block(BlockKind.EDGE, (0, 2)),
         Block(BlockKind.EDGE, (1, 3)),
     ))
-    assert support_size(d) == 8
-    outcomes = list(enumerate_support(d, BaseTournaments.circulant(3)))
+    outcomes = list(enumerate_support(d, BaseTournaments.circulant(3), budget=8))
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_support(d, BaseTournaments.circulant(3), budget=7))
     assert len(outcomes) == 8
     assert sum(w for _, w in outcomes) == 1
     assert len({t.rows for t, _ in outcomes}) == 8
 
 
 def test_enumerate_support_budget():
+    # a K5 block has 24 distinct orientations under the circulant base; the
+    # count stops at the first block that takes the product over the budget
     pg = projective_plane_decomposition(4)
     with pytest.raises(BudgetExceededError) as err:
         list(enumerate_support(pg, BaseTournaments.circulant(5)))
-    assert err.value.size == 120 ** 21
+    assert err.value.size == 24 ** 5
+
+
+def test_enumerate_support_refuses_a_block_before_listing_it(monkeypatch):
+    import orient_boost.sampling as sampling
+
+    def listed(*args):
+        raise AssertionError("relabelings listed")
+
+    monkeypatch.setattr(sampling, "_block_outcomes", listed)
+    with pytest.raises(BudgetExceededError) as err:
+        list(enumerate_support(projective_plane_decomposition(4), BaseTournaments.circulant(5), budget=119))
+    assert err.value.size == 120
+
+
+def test_enumerate_support_counts_distinct_outcomes():
+    # 12 triples with 6 relabelings each, but 2 distinct orientations each
+    outcomes = list(enumerate_support(steiner_triple_system(9), BaseTournaments.circulant(3)))
+    assert len(outcomes) == 2 ** 12
+    assert len({t.rows for t, _ in outcomes}) == 2 ** 12
+    assert all(w == Fraction(1, 2 ** 12) for _, w in outcomes)
 
 
 def test_support_matches_sampler_distribution():
