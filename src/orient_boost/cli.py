@@ -28,7 +28,7 @@ from .orientations import (
     tournament_from_hex_text,
     tournament_from_json,
 )
-from .rng import stream_for
+from .rng import stream_for, stream_permutations
 
 
 @dataclass(frozen=True)
@@ -316,13 +316,14 @@ def _cmd_verify(args) -> int:
         acc += w * counting.count_hamilton_cycles(t) * 7
     check("exact expectation equals support-weighted count (7-cycle)", acc == summary.expectation)
 
+    check("batched permutation draws equal per-stream draws on 500 indices (n = 7, 21)",
+          all(list(stream_permutations(11, 0, 500, n)) == [stream_for(11, i).permutation(n) for i in range(500)]
+              for n in (7, 21)))
+
     kernel = counting.CopyKernel(c7, fano, bases)
-    ok = True
-    for index in range(500):
-        pi = stream_for(11, index).permutation(7)
-        if kernel.ratio(pi) != kernel.ratio(pi, method="enumerate"):
-            ok = False
-    check("closed-form factors equal enumerated factors on 500 sampled copies", ok)
+    check("closed-form factors equal enumerated factors on 500 sampled copies",
+          all(kernel.ratio(pi) == kernel.ratio(pi, method="enumerate")
+              for pi in stream_permutations(11, 0, 500, 7)))
 
     ok = all(sampling.sample(fano, bases, sampling.SampleSeed(5, i)).is_regular() for i in range(100))
     check("sampled tournaments are regular (100 seeds)", ok)

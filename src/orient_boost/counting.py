@@ -9,7 +9,9 @@ memoised per captured shape, for everything else), sums it over all
 permutations on tiny instances (``exact_copy_summary``), and estimates it
 by seeded Monte Carlo otherwise (``estimate_expected_copies``).  Both
 accumulate into one record of exact partial sums, ``_ExactSums``; the worker
-pool merges the records of its chunks with ``_ExactSums.merge``.
+pool merges the records of its chunks with ``_ExactSums.merge``.  A Monte
+Carlo chunk takes its permutations from ``rng.stream_permutations``, the
+batched draw whose scalar oracle is ``stream_for(master, i).permutation(n)``.
 
 ``count_embeddings`` is the one embedding counter, shared by
 ``count_labeled_copies``, the complete-block fallbacks of ``CopyKernel`` and
@@ -30,7 +32,7 @@ from itertools import combinations, permutations
 from .designs import BlockKind, Decomposition
 from .errors import BudgetExceededError
 from .orientations import Orientation, Tournament, local_shapes
-from .rng import stream_for
+from .rng import stream_permutations
 from .sampling import BaseTournaments
 
 # ---------------------------------------------------------------------------
@@ -507,8 +509,8 @@ def _scan_chunk(h: Orientation, d: Decomposition, bases: BaseTournaments,
     """The record of sample indices [lo, hi)."""
     kernel = CopyKernel(h, d, bases)
     acc = _ExactSums()
-    for index in range(lo, hi):
-        acc.add(*kernel._terms(stream_for(master, index).permutation(h.n)))
+    for pi in stream_permutations(master, lo, hi, h.n):
+        acc.add(*kernel._terms(pi))
     return acc
 
 
@@ -564,7 +566,10 @@ def estimate_expected_copies(h: Orientation, d: Decomposition, bases: BaseTourna
     ratio, stderr = _mean_stderr(r_sum, r_sq, samples)
     baseline_log2 = log2_fraction(baseline)
     captures = [_mean_stderr(Fraction(s[k]), Fraction(sq[k]), samples) for k in range(4)]
-    estimate = float(baseline) * ratio if baseline < Fraction(10 ** 300) else math.inf
+    try:
+        estimate = float(baseline) * ratio
+    except OverflowError:
+        estimate = math.inf if ratio > 0 else 0.0
     return EstimateReport(
         n=n, t=d.t, e=e, samples=samples, master_seed=master_seed,
         baseline=baseline, baseline_log2=baseline_log2,

@@ -5,22 +5,36 @@ each output is the avalanche mix of the new state.  A stream is fully
 determined by a (master seed, stream index) pair, so sample index ``i`` of a
 run produces bit-identical output no matter how samples are distributed
 across workers, platforms, or Python builds.
+
+``Stream`` draws one value at a time and is the reference.  The Monte Carlo
+scan draws whole index ranges with ``stream_permutations``, which yields
+exactly ``stream_for(master, i).permutation(n)`` for each index ``i``: the
+k-th state of a stream is its seed plus ``k`` times the increment, so the
+draws of many streams are mixed at once, packed into one integer.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections.abc import Iterator
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INDEX_SALT = 0x6A09E667F3BCC909
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+# 128-bit lanes per packed sub-batch of stream_permutations: 32 KB per packed int.
+_LANES = 2048
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer (Stafford variant 13)."""
     z &= _MASK
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK
+    z = (z * _MUL1) & _MASK
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK
+    z = (z * _MUL2) & _MASK
     z ^= z >> 31
     return z
 
@@ -67,3 +81,72 @@ def stream_for(master: int, index: int = 0) -> Stream:
     """Independent stream for (master seed, stream index)."""
     state = mix64(mix64(master) ^ mix64((index & _MASK) ^ _INDEX_SALT))
     return Stream(state)
+
+
+def _lanes(words: list[int], count: int = 1) -> int:
+    """The 64-bit ``words``, repeated ``count`` times, packed low to high into one int."""
+    return int.from_bytes(array("Q", words).tobytes() * count, "little")
+
+
+def _mix_lanes(z: int, mask: int) -> int:
+    """``mix64`` of every 128-bit lane of ``z`` at once.
+
+    Each lane holds a 64-bit value in its low half and zeros above; ``mask``
+    keeps the low halves.  A 64x64-bit product fits in its lane, and the bits
+    a right shift pulls down from the next lane land in the masked-off half.
+    """
+    z = ((z ^ (z >> 30)) & mask) * _MUL1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _MUL2 & mask
+    return (z ^ (z >> 31)) & mask
+
+
+def _draw_limits(n: int) -> list[int]:
+    """The rejection limit of each draw of ``Stream.permutation(n)``, as in ``Stream.below``."""
+    return [(1 << 64) - (1 << 64) % m for m in range(n, 1, -1)]
+
+
+def stream_permutations(master: int, lo: int, hi: int, n: int) -> Iterator[list[int]]:
+    """Yield ``stream_for(master, i).permutation(n)`` for each i in [lo, hi).
+
+    Streams go in sub-batches of at most ``_LANES // (n - 1)``.  A sub-batch
+    mixes its stream seeds, then all ``n - 1`` states of every stream, each
+    as one packed int (lane ``k * count + s`` holds draw ``k`` of stream
+    ``s``), and runs Fisher-Yates on the unpacked draws.  A stream with a
+    draw at or over its rejection limit, which the scalar draw would redraw,
+    is drawn by ``Stream.permutation`` instead.
+    """
+    draws = n - 1
+    if not 1 <= draws <= _LANES or sys.byteorder != "little":
+        for index in range(lo, hi):
+            yield stream_for(master, index).permutation(n)
+        return
+    limits = _draw_limits(n)
+    tops = range(n - 1, 0, -1)
+    per = _LANES // draws
+    head = mix64(master)
+
+    def constants(count: int) -> tuple[int, int, int, int]:
+        steps = b"".join(array("Q", [(k * _GAMMA) & _MASK, 0]).tobytes() * count for k in range(1, n))
+        return (_lanes([_MASK, 0], count), _lanes([head, 0], count),
+                _lanes([_MASK, 0], count * draws), int.from_bytes(steps, "little"))
+
+    count = min(per, hi - lo)
+    mask, heads, draw_mask, offsets = constants(count)
+    for start in range(lo, hi, per):
+        if hi - start < count:
+            count = hi - start
+            mask, heads, draw_mask, offsets = constants(count)
+        z = _lanes([w for i in range(start, start + count) for w in ((i & _MASK) ^ _INDEX_SALT, 0)])
+        z = _mix_lanes(_mix_lanes(z, mask) ^ heads, mask)
+        z = int.from_bytes(z.to_bytes(16 * count, "little") * draws, "little")
+        z = _mix_lanes((z + offsets) & draw_mask, draw_mask)
+        words = memoryview(z.to_bytes(16 * count * draws, "little")).cast("Q")
+        for s in range(count):
+            items = list(range(n))
+            for i, u, limit in zip(tops, words[2 * s::2 * count], limits):
+                if u >= limit:
+                    items = stream_for(master, start + s).permutation(n)
+                    break
+                j = u % (i + 1)
+                items[i], items[j] = items[j], items[i]
+            yield items

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orient_boost import counting
 from orient_boost.counting import (
     CopyKernel,
     _ExactSums,
@@ -431,6 +432,25 @@ def test_estimator_report_fields():
     assert rep.samples == 200 and rep.master_seed == 1
     assert rep.ratio_stderr >= 0
     assert baseline_expected_copies(c7) == rep.baseline
+
+
+def test_estimate_is_finite_when_the_baseline_fits_a_float():
+    # 193!/2^193 is about 5.5e300: over 10^300, yet inside the float range
+    rep = estimate_expected_copies(make_pattern("cycle", 193), adjusted_decomposition(193, 3),
+                                   samples=3, master_seed=0)
+    assert rep.baseline > 10 ** 300 and rep.ratio > 0
+    assert rep.estimate == float(rep.baseline) * rep.ratio
+    assert math.isfinite(rep.estimate)
+
+
+def test_estimate_past_the_float_range(monkeypatch):
+    # 199!/2^199 is about 4.9e312, so the estimate is inf unless the ratio is 0
+    c199 = make_pattern("cycle", 199)
+    d = adjusted_decomposition(199, 3)
+    assert estimate_expected_copies(c199, d, samples=2, master_seed=0).estimate == math.inf
+    monkeypatch.setattr(counting, "_scan_samples", lambda *args: _ExactSums())
+    rep = estimate_expected_copies(c199, d, samples=2, master_seed=0)
+    assert rep.ratio == 0 and rep.estimate == 0.0
 
 
 def test_exact_block_averages_cycle_on_triple_system():

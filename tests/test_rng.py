@@ -1,4 +1,9 @@
-from orient_boost.rng import Stream, mix64, stream_for
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orient_boost import rng
+from orient_boost.rng import Stream, mix64, stream_for, stream_permutations
 
 
 def test_streams_are_deterministic_and_independent():
@@ -37,3 +42,62 @@ def test_mix64_is_stable():
     assert mix64(0) == 0
     assert mix64(1) == 6238072747940578789
     assert Stream(0).next_u64() == mix64(0x9E3779B97F4A7C15)
+
+
+def _sub_batch(n):
+    """Streams per packed sub-batch of ``stream_permutations`` at size n (at least 1)."""
+    return max(1, rng._LANES // max(1, n - 1))
+
+
+# masters and indices are masked to 64 bits, so negative and >= 2^64 values are valid
+WIDE = st.one_of(st.integers(-(2 ** 70), -1), st.integers(0, 10 ** 6),
+                 st.integers(2 ** 64 - 500, 2 ** 64 + 500), st.integers(2 ** 64, 2 ** 70))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), master=WIDE, n=st.integers(0, 70),
+       lo=st.one_of(st.integers(1, 10 ** 6), st.integers(2 ** 64 - 500, 2 ** 64 + 500), st.integers(-(2 ** 70), -1)))
+def test_batched_draw_equals_per_stream_draws(data, master, n, lo):
+    per = _sub_batch(n)
+    hi = lo + data.draw(st.integers(per + 1, 2 * per + 3), label="length")
+    assert list(stream_permutations(master, lo, hi, n)) == [stream_for(master, i).permutation(n) for i in range(lo, hi)]
+
+
+def test_batched_draw_of_an_empty_or_short_range():
+    assert list(stream_permutations(4, 10, 10, 21)) == []
+    assert list(stream_permutations(4, 10, 12, 21)) == [stream_for(4, i).permutation(21) for i in (10, 11)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 21, 70])
+def test_rejected_streams_fall_back_to_the_scalar_draw(monkeypatch, n):
+    lo, hi = 5, 5 + 3 * _sub_batch(n) // 2
+    want = [stream_for(-3, i).permutation(n) for i in range(lo, hi)]
+    # each draw is now rejected with probability about 1/(2n) instead of under n/2^64
+    monkeypatch.setattr(rng, "_draw_limits", lambda size: [(1 << 64) - (1 << 64) // (2 * size)] * (size - 1))
+    redrawn = []
+    monkeypatch.setattr(rng, "stream_for", lambda master, index=0: redrawn.append(index) or stream_for(master, index))
+    assert list(stream_permutations(-3, lo, hi, n)) == want
+    # streams after a rejected one are still drawn from their own offsets
+    assert 0.2 * (hi - lo) < len(redrawn) < 0.8 * (hi - lo)
+
+
+class _Scripted(Stream):
+    """A stream whose outputs are given."""
+
+    __slots__ = ("_outputs",)
+
+    def __init__(self, outputs):
+        super().__init__(0)
+        self._outputs = iter(outputs)
+
+    def next_u64(self):
+        return next(self._outputs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 21, 70])
+def test_draw_limits_are_the_scalar_rejection_thresholds(n):
+    limits = rng._draw_limits(n)
+    assert len(limits) == n - 1
+    for m, limit in zip(range(n, 1, -1), limits):
+        assert _Scripted([limit - 1]).below(m) == (limit - 1) % m
+        assert _Scripted([limit, 5]).below(m) == 5 % m
