@@ -106,12 +106,8 @@ def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
         if not report.ok:
             raise OrientBoostError(f"design file invalid: {report.first_violation}")
         return d, f"file:{os.path.basename(args.design)}"
-    t = args.t
-    budget = args.node_budget
-    if n % 2 == 1:
-        return designs.adjusted_decomposition(n, t, node_budget=budget), f"adjusted(t={t})"
-    d = designs.extend_to_even(designs.adjusted_decomposition(n - 1, t, node_budget=budget))
-    return d, f"adjusted+even(t={t})"
+    d = designs.adjusted_decomposition(n, args.t, node_budget=args.node_budget)
+    return d, f"adjusted{'+even' if d.n % 2 == 0 else ''}(t={d.t})"
 
 
 def _bases_from_args(args, t: int) -> sampling.BaseTournaments:
@@ -147,14 +143,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    if args.kind == "sts":
-        d = designs.steiner_triple_system(args.n)
-    elif args.kind == "pg":
-        d = designs.projective_plane_decomposition(args.q)
-    else:
-        d, _ = _design_from_args(args, args.n)
-    if args.even:
-        d = designs.extend_to_even(d)
+    d, _ = _design_from_args(args, args.n)
     report = designs.validate(d)
     if args.output:
         with open(args.output, "w") as fh:
@@ -433,11 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("decompose", help="build and validate a decomposition")
-    p.add_argument("--kind", choices=["auto", "sts", "pg"], default="auto")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--q", type=int, default=4, help="plane order for --kind pg")
-    p.add_argument("--even", action="store_true", help="extend the result by one vertex")
+    p.add_argument("--t", type=int, default=3, help="block size")
     p.add_argument("--output", default=None)
     _add_node_budget(p)
     p.set_defaults(func=_cmd_decompose)
@@ -449,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw block-randomized tournaments")
     p.add_argument("--n", type=int, default=None)
     _add_design_args(p)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=["json", "hex"], default="json")
     p.add_argument("--output", default=None)
@@ -467,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="Monte Carlo expected-copy estimate")
     _add_pattern_args(p)
     _add_design_args(p)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=None)
     _add_node_budget(p)
     p.set_defaults(func=_cmd_estimate)

@@ -411,109 +411,93 @@ def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = 2_000_000
     return None
 
 
-def _triangle_c4_factor(adj: list[set[int]], n: int, budget: _Budget) -> list[Block] | None:
-    """Vertex-disjoint triangles plus (n mod 3) four-cycles covering every vertex once."""
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _triangle_c4_factor(adj: list[int], n: int, budget: _Budget) -> list[Block] | None:
+    """Vertex-disjoint triangles plus (n mod 3) four-cycles covering every vertex once.
+
+    Bit w of adj[v] says the edge {v, w} is available; candidates are tried
+    lowest vertex first.
+    """
     c4_quota = n % 3
     if n - 4 * c4_quota < 0:
         return None
-    covered = [False] * n
     out: list[Block] = []
 
-    def next_vertex() -> int:
-        for v in range(n):
-            if not covered[v]:
-                return v
-        return -1
-
-    def search(remaining: int, c4_left: int) -> bool:
-        if remaining == 0:
+    def search(free: int, c4_left: int) -> bool:
+        if not free:
             return c4_left == 0
-        v = next_vertex()
-        free = [w for w in range(v + 1, n) if not covered[w]]
+        remaining = free.bit_count()
+        v = (free & -free).bit_length() - 1
+        free ^= 1 << v
+        near = adj[v] & free
         # triangles through v
-        for ia, a in enumerate(free):
-            if a not in adj[v]:
-                continue
-            for b in free[ia + 1:]:
-                if b not in adj[v] or b not in adj[a]:
-                    continue
+        for a in _bits(near):
+            for b in _bits(near & adj[a] & ~((2 << a) - 1)):
                 budget.spend()
                 if remaining - 3 < 4 * c4_left:
                     continue
-                covered[v] = covered[a] = covered[b] = True
                 out.append(Block(BlockKind.C3, (v, a, b)))
-                if search(remaining - 3, c4_left):
+                if search(free ^ (1 << a) ^ (1 << b), c4_left):
                     return True
                 out.pop()
-                covered[v] = covered[a] = covered[b] = False
         if c4_left > 0 and remaining >= 4:
-            for ia, a in enumerate(free):
-                if a not in adj[v]:
-                    continue
-                for ib, b in enumerate(free):
-                    if ib == ia or b not in adj[a]:
-                        continue
-                    for c in free:
-                        # the cycle v-a-b-c-v equals v-c-b-a-v; keep a < c
-                        if c <= a or c == b or c not in adj[b] or c not in adj[v]:
-                            continue
+            for a in _bits(near):
+                for b in _bits(free & adj[a]):
+                    # the cycle v-a-b-c-v equals v-c-b-a-v; keep a < c
+                    for c in _bits(near & adj[b] & ~((2 << a) - 1)):
                         budget.spend()
-                        covered[v] = covered[a] = covered[b] = covered[c] = True
                         out.append(Block(BlockKind.C4, (v, a, b, c)))
-                        if search(remaining - 4, c4_left - 1):
+                        if search(free ^ (1 << a) ^ (1 << b) ^ (1 << c), c4_left - 1):
                             return True
                         out.pop()
-                        covered[v] = covered[a] = covered[b] = covered[c] = False
         return False
 
-    if search(n, c4_quota):
+    if search((1 << n) - 1, c4_quota):
         return out
     return None
 
 
-def _disjoint_cliques(adj: list[set[int]], n: int, size: int, count: int,
+def _disjoint_cliques(adj: list[int], n: int, size: int, count: int,
                       budget: _Budget) -> list[tuple[int, ...]] | None:
     """`count` pairwise vertex-disjoint cliques of the given size, by backtracking.
 
-    Symmetry is broken by forcing the minimal vertices of successive cliques
-    to increase.
+    Bit w of adj[v] says the edge {v, w} is available.  Symmetry is broken by
+    forcing the minimal vertices of successive cliques to increase.
     """
-    used = [False] * n
     found: list[tuple[int, ...]] = []
 
-    def extend(chosen: list[int], start: int) -> bool:
+    def extend(chosen: tuple[int, ...], pool: int, used: int) -> bool:
+        """Grow `chosen` by vertices of `pool` (unused, above chosen[-1], adjacent to all of it)."""
         if len(chosen) == size:
-            found.append(tuple(chosen))
-            if place_next(found[-1][0] + 1):
+            found.append(chosen)
+            if place_next(chosen[0] + 1, used):
                 return True
             found.pop()
             return False
-        for w in range(start, n):
-            if used[w] or any(w not in adj[x] for x in chosen):
-                continue
+        for w in _bits(pool):
             budget.spend()
-            used[w] = True
-            chosen.append(w)
-            if extend(chosen, w + 1):
+            if extend(chosen + (w,), pool & adj[w] & ~((2 << w) - 1), used | 1 << w):
                 return True
-            chosen.pop()
-            used[w] = False
         return False
 
-    def place_next(min_start: int) -> bool:
+    def place_next(min_start: int, used: int) -> bool:
         if len(found) == count:
             return True
-        for v0 in range(min_start, n):
-            if used[v0]:
-                continue
+        free = ((1 << n) - 1) & ~used & ~((1 << min_start) - 1)
+        for v0 in _bits(free):
             budget.spend()
-            used[v0] = True
-            if extend([v0], v0 + 1):
+            if extend((v0,), adj[v0] & free & ~((2 << v0) - 1), used | 1 << v0):
                 return True
-            used[v0] = False
         return False
 
-    if place_next(0):
+    if place_next(0, 0):
         return found
     return None
 
@@ -523,38 +507,49 @@ def _disjoint_cliques(adj: list[set[int]], n: int, size: int, count: int,
 # ---------------------------------------------------------------------------
 
 def adjusted_decomposition(n: int, t: int, *, node_budget: int = 2_000_000) -> Decomposition:
-    """Decompose K_n (n odd) into K_t blocks plus a bounded sparse leftover.
+    """Decompose K_n into K_t blocks plus a bounded sparse leftover.
 
-    Three steps: (1) peel (q-1)/2 spanning triangle/4-cycle layers so every
-    degree drops to n-q with q = n mod (t-1); (2) remove vertex-disjoint
-    K_(2t-1) copies until the edge count is divisible by t(t-1)/2; (3)
-    K_t-decompose the rest, via the explicit triple-system / projective-plane
-    families when they apply and lexicographic backtracking otherwise.
+    Even n is the star-path extension (`extend_to_even`) of the design on
+    n-1 vertices.  For odd n, the explicit families come first: the triple
+    systems for t = 3 and n = 1 or 3 (mod 6), n >= 7, and PG(2,4) for
+    (21, 5).  Otherwise three steps run on one residual graph, kept as bit
+    rows: (1) peel (q-1)/2 spanning triangle/4-cycle layers so every degree
+    drops to n-q with q = n mod (t-1); (2) remove vertex-disjoint K_(2t-1)
+    copies until the edge count is divisible by t(t-1)/2; (3) K_t-decompose
+    the rest by lexicographic backtracking.
     Raises ValueError for a node budget below 1, and InfeasibleAtDeskScale
     when the instance needs more structure than desk-scale search provides.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
-    if n % 2 == 0 or t % 2 == 0 or t < 3:
-        raise CongruenceError(f"need odd n and odd t >= 3, got n={n}, t={t}")
+    if n % 2 == 0:
+        return extend_to_even(adjusted_decomposition(n - 1, t, node_budget=node_budget))
+    if t % 2 == 0 or t < 3:
+        raise CongruenceError(f"need odd t >= 3, got n={n}, t={t}")
     if n < t:
         raise CongruenceError(f"need n >= t, got n={n}, t={t}")
+    if t == 3 and n >= 7 and n % 6 in (1, 3):
+        return steiner_triple_system(n)
+    if (n, t) == (21, 5):
+        return projective_plane_decomposition(4)
 
     q = n % (t - 1)  # odd, in {1, 3, ..., t-2}, since n is odd and t-1 even
     budget = _Budget(node_budget)
-
-    adj: list[set[int]] = [set(range(n)) - {v} for v in range(n)]
+    adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]  # bit w of adj[v]: edge {v, w} uncovered
     leftover_blocks: list[Block] = []
+
+    def take_leftover(block: Block) -> None:
+        leftover_blocks.append(block)
+        for u, v in block.edges():
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
 
     for _ in range((q - 1) // 2):
         layer = _triangle_c4_factor(adj, n, budget)
         if layer is None:
             raise InfeasibleAtDeskScale(f"no spanning triangle/4-cycle layer found at (n={n}, t={t})")
         for block in layer:
-            for u, v in block.edges():
-                adj[u].discard(v)
-                adj[v].discard(u)
-        leftover_blocks.extend(layer)
+            take_leftover(block)
 
     remaining_edges = n * (n - q) // 2
     per_block = t * (t - 1) // 2
@@ -572,35 +567,22 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = 2_000_000) -> D
         if cliques is None:
             raise InfeasibleAtDeskScale(f"could not place {k_copies} disjoint K_{2 * t - 1} copies")
         for vs in cliques:
-            leftover_blocks.append(Block(BlockKind.K2T1, vs))
-            for a in range(len(vs)):
-                for b in range(a + 1, len(vs)):
-                    adj[vs[a]].discard(vs[b])
-                    adj[vs[b]].discard(vs[a])
+            take_leftover(Block(BlockKind.K2T1, vs))
 
-    residual = [(u, v) for u in range(n) for v in adj[u] if u < v]
-    untouched = len(residual) == n * (n - 1) // 2
-
-    kt_blocks: list[Block] | None = None
-    if untouched:
-        if t == 3 and n % 6 in (1, 3):
-            kt_blocks = list(steiner_triple_system(n).blocks)
-        elif t == 5 and n == 21:
-            kt_blocks = list(projective_plane_decomposition(4).blocks)
+    residual = [(u, v) for u in range(n) for v in _bits(adj[u] >> u << u)]
+    try:
+        if budget.left < 1:  # the earlier steps spent the whole budget
+            raise BudgetExceededError("search node budget exhausted", budget=0)
+        kt_blocks = backtracking_kt_decomposition(residual, t, node_budget=budget.left)
+    except BudgetExceededError as exc:
+        raise InfeasibleAtDeskScale(
+            f"K_{t}-decomposition search for the residual graph at (n={n}, t={t}) "
+            f"exceeded the node budget"
+        ) from exc
     if kt_blocks is None:
-        try:
-            if budget.left < 1:  # the earlier steps spent the whole budget
-                raise BudgetExceededError("search node budget exhausted", budget=0)
-            kt_blocks = backtracking_kt_decomposition(residual, t, node_budget=budget.left)
-        except BudgetExceededError as exc:
-            raise InfeasibleAtDeskScale(
-                f"K_{t}-decomposition search for the residual graph at (n={n}, t={t}) "
-                f"exceeded the node budget"
-            ) from exc
-        if kt_blocks is None:
-            raise InfeasibleAtDeskScale(
-                f"residual graph at (n={n}, t={t}) has no K_{t}-decomposition"
-            )
+        raise InfeasibleAtDeskScale(
+            f"residual graph at (n={n}, t={t}) has no K_{t}-decomposition"
+        )
 
     d = Decomposition(n, t, tuple(kt_blocks) + tuple(leftover_blocks))
     report = validate(d)

@@ -365,7 +365,11 @@ def tournament_from_edges(n: int, edges) -> Tournament:
 
 def tournament_from_json(text: str) -> Tournament:
     obj = json.loads(text)
-    return tournament_from_edges(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
+    try:
+        n, edges = int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]]
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InvalidTournamentError(f"malformed tournament: {exc!r}") from exc
+    return tournament_from_edges(n, edges)
 
 
 def tournament_from_hex_text(text: str) -> Tournament:
@@ -375,9 +379,12 @@ def tournament_from_hex_text(text: str) -> Tournament:
     n = int(lines[0])
     if len(lines) != n + 1:
         raise InvalidTournamentError(f"expected {n} hex rows, got {len(lines) - 1}")
+    nbytes = (n + 7) // 8
     rows = []
     for u in range(n):
         buf = bytes.fromhex(lines[u + 1])
+        if len(buf) != nbytes:
+            raise InvalidTournamentError(f"hex row {u} has {len(buf)} bytes, expected {nbytes}")
         row = 0
         for v in range(n):
             if (buf[v // 8] >> (7 - v % 8)) & 1:

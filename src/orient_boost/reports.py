@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 CSV_FIELDS = (
     "n", "t", "pattern", "design", "samples", "baseline_log2", "estimate_log2",
@@ -27,7 +26,9 @@ def render_csv(records: list[dict]) -> str:
 
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
+    tmp = os.path.join(directory, f".tmp-report-{os.urandom(8).hex()}")
+    # mode 0o666 lets the umask decide the report's permissions, as open() does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)

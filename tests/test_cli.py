@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -49,7 +50,7 @@ def test_stats_rejects_two_cycle(capsys, tmp_path):
 
 def test_decompose_and_validate(capsys, tmp_path):
     out_path = tmp_path / "d9.json"
-    code, out, _ = run(capsys, "decompose", "--kind", "sts", "--n", "9",
+    code, out, _ = run(capsys, "decompose", "--n", "9", "--t", "3",
                        "--output", str(out_path))
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["valid"] is True
@@ -68,6 +69,15 @@ def test_decompose_infeasible(capsys):
     code, _, err = run(capsys, "decompose", "--n", "13", "--t", "5")
     assert code == 2
     assert json.loads(err)["error"] == "InfeasibleAtDeskScale"
+
+
+@pytest.mark.parametrize("flag", ["--kind", "--q", "--even"])
+def test_decompose_has_one_route_to_a_design(capsys, flag):
+    argv = ["decompose", "--n", "9", flag] + ([] if flag == "--even" else ["sts"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_sample_formats_and_determinism(capsys, tmp_path):
@@ -104,6 +114,34 @@ def tournament7(capsys, tmp_path):
     code, _, _ = run(capsys, "sample", "--n", "7", "--seed", "3", "--output", str(path))
     assert code == 0
     return str(path)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("keys.json", '{"n": 3}', "malformed tournament: KeyError('edges')"),
+    ("edges.json", '{"n": 3, "edges": 5}', "malformed tournament: TypeError("),
+    ("short.hex", "9\n" + "ff\n" * 9, "hex row 0 has 1 bytes, expected 2"),
+])
+def test_count_rejects_a_malformed_tournament_file(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "count", "--n", "3", "--tournament", str(path))
+    assert code == 2
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "InvalidTournamentError"
+    assert obj["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "7", "--samples", "-2"),
+    ("sample", "--n", "7", "--samples", "0"),
+    ("estimate", "--n", "7", "--samples", "0"),
+])
+def test_sample_counts_below_one_are_rejected_up_front(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "argument --samples: expected a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["auto", "brute"])
@@ -249,6 +287,22 @@ def test_report_writer_shapes(tmp_path):
     lines = (tmp_path / "three.csv").read_text().strip().splitlines()
     assert len(lines) == 4
     assert json.loads((tmp_path / "side.json").read_text()) == {"config": {"x": 1}}
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o007])
+def test_report_files_honour_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+        write_report([], str(tmp_path / "r.csv"), sidecar={}, sidecar_path=str(tmp_path / "r.json"))
+    finally:
+        os.umask(old)
+    want = (tmp_path / "plain.txt").stat().st_mode & 0o777
+    assert want == 0o666 & ~umask
+    for name in ("r.csv", "r.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt", "r.csv", "r.json"]
 
 
 def test_experiment_config_validation(tmp_path):

@@ -12,6 +12,7 @@ from orient_boost.designs import (
     BlockKind,
     Decomposition,
     _Budget,
+    _disjoint_cliques,
     _triangle_c4_factor,
     adjusted_decomposition,
     backtracking_kt_decomposition,
@@ -280,17 +281,20 @@ def test_adjusted_13_5_infeasible():
 
 
 def test_adjusted_parameter_errors():
-    with pytest.raises(CongruenceError):
-        adjusted_decomposition(8, 3)
+    assert adjusted_decomposition(8, 3) == extend_to_even(adjusted_decomposition(7, 3))
     with pytest.raises(CongruenceError):
         adjusted_decomposition(9, 4)
     with pytest.raises(CongruenceError):
         adjusted_decomposition(3, 5)
 
 
+def complete_rows(n):
+    return [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+
+
 def test_triangle_c4_factor_on_complete_graphs():
     for n in (7, 9, 11, 13):
-        adj = [set(range(n)) - {v} for v in range(n)]
+        adj = complete_rows(n)
         layer = _triangle_c4_factor(adj, n, _Budget(100_000))
         assert layer is not None
         covered = [v for b in layer for v in b.vertices]
@@ -298,28 +302,230 @@ def test_triangle_c4_factor_on_complete_graphs():
         assert sum(1 for b in layer if b.kind == BlockKind.C4) == n % 3
         for b in layer:
             for u, v in b.edges():
-                assert v in adj[u]
+                assert adj[u] >> v & 1
 
 
 def test_triangle_c4_factor_respects_missing_edges():
     # remove one previous layer and ask for another
     n = 9
-    adj = [set(range(n)) - {v} for v in range(n)]
+    adj = complete_rows(n)
     first = _triangle_c4_factor(adj, n, _Budget(100_000))
     for b in first:
         for u, v in b.edges():
-            adj[u].discard(v)
-            adj[v].discard(u)
-    assert [len(a) for a in adj] == [n - 3] * n  # one layer costs degree 2
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+    assert [a.bit_count() for a in adj] == [n - 3] * n  # one layer costs degree 2
     second = _triangle_c4_factor(adj, n, _Budget(100_000))
     assert second is not None
     for b in second:
         for u, v in b.edges():
-            assert v in adj[u]
+            assert adj[u] >> v & 1
         for u, v in b.edges():
-            adj[u].discard(v)
-            adj[v].discard(u)
-    assert [len(a) for a in adj] == [n - 5] * n
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+    assert [a.bit_count() for a in adj] == [n - 5] * n
+
+
+def reference_triangle_c4_factor(adj, n, budget):
+    """The set-based layer search the bit-row one replaced: its oracle."""
+    c4_quota = n % 3
+    if n - 4 * c4_quota < 0:
+        return None
+    covered = [False] * n
+    out = []
+
+    def search(remaining, c4_left):
+        if remaining == 0:
+            return c4_left == 0
+        v = covered.index(False)
+        free = [w for w in range(v + 1, n) if not covered[w]]
+        for ia, a in enumerate(free):
+            if a not in adj[v]:
+                continue
+            for b in free[ia + 1:]:
+                if b not in adj[v] or b not in adj[a]:
+                    continue
+                budget.spend()
+                if remaining - 3 < 4 * c4_left:
+                    continue
+                covered[v] = covered[a] = covered[b] = True
+                out.append(Block(BlockKind.C3, (v, a, b)))
+                if search(remaining - 3, c4_left):
+                    return True
+                out.pop()
+                covered[v] = covered[a] = covered[b] = False
+        if c4_left > 0 and remaining >= 4:
+            for ia, a in enumerate(free):
+                if a not in adj[v]:
+                    continue
+                for ib, b in enumerate(free):
+                    if ib == ia or b not in adj[a]:
+                        continue
+                    for c in free:
+                        if c <= a or c == b or c not in adj[b] or c not in adj[v]:
+                            continue
+                        budget.spend()
+                        covered[v] = covered[a] = covered[b] = covered[c] = True
+                        out.append(Block(BlockKind.C4, (v, a, b, c)))
+                        if search(remaining - 4, c4_left - 1):
+                            return True
+                        out.pop()
+                        covered[v] = covered[a] = covered[b] = covered[c] = False
+        return False
+
+    return out if search(n, c4_quota) else None
+
+
+def reference_disjoint_cliques(adj, n, size, count, budget):
+    """The set-based disjoint-clique search the bit-row one replaced: its oracle."""
+    used = [False] * n
+    found = []
+
+    def extend(chosen, start):
+        if len(chosen) == size:
+            found.append(tuple(chosen))
+            if place_next(found[-1][0] + 1):
+                return True
+            found.pop()
+            return False
+        for w in range(start, n):
+            if used[w] or any(w not in adj[x] for x in chosen):
+                continue
+            budget.spend()
+            used[w] = True
+            chosen.append(w)
+            if extend(chosen, w + 1):
+                return True
+            chosen.pop()
+            used[w] = False
+        return False
+
+    def place_next(min_start):
+        if len(found) == count:
+            return True
+        for v0 in range(min_start, n):
+            if used[v0]:
+                continue
+            budget.spend()
+            used[v0] = True
+            if extend([v0], v0 + 1):
+                return True
+            used[v0] = False
+        return False
+
+    return found if place_next(0) else None
+
+
+def run_budgeted(search, adj, args, nodes):
+    """(result, or "exhausted" when the budget ran out; nodes left)."""
+    budget = _Budget(nodes)
+    try:
+        result = search(adj, *args, budget)
+    except BudgetExceededError:
+        result = "exhausted"
+    return result, budget.left
+
+
+@st.composite
+def dense_graphs(draw):
+    """A random graph on at most 23 vertices, as bit rows and as neighbour sets."""
+    n = draw(st.integers(1, 23))
+    keep = draw(st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [0] * n
+    for u, v in complete_edges(n):
+        if rng.random() < keep:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    sets = [{w for w in range(n) if rows[v] >> w & 1} for v in range(n)]
+    return n, rows, sets
+
+
+NODES = st.one_of(st.integers(1, 300), st.just(20_000))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dense_graphs(), NODES)
+def test_triangle_c4_factor_matches_the_set_based_search(graph, nodes):
+    n, rows, sets = graph
+    got = run_budgeted(_triangle_c4_factor, rows, (n,), nodes)
+    assert got == run_budgeted(reference_triangle_c4_factor, sets, (n,), nodes)
+    assert rows == [sum(1 << w for w in s) for s in sets]  # the search only reads the rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dense_graphs(), st.integers(2, 7), st.integers(1, 3), NODES)
+def test_disjoint_cliques_match_the_set_based_search(graph, size, count, nodes):
+    n, rows, sets = graph
+    got = run_budgeted(_disjoint_cliques, rows, (n, size, count), nodes)
+    assert got == run_budgeted(reference_disjoint_cliques, sets, (n, size, count), nodes)
+    assert rows == [sum(1 << w for w in s) for s in sets]
+
+
+def test_smallest_triple_designs():
+    d3 = adjusted_decomposition(3, 3)
+    assert d3 == Decomposition(3, 3, (Block(BlockKind.KT, (0, 1, 2)),))
+    assert adjusted_decomposition(4, 3) == extend_to_even(d3)
+    assert validate(extend_to_even(d3)).ok
+
+
+# sha256 of to_json() for every cheap (n, t) that builds, taken before even n
+# and the explicit families moved into adjusted_decomposition; even n was then
+# built as extend_to_even(adjusted_decomposition(n - 1, t)).
+DESIGN_SHA256 = {
+    (5, 3): "a6cc9e8f2c2c0b957e61613a4d3d60d815a3976430fbdd2c4dedca54cc9366ae",
+    (6, 3): "effbb6b66ef90d1c0119cf4b5d3a64a6e9ae1256a959c4f294e2da9260ed942c",
+    (7, 3): "3b88a390f5b9c1e90531130eab8312faed2789276017ebcaa26d9b3d042b22ad",
+    (8, 3): "a51e4f6308ba074216934190bb5ac9ddc1f63537994abeda73915ef7a6586279",
+    (9, 3): "fde44c4add305f7e3060cdc58db074de4f7d52b56e389cb6ab8d27920240d22e",
+    (10, 3): "6ca59525acbe9decdb292279069f759ef558ee658d4aa1912eaad2479d650521",
+    (11, 3): "c728a206e8d898a22a119f145e087a702c8e9aec15218e2859f305f4b313e21e",
+    (12, 3): "e20e6b75e003602bb14d64c7d751853c160ad0c7552f960defb0ef72b2a22d4d",
+    (13, 3): "4324a2fe5eed390ce4ceff563ddf27b946494f782174d12b08e35e67c4a95f86",
+    (14, 3): "3ce8083fa9e13deaefe99f32f03dd95970aef0890fc73828eeccf95df206fa6d",
+    (15, 3): "b6a70ab25229935a7499297279ea2f6a67319edb69a41876da1e6244e33c7536",
+    (16, 3): "6bd442ceb16543dd7ab1c7afd28145890652dedae93f36812b3a9ee2cc8e1acc",
+    (17, 3): "7dadd9784e59e87b93182148e332ef3f282e769a61c6ca3c1e4eddc989e48dab",
+    (18, 3): "17521bfd3aa11fd2ffac3d1a8437dca38270eb8884b40b1124ab85a20c39170a",
+    (19, 3): "c74c0f9a3f617feceee18f28202380afb6079bae1375f068910f0565327636cf",
+    (20, 3): "62128c1f428d060289edd869a4a1a451eda25064a8c91595c879c33da1bd1082",
+    (21, 3): "8c4df3a727fce3df399a99660c81dc1848f5e573765fa4aa3a3f7dc331606f9b",
+    (22, 3): "eb6208a0f282eeba043f8735ea5deafde14025b82516a7f8fb84cc2689c6cc34",
+    (25, 3): "2154f155602797a68964174eb7e010ac18c97a32bb0de04d49c52a425d0a1aeb",
+    (26, 3): "8959fd2069f0db59f8ae625e79695cc9c90e07093e6756df310f152f9b8998e7",
+    (27, 3): "9658d7401a25fb746eec7806eb8c1b29ded28768955d247835db76ab8c021575",
+    (28, 3): "aea8369af103458dc3b7f68834229636ebc5ad8b96d835de92dcf85db62c319c",
+    (5, 5): "f9f6d03e79cbfa8ab137724bed781d0e048721684d9772a523a878b4c54e3752",
+    (6, 5): "74c0108f03b375bdad2a0c0a123dafc85c521635b7a7c7d75d207326f6d4b204",
+    (9, 5): "1a775d493a63301f7a54efa211584fa422ec9211358bec5474ec47cf938cf6fe",
+    (10, 5): "0cf5844107cf3587526af51addf90fa51cf8cc8cd39d4cb57caf0a9ec90d2ace",
+    (21, 5): "b76a62941df9f4c280fb6c574b54301d4d94e7bd41341bbd3735071b180758bd",
+    (22, 5): "cda113d8a53eff5cfc96377c2f15e4ff5ebcfa085963e5a4cf660a1e49495cd4",
+    (25, 5): "95236661bce802d34f2e2fe90383e9b2593530f99da87ce6463166c232eae1d1",
+    (26, 5): "5ab87d9fab034c2ad87301ce52cfc9a3fb5b2520c5fc274ce8cbd072aa93fc9f",
+    (7, 7): "9c3cb011937e627ac0b6ba11775ed1a1151a8557652fc708cb262e09769cb3b9",
+    (8, 7): "e53aaa4a21bdb99fe97b5872b3e44556eca1b2b12941e810f99d1f1da9870147",
+    (13, 7): "741d5e4f107959020a670de284b9893617b29205a5c2910c5d5618c57fa00924",
+    (14, 7): "636c83abb982caec05af78b95e4c2cc70e8f9d5995328aaeebd3f0a4ba9a980d",
+}
+
+
+@pytest.mark.parametrize("n, t", sorted(DESIGN_SHA256, key=lambda p: (p[1], p[0])))
+def test_adjusted_design_bytes_are_pinned(n, t):
+    text = adjusted_decomposition(n, t).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == DESIGN_SHA256[n, t]
+
+
+@pytest.mark.parametrize("n, message", [
+    (13, "need 3 vertex-disjoint K_9 copies, which requires 27 vertices but n=13"),
+    (15, "residual graph at (n=15, t=5) has no K_5-decomposition"),
+    (17, "residual graph at (n=17, t=5) has no K_5-decomposition"),
+    (19, "could not place 2 disjoint K_9 copies"),
+])
+def test_adjusted_infeasible_messages_are_pinned(n, message):
+    with pytest.raises(InfeasibleAtDeskScale) as exc:
+        adjusted_decomposition(n, 5)
+    assert str(exc.value) == message
 
 
 def test_extend_to_even_from_7():
