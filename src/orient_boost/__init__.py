@@ -63,6 +63,7 @@ from .orientations import (
     tournament_from_hex_text,
     tournament_from_json,
     transitive_tournament,
+    vertex_orbits,
 )
 from .sampling import (
     BaseTournaments,

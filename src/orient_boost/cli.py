@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from . import bounds, counting, designs, reports, sampling
 from .errors import OrientBoostError
@@ -304,6 +306,17 @@ def _cmd_verify(args) -> int:
     for t, w in sampling.enumerate_support(fano, bases):
         acc += w * counting.count_hamilton_cycles(t) * 7
     check("exact expectation equals support-weighted count (7-cycle)", acc == summary.expectation)
+
+    # Aut(Fano) is vertex-transitive, so every vertex orbit sums alike there and
+    # only a design without that symmetry, here (6,3), tests the orbit partition
+    ok = True
+    for h, d in ((c7, fano), (make_pattern("path", 7), fano),
+                 (make_pattern("k_regular_random", 7, k=2, seed=1), fano),
+                 (make_pattern("path", 6), designs.adjusted_decomposition(6, 3))):
+        kernel = counting.CopyKernel(h, d, bases)
+        brute = sum((kernel.ratio(pi) for pi in permutations(range(h.n))), Fraction(0))
+        ok = ok and brute / math.factorial(h.n) == counting.exact_copy_summary(h, d, bases).ratio
+    check("orbit-weighted exact sum equals the brute n! sum (C7, P7, 2-regular on Fano; P6 on (6,3))", ok)
 
     check("batched permutation draws equal per-stream draws on 500 indices (n = 7, 21)",
           all(list(stream_permutations(11, 0, 500, n)) == [stream_for(11, i).permutation(n) for i in range(500)]

@@ -6,7 +6,8 @@ block-randomized tournament of a decomposition, the success probability of a
 fixed permutation factors over blocks; this module computes that probability
 exactly (per-block closed forms for the common shapes, an embedding count,
 memoised per captured shape, for everything else), sums it over all
-permutations on tiny instances (``exact_copy_summary``), and estimates it
+permutations on tiny instances (``exact_copy_summary``, one pattern vertex
+orbit at a time), and estimates it
 by seeded Monte Carlo otherwise (``estimate_expected_copies``).  Both
 accumulate into one record of exact partial sums, ``_ExactSums``; the worker
 pool merges the records of its chunks with ``_ExactSums.merge``.  A Monte
@@ -27,11 +28,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 from .designs import BlockKind, Decomposition
 from .errors import BudgetExceededError
-from .orientations import Orientation, Tournament, local_shapes
+from .orientations import Orientation, Tournament, local_shapes, vertex_orbits
 from .rng import stream_permutations
 from .sampling import BaseTournaments
 
@@ -437,15 +438,15 @@ class _ExactSums:
                 self.s[k] += x
                 self.sq[k] += x * x
 
-    def merge(self, other: "_ExactSums") -> "_ExactSums":
-        """Add the sums of ``other`` into this record and return it."""
+    def merge(self, other: "_ExactSums", times: int = 1) -> "_ExactSums":
+        """Add the sums of ``other``, ``times`` over, into this record and return it."""
         for mine, theirs in ((self.r, other.r), (self.r_sq, other.r_sq)):
             for den, num in theirs.items():
-                mine[den] = mine.get(den, 0) + num
-        self.typical += other.typical
+                mine[den] = mine.get(den, 0) + num * times
+        self.typical += other.typical * times
         for k in range(4):
-            self.s[k] += other.s[k]
-            self.sq[k] += other.sq[k]
+            self.s[k] += other.s[k] * times
+            self.sq[k] += other.sq[k] * times
         return self
 
     def totals(self) -> tuple[Fraction, Fraction, int, list[int], list[int]]:
@@ -461,21 +462,40 @@ class _ExactSums:
 
 def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
                        *, budget_n: int = 9) -> ExactSummary:
-    """Sum the per-permutation probabilities over all n! permutations."""
+    """Sum the per-permutation probabilities over all n! permutations, one
+    Aut(h) vertex orbit at a time.
+
+    A copy's success probability and captures depend only on its image edge
+    set, which every automorphism s of h keeps: the copies pi and pi∘s score
+    alike.  So the copies sending w to vertex 0 give one record S_w for every
+    w of an orbit, and the full sum is the sum of |orbit(u)| · S_u over one
+    representative u per orbit.  S_u is summed on h relabelled by the
+    transposition (0 u), whose copies with pi(0) = 0 are the first (n-1)!
+    permutations in lexicographic order.
+    """
     n = h.n
     if n > budget_n:
         raise BudgetExceededError(
-            f"exact expectation sums {n}! terms; budget is n <= {budget_n}",
+            f"exact expectation at n={n} is over the budget n <= {budget_n}; "
+            f"it sums (n-1)! terms per vertex orbit of the pattern",
             size=n, budget=budget_n,
         )
-    kernel = CopyKernel(h, d, bases)
+    if bases is None:
+        bases = BaseTournaments.circulant(d.t)
     acc = _ExactSums()
-    for pi in permutations(range(n)):
-        acc.add(*kernel._terms(pi))
+    for orbit in vertex_orbits(h):
+        u = orbit[0]
+        swap = list(range(n))
+        swap[0], swap[u] = u, 0
+        kernel = CopyKernel(h.relabel(swap), d, bases)
+        part = _ExactSums()
+        for pi in islice(permutations(range(n)), math.factorial(n - 1)):
+            part.add(*kernel._terms(pi))
+        acc.merge(part, times=len(orbit))
     total, _, typical, sums, _ = acc.totals()
     nfact = math.factorial(n)
     return ExactSummary(
-        expectation=total / (1 << kernel.e),
+        expectation=total / (1 << h.edge_count),
         ratio=total / nfact,
         typical_fraction=Fraction(typical, nfact),
         capture_averages=tuple(Fraction(s, nfact) for s in sums),

@@ -198,6 +198,81 @@ def _connected(h: Orientation) -> bool:
     return len(seen) == h.n
 
 
+def vertex_orbits(h: Orientation) -> list[tuple[int, ...]]:
+    """The vertex orbits of Aut(h), each sorted, listed by least vertex.
+
+    For each pair u < v not yet known to share an orbit, a backtracking
+    search looks for an automorphism sending u to v; every automorphism found
+    joins each vertex with its image (union-find).  The search places u
+    first, then the rest in breadth-first order of the underlying graph, so
+    most vertices have a placed neighbour; a candidate image must have the
+    same out- and in-degree and agree with every placed vertex on the edges
+    in both directions.
+    """
+    n = h.n
+    out = [0] * n
+    for a, b in h.edges:
+        out[a] |= 1 << b
+    degrees = list(zip(h.out_degrees(), h.in_degrees()))
+    adj = h.underlying_adjacency()
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def placement_order(u: int) -> list[int]:
+        order = []
+        seen = [False] * n
+        for start in (u, *range(n)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            queue = [start]
+            for x in queue:
+                order.append(x)
+                for w in sorted(adj[x]):
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+        return order
+
+    def automorphism(u: int, v: int) -> list[int] | None:
+        order = placement_order(u)
+        image = [-1] * n
+        used = [False] * n
+
+        def extend(k: int) -> bool:
+            if k == n:
+                return True
+            x = order[k]
+            for y in ((v,) if k == 0 else range(n)):
+                if used[y] or degrees[y] != degrees[x]:
+                    continue
+                if all((out[x] >> a) & 1 == (out[y] >> image[a]) & 1
+                       and (out[a] >> x) & 1 == (out[image[a]] >> y) & 1 for a in order[:k]):
+                    image[x], used[y] = y, True
+                    if extend(k + 1):
+                        return True
+                    used[y] = False
+            return False
+
+        return image if extend(0) else None
+
+    for u, v in combinations(range(n), 2):
+        if find(u) != find(v):
+            sigma = automorphism(u, v)
+            if sigma is not None:
+                for x, y in enumerate(sigma):
+                    parent[find(x)] = find(y)
+    orbits: dict[int, list[int]] = {}
+    for x in range(n):
+        orbits.setdefault(find(x), []).append(x)
+    return [tuple(orbit) for orbit in orbits.values()]
+
+
 def consistency_check(h: Orientation, eps, k: int) -> bool:
     """True iff max degree <= k and plus - minus >= eps * n.
 
@@ -295,9 +370,8 @@ class Tournament:
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise InvalidTournamentError("row count does not match n")
-        full = (1 << self.n) - 1
         for u in range(self.n):
-            if self.rows[u] & ~full:
+            if self.rows[u] >> self.n:
                 raise InvalidTournamentError(f"row {u} has bits beyond n")
             if (self.rows[u] >> u) & 1:
                 raise InvalidTournamentError(f"self-edge at vertex {u}")
@@ -355,6 +429,11 @@ class Tournament:
 
 
 def tournament_from_edges(n: int, edges) -> Tournament:
+    """Refuses an edge count other than n(n-1)/2 before allocating the rows."""
+    edges = list(edges)
+    if len(edges) != n * (n - 1) // 2:
+        raise InvalidTournamentError(
+            f"a tournament on n={n} vertices has {n * (n - 1) // 2} edges, got {len(edges)}")
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:

@@ -132,6 +132,18 @@ def test_count_rejects_a_malformed_tournament_file(capsys, tmp_path, name, text,
     assert obj["message"].startswith(message)
 
 
+def test_count_refuses_a_wrong_edge_count_at_once(capsys, tmp_path):
+    # the rows of 200000 vertices are never allocated or masked
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 200000, "edges": []}')
+    code, out, err = run(capsys, "count", "--n", "3", "--tournament", str(path))
+    assert code == 2
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "InvalidTournamentError"
+    assert obj["message"] == "a tournament on n=200000 vertices has 19999900000 edges, got 0"
+
+
 @pytest.mark.parametrize("argv", [
     ("sample", "--n", "7", "--samples", "-2"),
     ("sample", "--n", "7", "--samples", "0"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from orient_boost import counting
 from orient_boost.counting import (
     CopyKernel,
+    ExactSummary,
     _ExactSums,
     _scan_chunk,
     _scan_samples,
@@ -33,12 +34,14 @@ from orient_boost.designs import (
 )
 from orient_boost.errors import BudgetExceededError
 from orient_boost.orientations import (
+    Orientation,
     make_pattern,
     orientation_from_edges,
     random_orientation,
     random_tournament,
     tournament_from_edges,
     transitive_tournament,
+    vertex_orbits,
 )
 from orient_boost.rng import stream_for
 from orient_boost.sampling import BaseTournaments, circulant_regular_tournament, enumerate_support
@@ -299,7 +302,7 @@ def test_exact_expectation_single_edge():
 
 def test_exact_expectation_budget():
     fano = steiner_triple_system(7)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"n=7 is over the budget n <= 6; it sums \(n-1\)! terms per"):
         exact_copy_summary(make_pattern("cycle", 7), fano, budget_n=6)
 
 
@@ -600,6 +603,91 @@ def test_per_copy_methods_check_the_permutation_size():
                      lambda pi: kernel.ratio(pi, method="enumerate")):
             with pytest.raises(ValueError, match="sizes must agree"):
                 call(pi)
+
+
+# ---------------------------------------------------------------------------
+# exact sums over Aut(H) vertex orbits, against the brute n! sum
+# ---------------------------------------------------------------------------
+
+def _brute_summary(h, d, bases=None):
+    """Oracle: every one of the n! copies through ``CopyKernel._terms``, folded into one record."""
+    kernel = CopyKernel(h, d, bases)
+    acc = _ExactSums()
+    for pi in permutations(range(h.n)):
+        acc.add(*kernel._terms(pi))
+    total, _, typical, sums, _ = acc.totals()
+    nfact = math.factorial(h.n)
+    return ExactSummary(expectation=total / (1 << h.edge_count), ratio=total / nfact,
+                        typical_fraction=Fraction(typical, nfact),
+                        capture_averages=tuple(Fraction(x, nfact) for x in sums))
+
+
+def brute_orbits(h):
+    """Oracle: the vertex orbits of every automorphism found among all n! permutations."""
+    autos = [p for p in permutations(range(h.n)) if {(p[u], p[v]) for u, v in h.edges} == h.edges]
+    return sorted({tuple(sorted({p[x] for p in autos})) for x in range(h.n)})
+
+
+BRUTE_CASES = {
+    "c7-fano": ("cycle", 7, "fano"),
+    "p7-fano": ("path", 7, "fano"),
+    "reg2-fano": ("k_regular_random", 7, "fano"),  # seed 1: orbits of sizes 1 and 2
+    "c8-even7": ("cycle", 8, "even7"),
+    "p8-even7": ("path", 8, "even7"),  # trivial group on a design that is not vertex-transitive
+    "matching8-even7": ("matching", 8, "even7"),
+    "c6-coin6": ("cycle", 6, "coin6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_CASES))
+def test_orbit_sum_equals_the_brute_sum(name, coin_design6):
+    kind, n, design = BRUTE_CASES[name]
+    d = {"fano": steiner_triple_system(7), "even7": extend_to_even(steiner_triple_system(7)),
+         "coin6": coin_design6}[design]
+    h = make_pattern(kind, n, k=2, seed=1) if kind == "k_regular_random" else make_pattern(kind, n)
+    assert exact_copy_summary(h, d) == _brute_summary(h, d)
+
+
+@st.composite
+def small_orientations(draw):
+    """Random orientations, and symmetric ones relabelled at random: a circulant
+    i -> i + s (mod m) on m of the n vertices, or disjoint directed cycles; the
+    vertices left over are isolated."""
+    n = draw(st.integers(3, 7))
+    kind = draw(st.sampled_from(["random", "circulant", "cycles"]))
+    if kind == "random":
+        return random_orientation(n, draw(st.integers(0, n * (n - 1) // 2)), seed=draw(st.integers(0, 10 ** 6)))
+    if kind == "circulant":
+        m = draw(st.integers(3, n))
+        # one of each pair {s, m - s}, so no 2-cycles
+        shifts = draw(st.sets(st.integers(1, (m - 1) // 2), min_size=1))
+        signs = [draw(st.booleans()) for _ in shifts]
+        edges = {(i, (i + (s if sign else m - s)) % m) for s, sign in zip(shifts, signs) for i in range(m)}
+    else:
+        lengths = draw(st.lists(st.integers(3, n), min_size=1, max_size=2).filter(lambda ls: sum(ls) <= n))
+        edges, start = set(), 0
+        for length in lengths:
+            edges |= {(start + i, start + (i + 1) % length) for i in range(length)}
+            start += length
+    perm = draw(st.permutations(range(n)))
+    return Orientation(n, frozenset(edges)).relabel(perm)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(h=small_orientations())
+def test_orbit_sum_and_orbits_equal_brute_force(h):
+    assert vertex_orbits(h) == brute_orbits(h)
+    d = steiner_triple_system(7) if h.n == 7 else adjusted_decomposition(h.n, 3)
+    assert exact_copy_summary(h, d) == _brute_summary(h, d)
+
+
+def test_exact_c10_is_pinned_inside_a_monte_carlo_bracket():
+    d = adjusted_decomposition(10, 3)  # the even extension of STS(9)
+    c10 = make_pattern("cycle", 10)
+    summary = exact_copy_summary(c10, d, budget_n=10)
+    assert (summary.ratio, summary.expectation) == (Fraction(18, 7), Fraction(18225, 2))
+    rep = estimate_expected_copies(c10, d, samples=20_000, master_seed=1)
+    assert abs(rep.ratio - 18 / 7) <= 3 * rep.ratio_stderr
 
 
 # ---------------------------------------------------------------------------

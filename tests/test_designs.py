@@ -623,3 +623,33 @@ def test_block_arcs_follow_the_vertex_order(kind, vertices, arcs):
     block = Block(kind, vertices)
     assert block.arcs() == arcs
     assert block.edges() == [(min(u, v), max(u, v)) for u, v in arcs]
+
+
+def single_block_mutations(d):
+    """Every design one block away from d: a block dropped, a block duplicated, or one
+    vertex of one block swapped for a vertex outside it."""
+    blocks = list(d.blocks)
+    for b, block in enumerate(blocks):
+        yield f"drop {b}", blocks[:b] + blocks[b + 1:]
+        yield f"duplicate {b}", blocks + [block]
+        for k, x in enumerate(block.vertices):
+            for y in range(d.n):
+                if y not in block.vertices:
+                    vs = block.vertices[:k] + (y,) + block.vertices[k + 1:]
+                    yield f"block {b}: {x} -> {y}", blocks[:b] + [Block(block.kind, vs)] + blocks[b + 1:]
+
+
+MUTATED_DESIGNS = {
+    "fano": lambda: steiner_triple_system(7),
+    "sts9": lambda: steiner_triple_system(9),
+    "even16": lambda: adjusted_decomposition(16, 3),  # star-path and edge blocks
+    "pg24": lambda: adjusted_decomposition(21, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_DESIGNS))
+def test_validate_rejects_every_single_block_mutation(name):
+    d = MUTATED_DESIGNS[name]()
+    assert validate(d).ok
+    for label, blocks in single_block_mutations(d):
+        assert not validate(Decomposition(d.n, d.t, tuple(blocks))).ok, f"{name}: {label} passed validation"

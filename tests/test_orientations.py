@@ -5,6 +5,7 @@ import pytest
 
 from orient_boost.errors import InvalidOrientationError, InvalidTournamentError
 from orient_boost.orientations import (
+    Tournament,
     classify,
     consistency_check,
     local_shapes,
@@ -184,6 +185,26 @@ def test_tournament_basics():
         tournament_from_edges(3, [(0, 1), (1, 0), (1, 2), (0, 2)])
     with pytest.raises(InvalidTournamentError):
         tournament_from_edges(3, [(0, 1), (1, 2)])  # pair {0,2} missing
+
+
+def test_tournament_from_edges_refuses_the_edge_count_first():
+    # 200000 vertices need 19999900000 edges; the count is refused before any row is allocated
+    with pytest.raises(InvalidTournamentError, match="n=200000 vertices has 19999900000 edges, got 0$"):
+        tournament_from_edges(200_000, [])
+    with pytest.raises(InvalidTournamentError, match="has 3 edges, got 4$"):
+        tournament_from_edges(3, [(0, 1), (1, 0), (1, 2), (0, 2)])
+    with pytest.raises(InvalidTournamentError, match=r"bad edge \(0,3\)"):
+        tournament_from_edges(3, [(0, 1), (1, 2), (0, 3)])
+
+
+def test_tournament_rows_are_checked_without_an_n_bit_mask():
+    # all-zero rows fail at the first pair; an n-bit mask per row made this O(n^2)
+    with pytest.raises(InvalidTournamentError, match=r"pair \{0,1\} not oriented exactly once"):
+        Tournament(200_000, (0,) * 200_000)
+    with pytest.raises(InvalidTournamentError, match="row 1 has bits beyond n"):
+        Tournament(3, (0b110, 0b1100, 0b000))
+    with pytest.raises(InvalidTournamentError, match="self-edge at vertex 0"):
+        Tournament(3, (0b111, 0b100, 0b000))
 
 
 def test_tournament_serialization_round_trip():
