@@ -26,6 +26,8 @@ from .orientations import (
     make_pattern,
     orientation_from_json,
     orientation_from_text,
+    random_orientation,
+    random_tournament,
     stats,
     tournament_from_hex_text,
     tournament_from_json,
@@ -287,7 +289,6 @@ def _cmd_verify(args) -> int:
     chk = bounds.verify_relabel_probabilities(sampling.quadratic_residue_tournament(7))
     check("relabeling probabilities, quadratic-residue t=7", chk.ok)
 
-    from .orientations import random_orientation
     ok = True
     for sd in range(200):
         h = random_orientation(11, 14, seed=sd)
@@ -306,6 +307,13 @@ def _cmd_verify(args) -> int:
     for t, w in sampling.enumerate_support(fano, bases):
         acc += w * counting.count_hamilton_cycles(t) * 7
     check("exact expectation equals support-weighted count (7-cycle)", acc == summary.expectation)
+
+    c9, p9 = make_pattern("cycle", 9), make_pattern("path", 9)
+    tours = [random_tournament(9, sd) for sd in range(3)]
+    check("Hamilton cycle/path counts equal embedding counts of C9/P9 on 3 seeded tournaments",
+          all(counting.count_embeddings(c9.edges, 9, t.rows) == 9 * counting.count_hamilton_cycles(t)
+              and counting.count_embeddings(p9.edges, 9, t.rows) == counting.count_hamilton_paths(t)
+              for t in tours))
 
     # Aut(Fano) is vertex-transitive, so every vertex orbit sums alike there and
     # only a design without that symmetry, here (6,3), tests the orbit partition
@@ -422,7 +430,8 @@ def _add_node_budget(p) -> None:
 
 def _add_brute_budget(p, *, default: int) -> None:
     p.add_argument("--brute-budget", type=_positive_int, default=default,
-                   help="largest n for the exhaustive count or sum")
+                   help="largest n for the exhaustive count; the exact sum takes at most "
+                        "(brute budget)! terms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,7 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact labeled-copy counts in a tournament file")
     _add_pattern_args(p)
     p.add_argument("--tournament", required=True)
-    p.add_argument("--method", choices=["auto", "brute", "dp"], default="auto")
+    p.add_argument("--method", choices=["auto", "brute", "dp"], default="auto",
+                   help="dp: Hamilton cycle/path count by inclusion-exclusion over vertex "
+                        "subsets, lane-packed in Python ints (n <= 20; about 0.1 s at n = 16 "
+                        "and 2.4-3.5 s at n = 20 for cycles, no RSS growth); brute: embedding "
+                        "search (n <= --brute-budget); auto: dp for cycle and path")
     p.add_argument("--seed", type=int, default=None)
     _add_brute_budget(p, default=10)
     p.set_defaults(func=_cmd_count)

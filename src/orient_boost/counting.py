@@ -17,17 +17,26 @@ batched draw whose scalar oracle is ``stream_for(master, i).permutation(n)``.
 ``count_embeddings`` is the one embedding counter, shared by
 ``count_labeled_copies``, the complete-block fallbacks of ``CopyKernel`` and
 ``bounds``; ``CopyKernel.ratio(pi, method="enumerate")`` lists injections
-instead and stays the independent oracle.
+instead and stays the independent oracle.  Hamilton cycles and paths are
+counted by ``_covering_walks``: inclusion-exclusion over vertex subsets, the
+subsets of up to 10 vertices packed as fixed-width lanes of one Python int
+per vertex, so a step is a few big-int adds and masks.  On a 2-vCPU host
+(Python 3.11.7) it counts the cycles of a 16-vertex tournament in about
+0.1 s and those of a 20-vertex one in 2.4-3.5 s (paths 11-12 s), with no
+measurable peak-RSS growth; the subset DP it replaced took 0.2-0.3 s and
+8.6-9.8 s and held 2^n slots (+70 MB at n = 20).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, islice, permutations
 
 from .designs import BlockKind, Decomposition
@@ -130,57 +139,118 @@ def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -
     return count_embeddings(h.edges, h.n, t.rows)
 
 
-def _hamilton_path_ends(t: Tournament, starts) -> dict[int, int]:
-    """Directed Hamilton paths of t that start in ``starts``, counted by end vertex.
+_LANE_VERTICES = 10  # free vertices whose subsets share one int, one lane each
 
-    Subset DP over (mask, endpoint); each layer is dropped once extended.
+
+@dataclass(frozen=True)
+class _Lanes:
+    """Lane layout of the covering-walk count for one (n, closed).
+
+    Counts are kept modulo 2^bits, one bit more than the largest Hamilton
+    count ((n-1)! cycles through vertex 0, n! paths).  Each lane adds
+    ``bit_length(n)`` guard bits for the carries of one step's sum and is
+    rounded up to ``words`` 64-bit words.  Lane s holds the subset s of the
+    k lowest free vertices; ``member[j]`` keeps the lanes holding free vertex
+    j, ``even`` those that leave out an even number of the k.
     """
-    rows = t.rows
-    full = (1 << t.n) - 1
-    dp: list[dict[int, int] | None] = [None] * (1 << t.n)
-    for v in starts:
-        dp[1 << v] = {v: 1}
-    for mask in range(1, full):
-        cur = dp[mask]
-        if cur is None:
-            continue
-        for v, cnt in cur.items():
-            avail = rows[v] & ~mask
-            while avail:
-                low = avail & -avail
-                w = low.bit_length() - 1
-                avail ^= low
-                nm = mask | low
-                d = dp[nm]
-                if d is None:
-                    d = {}
-                    dp[nm] = d
-                d[w] = d.get(w, 0) + cnt
-        dp[mask] = None
-    return dp[full] or {}
+
+    bits: int
+    words: int
+    k: int
+    one: int
+    full: int
+    member: tuple[int, ...]
+    even: int
+
+
+def _lane_mask(lanes: int, width: int, value: int, keep) -> int:
+    """``value`` in every lane s (of ``width`` bits) with ``keep(s)``, zero in the rest."""
+    on, off = value.to_bytes(width // 8, "little"), bytes(width // 8)
+    return int.from_bytes(b"".join(on if keep(s) else off for s in range(lanes)), "little")
+
+
+@lru_cache(maxsize=64)
+def _lane_layout(n: int, closed: bool) -> _Lanes:
+    bits = math.factorial(n - 1 if closed else n).bit_length() + 1
+    width = -(-(bits + n.bit_length()) // 64) * 64
+    k = min(_LANE_VERTICES, n - 1 if closed else n)
+    lanes = 1 << k
+    top = (1 << bits) - 1
+    return _Lanes(
+        bits=bits, words=width // 64, k=k,
+        one=_lane_mask(lanes, width, 1, lambda s: True),
+        full=_lane_mask(lanes, width, top, lambda s: True),
+        member=tuple(_lane_mask(lanes, width, top, lambda s, j=j: s >> j & 1) for j in range(k)),
+        even=_lane_mask(lanes, width, top, lambda s: (k - s.bit_count()) % 2 == 0),
+    )
+
+
+def _lane_sum(x: int, lay: _Lanes) -> int:
+    """Sum of the lanes of x."""
+    words = array("Q", x.to_bytes(8 * lay.words << lay.k, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return sum(sum(words[j::lay.words]) << (64 * j) for j in range(lay.words))
+
+
+def _covering_walks(rows, n: int, closed: bool) -> int:
+    """Walks through every vertex of the tournament with bit rows ``rows``:
+    closed walks of n steps from vertex 0 if ``closed``, its directed Hamilton
+    cycles; else open walks of n - 1 steps, its directed Hamilton paths.
+
+    Inclusion-exclusion over the free vertices F, 1..n-1 for cycles and
+    0..n-1 for paths (Karp 1982): the count is the sum over S of F of
+    (-1)^(|F|-|S|) times the walks that stay inside S (with vertex 0, for
+    cycles).  Each vertex holds one int whose lanes count the walks ending
+    there for every subset of the k lowest free vertices, and a step is
+    Y[w] = (sum of X[v] over v -> w) & mask[w].  The higher free vertices
+    are fixed per chunk, present or absent; an absent one drops out.
+    """
+    lay = _lane_layout(n, closed)
+    first = 1 if closed else 0
+    low = list(range(first + lay.k))
+    high = range(first + lay.k, n)
+    total = 0
+    for chunk in range(1 << len(high)):
+        kept = [v for j, v in enumerate(high) if chunk >> j & 1]
+        act = low + kept
+        masks = [lay.full] * first + list(lay.member) + [lay.full] * len(kept)
+        into = [[i for i, v in enumerate(act) if rows[v] >> w & 1] for w in act]
+        x = [lay.one] + [0] * (len(act) - 1) if closed else [lay.one & m for m in masks]
+        for _ in range(n - 1):
+            x = [sum([x[i] for i in ins]) & m for ins, m in zip(into, masks)]
+        end = sum([x[i] for i in into[0]]) if closed else sum(x)
+        part = 2 * _lane_sum(end & lay.even, lay) - _lane_sum(end, lay)
+        total += -part if (len(high) - len(kept)) % 2 else part
+    return total % (1 << lay.bits)
 
 
 def count_hamilton_cycles(t: Tournament, *, budget_n: int = 20) -> int:
-    """Directed Hamilton cycles: paths from vertex 0 whose end beats vertex 0.
+    """Directed Hamilton cycles: the closed walks of n steps from vertex 0
+    that visit every vertex, counted by ``_covering_walks``.
 
-    The DP keeps a list of 2^n slots; the default budget is the largest size
-    measured, n = 20 (about 8 s and 84 MB peak on a 2-vCPU host).
+    The default budget is the largest size measured, n = 20: 2.4-3.5 s and
+    no peak-RSS growth on a 2-vCPU host (about 0.1 s at n = 16).
     """
     n = t.n
     if n > budget_n:
-        raise BudgetExceededError(f"n={n} over the DP budget {budget_n}", size=n, budget=budget_n)
+        raise BudgetExceededError(f"n={n} over the Hamilton budget {budget_n}", size=n, budget=budget_n)
     if n < 3:
         return 0
-    rows = t.rows
-    return sum(cnt for v, cnt in _hamilton_path_ends(t, (0,)).items() if rows[v] & 1)
+    return _covering_walks(t.rows, n, closed=True)
 
 
 def count_hamilton_paths(t: Tournament, *, budget_n: int = 20) -> int:
-    """Directed Hamilton paths, from every start vertex."""
+    """Directed Hamilton paths, from every start vertex: the open walks of
+    n - 1 steps that visit every vertex, counted by ``_covering_walks``.
+
+    At the default budget n = 20 the lanes are two words wide: 11-12 s and
+    no peak-RSS growth on a 2-vCPU host.
+    """
     n = t.n
     if n > budget_n:
-        raise BudgetExceededError(f"n={n} over the DP budget {budget_n}", size=n, budget=budget_n)
-    return sum(_hamilton_path_ends(t, range(n)).values())
+        raise BudgetExceededError(f"n={n} over the Hamilton budget {budget_n}", size=n, budget=budget_n)
+    return _covering_walks(t.rows, n, closed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +541,23 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     w of an orbit, and the full sum is the sum of |orbit(u)| · S_u over one
     representative u per orbit.  S_u is summed on h relabelled by the
     transposition (0 u), whose copies with pi(0) = 0 are the first (n-1)!
-    permutations in lexicographic order.
+    permutations in lexicographic order.  The budget counts terms: (orbits) ·
+    (n-1)! may not exceed budget_n!, so a cycle (one orbit) of n = budget_n + 1
+    is summed while a directed path (n orbits) of that size is refused.
     """
     n = h.n
-    if n > budget_n:
+    # the cheap test first, so a huge n is refused before the orbit search
+    orbits = vertex_orbits(h) if n - 1 <= budget_n else []
+    if n - 1 > budget_n or len(orbits) * math.factorial(n - 1) > math.factorial(budget_n):
         raise BudgetExceededError(
-            f"exact expectation at n={n} is over the budget n <= {budget_n}; "
+            f"exact expectation at n={n} is over the budget of {budget_n}! terms; "
             f"it sums (n-1)! terms per vertex orbit of the pattern",
             size=n, budget=budget_n,
         )
     if bases is None:
         bases = BaseTournaments.circulant(d.t)
     acc = _ExactSums()
-    for orbit in vertex_orbits(h):
+    for orbit in orbits:
         u = orbit[0]
         swap = list(range(n))
         swap[0], swap[u] = u, 0
