@@ -360,6 +360,11 @@ def random_orientation(n: int, num_edges: int, seed: int) -> Orientation:
     return orientation_from_edges(n, edges)
 
 
+# byte b with its bit order reversed: a row's little-endian bytes put vertex
+# v at bit v % 8 of byte v // 8, the hex rows put it at bit 7 - v % 8
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 @dataclass(frozen=True)
 class Tournament:
     """Complete orientation, stored as bit rows: rows[u] bit v set iff u beats v."""
@@ -418,13 +423,7 @@ class Tournament:
         """
         nbytes = (self.n + 7) // 8
         lines = [str(self.n)]
-        for u in range(self.n):
-            buf = bytearray(nbytes)
-            row = self.rows[u]
-            for v in range(self.n):
-                if (row >> v) & 1:
-                    buf[v // 8] |= 1 << (7 - v % 8)
-            lines.append(buf.hex())
+        lines += [row.to_bytes(nbytes, "little").translate(_REVERSED_BITS).hex() for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -458,17 +457,13 @@ def tournament_from_hex_text(text: str) -> Tournament:
     n = int(lines[0])
     if len(lines) != n + 1:
         raise InvalidTournamentError(f"expected {n} hex rows, got {len(lines) - 1}")
-    nbytes = (n + 7) // 8
+    nbytes, full = (n + 7) // 8, (1 << n) - 1
     rows = []
     for u in range(n):
         buf = bytes.fromhex(lines[u + 1])
         if len(buf) != nbytes:
             raise InvalidTournamentError(f"hex row {u} has {len(buf)} bytes, expected {nbytes}")
-        row = 0
-        for v in range(n):
-            if (buf[v // 8] >> (7 - v % 8)) & 1:
-                row |= 1 << v
-        rows.append(row)
+        rows.append(int.from_bytes(buf.translate(_REVERSED_BITS), "little") & full)
     return Tournament(n, tuple(rows))
 
 

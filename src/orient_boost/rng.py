@@ -6,25 +6,29 @@ determined by a (master seed, stream index) pair, so sample index ``i`` of a
 run produces bit-identical output no matter how samples are distributed
 across workers, platforms, or Python builds.
 
-``Stream`` draws one value at a time and is the reference.  The Monte Carlo
-scan draws whole index ranges with ``stream_permutations``, which yields
-exactly ``stream_for(master, i).permutation(n)`` for each index ``i``: the
-k-th state of a stream is its seed plus ``k`` times the increment, so the
-draws of many streams are mixed at once, packed into one integer.
+``Stream`` draws one value at a time and is the reference.  The k-th state
+of a stream is its seed plus ``k`` times the increment, so many outputs are
+mixed at once, packed into one integer.  ``stream_words`` mixes the first
+``D`` outputs of one stream that way; the tournament sampler takes all the
+draws of a sample from it.  The Monte Carlo scan draws whole index ranges
+with ``stream_permutations``, which yields exactly
+``stream_for(master, i).permutation(n)`` for each index ``i`` and packs the
+draws of many streams together.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+from functools import lru_cache
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INDEX_SALT = 0x6A09E667F3BCC909
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
-# 128-bit lanes per packed sub-batch of stream_permutations: 32 KB per packed int.
+# 128-bit lanes per packed int of stream_permutations and stream_words: 32 KB each.
 _LANES = 2048
 
 
@@ -77,10 +81,13 @@ class Stream:
         return items
 
 
+def _stream_seed(master: int, index: int) -> int:
+    return mix64(mix64(master) ^ mix64((index & _MASK) ^ _INDEX_SALT))
+
+
 def stream_for(master: int, index: int = 0) -> Stream:
     """Independent stream for (master seed, stream index)."""
-    state = mix64(mix64(master) ^ mix64((index & _MASK) ^ _INDEX_SALT))
-    return Stream(state)
+    return Stream(_stream_seed(master, index))
 
 
 def _lanes(words: list[int], count: int = 1) -> int:
@@ -98,6 +105,38 @@ def _mix_lanes(z: int, mask: int) -> int:
     z = ((z ^ (z >> 30)) & mask) * _MUL1 & mask
     z = ((z ^ (z >> 27)) & mask) * _MUL2 & mask
     return (z ^ (z >> 31)) & mask
+
+
+def _steps(draws: int, count: int) -> int:
+    """Lane ``k * count + s`` holds ``(k + 1)`` times the increment, for k < draws and s < count."""
+    return int.from_bytes(b"".join(array("Q", [(k * _GAMMA) & _MASK, 0]).tobytes() * count
+                                   for k in range(1, draws + 1)), "little")
+
+
+@lru_cache(maxsize=16)
+def _word_lanes(count: int) -> tuple[int, int, int]:
+    """A 1, the increments and the low-half mask in each of ``count`` lanes."""
+    return _lanes([1, 0], count), _steps(count, 1), _lanes([_MASK, 0], count)
+
+
+def stream_words(master: int, index: int, count: int) -> Sequence[int]:
+    """The first ``count`` outputs of ``stream_for(master, index)``, mixed in one pass.
+
+    Lane ``k`` holds the stream seed plus ``k + 1`` increments, in packed
+    ints of at most ``_LANES`` lanes; the words are the raw 64-bit outputs,
+    before any rejection, in draw order.
+    """
+    seed = _stream_seed(master, index)
+    if sys.byteorder != "little":
+        stream = Stream(seed)
+        return [stream.next_u64() for _ in range(count)]
+    chunks = []
+    for start in range(0, count, _LANES):
+        size = min(_LANES, count - start)
+        ones, steps, mask = _word_lanes(size)
+        z = (((seed + start * _GAMMA) & _MASK) * ones + steps) & mask
+        chunks.append(_mix_lanes(z, mask).to_bytes(16 * size, "little"))
+    return memoryview(b"".join(chunks)).cast("Q")[::2]
 
 
 def _draw_limits(n: int) -> list[int]:
@@ -126,9 +165,8 @@ def stream_permutations(master: int, lo: int, hi: int, n: int) -> Iterator[list[
     head = mix64(master)
 
     def constants(count: int) -> tuple[int, int, int, int]:
-        steps = b"".join(array("Q", [(k * _GAMMA) & _MASK, 0]).tobytes() * count for k in range(1, n))
         return (_lanes([_MASK, 0], count), _lanes([head, 0], count),
-                _lanes([_MASK, 0], count * draws), int.from_bytes(steps, "little"))
+                _lanes([_MASK, 0], count * draws), _steps(draws, count))
 
     count = min(per, hi - lo)
     mask, heads, draw_mask, offsets = constants(count)

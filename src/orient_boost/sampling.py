@@ -6,6 +6,12 @@ uniformly random vertex relabeling; cycles, star-paths and single edges are
 oriented along ``Block.arcs()`` or all reversed, on one fair coin.  For odd n the
 result is always a regular tournament; the even-n star-path layer yields a
 balanced one.
+
+A sample walks the blocks in order on one stream: a complete block of size k
+takes the k - 1 draws of ``Stream.permutation(k)``, a coin block one
+``Stream.coin()``.  ``SamplingPlan`` lays that walk out once per (design,
+bases) pair, so a sample is one packed draw of all its words
+(``rng.stream_words``), their residues, and a table lookup per block.
 """
 
 from __future__ import annotations
@@ -13,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from operator import lt, mod
 
 from .designs import Block, BlockKind, Decomposition
 from .errors import BudgetExceededError, InvalidTournamentError
 from .orientations import Tournament
-from .rng import Stream, stream_for
+from .rng import Stream, _draw_limits, stream_for, stream_words
 
 
 def circulant_regular_tournament(m: int) -> Tournament:
@@ -82,41 +90,135 @@ class SampleSeed:
         return stream_for(self.master, self.index)
 
 
-def _orient_block(block: Block, bases: BaseTournaments, stream: Stream, rows: list[int]) -> None:
-    vs = block.vertices
-    if block.kind in (BlockKind.KT, BlockKind.K2T1):
-        base = bases.of(block.kind)
-        sigma = stream.permutation(len(vs))
-        # the pairs of arcs(), inlined: this loop is most of the cost of sample()
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                if base.beats(sigma[a], sigma[b]):
-                    rows[vs[a]] |= 1 << vs[b]
+_COMPLETE = (BlockKind.KT, BlockKind.K2T1)
+# a complete kind's local out-masks are memoised per relabeling only when it has
+# at most 7! relabelings, so the memo never outgrows 5040 entries per kind; the
+# K9 of t = 5 and the K13 of t = 7 are oriented afresh on every draw
+_MEMO_RELABELINGS = 5040
+
+
+def _out_masks(draws, base_out, bits) -> tuple[int, ...]:
+    """Out-masks of a complete block's vertices under one relabeling.
+
+    ``draws`` are the residues of ``Stream.permutation(k)``'s Fisher-Yates
+    steps, which pick the relabeling sigma; vertex a beats vertex b iff base
+    vertex sigma[a] beats sigma[b].  ``base_out[s]`` lists the base vertices
+    s beats and ``bits[b]`` is the bit of vertex b.
+    """
+    sigma = list(range(len(bits)))
+    for i, j in zip(range(len(bits) - 1, 0, -1), draws):
+        sigma[i], sigma[j] = sigma[j], sigma[i]
+    bit_of_label = [0] * len(base_out)
+    for s, bit in zip(sigma, bits):
+        bit_of_label[s] = bit
+    get = bit_of_label.__getitem__
+    return tuple(sum(map(get, base_out[s])) for s in sigma)
+
+
+def _coin_masks(arcs) -> tuple[tuple[int, int], ...]:
+    """(vertex, out-mask) of each tail of ``arcs``."""
+    masks: dict[int, int] = {}
+    for u, v in arcs:
+        masks[u] = masks.get(u, 0) | 1 << v
+    return tuple(masks.items())
+
+
+class SamplingPlan:
+    """The block walk of ``sample`` for one (decomposition, bases) pair, laid out once.
+
+    Draw ``i`` of a sample is ``Stream.below(mods[i])``: a complete block of
+    size k owns the moduli k, k-1, ..., 2 of ``Stream.permutation(k)``, a coin
+    block one modulus 2^64, the raw word whose top bit is ``Stream.coin()``.
+    ``limits`` are the matching rejection limits.  A complete block keeps a
+    table spreading local bit masks onto its vertices, and its kind's memo
+    of local out-masks by draws; a block of a kind with too many relabelings
+    to memoise gets its global out-masks straight from the draws.  A coin
+    block keeps its out-masks along ``Block.arcs()`` and reversed.
+    """
+
+    def __init__(self, d: Decomposition, bases: BaseTournaments):
+        if bases.r.n != d.t:
+            raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
+        self.n = d.n
+        mods: list[int] = []
+        limits: list[int] = []
+        kinds: dict[BlockKind, tuple] = {}
+        self._complete, self._coins = [], []
+        for block in d.blocks:
+            vs, at = block.vertices, len(mods)
+            if block.kind in _COMPLETE:
+                mods.extend(range(len(vs), 1, -1))
+                limits.extend(_draw_limits(len(vs)))
+                if block.kind not in kinds:
+                    base = bases.of(block.kind)
+                    kinds[block.kind] = (tuple(tuple(v for v in range(base.n) if row >> v & 1) for row in base.rows), {})
+                base_out, memo = kinds[block.kind]
+                if math.factorial(len(vs)) <= _MEMO_RELABELINGS:
+                    spread = [0]
+                    for v in vs:
+                        spread += [mask | 1 << v for mask in spread]
+                    local = tuple(1 << b for b in range(len(vs)))
+                    self._complete.append((at, len(mods), vs, base_out, local, memo, spread))
                 else:
-                    rows[vs[b]] |= 1 << vs[a]
-    elif stream.coin():
-        for u, v in block.arcs():
-            rows[u] |= 1 << v
-    else:
-        for u, v in block.arcs():
-            rows[v] |= 1 << u
+                    self._complete.append((at, len(mods), vs, base_out, tuple(1 << v for v in vs), None, None))
+            else:
+                mods.append(1 << 64)
+                limits.append(1 << 64)
+                arcs = block.arcs()
+                self._coins.append((at, _coin_masks(arcs), _coin_masks((v, u) for u, v in arcs)))
+        self.mods, self.limits = tuple(mods), tuple(limits)
+
+    def residues(self, seed: SampleSeed) -> tuple[int, ...] | None:
+        """The draws of ``seed`` from one packed pass, or None if a word reaches its rejection limit."""
+        words = stream_words(seed.master, seed.index, len(self.mods))
+        return tuple(map(mod, words, self.mods)) if all(map(lt, words, self.limits)) else None
+
+    def scalar_residues(self, seed: SampleSeed) -> tuple[int, ...]:
+        """The draws of ``seed`` one ``Stream.below`` at a time, redrawing rejected words."""
+        stream = seed.stream()
+        return tuple(stream.below(m) for m in self.mods)
+
+    def orient(self, residues: tuple[int, ...]) -> Tournament:
+        """The tournament the draws pick, each block ORed into the rows."""
+        rows = [0] * self.n
+        for lo, hi, vs, base_out, bits, memo, spread in self._complete:
+            draws = residues[lo:hi]
+            if memo is None:
+                for v, mask in zip(vs, _out_masks(draws, base_out, bits)):
+                    rows[v] |= mask
+                continue
+            masks = memo.get(draws)
+            if masks is None:
+                masks = memo[draws] = _out_masks(draws, base_out, bits)
+            for v, mask in zip(vs, masks):
+                rows[v] |= spread[mask]
+        for at, forward, reverse in self._coins:
+            for v, mask in forward if residues[at] >> 63 else reverse:
+                rows[v] |= mask
+        return Tournament(self.n, tuple(rows))
+
+
+@lru_cache(maxsize=16)
+def sampling_plan(d: Decomposition, bases: BaseTournaments) -> SamplingPlan:
+    """The plan of this pair, built on its first draw and reused after."""
+    return SamplingPlan(d, bases)
 
 
 def sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tournament:
-    """Draw one block-randomized tournament; pure in (d, bases, seed)."""
-    if bases.r.n != d.t:
-        raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
-    stream = seed.stream()
-    rows = [0] * d.n
-    for block in d.blocks:
-        _orient_block(block, bases, stream, rows)
-    return Tournament(d.n, tuple(rows))
+    """Draw one block-randomized tournament; pure in (d, bases, seed).
+
+    A sample whose packed draw reaches a rejection limit is drawn again
+    through the same plan, its residues taken from a scalar ``Stream``.
+    """
+    plan = sampling_plan(d, bases)
+    residues = plan.residues(seed)
+    return plan.orient(plan.scalar_residues(seed) if residues is None else residues)
 
 
 def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
     """Distinct edge orientations of one block with their probabilities."""
     arcs = tuple(block.arcs())
-    if block.kind not in (BlockKind.KT, BlockKind.K2T1):
+    if block.kind not in _COMPLETE:
         return [(arcs, Fraction(1, 2)), (tuple((v, u) for u, v in arcs), Fraction(1, 2))]
     base = bases.of(block.kind)
     k = len(block.vertices)
@@ -144,7 +246,7 @@ def enumerate_support(d: Decomposition, bases: BaseTournaments, *, budget: int =
     per_block = []
     size = 1
     for block in d.blocks:
-        if block.kind in (BlockKind.KT, BlockKind.K2T1):
+        if block.kind in _COMPLETE:
             relabelings = math.factorial(len(block.vertices))
             if relabelings > budget:
                 raise BudgetExceededError(

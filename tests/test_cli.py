@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -94,6 +95,30 @@ def test_sample_formats_and_determinism(capsys, tmp_path):
     t = tournament_from_json(out3.strip().splitlines()[0])
     assert t.is_regular()
     assert t.rows == tournament_from_hex_text(first).rows
+
+
+# Golden pins: sha256 of `sample` output recorded before the sampler drew
+# through a per-design plan.  (25,5) holds KT blocks only, (11,3) one K2T1
+# block, (26,5) star-paths and an edge; the CI job checks the (25,5) hex pin
+# through the console script on a design written by `decompose`.
+@pytest.mark.parametrize("argv,fmt,digest", [
+    (["--n", "25", "--t", "5", "--samples", "400"], "hex",
+     "171c2168f2bbadaf5103795bfd9bf72766bc07c79bc1faf33da4689b4d67dc85"),
+    (["--n", "25", "--t", "5", "--samples", "400"], "json",
+     "b7a6b3065b914d8a6b4981b0f3c8d381e73219d656a7b75e33ab865aa288fd96"),
+    (["--n", "11", "--t", "3", "--samples", "200"], "hex",
+     "c05370c1604a4206684b376350bae711616e6f258d0cbb53bdc87d51b6dbcefd"),
+    (["--n", "11", "--t", "3", "--samples", "200"], "json",
+     "0aa658e4066561a18c5010ee5c0280ae01a34c955a8ec4064afe4a380379e8df"),
+    (["--n", "26", "--t", "5", "--samples", "100"], "hex",
+     "b2b34e061be6b066a683b944e663a3ec15439b339660786af59173b40d741e25"),
+    (["--n", "26", "--t", "5", "--samples", "100"], "json",
+     "c80557974ed1f51496a536789d0b738e39c54117e17a50acd094764a3a876b66"),
+])
+def test_sample_output_is_pinned(capsys, argv, fmt, digest):
+    code, out, _ = run(capsys, "sample", *argv, "--seed", "1", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_count_methods_agree(capsys, tmp_path):

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orient_boost.errors import InvalidOrientationError, InvalidTournamentError
 from orient_boost.orientations import (
@@ -213,6 +215,89 @@ def test_tournament_serialization_round_trip():
         t = random_tournament(n, seed)
         assert tournament_from_json(t.to_json()).rows == t.rows
         assert tournament_from_hex_text(t.to_hex_text()).rows == t.rows
+
+
+def hex_text_oracle(t: Tournament) -> str:
+    """The bit-by-bit hex encoder the byte-table one replaced."""
+    nbytes = (t.n + 7) // 8
+    lines = [str(t.n)]
+    for u in range(t.n):
+        buf = bytearray(nbytes)
+        row = t.rows[u]
+        for v in range(t.n):
+            if (row >> v) & 1:
+                buf[v // 8] |= 1 << (7 - v % 8)
+        lines.append(buf.hex())
+    return "\n".join(lines) + "\n"
+
+
+def hex_rows_oracle(text: str) -> tuple[int, ...]:
+    """The bit-by-bit hex decoder the byte-table one replaced; it reads only bits below n."""
+    lines = text.split()
+    n = int(lines[0])
+    rows = []
+    for u in range(n):
+        buf = bytes.fromhex(lines[u + 1])
+        row = 0
+        for v in range(n):
+            if (buf[v // 8] >> (7 - v % 8)) & 1:
+                row |= 1 << v
+        rows.append(row)
+    return tuple(rows)
+
+
+@st.composite
+def tournaments(draw, max_n: int = 40) -> Tournament:
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    rows = [0] * n
+    for k, (u, v) in enumerate(pairs):
+        if bits >> k & 1:
+            rows[u] |= 1 << v
+        else:
+            rows[v] |= 1 << u
+    return Tournament(n, tuple(rows))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(t=tournaments())
+@example(t=transitive_tournament(7)).via("byte boundary")
+@example(t=transitive_tournament(8)).via("byte boundary")
+@example(t=transitive_tournament(9)).via("byte boundary")
+@example(t=random_tournament(16, 1)).via("byte boundary")
+@example(t=random_tournament(17, 1)).via("byte boundary")
+def test_hex_and_json_round_trips_equal_the_bit_loop(t):
+    text = t.to_hex_text()
+    assert text == hex_text_oracle(t)
+    assert tournament_from_hex_text(text).rows == hex_rows_oracle(text) == t.rows
+    assert tournament_from_json(t.to_json()).rows == t.rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=tournaments(), pad=st.integers(1, 127))
+def test_hex_padding_bits_are_ignored_like_the_bit_loop(t, pad):
+    # the bits after vertex n-1 in a row's last byte are not read
+    spare = -t.n % 8
+    if not spare:
+        pad = 0
+    lines = t.to_hex_text().split()
+    lines[1:] = [row[:-2] + f"{int(row[-2:], 16) | (pad & ((1 << spare) - 1)):02x}" for row in lines[1:]]
+    text = "\n".join(lines) + "\n"
+    assert tournament_from_hex_text(text).rows == hex_rows_oracle(text) == t.rows
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["0000", "00"], "hex row 1 has 1 bytes, expected 2"),
+    (["0000", "000000"], "hex row 1 has 3 bytes, expected 2"),
+    (["", "0000"], "expected 9 hex rows, got 8"),
+])
+def test_hex_row_length_errors(rows, message):
+    t = random_tournament(9, 3)
+    lines = t.to_hex_text().split()
+    lines[1:3] = [r for r in rows if r]
+    with pytest.raises(InvalidTournamentError, match=f"^{message}$"):
+        tournament_from_hex_text("\n".join(lines))
 
 
 def test_tournament_degree_helpers():

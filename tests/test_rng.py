@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orient_boost import rng
-from orient_boost.rng import Stream, mix64, stream_for, stream_permutations
+from orient_boost.rng import Stream, mix64, stream_for, stream_permutations, stream_words
 
 
 def test_streams_are_deterministic_and_independent():
@@ -101,3 +101,11 @@ def test_draw_limits_are_the_scalar_rejection_thresholds(n):
     for m, limit in zip(range(n, 1, -1), limits):
         assert _Scripted([limit - 1]).below(m) == (limit - 1) % m
         assert _Scripted([limit, 5]).below(m) == 5 % m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(master=WIDE, index=WIDE, count=st.one_of(st.integers(0, 8), st.integers(9, 300),
+                                                 st.integers(rng._LANES - 2, 2 * rng._LANES + 3)))
+def test_packed_words_equal_the_stream_outputs(master, index, count):
+    stream = stream_for(master, index)
+    assert list(stream_words(master, index, count)) == [stream.next_u64() for _ in range(count)]

@@ -1,8 +1,12 @@
 import hashlib
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from orient_boost import sampling
 from orient_boost.designs import (
     Block,
     BlockKind,
@@ -13,9 +17,12 @@ from orient_boost.designs import (
     steiner_triple_system,
 )
 from orient_boost.errors import BudgetExceededError, InvalidTournamentError
+from orient_boost.orientations import Tournament
+from orient_boost.rng import Stream, stream_words
 from orient_boost.sampling import (
     BaseTournaments,
     SampleSeed,
+    SamplingPlan,
     circulant_regular_tournament,
     enumerate_support,
     quadratic_residue_tournament,
@@ -201,3 +208,109 @@ def test_enumerate_support_of_coin_blocks_is_pinned(coin_design6):
     assert outcomes[0][0].rows == (42, 20, 41, 18, 37, 10)
     assert _rows_digest(f"{' '.join(map(str, t.rows))} {w}" for t, w in outcomes) == (
         "4f860f9e6d53ea4d948bbf14c717909ec7d49dd6d0eb1fa86d405d30d0ff62ce")
+
+
+def _orient_block(block: Block, bases: BaseTournaments, stream: Stream, rows: list[int]) -> None:
+    """The per-pair block walk that ``sample`` made before its plan: the scalar oracle."""
+    vs = block.vertices
+    if block.kind in (BlockKind.KT, BlockKind.K2T1):
+        base = bases.of(block.kind)
+        sigma = stream.permutation(len(vs))
+        for a in range(len(vs)):
+            for b in range(a + 1, len(vs)):
+                if base.beats(sigma[a], sigma[b]):
+                    rows[vs[a]] |= 1 << vs[b]
+                else:
+                    rows[vs[b]] |= 1 << vs[a]
+    elif stream.coin():
+        for u, v in block.arcs():
+            rows[u] |= 1 << v
+    else:
+        for u, v in block.arcs():
+            rows[v] |= 1 << u
+
+
+def oracle_sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tournament:
+    stream = seed.stream()
+    rows = [0] * d.n
+    for block in d.blocks:
+        _orient_block(block, bases, stream, rows)
+    return Tournament(d.n, tuple(rows))
+
+
+_DESIGNS = {
+    "fano": lambda: steiner_triple_system(7),
+    "11-3": lambda: adjusted_decomposition(11, 3),
+    "25-5": lambda: adjusted_decomposition(25, 5),
+    "13-7": lambda: adjusted_decomposition(13, 7),
+    "even-12": lambda: extend_to_even(adjusted_decomposition(11, 3)),
+}
+
+
+@cache
+def _design(name: str) -> Decomposition:
+    return _DESIGNS[name]()
+
+
+SEEDS = st.integers(-(2 ** 70), 2 ** 70)
+
+
+@pytest.mark.parametrize("name", ["fano", "11-3", "25-5", "13-7", "even-12", "coin6"])
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(master=SEEDS, index=SEEDS)
+def test_planned_sample_equals_the_per_pair_walk(coin_design6, name, master, index):
+    d = coin_design6 if name == "coin6" else _design(name)
+    bases = BaseTournaments.circulant(d.t)
+    seed = SampleSeed(master, index)
+    assert sample(d, bases, seed).rows == oracle_sample(d, bases, seed).rows
+
+
+def test_a_packed_draw_at_its_limit_is_redrawn_from_a_scalar_stream(monkeypatch):
+    d, bases, seed = _design("11-3"), BaseTournaments.circulant(3), SampleSeed(3, 8)
+    plan = sampling.sampling_plan(d, bases)
+    words = stream_words(seed.master, seed.index, len(plan.mods))
+    limits = list(plan.limits)
+    limits[-1] = words[-1]  # the K2T1 block's last draw reaches its limit
+    monkeypatch.setattr(plan, "limits", tuple(limits))
+    assert plan.residues(seed) is None
+    scalar = []
+    monkeypatch.setattr(plan, "scalar_residues", lambda s: scalar.append(s) or SamplingPlan.scalar_residues(plan, s))
+    assert sample(d, bases, seed).rows == oracle_sample(d, bases, seed).rows
+    assert scalar == [seed]
+
+
+def test_scalar_residues_redraw_rejected_words_like_the_per_pair_walk(monkeypatch):
+    # a rejection zone of half the words below 2^64: the scalar stream redraws
+    # often, so later blocks read later words, and the walk must read the same
+    # ones; a coin (modulus 2^64) never rejects, as in Stream.coin
+    def below(self, n):
+        limit = 1 << 64 if n == 1 << 64 else 1 << 63
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    monkeypatch.setattr(Stream, "below", below)
+    d, bases = _design("even-12"), BaseTournaments.circulant(3)
+    plan = SamplingPlan(d, bases)
+    for index in range(20):
+        seed = SampleSeed(5, index)
+        assert plan.orient(plan.scalar_residues(seed)).rows == oracle_sample(d, bases, seed).rows
+
+
+def test_relabeling_memo_is_bounded():
+    small = SamplingPlan(_design("25-5"), BaseTournaments.circulant(5))
+    large = SamplingPlan(_design("13-7"), BaseTournaments.circulant(7))
+    for index in range(300):
+        for plan in (small, large):
+            plan.orient(plan.residues(SampleSeed(1, index)))
+    memos = {id(memo): memo for *_, memo, _ in small._complete}
+    assert len(memos) == 1 and 0 < len(*memos.values()) <= 120
+    assert [memo for *_, memo, _ in large._complete] == [None]
+
+
+def test_sampling_plan_is_built_once_per_pair():
+    d, bases = _design("fano"), BaseTournaments.circulant(3)
+    assert sampling.sampling_plan(d, bases) is sampling.sampling_plan(d, bases)
+    assert sampling.sampling_plan(d, bases).mods == (3, 2) * 7
