@@ -4,20 +4,24 @@ A labeled copy of a pattern H in a tournament T is a permutation of the
 vertex set mapping every directed edge of H onto an edge of T.  Under the
 block-randomized tournament of a decomposition, the success probability of a
 fixed permutation factors over blocks; this module computes that probability
-exactly (per-block closed forms for the common shapes, an embedding count,
-memoised per captured shape, for everything else), sums it over all
-permutations on tiny instances (``exact_copy_summary``, one pattern vertex
-orbit at a time), and estimates it
-by seeded Monte Carlo otherwise (``estimate_expected_copies``).  Both
+exactly (per-block closed forms for the common shapes, an injection count
+for every other complete-block capture, memoised per captured shape with the
+block's whole contribution), sums it over all permutations on tiny instances
+(``exact_copy_summary``, one pattern vertex orbit at a time), and estimates
+it by seeded Monte Carlo otherwise (``estimate_expected_copies``).  Both
 accumulate into one record of exact partial sums, ``_ExactSums``; the worker
 pool merges the records of its chunks with ``_ExactSums.merge``.  A Monte
 Carlo chunk takes its permutations from ``rng.stream_permutations``, the
 batched draw whose scalar oracle is ``stream_for(master, i).permutation(n)``.
 
-``count_embeddings`` is the one embedding counter, shared by
-``count_labeled_copies``, the complete-block fallbacks of ``CopyKernel`` and
-``bounds``; ``CopyKernel.ratio(pi, method="enumerate")`` lists injections
-instead and stays the independent oracle.  Hamilton cycles and paths are
+``count_embeddings`` is the embedding counter of ``count_labeled_copies``,
+``bounds`` and the large complete-block captures of ``CopyKernel``; a capture
+of m vertices in a block of size s with at most ``_TABLE_INJECTIONS``
+injections is counted instead as the popcount of an AND of per-arc bitsets
+over the injections (``_injection_table``, built once per kernel and
+(kind, m)): about 1.5 us a shape at t = 5, against 27 us by backtracking.
+``CopyKernel.ratio(pi, method="enumerate")`` lists injections instead and
+stays the independent oracle.  Hamilton cycles and paths are
 counted by ``_covering_walks``: inclusion-exclusion over vertex subsets, the
 subsets of up to 10 vertices packed as fixed-width lanes of one Python int
 per vertex, so a step is a few big-int adds and masks.  On a 2-vCPU host
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import combinations, islice, permutations
+from operator import itemgetter
 
 from .designs import BlockKind, Decomposition
 from .errors import BudgetExceededError
@@ -257,6 +262,51 @@ def count_hamilton_paths(t: Tournament, *, budget_n: int = 20) -> int:
 # per-permutation block statistics and success probability
 # ---------------------------------------------------------------------------
 
+# A complete-block capture of m vertices in a block of size s is counted from
+# the (kind, m) injection table while perm(s, m) is at most this, and by
+# count_embeddings above it.  Measured on 2 vCPUs, Python 3.11.7: a table of
+# perm(9, 5) = 15120 injections builds in about 6 ms, the time of about 20
+# backtracking counts of 0.3 ms, and one Monte Carlo chunk at t = 5 meets about
+# 240 distinct shapes; past 2^14 the build grows with perm(s, m) (33 ms at
+# perm(9, 6), 0.2 s at perm(9, 9)) while a backtracking count stays under 1 ms.
+_TABLE_INJECTIONS = 1 << 14
+
+
+def _injection_table(rows, m: int) -> list[int]:
+    """Arc bitsets of the injections of 0..m-1 into the tournament with bit rows ``rows``.
+
+    Entry a * m + b has bit i set when the i-th injection of
+    ``permutations(range(size), m)`` sends a -> b onto an edge, so the
+    injections that embed a shape are the AND of its arcs' entries.  With
+    ``at[a][x]`` the injections sending a to x, arc (a, b) is the union over
+    x of ``at[a][x]`` intersected with the injections sending b into the row
+    of x.  The sets united are disjoint, so they are summed.
+    """
+    size = len(rows)
+    digit = [bytes(48 + (v == x) for v in range(256)) for x in range(size)]  # "1" at byte x
+    at = []
+    for a in range(m):
+        # the column of a, injection 0 last, so that it lands on bit 0
+        column = bytes(map(itemgetter(a), permutations(range(size), m)))[::-1]
+        at.append([int(column.translate(digit[x]), 2) for x in range(size)])
+    table = [0] * (m * m)
+    for b in range(m):
+        into = [sum(at[b][y] for y in range(size) if rows[x] >> y & 1) for x in range(size)]
+        for a in range(m):
+            if a != b:
+                table[a * m + b] = sum(at[a][x] & into[x] for x in range(size))
+    return table
+
+
+def _table_count(table: list[int], edges, m: int) -> int:
+    """Injections that send every edge (a, b) onto an edge: the AND of the arcs' bitsets."""
+    (a, b), *rest = edges
+    hits = table[a * m + b]
+    for a, b in rest:
+        hits &= table[a * m + b]
+    return hits.bit_count()
+
+
 @dataclass(frozen=True)
 class CopyBlockStats:
     """Captures of a labeled copy inside single blocks.
@@ -286,14 +336,21 @@ class CopyKernel:
     """Per-permutation machinery for one (pattern, decomposition, bases) triple.
 
     One pass over the blocks a copy touches gives both the success ratio and
-    the capture statistics.  Single-edge blocks contribute nothing; the
-    closed-form factors are multiplied as integer numerators and
-    denominators; a complete block the closed forms do not cover is looked up
-    in a memo of probabilities, keyed by its base tournament, its size and its
-    captured edges relabelled by first appearance.  A miss counts embeddings
-    with ``count_embeddings``; both it and ``ratio(pi, method="enumerate")``
-    first check ``perm(size, m)`` against ``injection_budget``.  The memo
-    belongs to the instance, since callers may pass their own bases.
+    the capture statistics.  Single-edge blocks contribute nothing; an
+    induced pair in a size-t block is a closed-form factor, multiplied as an
+    integer numerator and denominator; a coin block is tested against its
+    arcs.  Every other complete-block capture is looked up in one memo, keyed
+    by the block's kind, its size and its captured edges relabelled by first
+    appearance, whose entry holds the block's whole contribution: numerator,
+    denominator, capture counts and whether the copy stays typical.  On a
+    miss a triangle in a size-t block takes its closed form; any other shape
+    of m vertices first checks ``perm(size, m)`` against
+    ``injection_budget`` (as ``ratio(pi, method="enumerate")`` does), then
+    counts its injections from the (kind, m) injection table while
+    ``perm(size, m) <= _TABLE_INJECTIONS``, and with ``count_embeddings``
+    above, which alone reaches the spanning K9 captures of (9,5).  The memo
+    and the tables belong to the instance, since callers may pass their own
+    bases; a pool worker keeps one kernel for all the chunks it scans.
     """
 
     def __init__(self, h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
@@ -312,10 +369,12 @@ class CopyKernel:
         self.e = len(self.h_edges)
         self.pair_block = d.pair_block_index()
         self.block_kind = [b.kind for b in d.blocks]
+        self.block_size = [len(b.vertices) for b in d.blocks]
         self._closed = capture_factors(d.t)
         # keyed in the order of h_edges, the order in which groups lists a block's edges
         self._pair_capture, self._triangle_capture = local_shapes(self.h_edges)
-        self._fallback_memo: dict[tuple, tuple[int, int]] = {}
+        self._memo: dict[tuple, tuple[int, int, tuple, bool]] = {}
+        self._tables: dict[tuple, list[int]] = {}
 
     # -- grouping ----------------------------------------------------------
 
@@ -340,52 +399,71 @@ class CopyKernel:
         caps = [0, 0, 0, 0]
         typical = True
         pair_capture = self._pair_capture
-        triangle_capture = self._triangle_capture
         block_kind = self.block_kind
+        memo = self._memo
         for bid, group in self.groups(pi).items():
             m = len(group)
             if m == 1:
                 continue
-            shape = None
-            if m == 2:
+            kind = block_kind[bid]
+            if kind is BlockKind.KT and m == 2:
+                # an induced pair, or two disjoint edges (factor 1)
                 shape = pair_capture.get((group[0], group[1]))
                 if shape is not None:
                     caps[shape] += 1
-            else:
-                for pair in combinations(group, 2):
-                    k = pair_capture.get(pair)
-                    if k is not None:
-                        caps[k] += 1
-                for tri in combinations(group, 3):
-                    k = triangle_capture.get(tri)
-                    if k is not None:
-                        caps[k] += 1
-                        shape = k
-            kind = block_kind[bid]
-            if kind is BlockKind.KT and (m == 2 or (m == 3 and shape is not None)):
-                # an induced pair, a triangle, or two disjoint edges (factor 1)
-                if shape is not None:
                     a, b = self._closed[shape]
                     num *= a
                     den *= b
                 continue
-            typical = False
             if kind is BlockKind.KT or kind is BlockKind.K2T1:
-                a, b = self._memo_factor(bid, group, pi)
+                key, verts = self._complete_shape(bid, group)
+                entry = memo.get(key)
+                if entry is None:
+                    entry = self._block_entry(bid, group, key, verts)
+                a, b, deltas, block_typical = entry
+                for k, x in deltas:
+                    caps[k] += x
+                typical = typical and block_typical
             else:
+                typical = False
+                for k in self._capture_shapes(group):
+                    caps[k] += 1
                 a, b = self._coin_hits(bid, group, pi) << (m - 1), 1
             num *= a
             den *= b
         return num, den, caps, typical
 
-    def _memo_factor(self, bid: int, group, pi) -> tuple[int, int]:
-        key, m = self._complete_shape(bid, group, pi)
-        factor = self._fallback_memo.get(key)
-        if factor is None:
+    def _capture_shapes(self, group) -> list[int]:
+        """[c, i, f, g] indices of the induced pairs and triangles among a group's edges."""
+        pair_capture = self._pair_capture
+        triangle_capture = self._triangle_capture
+        found = [pair_capture.get(pair) for pair in combinations(group, 2)]
+        found += [triangle_capture.get(tri) for tri in combinations(group, 3)]
+        return [k for k in found if k is not None]
+
+    def _block_entry(self, bid: int, group, key: tuple, m: int) -> tuple[int, int, tuple, bool]:
+        """Memo entry of a complete block's capture: (numerator, denominator,
+        ((capture index, count), ...), typical).  Every pattern edge between two
+        vertices the block holds lies in the block, so the captures are those
+        of the shape the key names."""
+        shapes = self._capture_shapes(group)
+        deltas = tuple((k, shapes.count(k)) for k in sorted(set(shapes)))
+        kind, _, mapped = key
+        if kind is BlockKind.KT and len(group) == 3 and shapes and shapes[0] >= 2:
+            # three edges forming one triangle, none of its pairs induced
+            entry = (*self._closed[shapes[0]], deltas, True)
+        else:
             rows, total = self._base_injections(bid, key, m)
-            hits = count_embeddings(key[2], m, rows)
-            factor = self._fallback_memo[key] = (hits << len(group), total)
-        return factor
+            if total <= _TABLE_INJECTIONS:
+                table = self._tables.get((kind, m))
+                if table is None:
+                    table = self._tables[kind, m] = _injection_table(rows, m)
+                hits = _table_count(table, mapped, m)
+            else:
+                hits = count_embeddings(mapped, m, rows)
+            entry = (hits << len(group), total, deltas, False)
+        self._memo[key] = entry
+        return entry
 
     def _check_size(self, pi) -> None:
         if len(pi) != self.n:
@@ -414,7 +492,7 @@ class CopyKernel:
         result = Fraction(1)
         for bid, group in self.groups(pi).items():
             if self.block_kind[bid] in (BlockKind.KT, BlockKind.K2T1):
-                hits, total = self._injection_hits(bid, *self._complete_shape(bid, group, pi))
+                hits, total = self._injection_hits(bid, *self._complete_shape(bid, group))
             else:
                 hits, total = self._coin_hits(bid, group, pi), 2
             result *= Fraction(hits, total) * (1 << len(group))
@@ -431,12 +509,24 @@ class CopyKernel:
         mapped = [(pi[u], pi[v]) for u, v in group]
         return all(e in arcs for e in mapped) + all((v, u) in arcs for u, v in mapped)
 
-    def _complete_shape(self, bid: int, group, pi) -> tuple[tuple, int]:
-        """Memo key (kind, block size, captured edges relabelled by first appearance) and vertex count."""
+    def _complete_shape(self, bid: int, group) -> tuple[tuple, int]:
+        """Memo key (kind, block size, captured edges relabelled by first appearance) and vertex count.
+
+        A copy maps the group's vertices injectively into the block, so
+        relabelling the pattern vertices by first appearance gives the same
+        edges as relabelling their images.
+        """
         seen: dict[int, int] = {}
-        mapped = tuple((seen.setdefault(pi[u], len(seen)), seen.setdefault(pi[v], len(seen)))
-                       for u, v in group)
-        return (self.block_kind[bid], len(self.d.blocks[bid].vertices), mapped), len(seen)
+        mapped = []
+        for u, v in group:
+            a = seen.get(u)
+            if a is None:
+                a = seen[u] = len(seen)
+            b = seen.get(v)
+            if b is None:
+                b = seen[v] = len(seen)
+            mapped.append((a, b))
+        return (self.block_kind[bid], self.block_size[bid], tuple(mapped)), len(seen)
 
     def _base_injections(self, bid: int, key: tuple, m: int) -> tuple[tuple[int, ...], int]:
         """(bit rows of the block's base, perm(size, m)); raises over ``injection_budget``."""
@@ -598,14 +688,32 @@ class EstimateReport:
     capture_stderrs: tuple[float, float, float, float]
 
 
-def _scan_chunk(h: Orientation, d: Decomposition, bases: BaseTournaments,
-                master: int, lo: int, hi: int) -> _ExactSums:
-    """The record of sample indices [lo, hi)."""
-    kernel = CopyKernel(h, d, bases)
+def _scan_kernel(kernel: CopyKernel, master: int, lo: int, hi: int) -> _ExactSums:
+    """The record of sample indices [lo, hi), scanned through ``kernel``."""
     acc = _ExactSums()
-    for pi in stream_permutations(master, lo, hi, h.n):
+    for pi in stream_permutations(master, lo, hi, kernel.n):
         acc.add(*kernel._terms(pi))
     return acc
+
+
+def _scan_chunk(h: Orientation, d: Decomposition, bases: BaseTournaments,
+                master: int, lo: int, hi: int) -> _ExactSums:
+    """The record of sample indices [lo, hi), through a new kernel."""
+    return _scan_kernel(CopyKernel(h, d, bases), master, lo, hi)
+
+
+# the kernel of a pool worker process, built once by _start_worker so that its
+# memo and injection tables serve every chunk the worker scans
+_worker_kernel: CopyKernel | None = None
+
+
+def _start_worker(h: Orientation, d: Decomposition, bases: BaseTournaments) -> None:
+    global _worker_kernel
+    _worker_kernel = CopyKernel(h, d, bases)
+
+
+def _scan_worker_chunk(master: int, lo: int, hi: int) -> _ExactSums:
+    return _scan_kernel(_worker_kernel, master, lo, hi)
 
 
 def _scan_samples(h, d, bases, samples: int, master: int, workers: int) -> _ExactSums:
@@ -615,8 +723,9 @@ def _scan_samples(h, d, bases, samples: int, master: int, workers: int) -> _Exac
     chunk = max(256, samples // (workers * 8))
     los = range(0, samples, chunk)
     his = [min(lo + chunk, samples) for lo in los]
-    with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
-        return reduce(_ExactSums.merge, pool.map(partial(_scan_chunk, h, d, bases, master), los, his))
+    with ProcessPoolExecutor(max_workers=min(workers, len(los)), initializer=_start_worker,
+                             initargs=(h, d, bases)) as pool:
+        return reduce(_ExactSums.merge, pool.map(partial(_scan_worker_chunk, master), los, his))
 
 
 def worker_count_from_env() -> int:

@@ -1,7 +1,8 @@
 import math
 import os
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,7 @@ from orient_boost.sampling import (
     SampleSeed,
     circulant_regular_tournament,
     enumerate_support,
+    quadratic_residue_tournament,
     sample,
 )
 
@@ -206,6 +208,60 @@ def test_count_embeddings_pins_hamilton_cycles_of_circulant9():
     assert count_embeddings(make_pattern("cycle", 9).edges, 9, t.rows) == 9 * count_hamilton_cycles(t) == 1998
 
 
+TABLE_BASES = {  # the regular bases of the kernel
+    "circulant3": circulant_regular_tournament(3),
+    "circulant5": circulant_regular_tournament(5),
+    "circulant7": circulant_regular_tournament(7),
+    "qr7": quadratic_residue_tournament(7),
+}
+# each regular base is isomorphic to its reverse, which would hide a table with every arc reversed
+TABLE_TOURNAMENTS = {**TABLE_BASES, "random6": random_tournament(6, 1)}
+
+
+@st.composite
+def shape_into_base(draw, bases=TABLE_BASES):
+    """(base name, an oriented shape on vertices 0..m-1 with at least one edge, m), m <= base size."""
+    name = draw(st.sampled_from(sorted(bases)))
+    m = draw(st.integers(2, bases[name].n))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(m), 2))), unique=True, min_size=1))
+    return name, [(u, v) if draw(st.booleans()) else (v, u) for u, v in pairs], m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=shape_into_base(TABLE_TOURNAMENTS))
+def test_injection_table_count_equals_count_embeddings(case):
+    # vertices on no edge occur, and m == size is the spanning case
+    name, edges, m = case
+    rows = TABLE_TOURNAMENTS[name].rows
+    table = counting._injection_table(rows, m)
+    assert counting._table_count(table, edges, m) == count_embeddings(edges, m, rows) \
+        == brute_embeddings(edges, m, rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=shape_into_base(), perm_seed=st.integers(0, 10 ** 6))
+def test_kernel_counts_alike_on_both_sides_of_the_table_cap(case, perm_seed):
+    """One complete block on the base: the capture is counted from a table at
+    a cap of perm(size, m) and by ``count_embeddings`` one below it."""
+    name, edges, _ = case
+    r = TABLE_BASES[name]
+    d = Decomposition(r.n, r.n, (Block(BlockKind.KT, tuple(range(r.n))),))
+    h = orientation_from_edges(r.n, edges)
+    bases = BaseTournaments(r, circulant_regular_tournament(2 * r.n - 1))
+    pi = stream_for(perm_seed, 0).permutation(r.n)
+    verts = len({x for e in edges for x in e})
+    total = math.perm(r.n, verts)
+    # one edge, two edges and a triangle are closed forms, counted by no injection
+    closed = len(edges) <= 2 or (len(edges) == 3 and verts == 3)
+    ratios = []
+    for cap in (total, total - 1):
+        with mock.patch.object(counting, "_TABLE_INJECTIONS", cap):
+            kernel = CopyKernel(h, d, bases)
+            ratios.append(kernel.ratio(pi))
+        assert bool(kernel._tables) == (cap == total and not closed)
+    assert ratios[0] == ratios[1] == kernel.ratio(pi, method="enumerate")
+
+
 @pytest.mark.parametrize("count", [count_hamilton_cycles, count_hamilton_paths], ids=["cycles", "paths"])
 def test_hamilton_dp_refuses_n21_before_allocating(monkeypatch, count):
     """budget_n=20 is the largest size measured: on a 2-vCPU host n = 20 takes
@@ -272,7 +328,6 @@ def reference_block_stats(pi, h, d):
                 else:
                     i += 1
         if len(group) >= 3:
-            from itertools import combinations
             for tri in combinations(group, 3):
                 verts = {x for e in tri for x in e}
                 if len(verts) != 3:
@@ -590,9 +645,20 @@ def test_auto_path_keeps_the_injection_budget():
     kernel = CopyKernel(h, d5, bases, injection_budget=math.perm(5, m) - 1)
     with pytest.raises(BudgetExceededError, match="block 0"):
         kernel.ratio(list(range(5)))
-    assert kernel._fallback_memo == {}
+    assert kernel._memo == {} and kernel._tables == {}  # refused before any entry or table
     kernel = CopyKernel(h, d5, bases, injection_budget=math.perm(5, m))  # the bound itself is allowed
     assert kernel.ratio(list(range(5))) == kernel.ratio(list(range(5)), method="enumerate")
+
+
+def test_spanning_k9_capture_counts_through_count_embeddings(monkeypatch):
+    # (9,5) is one K9 block, so a copy of C9 captures all 9 edges: perm(9, 9)
+    # injections are inside the budget but above the table cap
+    calls = []
+    monkeypatch.setattr(counting, "count_embeddings", lambda *args: calls.append(args) or 1998)
+    kernel = CopyKernel(make_pattern("cycle", 9), adjusted_decomposition(9, 5))
+    assert kernel.ratio(list(range(9))) == Fraction(1998 << 9, math.factorial(9))
+    assert len(calls) == 1 and kernel._tables == {}
+    assert math.factorial(9) > counting._TABLE_INJECTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +710,26 @@ def test_one_pass_equals_enumeration_and_reference(name, density, pattern_seed, 
         assert (stats.c, stats.i, stats.f, stats.g, stats.typical) == reference_block_stats(pi, h, d)
 
 
+PROPERTY_DESIGNS = {
+    "pg24": adjusted_decomposition(21, 5),
+    "adjusted11": adjusted_decomposition(11, 3),  # holds a K_(2t-1) block
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(PROPERTY_DESIGNS)), pattern_seed=st.integers(0, 10 ** 6),
+       perm_seed=st.integers(0, 10 ** 6))
+def test_two_regular_closed_forms_equal_enumeration_and_reference(name, pattern_seed, perm_seed):
+    d = PROPERTY_DESIGNS[name]
+    h = make_pattern("k_regular_random", d.n, k=2, seed=pattern_seed)
+    kernel = CopyKernel(h, d)
+    for index in range(4):
+        pi = stream_for(perm_seed, index).permutation(d.n)
+        assert kernel.ratio(pi) == kernel.ratio(pi, method="enumerate")
+        stats = kernel.block_stats(pi)
+        assert (stats.c, stats.i, stats.f, stats.g, stats.typical) == reference_block_stats(pi, h, d)
+
+
 def test_memo_key_separates_kt_and_k2t1_bases():
     # a K5 block and a K9 block (t=5) share vertex 8; edge blocks cover the rest
     big, small = tuple(range(9)), tuple(range(8, 13))
@@ -657,7 +743,8 @@ def test_memo_key_separates_kt_and_k2t1_bases():
     for pi in (into_big, into_small):
         assert kernel.ratio(pi) == kernel.ratio(pi, method="enumerate")
         factors.append(kernel.ratio(pi))
-    assert len(kernel._fallback_memo) == 2
+    assert len(kernel._memo) == 2
+    assert set(kernel._tables) == {(BlockKind.K2T1, 4), (BlockKind.KT, 4)}
     assert factors[0] != factors[1]  # one shape, two bases: a shared key would be wrong
 
 
@@ -665,11 +752,14 @@ def test_enumerate_never_touches_the_memo():
     kernel = CopyKernel(make_pattern("cycle", 11), adjusted_decomposition(11, 3))
     pis = [stream_for(3, index).permutation(11) for index in range(60)]
     oracle = [kernel.ratio(pi, method="enumerate") for pi in pis]
-    assert kernel._fallback_memo == {}
+    assert kernel._memo == {} and kernel._tables == {}
     assert [kernel.ratio(pi) for pi in pis] == oracle
-    assert kernel._fallback_memo
-    for key in kernel._fallback_memo:  # poison every entry; only "auto" may read them
-        kernel._fallback_memo[key] = (0, 1)  # success probability 0
+    assert kernel._memo and kernel._tables
+    # poison every entry and every table; only "auto" may read them
+    for key, (_, _, deltas, typical) in kernel._memo.items():
+        kernel._memo[key] = (0, 1, deltas, typical)  # success probability 0
+    for table in kernel._tables.values():
+        table[:] = [0] * len(table)
     assert [kernel.ratio(pi, method="enumerate") for pi in pis] == oracle
     assert [kernel.ratio(pi) for pi in pis] != oracle
 
