@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import InvalidOrientationError, InvalidTournamentError, RejectionBudgetError
@@ -365,9 +366,97 @@ def random_orientation(n: int, num_edges: int, seed: int) -> Orientation:
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
+# tournaments of _PACKED_MIN_N to _PACKED_MAX_N vertices are checked by one
+# packed transpose, whose layout takes O(W^2) bits, W < 2n; the rest by the
+# per-pair loop alone.  Below 16 vertices (at most 120 pairs) the loop is
+# kept: the packed path's first use in a new process costs about 60 us, which
+# a process that builds only its base tournaments never earns back
+_PACKED_MIN_N = 16
+_PACKED_MAX_N = 128
+# the columns v with bit j set, as the bits of one byte, for j = 1, 2, 4
+_HIGH_COLUMNS = {1: 0xAA, 2: 0xCC, 4: 0xF0}
+
+
+@lru_cache(maxsize=None)
+def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of the delta swaps that transpose a w x w bit matrix.
+
+    Bit v of row u sits at u * w + v.  The swap for j = w/2, ..., 1 exchanges
+    (u, v) with (u + j, v - j) for every row u with bit j clear and column v
+    with bit j set, a shift of j * (w - 1).  Each mask is built from repeated
+    bytes: a row lane of the selected columns, j such rows, j zero rows.
+    """
+    steps = []
+    j = w // 2
+    while j:
+        if j >= 8:
+            lane = (bytes(j // 8) + b"\xff" * (j // 8)) * (w // (2 * j))
+        else:
+            lane = bytes((_HIGH_COLUMNS[j],)) * (w // 8)
+        rows = (lane * j + bytes(w // 8 * j)) * (w // (2 * j))
+        steps.append((j * (w - 1), int.from_bytes(rows, "little")))
+        j //= 2
+    return tuple(steps)
+
+
+@lru_cache(maxsize=_PACKED_MAX_N + 1)
+def _transpose_layout(n: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """(row bytes, delta swaps, off-diagonal mask) of the packed check at n vertices.
+
+    Rows sit at a stride of W bits, the least power of two >= max(n, 8); the
+    mask has bits 0..n-1 of rows 0..n-1 set, bar the diagonal.
+    """
+    w = 1 << max(n - 1, 7).bit_length()
+    full = int.from_bytes(((1 << n) - 1).to_bytes(w // 8, "little") * n, "little")
+    diagonal = ((1 << n * (w + 1)) - 1) // ((1 << w + 1) - 1)
+    return w // 8, _swap_masks(w), full - diagonal
+
+
+def _packed_rows_ok(n: int, rows) -> bool:
+    """True when the rows pass the packed check: every pair oriented once, no self-edge.
+
+    The rows M, packed at a stride of W bits, and their transpose T must
+    satisfy M ^ T == the off-diagonal n x n mask and M & T == 0: the first
+    refuses a pair with no arc or two and a bit between n and W, the second
+    a self-edge.  A row outside [0, 2^W) reads False.  The caller keeps n
+    at most ``_PACKED_MAX_N``, which bounds the layout.
+    """
+    row_bytes, swaps, off = _transpose_layout(n)
+    try:
+        m = int.from_bytes(b"".join([row.to_bytes(row_bytes, "little") for row in rows]), "little")
+    except (AttributeError, OverflowError):
+        return False
+    t = m
+    for shift, mask in swaps:
+        x = ((t >> shift) ^ t) & mask
+        t ^= x ^ (x << shift)
+    return m ^ t == off and not m & t
+
+
+def _row_fault(n: int, rows) -> str | None:
+    """The first fault the per-pair loop finds in the rows, or None."""
+    for u in range(n):
+        if rows[u] >> n:
+            return f"row {u} has bits beyond n"
+        if (rows[u] >> u) & 1:
+            return f"self-edge at vertex {u}"
+    for u in range(n):
+        for v in range(u + 1, n):
+            if ((rows[u] >> v) & 1) == ((rows[v] >> u) & 1):
+                return f"pair {{{u},{v}}} not oriented exactly once"
+    return None
+
+
 @dataclass(frozen=True)
 class Tournament:
-    """Complete orientation, stored as bit rows: rows[u] bit v set iff u beats v."""
+    """Complete orientation, stored as bit rows: rows[u] bit v set iff u beats v.
+
+    Every pair is checked on construction.  From ``_PACKED_MIN_N`` to
+    ``_PACKED_MAX_N`` vertices one packed transpose accepts valid rows
+    (``_packed_rows_ok``); rows it refuses, and every smaller or larger
+    tournament, go through the per-pair loop (``_row_fault``), whose message
+    names the first bad row or pair.
+    """
 
     n: int
     rows: tuple[int, ...]
@@ -375,21 +464,16 @@ class Tournament:
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise InvalidTournamentError("row count does not match n")
-        for u in range(self.n):
-            if self.rows[u] >> self.n:
-                raise InvalidTournamentError(f"row {u} has bits beyond n")
-            if (self.rows[u] >> u) & 1:
-                raise InvalidTournamentError(f"self-edge at vertex {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if ((self.rows[u] >> v) & 1) == ((self.rows[v] >> u) & 1):
-                    raise InvalidTournamentError(f"pair {{{u},{v}}} not oriented exactly once")
+        if not (_PACKED_MIN_N <= self.n <= _PACKED_MAX_N and _packed_rows_ok(self.n, self.rows)):
+            fault = _row_fault(self.n, self.rows)
+            if fault is not None:
+                raise InvalidTournamentError(fault)
 
     def beats(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
     def out_degree(self, u: int) -> int:
-        return bin(self.rows[u]).count("1")
+        return self.rows[u].bit_count()
 
     def out_degrees(self) -> list[int]:
         return [self.out_degree(u) for u in range(self.n)]

@@ -199,9 +199,28 @@ class SamplingPlan:
 
 
 @lru_cache(maxsize=16)
-def sampling_plan(d: Decomposition, bases: BaseTournaments) -> SamplingPlan:
-    """The plan of this pair, built on its first draw and reused after."""
+def _cached_plan(d: Decomposition, bases: BaseTournaments) -> SamplingPlan:
     return SamplingPlan(d, bases)
+
+
+# (design, bases, plan) of the last ``sampling_plan`` call
+_last_plan: tuple = (None, None, None)
+
+
+def sampling_plan(d: Decomposition, bases: BaseTournaments) -> SamplingPlan:
+    """The plan of this pair, built on its first draw and reused after.
+
+    Plans are cached for the 16 pairs used last, so equal designs share one.
+    The cache hashes the whole design, every block of it (about 4 us at
+    (25, 5)), so the pair of the previous call is matched by identity first.
+    """
+    global _last_plan
+    last_d, last_bases, plan = _last_plan
+    if d is last_d and bases is last_bases:
+        return plan
+    plan = _cached_plan(d, bases)
+    _last_plan = d, bases, plan
+    return plan
 
 
 def sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tournament:

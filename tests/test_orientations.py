@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,11 @@ from hypothesis import strategies as st
 
 from orient_boost.errors import InvalidOrientationError, InvalidTournamentError
 from orient_boost.orientations import (
+    _PACKED_MAX_N,
+    _PACKED_MIN_N,
     Tournament,
+    _packed_rows_ok,
+    _transpose_layout,
     classify,
     consistency_check,
     local_shapes,
@@ -207,6 +212,96 @@ def test_tournament_rows_are_checked_without_an_n_bit_mask():
         Tournament(3, (0b110, 0b1100, 0b000))
     with pytest.raises(InvalidTournamentError, match="self-edge at vertex 0"):
         Tournament(3, (0b111, 0b100, 0b000))
+
+
+def tournament_check_oracle(n: int, rows) -> str | None:
+    """The per-pair loop that checked every Tournament before the packed transpose: its first fault, or None."""
+    if len(rows) != n:
+        return "row count does not match n"
+    for u in range(n):
+        if rows[u] >> n:
+            return f"row {u} has bits beyond n"
+        if (rows[u] >> u) & 1:
+            return f"self-edge at vertex {u}"
+    for u in range(n):
+        for v in range(u + 1, n):
+            if ((rows[u] >> v) & 1) == ((rows[v] >> u) & 1):
+                return f"pair {{{u},{v}}} not oriented exactly once"
+    return None
+
+
+def damaged_rows(n: int, seed: int, faults) -> tuple[int, ...]:
+    """The rows of ``random_tournament(n, seed)`` with each (kind, a, b) fault applied in turn."""
+    rows = list(random_tournament(n, seed).rows)
+    stride = 8
+    while stride < n:
+        stride *= 2
+    for kind, a, b in faults:
+        if kind == "count":
+            rows = rows[:-1] if a % 2 and rows else rows + [0]
+        elif rows:
+            u = b % len(rows)
+            if kind == "flip":
+                rows[u] ^= 1 << a % max(n, 1)
+            elif kind == "self":
+                rows[u] |= 1 << u
+            elif kind == "between" and stride > n:
+                rows[u] |= 1 << n + a % (stride - n)
+            elif kind == "past":
+                rows[u] |= 1 << stride + a % 64
+            elif kind == "negative":
+                rows[u] = ~rows[u]
+    return tuple(rows)
+
+
+FAULTS = st.tuples(st.sampled_from(["flip", "flip", "self", "between", "past", "negative", "count"]),
+                   st.integers(0, 1 << 16), st.integers(0, 1 << 16))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(n=st.integers(0, _PACKED_MAX_N + 2), seed=st.integers(0, 1 << 16), faults=st.lists(FAULTS, max_size=3))
+@example(n=0, seed=0, faults=[])
+@example(n=1, seed=0, faults=[("self", 0, 0)])
+@example(n=7, seed=1, faults=[("between", 0, 3)])
+@example(n=8, seed=1, faults=[("past", 0, 7)])
+@example(n=9, seed=1, faults=[("between", 6, 8)])
+@example(n=_PACKED_MIN_N - 1, seed=1, faults=[])
+@example(n=_PACKED_MIN_N, seed=1, faults=[])
+@example(n=17, seed=1, faults=[("negative", 0, 16)])
+@example(n=32, seed=1, faults=[])
+@example(n=33, seed=1, faults=[("flip", 32, 0)])
+@example(n=64, seed=1, faults=[])
+@example(n=65, seed=1, faults=[("count", 1, 0)])
+@example(n=_PACKED_MAX_N, seed=1, faults=[])
+@example(n=_PACKED_MAX_N, seed=1, faults=[("past", 0, _PACKED_MAX_N - 1)])
+@example(n=_PACKED_MAX_N + 1, seed=1, faults=[])
+@example(n=_PACKED_MAX_N + 1, seed=1, faults=[("flip", 5, 100)])
+def test_packed_check_accepts_and_refuses_as_the_per_pair_loop(n, seed, faults):
+    rows = damaged_rows(n, seed, faults)
+    expected = tournament_check_oracle(n, rows)
+    if expected is None:
+        assert Tournament(n, rows).rows == rows
+    else:
+        with pytest.raises(InvalidTournamentError) as err:
+            Tournament(n, rows)
+        assert str(err.value) == expected
+    if len(rows) == n <= _PACKED_MAX_N:
+        # the packed check alone accepts exactly the rows the loop accepts
+        assert _packed_rows_ok(n, rows) == (expected is None)
+
+
+def test_transpose_layouts_are_built_only_between_the_bounds():
+    small, big = random_tournament(_PACKED_MIN_N - 1, 1), random_tournament(_PACKED_MAX_N + 1, 1)
+    _transpose_layout.cache_clear()
+    started = time.perf_counter()
+    with pytest.raises(InvalidTournamentError, match=r"pair \{0,1\} not oriented exactly once"):
+        Tournament(200_000, (0,) * 200_000)
+    assert time.perf_counter() - started < 1.0
+    assert Tournament(small.n, small.rows) == small and Tournament(big.n, big.rows) == big
+    assert _transpose_layout.cache_info().currsize == 0
+    for n in (_PACKED_MIN_N, _PACKED_MAX_N):
+        Tournament(n, random_tournament(n, 1).rows)
+    assert _transpose_layout.cache_info().currsize == 2
 
 
 def test_tournament_serialization_round_trip():

@@ -314,3 +314,16 @@ def test_sampling_plan_is_built_once_per_pair():
     d, bases = _design("fano"), BaseTournaments.circulant(3)
     assert sampling.sampling_plan(d, bases) is sampling.sampling_plan(d, bases)
     assert sampling.sampling_plan(d, bases).mods == (3, 2) * 7
+
+
+def test_plans_are_matched_by_identity_then_by_equality():
+    d, bases = _design("fano"), BaseTournaments.circulant(3)
+    reversed_bases = BaseTournaments(Tournament(3, (0b100, 0b001, 0b010)), bases.rstar)
+    twin = Decomposition(d.n, d.t, tuple(d.blocks))
+    plan = sampling.sampling_plan(d, bases)
+    assert twin is not d and sampling.sampling_plan(twin, BaseTournaments.circulant(3)) is plan
+    seed = SampleSeed(1, 0)
+    for b in (reversed_bases, bases, reversed_bases):
+        assert sample(d, b, seed).rows == oracle_sample(d, b, seed).rows
+    assert sample(d, reversed_bases, seed).rows != sample(d, bases, seed).rows
+    assert sampling.sampling_plan(d, reversed_bases) is not plan
