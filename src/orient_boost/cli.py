@@ -99,9 +99,9 @@ def _load_tournament(path: str):
 
 
 def _pattern_from_args(args, seed: int) -> Orientation:
-    if getattr(args, "pattern_file", None):
+    if args.pattern_file:
         return _load_orientation(args.pattern_file, None)
-    return make_pattern(args.pattern, args.n, k=getattr(args, "k", None), seed=seed)
+    return make_pattern(args.pattern, args.n, k=args.k, seed=seed)
 
 
 def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
@@ -117,14 +117,17 @@ def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
 
 
 def _bases_from_args(args, t: int) -> sampling.BaseTournaments:
-    r = _load_tournament(args.base) if getattr(args, "base", None) else None
-    rstar = _load_tournament(args.base_star) if getattr(args, "base_star", None) else None
-    if r is None and rstar is None:
-        return sampling.BaseTournaments.circulant(t)
-    return sampling.BaseTournaments(
-        r if r is not None else sampling.circulant_regular_tournament(t),
-        rstar if rstar is not None else sampling.circulant_regular_tournament(2 * t - 1),
-    )
+    r = _load_tournament(args.base) if args.base else sampling.circulant_regular_tournament(t)
+    rstar = (_load_tournament(args.base_star) if args.base_star
+             else sampling.circulant_regular_tournament(2 * t - 1))
+    return sampling.BaseTournaments(r, rstar)
+
+
+def _run_inputs(args, seed: int) -> tuple[Orientation, designs.Decomposition, str, sampling.BaseTournaments]:
+    """The pattern, design, design label and bases of estimate, exact-expect and experiment."""
+    h = _pattern_from_args(args, seed)
+    d, design_label = _design_from_args(args, h.n)
+    return h, d, design_label, _bases_from_args(args, d.t)
 
 
 def _emit(obj: dict) -> None:
@@ -224,10 +227,10 @@ def _report_record(pattern_label: str, design_label: str, seed: int, rep) -> dic
 
 
 def _pattern_label(args) -> str:
-    if getattr(args, "pattern_file", None):
+    if args.pattern_file:
         return f"file:{os.path.basename(args.pattern_file)}"
     label = args.pattern
-    if getattr(args, "k", None):
+    if args.k:
         label += f"{args.k}"
     return label
 
@@ -235,9 +238,7 @@ def _pattern_label(args) -> str:
 def _cmd_estimate(args) -> int:
     workers = counting.worker_count_from_env()
     seed = _resolve_seed(args)
-    h = _pattern_from_args(args, seed)
-    d, design_label = _design_from_args(args, h.n)
-    bases = _bases_from_args(args, d.t)
+    h, d, design_label, bases = _run_inputs(args, seed)
     rep = counting.estimate_expected_copies(
         h, d, bases, samples=args.samples, master_seed=seed,
         workers=workers,
@@ -250,9 +251,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_exact_expect(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    h = _pattern_from_args(args, seed)
-    d, design_label = _design_from_args(args, h.n)
-    bases = _bases_from_args(args, d.t)
+    h, d, design_label, bases = _run_inputs(args, seed)
     summary = counting.exact_copy_summary(h, d, bases, budget_n=args.brute_budget)
     baseline = counting.baseline_expected_copies(h)
     _emit({
@@ -371,9 +370,7 @@ def _cmd_experiment(args) -> int:
         csv_path=args.output, sidecar_path=args.sidecar,
         node_budget=args.node_budget, brute_budget=args.brute_budget,
     )
-    h = _pattern_from_args(args, seed)
-    d, design_label = _design_from_args(args, h.n)
-    bases = _bases_from_args(args, d.t)
+    h, d, design_label, bases = _run_inputs(args, seed)
     baseline = counting.baseline_expected_copies(h)
 
     if args.exact:
@@ -415,20 +412,22 @@ def _cmd_experiment(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_pattern_args(p, *, with_file: bool = True) -> None:
+def _add_pattern_args(p) -> None:
     p.add_argument("--pattern", default="cycle",
                    choices=["cycle", "path", "matching", "k_regular_random"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="degree for k_regular_random")
-    if with_file:
-        p.add_argument("--pattern-file", default=None, help="orientation file overriding --pattern")
+    p.add_argument("--pattern-file", default=None, help="orientation file overriding --pattern")
 
 
 def _add_design_args(p) -> None:
+    """The design flags shared by sample, estimate, exact-expect and experiment."""
     p.add_argument("--design", default=None, help="decomposition JSON file")
     p.add_argument("--t", type=int, default=3, help="block size when building a design")
     p.add_argument("--base", default=None, help="regular tournament file for size-t blocks")
     p.add_argument("--base-star", default=None, help="regular tournament file for size-(2t-1) blocks")
+    p.add_argument("--seed", type=int, default=None)
+    _add_node_budget(p)
 
 
 def _positive_int(text: str) -> int:
@@ -476,10 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     _add_design_args(p)
     p.add_argument("--samples", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=["json", "hex"], default="json")
     p.add_argument("--output", default=None)
-    _add_node_budget(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("count", help="exact labeled-copy counts in a tournament file")
@@ -498,15 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_args(p)
     _add_design_args(p)
     p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    _add_node_budget(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("exact-expect", help="exact expected copies on tiny instances")
     _add_pattern_args(p)
     _add_design_args(p)
-    p.add_argument("--seed", type=int, default=None)
-    _add_node_budget(p)
     _add_brute_budget(p, default=9)
     p.set_defaults(func=_cmd_exact_expect)
 
@@ -529,10 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--exact", action="store_true")
     group.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--sidecar", default=None)
-    _add_node_budget(p)
     _add_brute_budget(p, default=10)
     p.set_defaults(func=_cmd_experiment)
 

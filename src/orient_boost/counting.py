@@ -633,19 +633,19 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     transposition (0 u), whose copies with pi(0) = 0 are the first (n-1)!
     permutations in lexicographic order.  The budget counts terms: (orbits) ·
     (n-1)! may not exceed budget_n!, so a cycle (one orbit) of n = budget_n + 1
-    is summed while a directed path (n orbits) of that size is refused.
+    is summed while a directed path (n orbits) of that size is refused.  As
+    there are at most n orbits, that bound holds whenever budget_n >= n, and
+    it is decided without computing budget_n!.
     """
     n = h.n
     # the cheap test first, so a huge n is refused before the orbit search
     orbits = vertex_orbits(h) if n - 1 <= budget_n else []
-    if n - 1 > budget_n or len(orbits) * math.factorial(n - 1) > math.factorial(budget_n):
+    if n - 1 > budget_n or (n - 1 == budget_n and len(orbits) > 1):
         raise BudgetExceededError(
             f"exact expectation at n={n} is over the budget of {budget_n}! terms; "
             f"it sums (n-1)! terms per vertex orbit of the pattern",
             size=n, budget=budget_n,
         )
-    if bases is None:
-        bases = BaseTournaments.circulant(d.t)
     acc = _ExactSums()
     for orbit in orbits:
         u = orbit[0]
@@ -696,18 +696,13 @@ def _scan_kernel(kernel: CopyKernel, master: int, lo: int, hi: int) -> _ExactSum
     return acc
 
 
-def _scan_chunk(h: Orientation, d: Decomposition, bases: BaseTournaments,
-                master: int, lo: int, hi: int) -> _ExactSums:
-    """The record of sample indices [lo, hi), through a new kernel."""
-    return _scan_kernel(CopyKernel(h, d, bases), master, lo, hi)
-
-
 # the kernel of a pool worker process, built once by _start_worker so that its
-# memo and injection tables serve every chunk the worker scans
+# memo and injection tables serve every chunk the worker scans; bases of None
+# reach the worker as they are, and its kernel builds the circulant pair there
 _worker_kernel: CopyKernel | None = None
 
 
-def _start_worker(h: Orientation, d: Decomposition, bases: BaseTournaments) -> None:
+def _start_worker(h: Orientation, d: Decomposition, bases: BaseTournaments | None) -> None:
     global _worker_kernel
     _worker_kernel = CopyKernel(h, d, bases)
 
@@ -719,7 +714,7 @@ def _scan_worker_chunk(master: int, lo: int, hi: int) -> _ExactSums:
 def _scan_samples(h, d, bases, samples: int, master: int, workers: int) -> _ExactSums:
     """The record of sample indices [0, samples): one chunk, or pool chunks merged in span order."""
     if workers <= 1 or samples < 2:
-        return _scan_chunk(h, d, bases, master, 0, samples)
+        return _scan_kernel(CopyKernel(h, d, bases), master, 0, samples)
     chunk = max(256, samples // (workers * 8))
     los = range(0, samples, chunk)
     his = [min(lo + chunk, samples) for lo in los]
@@ -760,12 +755,10 @@ def estimate_expected_copies(h: Orientation, d: Decomposition, bases: BaseTourna
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if bases is None:
-        bases = BaseTournaments.circulant(d.t)
     r_sum, r_sq, typical, s, sq = _scan_samples(h, d, bases, samples, master_seed, workers).totals()
     e = h.edge_count
     n = h.n
-    baseline = Fraction(math.factorial(n), 1 << e)
+    baseline = baseline_expected_copies(h)
     ratio, stderr = _mean_stderr(r_sum, r_sq, samples)
     baseline_log2 = log2_fraction(baseline)
     captures = [_mean_stderr(Fraction(s[k]), Fraction(sq[k]), samples) for k in range(4)]

@@ -181,12 +181,13 @@ def validate(d: Decomposition) -> ValidationReport:
     if big_count > t - 1:
         failures.append(f"{big_count} K_(2t-1) blocks exceed the budget t-1 = {t - 1}")
 
-    degree = [0] * n
+    # keyed by the leftover blocks' vertices only, so a huge n allocates nothing
+    degree: dict[int, int] = {}
     for block in leftover:
         for u, v in block.edges():
-            degree[u] += 1
-            degree[v] += 1
-    worst = max(degree) if degree else 0
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+    worst = max(degree.values(), default=0)
     if worst > 3 * t - 5:
         failures.append(f"leftover graph has max degree {worst} > 3t-5 = {3 * t - 5}")
 

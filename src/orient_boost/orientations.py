@@ -490,9 +490,6 @@ class Tournament:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(self.n) if (self.rows[u] >> v) & 1]
 
-    def to_orientation(self) -> Orientation:
-        return Orientation(self.n, frozenset(self.edges()))
-
     def to_json_obj(self) -> dict:
         return {"n": self.n, "edges": self.edges()}
 

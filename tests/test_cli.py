@@ -443,3 +443,86 @@ def test_sample_validates_its_design_file(capsys, tmp_path):
     obj = json.loads(err)
     assert obj["error"] == "OrientBoostError"
     assert obj["message"].startswith("design file invalid: pair") and "covered 2 times" in obj["message"]
+
+
+@pytest.fixture
+def huge_design(tmp_path):
+    # an empty design on 10^12 vertices; its leftover degrees must not be kept per vertex
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000000, "t": 3, "blocks": []}')
+    return str(path)
+
+
+def test_validate_reports_a_huge_empty_design_at_once(capsys, huge_design):
+    code, out, _ = run(capsys, "validate", "--input", huge_design)
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["valid"] is False and obj["failures"][0] == "pair (0,1) never covered"
+
+
+def test_sample_refuses_a_huge_empty_design(capsys, huge_design):
+    code, out, err = run(capsys, "sample", "--design", huge_design, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["message"] == "design file invalid: pair (0,1) never covered"
+
+
+# Golden pins: sha256 of what the run commands print or write, recorded before
+# they loaded their inputs through one shared path.  Sidecars are hashed with
+# their two path fields dropped, since those name the test's temp directory.
+GOLDEN_RUNS = {
+    ("estimate", "--pattern", "cycle", "--n", "21", "--t", "5", "--samples", "2000", "--seed", "3"):
+        "9198b6a3c645ff7aeb833f6cdb35fc0b033f267792dc19c6361aeec3159fa9ce",
+    ("estimate", "--pattern", "k_regular_random", "--k", "2", "--n", "22", "--t", "5",
+     "--samples", "600", "--seed", "4"):
+        "4a5fbbe5dc2851bd49e6acf5315bd2d7aa292c14faa3493d31972da09d3804f2",
+    ("exact-expect", "--pattern", "cycle", "--n", "7", "--t", "3"):
+        "7ba626719e344bb260a16605d8b3fea871003d3cab2920503cfea440e1dbc619",
+    ("exact-expect", "--pattern", "path", "--n", "8", "--t", "3", "--seed", "2"):
+        "c7dadd65e6f35e710358d9be0911ee9642d5b8323e2d0c2933735a19eed9546c",
+}
+
+GOLDEN_EXPERIMENTS = [
+    (("--pattern", "cycle", "--n", "9", "--t", "3", "--samples", "800", "--seed", "33"),
+     "d43df0c716d7202652435c49ec8a16764be1c28ea94b0c3e72ffc2b5a19cc98d",
+     "a3d6ef508f56288819536d64497bf0ab431c51322af0ba4ff5df9f33db541583"),
+    (("--pattern", "path", "--n", "8", "--t", "3", "--exact", "--seed", "1"),
+     "a0b2b4d4d04cc00e453abbc5a568cc21471088207c4d33c1fb5bfaf19911c0de",
+     "b921eac8888661bd92854a9845e620ee44d46b8f98d948f210396497fc0f373b"),
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_RUNS))
+def test_run_command_stdout_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert _sha256(out) == GOLDEN_RUNS[argv]
+
+
+@pytest.mark.parametrize("argv,csv_digest,sidecar_digest", GOLDEN_EXPERIMENTS)
+def test_experiment_files_are_pinned(capsys, tmp_path, argv, csv_digest, sidecar_digest):
+    csv_path = tmp_path / "exp.csv"
+    code, _, _ = run(capsys, "experiment", *argv, "--output", str(csv_path))
+    assert code == 0
+    assert _sha256(csv_path.read_text()) == csv_digest
+    sidecar = json.loads((tmp_path / "exp.json").read_text())
+    del sidecar["config"]["csv_path"], sidecar["config"]["sidecar_path"]
+    assert _sha256(json.dumps(sidecar, indent=2, sort_keys=True) + "\n") == sidecar_digest
+
+
+@pytest.mark.parametrize("method,digest", [
+    ("dp", "d5a27ebf9b168d49f413e4b460148b4c4c5c56d27f7d7137f56ebac8b21028e9"),
+    ("brute", "d5ad88cd80c75b8225d1e92c7925ee81fb1323cdf7d5075d2aa852673e034bc9"),
+])
+def test_count_stdout_is_pinned(capsys, tmp_path, method, digest):
+    path = tmp_path / "t8.json"
+    code, _, _ = run(capsys, "sample", "--n", "8", "--t", "3", "--seed", "2", "--output", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "count", "--pattern", "cycle", "--n", "8", "--tournament", str(path),
+                       "--method", method)
+    assert code == 0
+    assert _sha256(out) == digest

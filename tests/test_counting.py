@@ -1,5 +1,6 @@
 import math
 import os
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
@@ -13,7 +14,7 @@ from orient_boost.counting import (
     CopyKernel,
     ExactSummary,
     _ExactSums,
-    _scan_chunk,
+    _scan_kernel,
     _scan_samples,
     baseline_expected_copies,
     count_embeddings,
@@ -448,6 +449,34 @@ def test_exact_expectation_budget_refuses_huge_n_before_the_orbit_search(monkeyp
     assert (err.value.size, err.value.budget) == (11, 9)
 
 
+def test_exact_expectation_budget_far_above_n_is_decided_at_once():
+    # budget_n! itself is never computed; 3·10^9! would take longer than any run
+    c7, fano = make_pattern("cycle", 7), steiner_triple_system(7)
+    start = time.perf_counter()
+    summary = exact_copy_summary(c7, fano, budget_n=3 * 10**9)
+    assert time.perf_counter() - start < 5
+    assert summary == exact_copy_summary(c7, fano)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_exact_expectation_budget_decisions_match_the_term_count(n):
+    # the term count (orbits) · (n-1)! against budget_n!, computed as written, is the oracle here
+    d = adjusted_decomposition(n, 3)
+    patterns = [make_pattern("cycle", n), make_pattern("path", n),
+                make_pattern("k_regular_random", n, k=2, seed=1)]
+    patterns += [make_pattern("matching", n)] if n % 2 == 0 else []
+    for h in patterns:
+        terms = len(vertex_orbits(h)) * math.factorial(n - 1)
+        for budget in range(n - 3, n + 2):
+            if terms > math.factorial(budget):
+                with pytest.raises(BudgetExceededError, match=(
+                        rf"^exact expectation at n={n} is over the budget of {budget}! terms; "
+                        r"it sums \(n-1\)! terms per vertex orbit of the pattern$")):
+                    exact_copy_summary(h, d, budget_n=budget)
+            else:
+                assert exact_copy_summary(h, d, budget_n=budget) == exact_copy_summary(h, d)
+
+
 def test_exact_matches_support_average_for_path():
     fano = steiner_triple_system(7)
     bases = BaseTournaments.circulant(3)
@@ -666,7 +695,7 @@ def test_spanning_k9_capture_counts_through_count_embeddings(monkeypatch):
 # ---------------------------------------------------------------------------
 
 GOLDEN_SCANS = {
-    # (master seed 7, sample indices [0, 300)) -> exact partial sums of _scan_chunk
+    # (master seed 7, sample indices [0, 300)) -> exact partial sums of _scan_kernel
     "cycle21-pg24": (
         Fraction(1790377, 2187), Fraction(12670119367, 4782969), 124,
         [984, 0, 0, 0], [3882, 0, 0, 0]),
@@ -686,7 +715,7 @@ def test_scan_partial_sums_are_golden(name):
         d = adjusted_decomposition(21, 5)
         h = make_pattern("cycle", 21) if name == "cycle21-pg24" else \
             make_pattern("k_regular_random", 21, k=2, seed=7)
-    assert _scan_chunk(h, d, BaseTournaments.circulant(d.t), 7, 0, 300).totals() == GOLDEN_SCANS[name]
+    assert _scan_kernel(CopyKernel(h, d, BaseTournaments.circulant(d.t)), 7, 0, 300).totals() == GOLDEN_SCANS[name]
 
 
 DIFFERENTIAL_DESIGNS = {
@@ -880,11 +909,11 @@ def test_merged_chunk_records_equal_one_scan(data, name, n_samples, pattern_seed
     bases = BaseTournaments.circulant(d.t)
     cuts = data.draw(st.lists(st.integers(1, n_samples - 1), unique=True, max_size=6)) if n_samples > 1 else []
     bounds = [0, *sorted(cuts), n_samples]
-    chunks = [_scan_chunk(h, d, bases, master, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    chunks = [_scan_kernel(CopyKernel(h, d, bases), master, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     merged = _ExactSums()
     for chunk in data.draw(st.permutations(chunks)):
         assert merged.merge(chunk) is merged
-    whole = _scan_chunk(h, d, bases, master, 0, n_samples)
+    whole = _scan_kernel(CopyKernel(h, d, bases), master, 0, n_samples)
     assert vars(merged) == vars(whole)
     assert merged.totals() == whole.totals()
 
@@ -898,6 +927,14 @@ def test_pool_and_serial_scans_give_one_record():
     pooled = _scan_samples(h, d, bases, 600, 11, 2)
     assert type(serial) is type(pooled) is _ExactSums
     assert vars(serial) == vars(pooled)
+
+
+def test_pool_workers_build_the_default_bases_themselves():
+    # bases of None reach each worker, whose kernel builds the circulant pair
+    d = extend_to_even(steiner_triple_system(7))
+    h = random_orientation(8, 12, seed=5)
+    serial = _scan_samples(h, d, BaseTournaments.circulant(3), 600, 11, 1)
+    assert vars(_scan_samples(h, d, None, 600, 11, 2)) == vars(serial)
 
 
 # ---------------------------------------------------------------------------
