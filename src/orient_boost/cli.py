@@ -21,8 +21,7 @@ from . import bounds, counting, designs, reports, sampling
 from .errors import OrientBoostError
 from .orientations import (
     Orientation,
-    _packed_rows_ok,
-    _row_fault,
+    Tournament,
     as_fraction,
     classify,
     make_pattern,
@@ -346,14 +345,13 @@ def _cmd_verify(args) -> int:
     ok = all(sampling.sample(fano, bases, sampling.SampleSeed(5, i)).is_regular() for i in range(100))
     check("sampled tournaments are regular (100 seeds)", ok)
 
-    def checks_agree(n: int, rows) -> bool:
-        return _packed_rows_ok(n, rows) == (_row_fault(n, rows) is None)
-
-    t7 = random_tournament(7, 1)
-    flips = [t7.rows[:u] + (t7.rows[u] ^ 1 << v,) + t7.rows[u + 1:] for u in range(7) for v in range(8)]
-    check("packed and per-pair tournament checks agree on seeded n = 7, 25, 81 and every bit flip at n = 7",
-          all(checks_agree(t.n, t.rows) for t in (t7, random_tournament(25, 1), random_tournament(81, 1)))
-          and all(checks_agree(7, rows) for rows in flips))
+    ok = True
+    for d in (fano, designs.adjusted_decomposition(12, 3), designs.adjusted_decomposition(13, 7)):
+        d_bases = sampling.BaseTournaments.circulant(d.t)
+        for i in range(100):
+            t = sampling.sample(d, d_bases, sampling.SampleSeed(5, i))
+            ok = ok and Tournament(t.n, t.rows) == t
+    check("sampled tournaments pass the per-pair check on 100 seeds each (Fano, (12,3), (13,7))", ok)
 
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0

@@ -44,7 +44,7 @@ from functools import lru_cache, partial, reduce
 from itertools import combinations, islice, permutations
 from operator import itemgetter
 
-from .designs import BlockKind, Decomposition
+from .designs import BlockKind, Decomposition, require_partition
 from .errors import BudgetExceededError
 from .orientations import Orientation, Tournament, local_shapes, vertex_orbits
 from .rng import stream_permutations
@@ -350,7 +350,9 @@ class CopyKernel:
     ``perm(size, m) <= _TABLE_INJECTIONS``, and with ``count_embeddings``
     above, which alone reaches the spanning K9 captures of (9,5).  The memo
     and the tables belong to the instance, since callers may pass their own
-    bases; a pool worker keeps one kernel for all the chunks it scans.
+    bases; a pool worker keeps one kernel for all the chunks it scans.  A
+    design whose blocks do not partition the pairs of K_n is refused with
+    InvalidDecompositionError before any term.
     """
 
     def __init__(self, h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
@@ -362,6 +364,7 @@ class CopyKernel:
         self.bases = bases if bases is not None else BaseTournaments.circulant(d.t)
         if self.bases.r.n != d.t:
             raise ValueError(f"base tournament size {self.bases.r.n} does not match t={d.t}")
+        require_partition(d)
         self.injection_budget = injection_budget
         self.n = h.n
         self.t = d.t

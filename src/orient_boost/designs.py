@@ -112,8 +112,14 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
-def validate(d: Decomposition) -> ValidationReport:
-    """Check edge-partition exactness, block budgets, and leftover degree."""
+def partition_failures(d: Decomposition) -> list[str]:
+    """Why the blocks of d do not partition the pairs of K_n into blocks of their kinds, or [].
+
+    First t, then each block: its size (t for KT, 2t-1 for K2T1, fixed for
+    the rest), repeated vertices and vertices outside 0..n-1.  Only when all
+    of these hold is the cover checked, every pair in exactly one block.
+    Every draw of the sampler is a tournament exactly when this is empty.
+    """
     failures: list[str] = []
     n, t = d.n, d.t
 
@@ -130,7 +136,7 @@ def validate(d: Decomposition) -> ValidationReport:
         if any(not 0 <= v < n for v in vs):
             failures.append(f"block {b} has a vertex outside 0..{n - 1}")
     if failures:
-        return ValidationReport(False, tuple(failures))
+        return failures
 
     cover: dict[tuple[int, int], int] = {}
     for block in d.blocks:
@@ -149,6 +155,23 @@ def validate(d: Decomposition) -> ValidationReport:
             else:
                 continue
             break
+    return failures
+
+
+def require_partition(d: Decomposition) -> None:
+    """Raise InvalidDecompositionError with the first of ``partition_failures(d)``, if any."""
+    failures = partition_failures(d)
+    if failures:
+        raise InvalidDecompositionError(f"blocks do not partition the pairs of K_{d.n}: {failures[0]}")
+
+
+def validate(d: Decomposition) -> ValidationReport:
+    """Check edge-partition exactness, block budgets, and leftover degree."""
+    n, t = d.n, d.t
+    failures = partition_failures(d)
+    if failures and not failures[0].startswith("pair "):
+        # t or a block is malformed, and the cover was never checked
+        return ValidationReport(False, tuple(failures))
 
     leftover = [b for b in d.blocks if b.kind not in (BlockKind.KT, BlockKind.STARPATH, BlockKind.EDGE)]
     starpaths = [b for b in d.blocks if b.kind == BlockKind.STARPATH]

@@ -8,9 +8,9 @@ values here are immutable, so they can be shared freely across threads.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import InvalidOrientationError, InvalidTournamentError, RejectionBudgetError
@@ -120,13 +120,21 @@ class OrientationStats:
     maxdeg: int
 
 
+def _endpoint_degrees(h: Orientation) -> tuple[Counter, Counter, set[int]]:
+    """Out- and in-degrees of the vertices on an edge, and those vertices.
+
+    Every other vertex has degree 0, so nothing is allocated per vertex of n.
+    """
+    dout = Counter(u for u, _ in h.edges)
+    din = Counter(v for _, v in h.edges)
+    return dout, din, dout.keys() | din.keys()
+
+
 def stats(h: Orientation) -> OrientationStats:
-    n = h.n
-    dout = h.out_degrees()
-    din = h.in_degrees()
-    plus = sum(dout[v] * din[v] for v in range(n))
-    minus = sum(dout[v] * (dout[v] - 1) // 2 + din[v] * (din[v] - 1) // 2 for v in range(n))
-    maxdeg = max(dout[v] + din[v] for v in range(n))
+    dout, din, ends = _endpoint_degrees(h)
+    plus = sum(dout[v] * din[v] for v in ends)
+    minus = sum(k * (k - 1) // 2 for k in (*dout.values(), *din.values()))
+    maxdeg = max((dout[v] + din[v] for v in ends), default=0)
     pairs, triangles = local_shapes(sorted(h.edges))
     counts = [0, 0, 0, 0]
     for k in (*pairs.values(), *triangles.values()):
@@ -173,20 +181,18 @@ class OrientationFlags:
 
 
 def classify(h: Orientation) -> OrientationFlags:
-    dout = h.out_degrees()
-    din = h.in_degrees()
-    even = all(dout[v] == din[v] for v in range(h.n))
-    balanced = all(abs(dout[v] - din[v]) <= 1 for v in range(h.n))
-    k_regular = None
-    if even and len(set(dout)) == 1:
-        k_regular = dout[0]
-    eulerian = even and _connected(h)
+    dout, din, ends = _endpoint_degrees(h)
+    even = all(dout[v] == din[v] for v in ends)
+    balanced = all(abs(dout[v] - din[v]) <= 1 for v in ends)
+    # an isolated vertex has out-degree 0 and leaves the pattern disconnected
+    isolated = len(ends) < h.n
+    out_degrees = {dout[v] for v in ends} | ({0} if isolated else set())
+    k_regular = out_degrees.pop() if even and len(out_degrees) == 1 else None
+    eulerian = even and (h.n == 1 or not isolated and _connected(h))
     return OrientationFlags(even, eulerian, balanced, k_regular)
 
 
 def _connected(h: Orientation) -> bool:
-    if h.n == 1:
-        return True
     adj = h.underlying_adjacency()
     seen = {0}
     frontier = [0]
@@ -366,108 +372,32 @@ def random_orientation(n: int, num_edges: int, seed: int) -> Orientation:
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-# tournaments of _PACKED_MIN_N to _PACKED_MAX_N vertices are checked by one
-# packed transpose, whose layout takes O(W^2) bits, W < 2n; the rest by the
-# per-pair loop alone.  Below 16 vertices (at most 120 pairs) the loop is
-# kept: the packed path's first use in a new process costs about 60 us, which
-# a process that builds only its base tournaments never earns back
-_PACKED_MIN_N = 16
-_PACKED_MAX_N = 128
-# the columns v with bit j set, as the bits of one byte, for j = 1, 2, 4
-_HIGH_COLUMNS = {1: 0xAA, 2: 0xCC, 4: 0xF0}
-
-
-@lru_cache(maxsize=None)
-def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) of the delta swaps that transpose a w x w bit matrix.
-
-    Bit v of row u sits at u * w + v.  The swap for j = w/2, ..., 1 exchanges
-    (u, v) with (u + j, v - j) for every row u with bit j clear and column v
-    with bit j set, a shift of j * (w - 1).  Each mask is built from repeated
-    bytes: a row lane of the selected columns, j such rows, j zero rows.
-    """
-    steps = []
-    j = w // 2
-    while j:
-        if j >= 8:
-            lane = (bytes(j // 8) + b"\xff" * (j // 8)) * (w // (2 * j))
-        else:
-            lane = bytes((_HIGH_COLUMNS[j],)) * (w // 8)
-        rows = (lane * j + bytes(w // 8 * j)) * (w // (2 * j))
-        steps.append((j * (w - 1), int.from_bytes(rows, "little")))
-        j //= 2
-    return tuple(steps)
-
-
-@lru_cache(maxsize=_PACKED_MAX_N + 1)
-def _transpose_layout(n: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
-    """(row bytes, delta swaps, off-diagonal mask) of the packed check at n vertices.
-
-    Rows sit at a stride of W bits, the least power of two >= max(n, 8); the
-    mask has bits 0..n-1 of rows 0..n-1 set, bar the diagonal.
-    """
-    w = 1 << max(n - 1, 7).bit_length()
-    full = int.from_bytes(((1 << n) - 1).to_bytes(w // 8, "little") * n, "little")
-    diagonal = ((1 << n * (w + 1)) - 1) // ((1 << w + 1) - 1)
-    return w // 8, _swap_masks(w), full - diagonal
-
-
-def _packed_rows_ok(n: int, rows) -> bool:
-    """True when the rows pass the packed check: every pair oriented once, no self-edge.
-
-    The rows M, packed at a stride of W bits, and their transpose T must
-    satisfy M ^ T == the off-diagonal n x n mask and M & T == 0: the first
-    refuses a pair with no arc or two and a bit between n and W, the second
-    a self-edge.  A row outside [0, 2^W) reads False.  The caller keeps n
-    at most ``_PACKED_MAX_N``, which bounds the layout.
-    """
-    row_bytes, swaps, off = _transpose_layout(n)
-    try:
-        m = int.from_bytes(b"".join([row.to_bytes(row_bytes, "little") for row in rows]), "little")
-    except (AttributeError, OverflowError):
-        return False
-    t = m
-    for shift, mask in swaps:
-        x = ((t >> shift) ^ t) & mask
-        t ^= x ^ (x << shift)
-    return m ^ t == off and not m & t
-
-
-def _row_fault(n: int, rows) -> str | None:
-    """The first fault the per-pair loop finds in the rows, or None."""
-    for u in range(n):
-        if rows[u] >> n:
-            return f"row {u} has bits beyond n"
-        if (rows[u] >> u) & 1:
-            return f"self-edge at vertex {u}"
-    for u in range(n):
-        for v in range(u + 1, n):
-            if ((rows[u] >> v) & 1) == ((rows[v] >> u) & 1):
-                return f"pair {{{u},{v}}} not oriented exactly once"
-    return None
-
-
 @dataclass(frozen=True)
 class Tournament:
     """Complete orientation, stored as bit rows: rows[u] bit v set iff u beats v.
 
-    Every pair is checked on construction.  From ``_PACKED_MIN_N`` to
-    ``_PACKED_MAX_N`` vertices one packed transpose accepts valid rows
-    (``_packed_rows_ok``); rows it refuses, and every smaller or larger
-    tournament, go through the per-pair loop (``_row_fault``), whose message
-    names the first bad row or pair.
+    Every pair is checked on construction, and the message names the first
+    bad row or pair.  Only the sampler's draws skip the check
+    (``_unchecked_tournament``): their design was checked once to partition
+    the pairs.
     """
 
     n: int
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.rows) != self.n:
+        n, rows = self.n, self.rows
+        if len(rows) != n:
             raise InvalidTournamentError("row count does not match n")
-        if not (_PACKED_MIN_N <= self.n <= _PACKED_MAX_N and _packed_rows_ok(self.n, self.rows)):
-            fault = _row_fault(self.n, self.rows)
-            if fault is not None:
-                raise InvalidTournamentError(fault)
+        for u in range(n):
+            if rows[u] >> n:
+                raise InvalidTournamentError(f"row {u} has bits beyond n")
+            if (rows[u] >> u) & 1:
+                raise InvalidTournamentError(f"self-edge at vertex {u}")
+        for u in range(n):
+            for v in range(u + 1, n):
+                if ((rows[u] >> v) & 1) == ((rows[v] >> u) & 1):
+                    raise InvalidTournamentError(f"pair {{{u},{v}}} not oriented exactly once")
 
     def beats(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -506,6 +436,20 @@ class Tournament:
         lines = [str(self.n)]
         lines += [row.to_bytes(nbytes, "little").translate(_REVERSED_BITS).hex() for row in self.rows]
         return "\n".join(lines) + "\n"
+
+
+def _unchecked_tournament(n: int, rows: tuple[int, ...]) -> Tournament:
+    """A Tournament of these rows, built without the per-pair check.
+
+    Precondition: the rows orient every pair of 0..n-1 exactly once.
+    ``SamplingPlan.orient``, the one caller, meets it: its plan refused any
+    design whose blocks do not partition the pairs of K_n, and each block
+    orients each of its pairs once.
+    """
+    t = object.__new__(Tournament)
+    object.__setattr__(t, "n", n)
+    object.__setattr__(t, "rows", rows)
+    return t
 
 
 def tournament_from_edges(n: int, edges) -> Tournament:

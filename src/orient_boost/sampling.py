@@ -12,6 +12,11 @@ takes the k - 1 draws of ``Stream.permutation(k)``, a coin block one
 ``Stream.coin()``.  ``SamplingPlan`` lays that walk out once per (design,
 bases) pair, so a sample is one packed draw of all its words
 (``rng.stream_words``), their residues, and a table lookup per block.
+
+Every draw is a tournament exactly when the blocks partition the pairs of
+K_n, a property of the design alone: the plan checks it once
+(``designs.partition_failures``), and its draws skip the per-pair check of
+``Tournament``.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from functools import lru_cache
 from itertools import permutations
 from operator import lt, mod
 
-from .designs import Block, BlockKind, Decomposition
+from .designs import Block, BlockKind, Decomposition, require_partition
 from .errors import BudgetExceededError, InvalidTournamentError
-from .orientations import Tournament
+from .orientations import Tournament, _unchecked_tournament
 from .rng import Stream, _draw_limits, stream_for, stream_words
 
 
@@ -134,11 +139,17 @@ class SamplingPlan:
     of local out-masks by draws; a block of a kind with too many relabelings
     to memoise gets its global out-masks straight from the draws.  A coin
     block keeps its out-masks along ``Block.arcs()`` and reversed.
+
+    A design whose blocks do not partition the pairs of K_n is refused here,
+    with InvalidDecompositionError, before any draw; so every pair of a
+    draw is oriented by exactly one block, and ``orient`` builds its
+    ``Tournament`` without checking the pairs again.
     """
 
     def __init__(self, d: Decomposition, bases: BaseTournaments):
         if bases.r.n != d.t:
             raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
+        require_partition(d)
         self.n = d.n
         mods: list[int] = []
         limits: list[int] = []
@@ -179,7 +190,7 @@ class SamplingPlan:
         return tuple(stream.below(m) for m in self.mods)
 
     def orient(self, residues: tuple[int, ...]) -> Tournament:
-        """The tournament the draws pick, each block ORed into the rows."""
+        """The tournament the draws pick, each block ORed into the rows, unchecked."""
         rows = [0] * self.n
         for lo, hi, vs, base_out, bits, memo, spread in self._complete:
             draws = residues[lo:hi]
@@ -195,7 +206,7 @@ class SamplingPlan:
         for at, forward, reverse in self._coins:
             for v, mask in forward if residues[at] >> 63 else reverse:
                 rows[v] |= mask
-        return Tournament(self.n, tuple(rows))
+        return _unchecked_tournament(self.n, tuple(rows))
 
 
 @lru_cache(maxsize=16)
@@ -208,7 +219,7 @@ _last_plan: tuple = (None, None, None)
 
 
 def sampling_plan(d: Decomposition, bases: BaseTournaments) -> SamplingPlan:
-    """The plan of this pair, built on its first draw and reused after.
+    """The plan of this pair, built (its design checked) on its first draw and reused after.
 
     Plans are cached for the 16 pairs used last, so equal designs share one.
     The cache hashes the whole design, every block of it (about 4 us at
@@ -251,17 +262,20 @@ def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tu
 
 
 def enumerate_support(d: Decomposition, bases: BaseTournaments, *, budget: int = 1_000_000):
-    """Yield every (tournament, probability) of the block-randomized space.
+    """Every (tournament, probability) of the block-randomized space, as an iterator.
 
     Identical block orientations reached by different relabelings are merged
     first, so the yielded outcomes are distinct per block.  Weights sum to 1.
     The budget bounds the product of the per-block distinct outcome counts;
     a complete block whose t! relabelings alone are over it is refused
     before they are listed, and the count stops at the first block that
-    takes the product over the budget.
+    takes the product over the budget.  These refusals, and that of a
+    design whose blocks do not partition the pairs of K_n, are raised by
+    the call itself, before any outcome.
     """
     if bases.r.n != d.t:
         raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
+    require_partition(d)
     per_block = []
     size = 1
     for block in d.blocks:
@@ -290,4 +304,4 @@ def enumerate_support(d: Decomposition, bases: BaseTournaments, *, budget: int =
                 nxt[u] |= 1 << v
             yield from rec(idx + 1, nxt, weight * w)
 
-    yield from rec(0, [0] * d.n, Fraction(1))
+    return rec(0, [0] * d.n, Fraction(1))

@@ -39,6 +39,15 @@ def test_stats_subcommand(capsys, tmp_path):
     assert obj["plus"] == 3 and obj["minus"] == 0 and obj["f"] == 1
 
 
+def test_stats_of_a_huge_empty_pattern_is_reported_at_once(capsys, tmp_path):
+    path = tmp_path / "huge-pattern.json"
+    path.write_text('{"n": 1000000000000, "edges": []}')
+    code, out, _ = run(capsys, "stats", "--input", str(path))
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["e"] == 0 and obj["maxdeg"] == 0 and obj["k_regular"] == 0 and obj["eulerian"] is False
+
+
 def test_stats_rejects_two_cycle(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3, "edges": [[0,1],[1,0]]}')

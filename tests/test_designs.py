@@ -565,6 +565,14 @@ def test_validate_missing_pair():
     assert "never covered" in " ".join(report.failures)
 
 
+def test_validate_stops_at_a_malformed_t_or_block():
+    # neither the cover nor the leftover rules are checked then
+    assert validate(Decomposition(4, 3, (Block(BlockKind.KT, (0, 1, 2, 3)),))).failures == (
+        "block 0 (KT) has 4 vertices, expected 3",)
+    assert validate(Decomposition(4, 4, (Block(BlockKind.C3, (0, 1, 2)),))).failures == (
+        "t=4 must be odd and >= 3",)
+
+
 def test_validate_k2t1_budget_boundary():
     # t=3 allows at most t-1 = 2 size-5 complete blocks
     ok2 = Decomposition(15, 3, (

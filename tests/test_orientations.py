@@ -1,4 +1,4 @@
-import time
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from orient_boost.errors import InvalidOrientationError, InvalidTournamentError
 from orient_boost.orientations import (
-    _PACKED_MAX_N,
-    _PACKED_MIN_N,
+    Orientation,
     Tournament,
-    _packed_rows_ok,
-    _transpose_layout,
     classify,
     consistency_check,
     local_shapes,
@@ -117,6 +114,60 @@ def test_classify_cycle_path_matching():
     assert flags.even and not flags.eulerian and flags.k_regular == 1
 
 
+def dense_stats_and_flags_oracle(h):
+    """``stats`` and ``classify`` from per-vertex degree lists of all n vertices and a BFS."""
+    n = h.n
+    dout, din = [0] * n, [0] * n
+    adj = [set() for _ in range(n)]
+    for u, v in h.edges:
+        dout[u] += 1
+        din[v] += 1
+        adj[u].add(v)
+        adj[v].add(u)
+    plus = sum(dout[v] * din[v] for v in range(n))
+    minus = sum(dout[v] * (dout[v] - 1) // 2 + din[v] * (din[v] - 1) // 2 for v in range(n))
+    maxdeg = max(dout[v] + din[v] for v in range(n))
+    even = all(dout[v] == din[v] for v in range(n))
+    balanced = all(abs(dout[v] - din[v]) <= 1 for v in range(n))
+    k_regular = dout[0] if even and len(set(dout)) == 1 else None
+    seen, frontier = {0}, [0]
+    while frontier:
+        for w in adj[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    eulerian = even and len(seen) == n
+    return (plus, minus, len(h.edges), maxdeg), (even, eulerian, balanced, k_regular)
+
+
+def test_stats_and_classify_equal_the_dense_oracle():
+    cases = 0
+    for n in range(1, 10):
+        for e in range(n * (n - 1) // 2 + 1):
+            for seed in range(16):
+                h = random_orientation(n, e, seed=seed)
+                s = stats(h)
+                got = (s.plus, s.minus, s.e, s.maxdeg), astuple(classify(h))
+                assert got == dense_stats_and_flags_oracle(h), (n, e, seed)
+                cases += 1
+    for h in (make_pattern("cycle", 8), orientation_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])):
+        s = stats(h)
+        assert ((s.plus, s.minus, s.e, s.maxdeg), astuple(classify(h))) == dense_stats_and_flags_oracle(h)
+    assert cases == 2064
+
+
+def test_stats_and_classify_allocate_nothing_per_vertex():
+    # n = 10^12: a list of n degrees would not fit in memory
+    empty = orientation_from_json('{"n": 1000000000000, "edges": []}')
+    assert (stats(empty).e, stats(empty).maxdeg) == (0, 0)
+    assert astuple(classify(empty)) == (True, False, True, 0)
+    h = orientation_from_edges(10 ** 12, [(0, 1), (1, 2), (2, 0)])
+    assert (stats(h).plus, stats(h).f, stats(h).maxdeg) == (3, 1, 2)
+    flags = classify(h)
+    assert flags.even and not flags.eulerian and flags.k_regular is None
+    assert astuple(classify(Orientation(1, frozenset()))) == (True, True, True, 0)
+
+
 def test_eulerian_patterns_pass_unit_margin():
     # every connected pattern with in-degree == out-degree clears eps = 1
     for seed in range(40):
@@ -215,7 +266,7 @@ def test_tournament_rows_are_checked_without_an_n_bit_mask():
 
 
 def tournament_check_oracle(n: int, rows) -> str | None:
-    """The per-pair loop that checked every Tournament before the packed transpose: its first fault, or None."""
+    """The per-pair loop, written out on its own: the first fault of the rows, or None."""
     if len(rows) != n:
         return "row count does not match n"
     for u in range(n):
@@ -259,24 +310,24 @@ FAULTS = st.tuples(st.sampled_from(["flip", "flip", "self", "between", "past", "
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(n=st.integers(0, _PACKED_MAX_N + 2), seed=st.integers(0, 1 << 16), faults=st.lists(FAULTS, max_size=3))
+@given(n=st.integers(0, 130), seed=st.integers(0, 1 << 16), faults=st.lists(FAULTS, max_size=3))
 @example(n=0, seed=0, faults=[])
 @example(n=1, seed=0, faults=[("self", 0, 0)])
 @example(n=7, seed=1, faults=[("between", 0, 3)])
 @example(n=8, seed=1, faults=[("past", 0, 7)])
 @example(n=9, seed=1, faults=[("between", 6, 8)])
-@example(n=_PACKED_MIN_N - 1, seed=1, faults=[])
-@example(n=_PACKED_MIN_N, seed=1, faults=[])
+@example(n=15, seed=1, faults=[])
+@example(n=16, seed=1, faults=[])
 @example(n=17, seed=1, faults=[("negative", 0, 16)])
 @example(n=32, seed=1, faults=[])
 @example(n=33, seed=1, faults=[("flip", 32, 0)])
 @example(n=64, seed=1, faults=[])
 @example(n=65, seed=1, faults=[("count", 1, 0)])
-@example(n=_PACKED_MAX_N, seed=1, faults=[])
-@example(n=_PACKED_MAX_N, seed=1, faults=[("past", 0, _PACKED_MAX_N - 1)])
-@example(n=_PACKED_MAX_N + 1, seed=1, faults=[])
-@example(n=_PACKED_MAX_N + 1, seed=1, faults=[("flip", 5, 100)])
-def test_packed_check_accepts_and_refuses_as_the_per_pair_loop(n, seed, faults):
+@example(n=128, seed=1, faults=[])
+@example(n=128, seed=1, faults=[("past", 0, 127)])
+@example(n=129, seed=1, faults=[])
+@example(n=129, seed=1, faults=[("flip", 5, 100)])
+def test_tournament_check_accepts_and_refuses_as_the_per_pair_loop(n, seed, faults):
     rows = damaged_rows(n, seed, faults)
     expected = tournament_check_oracle(n, rows)
     if expected is None:
@@ -285,23 +336,6 @@ def test_packed_check_accepts_and_refuses_as_the_per_pair_loop(n, seed, faults):
         with pytest.raises(InvalidTournamentError) as err:
             Tournament(n, rows)
         assert str(err.value) == expected
-    if len(rows) == n <= _PACKED_MAX_N:
-        # the packed check alone accepts exactly the rows the loop accepts
-        assert _packed_rows_ok(n, rows) == (expected is None)
-
-
-def test_transpose_layouts_are_built_only_between_the_bounds():
-    small, big = random_tournament(_PACKED_MIN_N - 1, 1), random_tournament(_PACKED_MAX_N + 1, 1)
-    _transpose_layout.cache_clear()
-    started = time.perf_counter()
-    with pytest.raises(InvalidTournamentError, match=r"pair \{0,1\} not oriented exactly once"):
-        Tournament(200_000, (0,) * 200_000)
-    assert time.perf_counter() - started < 1.0
-    assert Tournament(small.n, small.rows) == small and Tournament(big.n, big.rows) == big
-    assert _transpose_layout.cache_info().currsize == 0
-    for n in (_PACKED_MIN_N, _PACKED_MAX_N):
-        Tournament(n, random_tournament(n, 1).rows)
-    assert _transpose_layout.cache_info().currsize == 2
 
 
 def test_tournament_serialization_round_trip():

@@ -16,8 +16,9 @@ from orient_boost.designs import (
     projective_plane_decomposition,
     steiner_triple_system,
 )
-from orient_boost.errors import BudgetExceededError, InvalidTournamentError
-from orient_boost.orientations import Tournament
+from orient_boost.counting import CopyKernel
+from orient_boost.errors import BudgetExceededError, InvalidDecompositionError, InvalidTournamentError
+from orient_boost.orientations import Tournament, make_pattern
 from orient_boost.rng import Stream, stream_words
 from orient_boost.sampling import (
     BaseTournaments,
@@ -154,6 +155,38 @@ def test_enumerate_support_refuses_a_block_before_listing_it(monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         list(enumerate_support(projective_plane_decomposition(4), BaseTournaments.circulant(5), budget=119))
     assert err.value.size == 120
+
+
+def _not_a_partition(kind: str) -> Decomposition:
+    """A t = 3 design whose blocks fail to partition the pairs of K_n in one way."""
+    fano = steiner_triple_system(7)
+    if kind == "overlap":
+        return Decomposition(7, 3, fano.blocks + (Block(BlockKind.EDGE, (0, 1)),))
+    if kind == "gap":
+        return Decomposition(7, 3, fano.blocks[1:])
+    if kind == "block size":
+        return Decomposition(4, 3, (Block(BlockKind.KT, (0, 1, 2, 3)),))
+    a, b, _ = fano.blocks[0].vertices
+    return Decomposition(7, 3, (Block(BlockKind.KT, (a, b, 7)),) + fano.blocks[1:])
+
+
+@pytest.mark.parametrize("kind", ["overlap", "gap", "block size", "vertex range"])
+def test_a_design_that_is_not_a_partition_is_refused_before_any_draw(kind, monkeypatch):
+    d, bases = _not_a_partition(kind), BaseTournaments.circulant(3)
+
+    def drawn(*args):
+        raise AssertionError("drew before checking the design")
+
+    monkeypatch.setattr(sampling, "stream_words", drawn)
+    monkeypatch.setattr(sampling, "_block_outcomes", drawn)
+    with pytest.raises(InvalidDecompositionError):
+        sampling.sampling_plan(d, bases)
+    with pytest.raises(InvalidDecompositionError):
+        sample(d, bases, SampleSeed(1, 0))
+    with pytest.raises(InvalidDecompositionError):
+        next(iter(enumerate_support(d, bases)))
+    with pytest.raises(InvalidDecompositionError):
+        CopyKernel(make_pattern("cycle", d.n), d, bases)
 
 
 def test_enumerate_support_counts_distinct_outcomes():
