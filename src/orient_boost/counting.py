@@ -7,12 +7,12 @@ fixed permutation factors over blocks; this module computes that probability
 exactly (per-block closed forms for the common shapes, an injection count
 for every other complete-block capture, memoised per captured shape with the
 block's whole contribution), sums it over all permutations on tiny instances
-(``exact_copy_summary``, one pattern vertex orbit at a time), and estimates
-it by seeded Monte Carlo otherwise (``estimate_expected_copies``).  Both
-accumulate into one record of exact partial sums, ``_ExactSums``; the worker
-pool merges the records of its chunks with ``_ExactSums.merge``.  A Monte
-Carlo chunk takes its permutations from ``rng.stream_permutations``, the
-batched draw whose scalar oracle is ``stream_for(master, i).permutation(n)``.
+(``exact_copy_summary``, one kernel for every pattern vertex orbit), and
+estimates it by seeded Monte Carlo otherwise (``estimate_expected_copies``).
+Both accumulate into one record of exact partial sums, ``_ExactSums``; the
+worker pool merges the records of its chunks with ``_ExactSums.merge``.  A
+Monte Carlo chunk takes its permutations from ``rng.stream_permutations``,
+the batched draw whose scalar oracle is ``stream_for(master, i).permutation(n)``.
 
 ``count_embeddings`` is the embedding counter of ``count_labeled_copies``,
 ``bounds`` and the large complete-block captures of ``CopyKernel``; a capture
@@ -27,8 +27,7 @@ subsets of up to 10 vertices packed as fixed-width lanes of one Python int
 per vertex, so a step is a few big-int adds and masks.  On a 2-vCPU host
 (Python 3.11.7) it counts the cycles of a 16-vertex tournament in about
 0.1 s and those of a 20-vertex one in 2.4-3.5 s (paths 11-12 s), with no
-measurable peak-RSS growth; the subset DP it replaced took 0.2-0.3 s and
-8.6-9.8 s and held 2^n slots (+70 MB at n = 20).
+measurable peak-RSS growth.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from operator import itemgetter
 
-from .designs import BlockKind, Decomposition, require_partition
+from .designs import BlockKind, Decomposition
 from .errors import BudgetExceededError
 from .orientations import Orientation, Tournament, local_shapes, vertex_orbits
 from .rng import stream_permutations
@@ -270,6 +269,7 @@ def count_hamilton_paths(t: Tournament, *, budget_n: int = 20) -> int:
 # 240 distinct shapes; past 2^14 the build grows with perm(s, m) (33 ms at
 # perm(9, 6), 0.2 s at perm(9, 9)) while a backtracking count stays under 1 ms.
 _TABLE_INJECTIONS = 1 << 14
+_INJECTION_BUDGET = 500_000  # a capture with more injections is refused, on every path
 
 
 def _injection_table(rows, m: int) -> list[int]:
@@ -345,32 +345,27 @@ class CopyKernel:
     denominator, capture counts and whether the copy stays typical.  On a
     miss a triangle in a size-t block takes its closed form; any other shape
     of m vertices first checks ``perm(size, m)`` against
-    ``injection_budget`` (as ``ratio(pi, method="enumerate")`` does), then
+    ``_INJECTION_BUDGET`` (as ``ratio(pi, method="enumerate")`` does), then
     counts its injections from the (kind, m) injection table while
     ``perm(size, m) <= _TABLE_INJECTIONS``, and with ``count_embeddings``
     above, which alone reaches the spanning K9 captures of (9,5).  The memo
     and the tables belong to the instance, since callers may pass their own
     bases; a pool worker keeps one kernel for all the chunks it scans.  A
-    design whose blocks do not partition the pairs of K_n is refused with
-    InvalidDecompositionError before any term.
+    design that is not a partition of K_n is refused before any term by the
+    one pass that builds the pair index, ``Decomposition.pair_block_index``.
     """
 
-    def __init__(self, h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
-                 *, injection_budget: int = 500_000):
+    def __init__(self, h: Orientation, d: Decomposition, bases: BaseTournaments | None = None):
         if h.n != d.n:
             raise ValueError(f"pattern has {h.n} vertices, decomposition has {d.n}")
-        self.h = h
         self.d = d
         self.bases = bases if bases is not None else BaseTournaments.circulant(d.t)
         if self.bases.r.n != d.t:
             raise ValueError(f"base tournament size {self.bases.r.n} does not match t={d.t}")
-        require_partition(d)
-        self.injection_budget = injection_budget
+        self.pair_block = d.pair_block_index()
         self.n = h.n
-        self.t = d.t
         self.h_edges = sorted(h.edges)
         self.e = len(self.h_edges)
-        self.pair_block = d.pair_block_index()
         self.block_kind = [b.kind for b in d.blocks]
         self.block_size = [len(b.vertices) for b in d.blocks]
         self._closed = capture_factors(d.t)
@@ -532,13 +527,13 @@ class CopyKernel:
         return (self.block_kind[bid], self.block_size[bid], tuple(mapped)), len(seen)
 
     def _base_injections(self, bid: int, key: tuple, m: int) -> tuple[tuple[int, ...], int]:
-        """(bit rows of the block's base, perm(size, m)); raises over ``injection_budget``."""
+        """(bit rows of the block's base, perm(size, m)); raises over ``_INJECTION_BUDGET``."""
         kind, size, _ = key
         total = math.perm(size, m)
-        if total > self.injection_budget:
+        if total > _INJECTION_BUDGET:
             raise BudgetExceededError(
                 f"block {bid} needs {total} injections, over the budget "
-                f"{self.injection_budget}", size=total, budget=self.injection_budget,
+                f"{_INJECTION_BUDGET}", size=total, budget=_INJECTION_BUDGET,
             )
         return self.bases.of(kind).rows, total
 
@@ -626,19 +621,19 @@ class _ExactSums:
 def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
                        *, budget_n: int = 9) -> ExactSummary:
     """Sum the per-permutation probabilities over all n! permutations, one
-    Aut(h) vertex orbit at a time.
+    Aut(h) vertex orbit at a time, through one kernel.
 
     A copy's success probability and captures depend only on its image edge
     set, which every automorphism s of h keeps: the copies pi and pi∘s score
     alike.  So the copies sending w to vertex 0 give one record S_w for every
     w of an orbit, and the full sum is the sum of |orbit(u)| · S_u over one
-    representative u per orbit.  S_u is summed on h relabelled by the
-    transposition (0 u), whose copies with pi(0) = 0 are the first (n-1)!
-    permutations in lexicographic order.  The budget counts terms: (orbits) ·
-    (n-1)! may not exceed budget_n!, so a cycle (one orbit) of n = budget_n + 1
-    is summed while a directed path (n orbits) of that size is refused.  As
-    there are at most n orbits, that bound holds whenever budget_n >= n, and
-    it is decided without computing budget_n!.
+    representative u per orbit.  S_u sums the (n-1)! copies with pi[u] = 0:
+    ``permutations(range(1, n))`` with 0 put at position u, all through the
+    one kernel on h.  The budget counts terms: (orbits) · (n-1)! may not
+    exceed budget_n!, so a cycle (one orbit) of n = budget_n + 1 is summed
+    while a directed path (n orbits) of that size is refused.  As there are
+    at most n orbits, that bound holds whenever budget_n >= n, and it is
+    decided without computing budget_n!.
     """
     n = h.n
     # the cheap test first, so a huge n is refused before the orbit search
@@ -649,15 +644,13 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
             f"it sums (n-1)! terms per vertex orbit of the pattern",
             size=n, budget=budget_n,
         )
+    kernel = CopyKernel(h, d, bases)
     acc = _ExactSums()
     for orbit in orbits:
         u = orbit[0]
-        swap = list(range(n))
-        swap[0], swap[u] = u, 0
-        kernel = CopyKernel(h.relabel(swap), d, bases)
         part = _ExactSums()
-        for pi in islice(permutations(range(n)), math.factorial(n - 1)):
-            part.add(*kernel._terms(pi))
+        for rest in permutations(range(1, n)):
+            part.add(*kernel._terms(rest[:u] + (0,) + rest[u:]))
         acc.merge(part, times=len(orbit))
     total, _, typical, sums, _ = acc.totals()
     nfact = math.factorial(n)

@@ -72,13 +72,27 @@ class Decomposition:
     blocks: tuple[Block, ...]
 
     def pair_block_index(self) -> list[list[int]]:
-        """Matrix mapping each unordered pair to the index of its covering block."""
-        idx = [[-1] * self.n for _ in range(self.n)]
-        for b, block in enumerate(self.blocks):
-            for u, v in block.edges():
-                idx[u][v] = b
-                idx[v][u] = b
-        return idx
+        """Matrix mapping each unordered pair to the index of its covering block,
+        and the one partition check of the design's consumers.
+
+        Well-formed blocks holding n(n-1)/2 pairs in all fill the n x n matrix,
+        and a pair covered twice is refused, so none is left uncovered.  Else
+        InvalidDecompositionError names the first of ``block_failures`` or
+        ``cover_failures``."""
+        n, t = self.n, self.t
+        failures = block_failures(self)
+        pairs = {BlockKind.KT: t * (t - 1) // 2, BlockKind.K2T1: (2 * t - 1) * (t - 1),
+                 BlockKind.C3: 3, BlockKind.C4: 4, BlockKind.STARPATH: 2, BlockKind.EDGE: 1}
+        if not failures and sum(pairs[b.kind] for b in self.blocks) == n * (n - 1) // 2:
+            idx = [[-1] * n for _ in range(n)]
+            for b, block in enumerate(self.blocks):
+                for u, v in block.arcs():
+                    row = idx[u]
+                    if row[v] >= 0:  # a pair covered twice
+                        raise _not_a_partition(self, cover_failures(self))
+                    row[v] = idx[v][u] = b
+            return idx
+        raise _not_a_partition(self, failures or cover_failures(self))
 
     def to_json_obj(self) -> dict:
         return {
@@ -112,13 +126,16 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
-def partition_failures(d: Decomposition) -> list[str]:
-    """Why the blocks of d do not partition the pairs of K_n into blocks of their kinds, or [].
+def _not_a_partition(d: Decomposition, failures: list[str]) -> InvalidDecompositionError:
+    return InvalidDecompositionError(f"blocks do not partition the pairs of K_{d.n}: {failures[0]}")
 
-    First t, then each block: its size (t for KT, 2t-1 for K2T1, fixed for
-    the rest), repeated vertices and vertices outside 0..n-1.  Only when all
-    of these hold is the cover checked, every pair in exactly one block.
-    Every draw of the sampler is a tournament exactly when this is empty.
+
+def block_failures(d: Decomposition) -> list[str]:
+    """Why t or a block of d is malformed, or [].
+
+    t must be odd and at least 3; each block must have its kind's size (t
+    for KT, 2t-1 for K2T1, fixed for the rest), no repeated vertex and no
+    vertex outside 0..n-1.  No pair is walked.
     """
     failures: list[str] = []
     n, t = d.n, d.t
@@ -135,43 +152,33 @@ def partition_failures(d: Decomposition) -> list[str]:
             failures.append(f"block {b} repeats a vertex")
         if any(not 0 <= v < n for v in vs):
             failures.append(f"block {b} has a vertex outside 0..{n - 1}")
-    if failures:
-        return failures
+    return failures
 
+
+def cover_failures(d: Decomposition) -> list[str]:
+    """The pairs of K_n that well-formed blocks of d cover more than once, in
+    order, then the first pair they never cover; [] for a partition."""
+    n = d.n
     cover: dict[tuple[int, int], int] = {}
     for block in d.blocks:
         for pair in block.edges():
             cover[pair] = cover.get(pair, 0) + 1
-    for pair, cnt in sorted(cover.items()):
-        if cnt > 1:
-            failures.append(f"pair {pair} covered {cnt} times")
-    expected_pairs = n * (n - 1) // 2
-    if len(cover) != expected_pairs:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) not in cover:
-                    failures.append(f"pair ({u},{v}) never covered")
-                    break
-            else:
-                continue
-            break
+    twice = sorted(pair for pair, cnt in cover.items() if cnt > 1)
+    failures = [f"pair {pair} covered {cover[pair]} times" for pair in twice]
+    if len(cover) != n * (n - 1) // 2:  # fewer, as every covered pair lies in K_n
+        u, v = next((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in cover)
+        failures.append(f"pair ({u},{v}) never covered")
     return failures
-
-
-def require_partition(d: Decomposition) -> None:
-    """Raise InvalidDecompositionError with the first of ``partition_failures(d)``, if any."""
-    failures = partition_failures(d)
-    if failures:
-        raise InvalidDecompositionError(f"blocks do not partition the pairs of K_{d.n}: {failures[0]}")
 
 
 def validate(d: Decomposition) -> ValidationReport:
     """Check edge-partition exactness, block budgets, and leftover degree."""
     n, t = d.n, d.t
-    failures = partition_failures(d)
-    if failures and not failures[0].startswith("pair "):
-        # t or a block is malformed, and the cover was never checked
+    failures = block_failures(d)
+    if failures:
+        # the cover is only checked on well-formed blocks
         return ValidationReport(False, tuple(failures))
+    failures = cover_failures(d)
 
     leftover = [b for b in d.blocks if b.kind not in (BlockKind.KT, BlockKind.STARPATH, BlockKind.EDGE)]
     starpaths = [b for b in d.blocks if b.kind == BlockKind.STARPATH]

@@ -14,9 +14,9 @@ bases) pair, so a sample is one packed draw of all its words
 (``rng.stream_words``), their residues, and a table lookup per block.
 
 Every draw is a tournament exactly when the blocks partition the pairs of
-K_n, a property of the design alone: the plan checks it once
-(``designs.partition_failures``), and its draws skip the per-pair check of
-``Tournament``.
+K_n, a property of the design alone: the plan checks it once, by the one
+pass of ``Decomposition.pair_block_index``, and its draws skip the per-pair
+check of ``Tournament``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import permutations
 from operator import lt, mod
 
-from .designs import Block, BlockKind, Decomposition, require_partition
+from .designs import Block, BlockKind, Decomposition
 from .errors import BudgetExceededError, InvalidTournamentError
 from .orientations import Tournament, _unchecked_tournament
 from .rng import Stream, _draw_limits, stream_for, stream_words
@@ -140,16 +140,16 @@ class SamplingPlan:
     to memoise gets its global out-masks straight from the draws.  A coin
     block keeps its out-masks along ``Block.arcs()`` and reversed.
 
-    A design whose blocks do not partition the pairs of K_n is refused here,
-    with InvalidDecompositionError, before any draw; so every pair of a
-    draw is oriented by exactly one block, and ``orient`` builds its
-    ``Tournament`` without checking the pairs again.
+    A design whose blocks do not partition the pairs of K_n is refused here
+    by ``Decomposition.pair_block_index``, run for its check alone, before
+    any draw; so every pair of a draw is oriented by exactly one block, and
+    ``orient`` builds its ``Tournament`` without checking the pairs again.
     """
 
     def __init__(self, d: Decomposition, bases: BaseTournaments):
         if bases.r.n != d.t:
             raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
-        require_partition(d)
+        d.pair_block_index()  # the design check; the index is not kept
         self.n = d.n
         mods: list[int] = []
         limits: list[int] = []
@@ -275,7 +275,7 @@ def enumerate_support(d: Decomposition, bases: BaseTournaments, *, budget: int =
     """
     if bases.r.n != d.t:
         raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
-    require_partition(d)
+    d.pair_block_index()  # the design check, before any outcome
     per_block = []
     size = 1
     for block in d.blocks:

@@ -657,25 +657,28 @@ def test_disjoint_edge_pattern_never_boosts_on_pure_design():
     assert rep.ratio_stderr == 0.0
 
 
-def test_injection_budget_error_names_block():
+def test_injection_budget_error_names_block(monkeypatch):
     bases = BaseTournaments.circulant(3)
     d5 = Decomposition(5, 3, (Block(BlockKind.K2T1, (0, 1, 2, 3, 4)),))
     h = random_orientation(5, 6, seed=2)
-    kernel = CopyKernel(h, d5, bases, injection_budget=10)
+    monkeypatch.setattr(counting, "_INJECTION_BUDGET", 10)
+    kernel = CopyKernel(h, d5, bases)
     with pytest.raises(BudgetExceededError, match="block 0"):
         kernel.probability(list(range(5)), method="enumerate")
 
 
-def test_auto_path_keeps_the_injection_budget():
+def test_auto_path_keeps_the_injection_budget(monkeypatch):
     bases = BaseTournaments.circulant(3)
     d5 = Decomposition(5, 3, (Block(BlockKind.K2T1, (0, 1, 2, 3, 4)),))
     h = random_orientation(5, 6, seed=2)
     m = len({x for e in h.edges for x in e})
-    kernel = CopyKernel(h, d5, bases, injection_budget=math.perm(5, m) - 1)
+    monkeypatch.setattr(counting, "_INJECTION_BUDGET", math.perm(5, m) - 1)
+    kernel = CopyKernel(h, d5, bases)
     with pytest.raises(BudgetExceededError, match="block 0"):
         kernel.ratio(list(range(5)))
     assert kernel._memo == {} and kernel._tables == {}  # refused before any entry or table
-    kernel = CopyKernel(h, d5, bases, injection_budget=math.perm(5, m))  # the bound itself is allowed
+    monkeypatch.setattr(counting, "_INJECTION_BUDGET", math.perm(5, m))  # the bound itself is allowed
+    kernel = CopyKernel(h, d5, bases)
     assert kernel.ratio(list(range(5))) == kernel.ratio(list(range(5)), method="enumerate")
 
 
@@ -849,6 +852,22 @@ def test_orbit_sum_equals_the_brute_sum(name, coin_design6):
          "coin6": coin_design6}[design]
     h = make_pattern(kind, n, k=2, seed=1) if kind == "k_regular_random" else make_pattern(kind, n)
     assert exact_copy_summary(h, d) == _brute_summary(h, d)
+
+
+def test_exact_sum_builds_one_kernel_for_every_orbit(monkeypatch):
+    # P7 has the trivial group, so its 7 orbits are its 7 vertices
+    p7, fano = make_pattern("path", 7), steiner_triple_system(7)
+    assert len(vertex_orbits(p7)) == 7
+    kernels = []
+
+    class CountedKernel(CopyKernel):
+        def __init__(self, *args):
+            kernels.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(counting, "CopyKernel", CountedKernel)
+    assert exact_copy_summary(p7, fano) == _brute_summary(p7, fano)
+    assert len(kernels) == 1 and kernels[0][0] is p7
 
 
 @st.composite

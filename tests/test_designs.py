@@ -661,3 +661,55 @@ def test_validate_rejects_every_single_block_mutation(name):
     assert validate(d).ok
     for label, blocks in single_block_mutations(d):
         assert not validate(Decomposition(d.n, d.t, tuple(blocks))).ok, f"{name}: {label} passed validation"
+
+
+PERTURBED_DESIGNS = {
+    "sts7": lambda: steiner_triple_system(7),
+    "sts9": lambda: steiner_triple_system(9),
+    "pg24": lambda: projective_plane_decomposition(4),
+    "even8": lambda: extend_to_even(steiner_triple_system(7)),
+}
+
+
+@st.composite
+def perturbed_designs(draw):
+    """One of PERTURBED_DESIGNS with up to two perturbations: a block dropped or
+    duplicated, an EDGE block added, or one vertex of a block moved within or
+    outside 0..n-1."""
+    d = PERTURBED_DESIGNS[draw(st.sampled_from(sorted(PERTURBED_DESIGNS)))]()
+    n, blocks = d.n, list(d.blocks)
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["drop", "duplicate", "edge", "move", "out of range"]))
+        b = draw(st.integers(0, len(blocks) - 1))
+        if how == "drop":
+            del blocks[b]
+        elif how == "duplicate":
+            blocks.append(blocks[b])
+        elif how == "edge":
+            u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            blocks.append(Block(BlockKind.EDGE, (u, v)))
+        else:
+            vs = blocks[b].vertices
+            k = draw(st.integers(0, len(vs) - 1))
+            y = draw(st.integers(0, n - 1) if how == "move" else st.sampled_from([-1, n, n + 5]))
+            blocks[b] = Block(blocks[b].kind, vs[:k] + (y,) + vs[k + 1:])
+    return Decomposition(n, d.t, tuple(blocks))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(perturbed_designs())
+def test_pair_block_index_refuses_exactly_what_validate_finds_not_a_partition(d):
+    # the partition part of validate: its t, block and pair failures, listed first
+    failures = validate(d).failures
+    partition = [f for f in failures if f.startswith(("t=", "block ", "pair "))]
+    assert list(failures[:len(partition)]) == partition
+    if partition:
+        with pytest.raises(InvalidDecompositionError) as err:
+            d.pair_block_index()
+        assert str(err.value) == f"blocks do not partition the pairs of K_{d.n}: {partition[0]}"
+        return
+    brute = {pair: b for b, block in enumerate(d.blocks) for pair in block.edges()}
+    idx = d.pair_block_index()
+    assert {(u, v): idx[u][v] for u in range(d.n) for v in range(d.n) if u != v} == {
+        (u, v): brute[min(u, v), max(u, v)] for u in range(d.n) for v in range(d.n) if u != v}
+    assert all(idx[v][v] == -1 for v in range(d.n))

@@ -162,6 +162,8 @@ def _not_a_partition(kind: str) -> Decomposition:
     fano = steiner_triple_system(7)
     if kind == "overlap":
         return Decomposition(7, 3, fano.blocks + (Block(BlockKind.EDGE, (0, 1)),))
+    if kind == "duplicate":
+        return Decomposition(7, 3, fano.blocks + fano.blocks[:1])
     if kind == "gap":
         return Decomposition(7, 3, fano.blocks[1:])
     if kind == "block size":
@@ -170,7 +172,18 @@ def _not_a_partition(kind: str) -> Decomposition:
     return Decomposition(7, 3, (Block(BlockKind.KT, (a, b, 7)),) + fano.blocks[1:])
 
 
-@pytest.mark.parametrize("kind", ["overlap", "gap", "block size", "vertex range"])
+# the refusal of each kind, pinned byte for byte; every consumer of a design
+# raises the same text
+_REFUSALS = {
+    "overlap": "blocks do not partition the pairs of K_7: pair (0, 1) covered 2 times",
+    "duplicate": "blocks do not partition the pairs of K_7: pair (0, 2) covered 2 times",
+    "gap": "blocks do not partition the pairs of K_7: pair (0,2) never covered",
+    "block size": "blocks do not partition the pairs of K_4: block 0 (KT) has 4 vertices, expected 3",
+    "vertex range": "blocks do not partition the pairs of K_7: block 0 has a vertex outside 0..6",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REFUSALS))
 def test_a_design_that_is_not_a_partition_is_refused_before_any_draw(kind, monkeypatch):
     d, bases = _not_a_partition(kind), BaseTournaments.circulant(3)
 
@@ -179,14 +192,25 @@ def test_a_design_that_is_not_a_partition_is_refused_before_any_draw(kind, monke
 
     monkeypatch.setattr(sampling, "stream_words", drawn)
     monkeypatch.setattr(sampling, "_block_outcomes", drawn)
-    with pytest.raises(InvalidDecompositionError):
-        sampling.sampling_plan(d, bases)
-    with pytest.raises(InvalidDecompositionError):
-        sample(d, bases, SampleSeed(1, 0))
-    with pytest.raises(InvalidDecompositionError):
-        next(iter(enumerate_support(d, bases)))
-    with pytest.raises(InvalidDecompositionError):
-        CopyKernel(make_pattern("cycle", d.n), d, bases)
+    refusals = []
+    for refuse in (lambda: sampling.sampling_plan(d, bases), lambda: sample(d, bases, SampleSeed(1, 0)),
+                   lambda: next(iter(enumerate_support(d, bases))),
+                   lambda: CopyKernel(make_pattern("cycle", d.n), d, bases)):
+        with pytest.raises(InvalidDecompositionError) as err:
+            refuse()
+        refusals.append(str(err.value))
+    assert refusals == [_REFUSALS[kind]] * 4
+
+
+def test_a_design_with_too_few_pairs_is_refused_before_any_row():
+    # 10^12 vertices: a check that allocated one row per vertex would fail at once
+    d, bases = Decomposition(10**12, 3, ()), BaseTournaments.circulant(3)
+    message = "blocks do not partition the pairs of K_1000000000000: pair (0,1) never covered"
+    for refuse in (lambda: sampling.sampling_plan(d, bases), lambda: sample(d, bases, SampleSeed(1, 0)),
+                   lambda: next(iter(enumerate_support(d, bases)))):
+        with pytest.raises(InvalidDecompositionError) as err:
+            refuse()
+        assert str(err.value) == message
 
 
 def test_enumerate_support_counts_distinct_outcomes():
