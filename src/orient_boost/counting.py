@@ -40,14 +40,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from operator import itemgetter
 
 from .designs import BlockKind, Decomposition
 from .errors import BudgetExceededError
 from .orientations import Orientation, Tournament, local_shapes, vertex_orbits
 from .rng import stream_permutations
-from .sampling import BaseTournaments
+from .sampling import BaseTournaments, checked_pair_index
 
 # ---------------------------------------------------------------------------
 # exact counting in a fixed tournament
@@ -144,6 +144,7 @@ def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -
 
 
 _LANE_VERTICES = 10  # free vertices whose subsets share one int, one lane each
+_HAMILTON_BUDGET = 20  # largest n measured (2 vCPUs): cycles 2.4-3.5 s, paths 11-12 s, no RSS growth
 
 
 @dataclass(frozen=True)
@@ -229,32 +230,26 @@ def _covering_walks(rows, n: int, closed: bool) -> int:
     return total % (1 << lay.bits)
 
 
-def count_hamilton_cycles(t: Tournament, *, budget_n: int = 20) -> int:
+def _check_hamilton_budget(n: int) -> None:
+    if n > _HAMILTON_BUDGET:
+        raise BudgetExceededError(f"n={n} over the Hamilton budget {_HAMILTON_BUDGET}",
+                                  size=n, budget=_HAMILTON_BUDGET)
+
+
+def count_hamilton_cycles(t: Tournament) -> int:
     """Directed Hamilton cycles: the closed walks of n steps from vertex 0
-    that visit every vertex, counted by ``_covering_walks``.
-
-    The default budget is the largest size measured, n = 20: 2.4-3.5 s and
-    no peak-RSS growth on a 2-vCPU host (about 0.1 s at n = 16).
-    """
-    n = t.n
-    if n > budget_n:
-        raise BudgetExceededError(f"n={n} over the Hamilton budget {budget_n}", size=n, budget=budget_n)
-    if n < 3:
+    that visit every vertex, counted by ``_covering_walks``."""
+    _check_hamilton_budget(t.n)
+    if t.n < 3:
         return 0
-    return _covering_walks(t.rows, n, closed=True)
+    return _covering_walks(t.rows, t.n, closed=True)
 
 
-def count_hamilton_paths(t: Tournament, *, budget_n: int = 20) -> int:
+def count_hamilton_paths(t: Tournament) -> int:
     """Directed Hamilton paths, from every start vertex: the open walks of
-    n - 1 steps that visit every vertex, counted by ``_covering_walks``.
-
-    At the default budget n = 20 the lanes are two words wide: 11-12 s and
-    no peak-RSS growth on a 2-vCPU host.
-    """
-    n = t.n
-    if n > budget_n:
-        raise BudgetExceededError(f"n={n} over the Hamilton budget {budget_n}", size=n, budget=budget_n)
-    return _covering_walks(t.rows, n, closed=False)
+    n - 1 steps that visit every vertex, counted by ``_covering_walks``."""
+    _check_hamilton_budget(t.n)
+    return _covering_walks(t.rows, t.n, closed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +345,9 @@ class CopyKernel:
     ``perm(size, m) <= _TABLE_INJECTIONS``, and with ``count_embeddings``
     above, which alone reaches the spanning K9 captures of (9,5).  The memo
     and the tables belong to the instance, since callers may pass their own
-    bases; a pool worker keeps one kernel for all the chunks it scans.  A
-    design that is not a partition of K_n is refused before any term by the
-    one pass that builds the pair index, ``Decomposition.pair_block_index``.
+    bases; a pool worker keeps one kernel for all the chunks it scans.  Bases
+    that do not fit t and a design that is not a partition of K_n are refused
+    before any term by ``sampling.checked_pair_index``, which builds the index.
     """
 
     def __init__(self, h: Orientation, d: Decomposition, bases: BaseTournaments | None = None):
@@ -360,9 +355,7 @@ class CopyKernel:
             raise ValueError(f"pattern has {h.n} vertices, decomposition has {d.n}")
         self.d = d
         self.bases = bases if bases is not None else BaseTournaments.circulant(d.t)
-        if self.bases.r.n != d.t:
-            raise ValueError(f"base tournament size {self.bases.r.n} does not match t={d.t}")
-        self.pair_block = d.pair_block_index()
+        self.pair_block = checked_pair_index(d, self.bases)
         self.n = h.n
         self.h_edges = sorted(h.edges)
         self.e = len(self.h_edges)
@@ -489,7 +482,7 @@ class CopyKernel:
         self._check_size(pi)
         result = Fraction(1)
         for bid, group in self.groups(pi).items():
-            if self.block_kind[bid] in (BlockKind.KT, BlockKind.K2T1):
+            if self.block_kind[bid].complete:
                 hits, total = self._injection_hits(bid, *self._complete_shape(bid, group))
             else:
                 hits, total = self._coin_hits(bid, group, pi), 2
@@ -628,12 +621,13 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     alike.  So the copies sending w to vertex 0 give one record S_w for every
     w of an orbit, and the full sum is the sum of |orbit(u)| · S_u over one
     representative u per orbit.  S_u sums the (n-1)! copies with pi[u] = 0:
-    ``permutations(range(1, n))`` with 0 put at position u, all through the
-    one kernel on h.  The budget counts terms: (orbits) · (n-1)! may not
-    exceed budget_n!, so a cycle (one orbit) of n = budget_n + 1 is summed
-    while a directed path (n orbits) of that size is refused.  As there are
-    at most n orbits, that bound holds whenever budget_n >= n, and it is
-    decided without computing budget_n!.
+    the first (n-1)! of ``permutations(range(n))``, those with 0 at position
+    0, with positions 0 and u exchanged, all through the one kernel on h.
+    The budget counts terms: (orbits) · (n-1)! may not exceed budget_n!, so
+    a cycle (one orbit) of n = budget_n + 1 is summed while a directed path
+    (n orbits) of that size is refused.  As there are at most n orbits, that
+    bound holds whenever budget_n >= n, and it is decided without computing
+    budget_n!.
     """
     n = h.n
     # the cheap test first, so a huge n is refused before the orbit search
@@ -648,9 +642,11 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     acc = _ExactSums()
     for orbit in orbits:
         u = orbit[0]
+        swap = list(range(n))
+        swap[0], swap[u] = u, 0
         part = _ExactSums()
-        for rest in permutations(range(1, n)):
-            part.add(*kernel._terms(rest[:u] + (0,) + rest[u:]))
+        for pi in map(itemgetter(*swap), islice(permutations(range(n)), math.factorial(n - 1))):
+            part.add(*kernel._terms(pi))
         acc.merge(part, times=len(orbit))
     total, _, typical, sums, _ = acc.totals()
     nfact = math.factorial(n)

@@ -1,11 +1,12 @@
 """Block decompositions of complete graphs.
 
-A decomposition partitions the edge set of K_n into typed blocks: complete
-blocks of size t (KT) or 2t-1 (K2T1), 3- and 4-cycles, and, for even n, a
-layer of 2-edge star-paths plus one single edge around the last vertex.  The
-leftover graph B (union of all C3/C4/K2T1 blocks) must stay sparse: max
-degree at most 3t-5, at most n(t-3)/6 triangles, t-3 four-cycles and t-1
-copies of K_{2t-1}.
+A decomposition partitions the edge set of K_n into typed blocks, whose
+``BlockKind`` states their size and orientation rule once: complete blocks of
+size t (KT) or 2t-1 (K2T1), 3- and 4-cycles, and, for even n, a layer of
+2-edge star-paths plus one single edge around the last vertex.  The leftover
+graph B (union of all C3/C4/K2T1 blocks) must stay sparse: max degree at
+most 3t-5, at most n(t-3)/6 triangles, t-3 four-cycles and t-1 copies of
+K_{2t-1}.
 """
 
 from __future__ import annotations
@@ -25,20 +26,26 @@ from .errors import (
 
 
 class BlockKind(str, Enum):
-    KT = "KT"
-    K2T1 = "K2T1"
-    C3 = "C3"
-    C4 = "C4"
-    STARPATH = "STARPATH"
-    EDGE = "EDGE"
+    """A block's kind: ``size(t)``, its vertex count at block size t, and its
+    orientation rule.  A ``complete`` kind (KT, K2T1) is oriented by the
+    regular base of its size under a uniformly random relabelling, any other
+    along ``Block.arcs()`` or all reversed, on one fair coin."""
 
+    KT = ("KT", 1, 0, True)
+    K2T1 = ("K2T1", 2, -1, True)
+    C3 = ("C3", 0, 3, False)
+    C4 = ("C4", 0, 4, False)
+    STARPATH = ("STARPATH", 0, 3, False)
+    EDGE = ("EDGE", 0, 2, False)
 
-_KIND_SIZE = {
-    BlockKind.C3: 3,
-    BlockKind.C4: 4,
-    BlockKind.STARPATH: 3,
-    BlockKind.EDGE: 2,
-}
+    def __new__(cls, value: str, per_t: int, fixed: int, complete: bool):
+        kind = str.__new__(cls, value)
+        kind._value_ = value
+        kind._per_t, kind._fixed, kind.complete = per_t, fixed, complete
+        return kind
+
+    def size(self, t: int) -> int:
+        return self._per_t * t + self._fixed
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,9 @@ class Block:
         is oriented as these arcs or as their reverse.
         """
         vs = self.vertices
-        if self.kind in (BlockKind.KT, BlockKind.K2T1):
+        if self.kind.complete:
             return list(combinations(vs, 2))
-        if self.kind in (BlockKind.C3, BlockKind.C4):
+        if self.kind is BlockKind.C3 or self.kind is BlockKind.C4:
             return list(zip(vs, vs[1:] + vs[:1]))
         return list(zip(vs, vs[1:]))
 
@@ -75,18 +82,17 @@ class Decomposition:
         """Matrix mapping each unordered pair to the index of its covering block,
         and the one partition check of the design's consumers.
 
-        Well-formed blocks holding n(n-1)/2 pairs in all fill the n x n matrix,
-        and a pair covered twice is refused, so none is left uncovered.  Else
-        InvalidDecompositionError names the first of ``block_failures`` or
-        ``cover_failures``."""
-        n, t = self.n, self.t
+        Well-formed blocks whose arcs number n(n-1)/2 in all fill the n x n
+        matrix, and a pair covered twice is refused, so none is left
+        uncovered.  Else InvalidDecompositionError names the first of
+        ``block_failures`` or ``cover_failures``."""
+        n = self.n
         failures = block_failures(self)
-        pairs = {BlockKind.KT: t * (t - 1) // 2, BlockKind.K2T1: (2 * t - 1) * (t - 1),
-                 BlockKind.C3: 3, BlockKind.C4: 4, BlockKind.STARPATH: 2, BlockKind.EDGE: 1}
-        if not failures and sum(pairs[b.kind] for b in self.blocks) == n * (n - 1) // 2:
+        arcs = [] if failures else [block.arcs() for block in self.blocks]
+        if not failures and sum(map(len, arcs)) == n * (n - 1) // 2:
             idx = [[-1] * n for _ in range(n)]
-            for b, block in enumerate(self.blocks):
-                for u, v in block.arcs():
+            for b, block_arcs in enumerate(arcs):
+                for u, v in block_arcs:
                     row = idx[u]
                     if row[v] >= 0:  # a pair covered twice
                         raise _not_a_partition(self, cover_failures(self))
@@ -94,15 +100,12 @@ class Decomposition:
             return idx
         raise _not_a_partition(self, failures or cover_failures(self))
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "n": self.n,
             "t": self.t,
             "blocks": [{"kind": b.kind.value, "vertices": list(b.vertices)} for b in self.blocks],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        })
 
 
 def decomposition_from_json(text: str) -> Decomposition:
@@ -133,9 +136,9 @@ def _not_a_partition(d: Decomposition, failures: list[str]) -> InvalidDecomposit
 def block_failures(d: Decomposition) -> list[str]:
     """Why t or a block of d is malformed, or [].
 
-    t must be odd and at least 3; each block must have its kind's size (t
-    for KT, 2t-1 for K2T1, fixed for the rest), no repeated vertex and no
-    vertex outside 0..n-1.  No pair is walked.
+    t must be odd and at least 3; each block must have its kind's size
+    (``BlockKind.size``), no repeated vertex and no vertex outside 0..n-1.
+    No pair is walked.
     """
     failures: list[str] = []
     n, t = d.n, d.t
@@ -145,7 +148,7 @@ def block_failures(d: Decomposition) -> list[str]:
 
     for b, block in enumerate(d.blocks):
         vs = block.vertices
-        want = _KIND_SIZE.get(block.kind, t if block.kind == BlockKind.KT else 2 * t - 1)
+        want = block.kind.size(t)
         if len(vs) != want:
             failures.append(f"block {b} ({block.kind.value}) has {len(vs)} vertices, expected {want}")
         if len(set(vs)) != len(vs):
@@ -164,7 +167,7 @@ def cover_failures(d: Decomposition) -> list[str]:
         for pair in block.edges():
             cover[pair] = cover.get(pair, 0) + 1
     twice = sorted(pair for pair, cnt in cover.items() if cnt > 1)
-    failures = [f"pair {pair} covered {cover[pair]} times" for pair in twice]
+    failures = [f"pair ({u},{v}) covered {cover[u, v]} times" for u, v in twice]
     if len(cover) != n * (n - 1) // 2:  # fewer, as every covered pair lies in K_n
         u, v = next((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in cover)
         failures.append(f"pair ({u},{v}) never covered")
@@ -180,7 +183,7 @@ def validate(d: Decomposition) -> ValidationReport:
         return ValidationReport(False, tuple(failures))
     failures = cover_failures(d)
 
-    leftover = [b for b in d.blocks if b.kind not in (BlockKind.KT, BlockKind.STARPATH, BlockKind.EDGE)]
+    leftover = [b for b in d.blocks if b.kind is BlockKind.C3 or b.kind is BlockKind.C4 or b.kind is BlockKind.K2T1]
     starpaths = [b for b in d.blocks if b.kind == BlockKind.STARPATH]
     single_edges = [b for b in d.blocks if b.kind == BlockKind.EDGE]
 

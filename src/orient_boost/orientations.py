@@ -16,6 +16,8 @@ from itertools import combinations
 from .errors import InvalidOrientationError, InvalidTournamentError, RejectionBudgetError
 from .rng import stream_for
 
+_PATTERN_ATTEMPTS = 20_000  # seeded draws of k cyclic orders before k_regular_random gives up
+
 
 @dataclass(frozen=True)
 class Orientation:
@@ -59,11 +61,8 @@ class Orientation:
     def relabel(self, perm: list[int]) -> "Orientation":
         return Orientation(self.n, frozenset((perm[u], perm[v]) for u, v in self.edges))
 
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "edges": sorted([u, v] for u, v in self.edges)}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        return json.dumps({"n": self.n, "edges": sorted([u, v] for u, v in self.edges)})
 
 
 def orientation_from_edges(n: int, edges) -> Orientation:
@@ -304,8 +303,7 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def make_pattern(kind: str, n: int, k: int | None = None, seed: int | None = None,
-                 max_attempts: int = 20_000) -> Orientation:
+def make_pattern(kind: str, n: int, k: int | None = None, seed: int | None = None) -> Orientation:
     """Construct a named test pattern.
 
     kinds: "cycle" (n >= 3), "path", "matching" (n even), and
@@ -330,7 +328,7 @@ def make_pattern(kind: str, n: int, k: int | None = None, seed: int | None = Non
         if 2 * k >= n:
             raise ValueError("k_regular_random needs 2k < n")
         stream = stream_for(0 if seed is None else seed)
-        for _ in range(max_attempts):
+        for _ in range(_PATTERN_ATTEMPTS):
             edges: set[tuple[int, int]] = set()
             ok = True
             for _cycle in range(k):
@@ -346,7 +344,7 @@ def make_pattern(kind: str, n: int, k: int | None = None, seed: int | None = Non
             if ok:
                 return Orientation(n, frozenset(edges))
         raise RejectionBudgetError(
-            f"no collision-free union of {k} cyclic orders in {max_attempts} attempts; retry with a new seed"
+            f"no collision-free union of {k} cyclic orders in {_PATTERN_ATTEMPTS} attempts; retry with a new seed"
         )
     raise ValueError(f"unknown pattern kind: {kind}")
 
@@ -420,11 +418,8 @@ class Tournament:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(self.n) if (self.rows[u] >> v) & 1]
 
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "edges": self.edges()}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        return json.dumps({"n": self.n, "edges": self.edges()})
 
     def to_hex_text(self) -> str:
         """Compact form: line 1 is n, then one hex row per vertex.

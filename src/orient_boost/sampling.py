@@ -1,11 +1,11 @@
 """Block-randomized tournaments over a decomposition.
 
-Each block is oriented independently: complete blocks receive the fixed
-regular base tournament of their kind (``BaseTournaments.of``) under a
-uniformly random vertex relabeling; cycles, star-paths and single edges are
-oriented along ``Block.arcs()`` or all reversed, on one fair coin.  For odd n the
-result is always a regular tournament; the even-n star-path layer yields a
-balanced one.
+Each block is oriented independently, by the rule ``BlockKind.complete``
+names: complete blocks receive the fixed regular base tournament of their
+kind (``BaseTournaments.of``) under a uniformly random vertex relabeling;
+cycles, star-paths and single edges are oriented along ``Block.arcs()`` or
+all reversed, on one fair coin.  For odd n the result is always a regular
+tournament; the even-n star-path layer yields a balanced one.
 
 A sample walks the blocks in order on one stream: a complete block of size k
 takes the k - 1 draws of ``Stream.permutation(k)``, a coin block one
@@ -14,9 +14,9 @@ bases) pair, so a sample is one packed draw of all its words
 (``rng.stream_words``), their residues, and a table lookup per block.
 
 Every draw is a tournament exactly when the blocks partition the pairs of
-K_n, a property of the design alone: the plan checks it once, by the one
-pass of ``Decomposition.pair_block_index``, and its draws skip the per-pair
-check of ``Tournament``.
+K_n, a property of the design alone: the plan checks it once, by
+``checked_pair_index``, which ``enumerate_support`` and ``CopyKernel`` also
+run, and its draws skip the per-pair check of ``Tournament``.
 """
 
 from __future__ import annotations
@@ -95,11 +95,20 @@ class SampleSeed:
         return stream_for(self.master, self.index)
 
 
-_COMPLETE = (BlockKind.KT, BlockKind.K2T1)
 # a complete kind's local out-masks are memoised per relabeling only when it has
 # at most 7! relabelings, so the memo never outgrows 5040 entries per kind; the
 # K9 of t = 5 and the K13 of t = 7 are oriented afresh on every draw
 _MEMO_RELABELINGS = 5040
+_SUPPORT_BUDGET = 1_000_000  # distinct outcomes ``enumerate_support`` may list
+
+
+def checked_pair_index(d: Decomposition, bases: BaseTournaments) -> list[list[int]]:
+    """``d.pair_block_index()``, once the bases are checked to fit d's t: the
+    one check of a (design, bases) pair; bases of another size raise
+    InvalidTournamentError."""
+    if bases.r.n != d.t:
+        raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
+    return d.pair_block_index()
 
 
 def _out_masks(draws, base_out, bits) -> tuple[int, ...]:
@@ -141,15 +150,13 @@ class SamplingPlan:
     block keeps its out-masks along ``Block.arcs()`` and reversed.
 
     A design whose blocks do not partition the pairs of K_n is refused here
-    by ``Decomposition.pair_block_index``, run for its check alone, before
-    any draw; so every pair of a draw is oriented by exactly one block, and
+    by ``checked_pair_index``, run for its check alone, before any draw; so
+    every pair of a draw is oriented by exactly one block, and
     ``orient`` builds its ``Tournament`` without checking the pairs again.
     """
 
     def __init__(self, d: Decomposition, bases: BaseTournaments):
-        if bases.r.n != d.t:
-            raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
-        d.pair_block_index()  # the design check; the index is not kept
+        checked_pair_index(d, bases)  # the index is not kept
         self.n = d.n
         mods: list[int] = []
         limits: list[int] = []
@@ -157,7 +164,7 @@ class SamplingPlan:
         self._complete, self._coins = [], []
         for block in d.blocks:
             vs, at = block.vertices, len(mods)
-            if block.kind in _COMPLETE:
+            if block.kind.complete:
                 mods.extend(range(len(vs), 1, -1))
                 limits.extend(_draw_limits(len(vs)))
                 if block.kind not in kinds:
@@ -248,7 +255,7 @@ def sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tourna
 def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
     """Distinct edge orientations of one block with their probabilities."""
     arcs = tuple(block.arcs())
-    if block.kind not in _COMPLETE:
+    if not block.kind.complete:
         return [(arcs, Fraction(1, 2)), (tuple((v, u) for u, v in arcs), Fraction(1, 2))]
     base = bases.of(block.kind)
     k = len(block.vertices)
@@ -261,37 +268,35 @@ def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tu
     return [(key, Fraction(cnt, total)) for key, cnt in sorted(counts.items())]
 
 
-def enumerate_support(d: Decomposition, bases: BaseTournaments, *, budget: int = 1_000_000):
+def enumerate_support(d: Decomposition, bases: BaseTournaments):
     """Every (tournament, probability) of the block-randomized space, as an iterator.
 
     Identical block orientations reached by different relabelings are merged
     first, so the yielded outcomes are distinct per block.  Weights sum to 1.
-    The budget bounds the product of the per-block distinct outcome counts;
-    a complete block whose t! relabelings alone are over it is refused
-    before they are listed, and the count stops at the first block that
-    takes the product over the budget.  These refusals, and that of a
-    design whose blocks do not partition the pairs of K_n, are raised by
-    the call itself, before any outcome.
+    ``_SUPPORT_BUDGET`` bounds the product of the per-block distinct outcome
+    counts; a complete block whose t! relabelings alone are over it is
+    refused before they are listed, and the count stops at the first block
+    that takes the product over the budget.  These refusals, and that of a
+    design that ``checked_pair_index`` refuses, are raised by the call
+    itself, before any outcome.
     """
-    if bases.r.n != d.t:
-        raise InvalidTournamentError(f"base tournament has {bases.r.n} vertices, decomposition t={d.t}")
-    d.pair_block_index()  # the design check, before any outcome
+    checked_pair_index(d, bases)
     per_block = []
     size = 1
     for block in d.blocks:
-        if block.kind in _COMPLETE:
+        if block.kind.complete:
             relabelings = math.factorial(len(block.vertices))
-            if relabelings > budget:
+            if relabelings > _SUPPORT_BUDGET:
                 raise BudgetExceededError(
-                    f"block {block.vertices} has {relabelings} relabelings, over the budget of {budget}",
-                    size=relabelings, budget=budget,
+                    f"block {block.vertices} has {relabelings} relabelings, over the budget of {_SUPPORT_BUDGET}",
+                    size=relabelings, budget=_SUPPORT_BUDGET,
                 )
         per_block.append(_block_outcomes(block, bases))
         size *= len(per_block[-1])
-        if size > budget:
+        if size > _SUPPORT_BUDGET:
             raise BudgetExceededError(
-                f"support has at least {size} distinct outcomes, over the budget of {budget}",
-                size=size, budget=budget,
+                f"support has at least {size} distinct outcomes, over the budget of {_SUPPORT_BUDGET}",
+                size=size, budget=_SUPPORT_BUDGET,
             )
 
     def rec(idx: int, rows: list[int], weight: Fraction):

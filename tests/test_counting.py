@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orient_boost import counting
+from orient_boost import counting, sampling
 from orient_boost.counting import (
     CopyKernel,
     ExactSummary,
@@ -265,9 +265,9 @@ def test_kernel_counts_alike_on_both_sides_of_the_table_cap(case, perm_seed):
 
 @pytest.mark.parametrize("count", [count_hamilton_cycles, count_hamilton_paths], ids=["cycles", "paths"])
 def test_hamilton_dp_refuses_n21_before_allocating(monkeypatch, count):
-    """budget_n=20 is the largest size measured: on a 2-vCPU host n = 20 takes
-    2.4-3.5 s for cycles and 11-12 s for paths (two-word lanes), with no
-    measurable peak-RSS growth."""
+    """_HAMILTON_BUDGET = 20 is the largest size measured: on a 2-vCPU host
+    n = 20 takes 2.4-3.5 s for cycles and 11-12 s for paths (two-word lanes),
+    with no measurable peak-RSS growth."""
     import orient_boost.counting as counting
 
     def allocated(*args):
@@ -541,7 +541,7 @@ def test_expectation_matches_direct_sampled_counts_at_n9():
     assert abs(acc / draws - float(summary.expectation)) / float(summary.expectation) < 0.05
 
 
-def test_even_extension_expectation():
+def test_even_extension_expectation(monkeypatch):
     from orient_boost.designs import adjusted_decomposition, extend_to_even
     d8 = extend_to_even(adjusted_decomposition(7, 3))
     bases = BaseTournaments.circulant(3)
@@ -553,7 +553,8 @@ def test_even_extension_expectation():
     c8 = make_pattern("cycle", 8)
     exact = exact_copy_summary(c8, d8, bases).expectation
     acc = Fraction(0)
-    for t, w in enumerate_support(d8, bases, budget=5_000_000):
+    monkeypatch.setattr(sampling, "_SUPPORT_BUDGET", 5_000_000)
+    for t, w in enumerate_support(d8, bases):
         acc += w * 8 * count_hamilton_cycles(t)
     assert acc == exact
     assert exact > Fraction(math.factorial(8), 2 ** 8)

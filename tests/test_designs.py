@@ -633,6 +633,16 @@ def test_block_arcs_follow_the_vertex_order(kind, vertices, arcs):
     assert block.edges() == [(min(u, v), max(u, v)) for u, v in arcs]
 
 
+@pytest.mark.parametrize("t", [3, 5, 7])
+@pytest.mark.parametrize("kind", list(BlockKind))
+def test_block_kind_states_its_size_and_orientation_rule(kind, t):
+    pairs = {BlockKind.KT: t * (t - 1) // 2, BlockKind.K2T1: (2 * t - 1) * (t - 1),
+             BlockKind.C3: 3, BlockKind.C4: 4, BlockKind.STARPATH: 2, BlockKind.EDGE: 1}[kind]
+    block = Block(kind, tuple(range(kind.size(t))))
+    assert len(block.arcs()) == len(set(block.edges())) == pairs
+    assert kind.complete == (kind in (BlockKind.KT, BlockKind.K2T1))
+
+
 def single_block_mutations(d):
     """Every design one block away from d: a block dropped, a block duplicated, or one
     vertex of one block swapped for a vertex outside it."""

@@ -95,10 +95,16 @@ def test_sample_determinism():
     assert any(sample(fano, bases, SampleSeed(42, i)).rows != a.rows for i in range(5))
 
 
-def test_sample_rejects_mismatched_bases():
-    fano = steiner_triple_system(7)
-    with pytest.raises(InvalidTournamentError):
-        sample(fano, BaseTournaments.circulant(5), SampleSeed(0, 0))
+def test_mismatched_bases_are_refused_alike_by_every_consumer():
+    fano, bases = steiner_triple_system(7), BaseTournaments.circulant(5)
+    refusals = []
+    for refuse in (lambda: sampling.sampling_plan(fano, bases), lambda: sample(fano, bases, SampleSeed(0, 0)),
+                   lambda: enumerate_support(fano, bases),
+                   lambda: CopyKernel(make_pattern("cycle", 7), fano, bases)):
+        with pytest.raises(InvalidTournamentError) as err:
+            refuse()
+        refusals.append(str(err.value))
+    assert refusals == ["base tournament has 5 vertices, decomposition t=3"] * 4
 
 
 def test_marginal_edge_fairness():
@@ -108,12 +114,14 @@ def test_marginal_edge_fairness():
     assert abs(hits / 10_000 - 0.5) <= 0.02
 
 
-def test_enumerate_support_triple_system():
+def test_enumerate_support_triple_system(monkeypatch):
     fano = steiner_triple_system(7)
     bases = BaseTournaments.circulant(3)
-    outcomes = list(enumerate_support(fano, bases, budget=128))  # 2 distinct outcomes per block
+    monkeypatch.setattr(sampling, "_SUPPORT_BUDGET", 128)  # 2 distinct outcomes per block
+    outcomes = list(enumerate_support(fano, bases))
+    monkeypatch.setattr(sampling, "_SUPPORT_BUDGET", 127)
     with pytest.raises(BudgetExceededError):
-        list(enumerate_support(fano, bases, budget=127))
+        list(enumerate_support(fano, bases))
     assert len(outcomes) == 128
     assert all(w == Fraction(1, 128) for _, w in outcomes)
     assert sum(w for _, w in outcomes) == 1
@@ -121,16 +129,18 @@ def test_enumerate_support_triple_system():
     assert len({t.rows for t, _ in outcomes}) == 128
 
 
-def test_enumerate_support_coin_blocks():
+def test_enumerate_support_coin_blocks(monkeypatch):
     # K4 as one 4-cycle plus the two diagonals; support is 2 per block
     d = Decomposition(4, 3, (
         Block(BlockKind.C4, (0, 1, 2, 3)),
         Block(BlockKind.EDGE, (0, 2)),
         Block(BlockKind.EDGE, (1, 3)),
     ))
-    outcomes = list(enumerate_support(d, BaseTournaments.circulant(3), budget=8))
+    monkeypatch.setattr(sampling, "_SUPPORT_BUDGET", 8)
+    outcomes = list(enumerate_support(d, BaseTournaments.circulant(3)))
+    monkeypatch.setattr(sampling, "_SUPPORT_BUDGET", 7)
     with pytest.raises(BudgetExceededError):
-        list(enumerate_support(d, BaseTournaments.circulant(3), budget=7))
+        list(enumerate_support(d, BaseTournaments.circulant(3)))
     assert len(outcomes) == 8
     assert sum(w for _, w in outcomes) == 1
     assert len({t.rows for t, _ in outcomes}) == 8
@@ -146,14 +156,13 @@ def test_enumerate_support_budget():
 
 
 def test_enumerate_support_refuses_a_block_before_listing_it(monkeypatch):
-    import orient_boost.sampling as sampling
-
     def listed(*args):
         raise AssertionError("relabelings listed")
 
     monkeypatch.setattr(sampling, "_block_outcomes", listed)
+    monkeypatch.setattr(sampling, "_SUPPORT_BUDGET", 119)
     with pytest.raises(BudgetExceededError) as err:
-        list(enumerate_support(projective_plane_decomposition(4), BaseTournaments.circulant(5), budget=119))
+        list(enumerate_support(projective_plane_decomposition(4), BaseTournaments.circulant(5)))
     assert err.value.size == 120
 
 
@@ -175,8 +184,8 @@ def _not_a_partition(kind: str) -> Decomposition:
 # the refusal of each kind, pinned byte for byte; every consumer of a design
 # raises the same text
 _REFUSALS = {
-    "overlap": "blocks do not partition the pairs of K_7: pair (0, 1) covered 2 times",
-    "duplicate": "blocks do not partition the pairs of K_7: pair (0, 2) covered 2 times",
+    "overlap": "blocks do not partition the pairs of K_7: pair (0,1) covered 2 times",
+    "duplicate": "blocks do not partition the pairs of K_7: pair (0,2) covered 2 times",
     "gap": "blocks do not partition the pairs of K_7: pair (0,2) never covered",
     "block size": "blocks do not partition the pairs of K_4: block 0 (KT) has 4 vertices, expected 3",
     "vertex range": "blocks do not partition the pairs of K_7: block 0 has a vertex outside 0..6",
