@@ -23,19 +23,20 @@ over the injections (``_injection_table``, built once per kernel and
 ``CopyKernel.ratio(pi, method="enumerate")`` lists injections instead and
 stays the independent oracle.  Hamilton cycles and paths are
 counted by ``_covering_walks``: inclusion-exclusion over vertex subsets, the
-subsets of up to 10 vertices packed as fixed-width lanes of one Python int
-per vertex, so a step is a few big-int adds and masks.  On a 2-vCPU host
-(Python 3.11.7) it counts the cycles of a 16-vertex tournament in about
-0.1 s and those of a 20-vertex one in 2.4-3.5 s (paths 11-12 s), with no
-measurable peak-RSS growth.
+subsets of up to 10 vertices packed as lanes of one Python int per vertex,
+so a step is a few big-int adds and masks.  A lane is as wide as Brégman's
+bound on the count (``_hamilton_bits``) and the carries of one step need,
+in whole bytes: 5 bytes for the cycles of a 16-vertex tournament with row
+sums 7 and 8, 7 for the paths of a 20-vertex one.  On a 2-vCPU host (Python
+3.11.7) it counts the cycles of a 16-vertex tournament in 70-80 ms and
+those of a 20-vertex one in 2.6-3.0 s (paths 5.5-6.4 s), with no measurable
+peak-RSS growth.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,23 +145,49 @@ def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -
 
 
 _LANE_VERTICES = 10  # free vertices whose subsets share one int, one lane each
-_HAMILTON_BUDGET = 20  # largest n measured (2 vCPUs): cycles 2.4-3.5 s, paths 11-12 s, no RSS growth
+_HAMILTON_BUDGET = 20  # largest n measured (2 vCPUs): cycles 2.6-3.0 s, paths 5.5-6.4 s, no RSS growth
+# bit_length(r!), and bit_length(r!)/r over one common denominator, for every
+# row sum r the Brégman bound meets: paths add a row of n
+_FACTORIAL_BITS = tuple(math.factorial(r).bit_length() for r in range(_HAMILTON_BUDGET + 1))
+_BREGMAN_DEN = math.lcm(*range(1, _HAMILTON_BUDGET + 1))
+_BREGMAN_TERMS = tuple(bits * _BREGMAN_DEN // r if r else 0 for r, bits in enumerate(_FACTORIAL_BITS))
+
+
+def _hamilton_bits(rows, n: int, closed: bool) -> int:
+    """Bits that hold the Hamilton cycles (``closed``) or paths of the
+    tournament with bit rows ``rows``: the count is below 2^bits.
+
+    A directed Hamilton cycle is one permutation term of the adjacency
+    permanent, so by Brégman's theorem (1973) log2 of the count is at most
+    the sum of log2(r!)/r over the row sums r, which is below the sum of
+    bit_length(r!)/r, rounded up here over a common denominator.  A path is
+    a cycle through one added vertex joined both ways to every vertex: row
+    sums r + 1 and one row of n.  A row sum of 0 leaves no cycle, and 0
+    bits.  The result is one bit above the bound, and never more than the
+    bits of (n-1)! cycles or n! paths.
+    """
+    if closed and 0 in rows or not n:
+        return 0
+    terms = _BREGMAN_TERMS if closed else _BREGMAN_TERMS[1:]  # a path's rows gain an arc
+    scaled = sum(map(terms.__getitem__, map(int.bit_count, rows)))
+    if not closed:
+        scaled += _BREGMAN_TERMS[n]
+    return min(-(-scaled // _BREGMAN_DEN) + 1, _FACTORIAL_BITS[n - closed] + 1)
 
 
 @dataclass(frozen=True)
 class _Lanes:
-    """Lane layout of the covering-walk count for one (n, closed).
+    """Lane layout of the covering-walk count for one (n, closed, bits).
 
-    Counts are kept modulo 2^bits, one bit more than the largest Hamilton
-    count ((n-1)! cycles through vertex 0, n! paths).  Each lane adds
+    Counts are kept modulo 2^bits, from ``_hamilton_bits``.  Each lane adds
     ``bit_length(n)`` guard bits for the carries of one step's sum and is
-    rounded up to ``words`` 64-bit words.  Lane s holds the subset s of the
-    k lowest free vertices; ``member[j]`` keeps the lanes holding free vertex
-    j, ``even`` those that leave out an even number of the k.
+    rounded up to ``size`` bytes.  Lane s holds the subset s of the k lowest
+    free vertices; ``member[j]`` keeps the lanes holding free vertex j,
+    ``even`` those that leave out an even number of the k.
     """
 
     bits: int
-    words: int
+    size: int
     k: int
     one: int
     full: int
@@ -168,34 +195,29 @@ class _Lanes:
     even: int
 
 
-def _lane_mask(lanes: int, width: int, value: int, keep) -> int:
-    """``value`` in every lane s (of ``width`` bits) with ``keep(s)``, zero in the rest."""
-    on, off = value.to_bytes(width // 8, "little"), bytes(width // 8)
-    return int.from_bytes(b"".join(on if keep(s) else off for s in range(lanes)), "little")
-
-
 @lru_cache(maxsize=64)
-def _lane_layout(n: int, closed: bool) -> _Lanes:
-    bits = math.factorial(n - 1 if closed else n).bit_length() + 1
-    width = -(-(bits + n.bit_length()) // 64) * 64
+def _lane_layout(n: int, closed: bool, bits: int) -> _Lanes:
+    size = -(-(bits + n.bit_length()) // 8)
     k = min(_LANE_VERTICES, n - 1 if closed else n)
-    lanes = 1 << k
-    top = (1 << bits) - 1
+    on, off = ((1 << bits) - 1).to_bytes(size, "little"), bytes(size)
+    # lanes whose subset has an even/odd number of the k vertices, doubled one vertex at a time
+    even, odd = on, off
+    for _ in range(k):
+        even, odd = even + odd, odd + even
     return _Lanes(
-        bits=bits, words=width // 64, k=k,
-        one=_lane_mask(lanes, width, 1, lambda s: True),
-        full=_lane_mask(lanes, width, top, lambda s: True),
-        member=tuple(_lane_mask(lanes, width, top, lambda s, j=j: s >> j & 1) for j in range(k)),
-        even=_lane_mask(lanes, width, top, lambda s: (k - s.bit_count()) % 2 == 0),
+        bits=bits, size=size, k=k,
+        one=int.from_bytes((1).to_bytes(size, "little") * (1 << k), "little"),
+        full=int.from_bytes(on * (1 << k), "little"),
+        member=tuple(int.from_bytes((off * (1 << j) + on * (1 << j)) * (1 << (k - 1 - j)), "little")
+                     for j in range(k)),
+        even=int.from_bytes(odd if k % 2 else even, "little"),
     )
 
 
 def _lane_sum(x: int, lay: _Lanes) -> int:
     """Sum of the lanes of x."""
-    words = array("Q", x.to_bytes(8 * lay.words << lay.k, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return sum(sum(words[j::lay.words]) << (64 * j) for j in range(lay.words))
+    data = x.to_bytes(lay.size << lay.k, "little")
+    return sum(sum(data[j::lay.size]) << 8 * j for j in range(lay.size))
 
 
 def _covering_walks(rows, n: int, closed: bool) -> int:
@@ -209,9 +231,14 @@ def _covering_walks(rows, n: int, closed: bool) -> int:
     cycles).  Each vertex holds one int whose lanes count the walks ending
     there for every subset of the k lowest free vertices, and a step is
     Y[w] = (sum of X[v] over v -> w) & mask[w].  The higher free vertices
-    are fixed per chunk, present or absent; an absent one drops out.
+    are fixed per chunk, present or absent; an absent one drops out.  The
+    lanes count modulo 2^bits of ``_hamilton_bits``, above the true count, so
+    the sum modulo 2^bits is the count itself; 0 bits means there is none.
     """
-    lay = _lane_layout(n, closed)
+    bits = _hamilton_bits(rows, n, closed)
+    if not bits:
+        return 0
+    lay = _lane_layout(n, closed, bits)
     first = 1 if closed else 0
     low = list(range(first + lay.k))
     high = range(first + lay.k, n)
@@ -223,8 +250,9 @@ def _covering_walks(rows, n: int, closed: bool) -> int:
         into = [[i for i, v in enumerate(act) if rows[v] >> w & 1] for w in act]
         x = [lay.one] + [0] * (len(act) - 1) if closed else [lay.one & m for m in masks]
         for _ in range(n - 1):
-            x = [sum([x[i] for i in ins]) & m for ins, m in zip(into, masks)]
-        end = sum([x[i] for i in into[0]]) if closed else sum(x)
+            get = x.__getitem__
+            x = [sum(map(get, ins)) & m for ins, m in zip(into, masks)]
+        end = sum(map(x.__getitem__, into[0])) if closed else sum(x)
         part = 2 * _lane_sum(end & lay.even, lay) - _lane_sum(end, lay)
         total += -part if (len(high) - len(kept)) % 2 else part
     return total % (1 << lay.bits)
@@ -334,10 +362,11 @@ class CopyKernel:
     the capture statistics.  Single-edge blocks contribute nothing; an
     induced pair in a size-t block is a closed-form factor, multiplied as an
     integer numerator and denominator; a coin block is tested against its
-    arcs.  Every other complete-block capture is looked up in one memo, keyed
-    by the block's kind, its size and its captured edges relabelled by first
-    appearance, whose entry holds the block's whole contribution: numerator,
-    denominator, capture counts and whether the copy stays typical.  On a
+    arc set, built on the block's first capture.  Every other complete-block
+    capture is looked up in one memo, keyed by the block's kind, its size
+    and its captured edges relabelled by first appearance, whose entry
+    holds the block's whole contribution: numerator, denominator, capture
+    counts and whether the copy stays typical.  On a
     miss a triangle in a size-t block takes its closed form; any other shape
     of m vertices first checks ``perm(size, m)`` against
     ``_INJECTION_BUDGET`` (as ``ratio(pi, method="enumerate")`` does), then
@@ -366,6 +395,7 @@ class CopyKernel:
         self._pair_capture, self._triangle_capture = local_shapes(self.h_edges)
         self._memo: dict[tuple, tuple[int, int, tuple, bool]] = {}
         self._tables: dict[tuple, list[int]] = {}
+        self._coin_arcs: dict[int, frozenset[tuple[int, int]]] = {}  # built on a coin block's first capture
 
     # -- grouping ----------------------------------------------------------
 
@@ -496,7 +526,9 @@ class CopyKernel:
 
     def _coin_hits(self, bid: int, group, pi) -> int:
         """Coin outcomes (of two) of a cycle/star-path/edge block that orient every captured edge."""
-        arcs = set(self.d.blocks[bid].arcs())
+        arcs = self._coin_arcs.get(bid)
+        if arcs is None:
+            arcs = self._coin_arcs[bid] = frozenset(self.d.blocks[bid].arcs())
         mapped = [(pi[u], pi[v]) for u, v in group]
         return all(e in arcs for e in mapped) + all((v, u) in arcs for u, v in mapped)
 

@@ -149,7 +149,8 @@ def test_hamilton_counts_of_the_empty_tournament():
 
 
 def test_hamilton_cycles_pinned_at_n16():
-    # the value the subset DP gives; 15 free vertices, so 32 chunks of 2^10 lanes
+    # the value the subset DP gives; 15 free vertices, so 32 chunks of 2^10 lanes,
+    # each 5 bytes wide by the Brégman bound on row sums 7 and 8
     t = sample(adjusted_decomposition(16, 3), BaseTournaments.circulant(3), SampleSeed(1, 0))
     assert count_hamilton_cycles(t) == 52424821
 
@@ -266,7 +267,7 @@ def test_kernel_counts_alike_on_both_sides_of_the_table_cap(case, perm_seed):
 @pytest.mark.parametrize("count", [count_hamilton_cycles, count_hamilton_paths], ids=["cycles", "paths"])
 def test_hamilton_dp_refuses_n21_before_allocating(monkeypatch, count):
     """_HAMILTON_BUDGET = 20 is the largest size measured: on a 2-vCPU host
-    n = 20 takes 2.4-3.5 s for cycles and 11-12 s for paths (two-word lanes),
+    n = 20 takes 2.6-3.0 s for cycles and 5.5-6.4 s for paths (7-byte lanes),
     with no measurable peak-RSS growth."""
     import orient_boost.counting as counting
 
@@ -280,10 +281,47 @@ def test_hamilton_dp_refuses_n21_before_allocating(monkeypatch, count):
 
 
 def test_transitive_tournament_counts():
-    for n in (4, 6, 8):
+    # the sink's empty row leaves no cycle and 0 lane bits
+    for n in range(3, 13):
         t = transitive_tournament(n)
+        assert counting._hamilton_bits(t.rows, n, closed=True) == 0
         assert count_hamilton_cycles(t) == 0
         assert count_hamilton_paths(t) == 1
+
+
+def test_hamilton_counts_below_three_vertices():
+    for n, paths in ((0, 0), (1, 1), (2, 1)):
+        for t in (transitive_tournament(n), random_tournament(n, 5)):
+            assert count_hamilton_cycles(t) == 0
+            assert count_hamilton_paths(t) == paths
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), seed=st.integers(0, 10 ** 6), closed=st.booleans())
+def test_hamilton_count_is_below_two_to_the_lane_bits(n, seed, closed):
+    """The Brégman bits hold the count, and never exceed those of (n-1)! or n!."""
+    t = random_tournament(n, seed)
+    bits = counting._hamilton_bits(t.rows, n, closed)
+    count = dp_hamilton_cycles(t) if closed else dp_hamilton_paths(t)
+    assert count < 1 << bits
+    assert bits <= math.factorial(n - 1 if closed else n).bit_length() + 1
+
+
+# every row sum equal: the Brégman bound is tightest here, so the lanes are narrowest
+REGULAR_TOURNAMENTS = {
+    **{f"circulant{n}": circulant_regular_tournament(n) for n in range(3, 14, 2)},
+    "qr7": quadratic_residue_tournament(7),
+    "qr11": quadratic_residue_tournament(11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR_TOURNAMENTS))
+def test_hamilton_counts_of_regular_tournaments_equal_subset_dp(name):
+    t = REGULAR_TOURNAMENTS[name]
+    for closed, count, oracle in ((True, count_hamilton_cycles, dp_hamilton_cycles),
+                                  (False, count_hamilton_paths, dp_hamilton_paths)):
+        exact = oracle(t)
+        assert count(t) == exact < 1 << counting._hamilton_bits(t.rows, t.n, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +553,29 @@ def test_coin_blocks_match_support_weighted_count(coin_design6):
     for h in (make_pattern("path", 6), random_orientation(6, 9, seed=4)):
         exact = exact_copy_summary(h, coin_design6, bases).expectation
         assert exact == sum(w * count_labeled_copies(h, t) for t, w in support)
+
+
+def test_coin_factor_of_c8_equals_a_recount_from_the_block_arcs():
+    # the kernel builds each coin block's arc set once; here every copy's coin
+    # factor is recounted from Block.arcs() afresh
+    d = adjusted_decomposition(8, 3)
+    kernel = CopyKernel(make_pattern("cycle", 8), d)
+    coin_blocks = set()
+    for index in range(2000):
+        pi = stream_for(13, index).permutation(8)
+        factor = expected = 1
+        for bid, group in kernel.groups(pi).items():
+            block = d.blocks[bid]
+            if block.kind.complete:
+                continue
+            coin_blocks.add(bid)
+            arcs = set(block.arcs())
+            mapped = [(pi[u], pi[v]) for u, v in group]
+            hits = all(a in arcs for a in mapped) + all((v, u) in arcs for u, v in mapped)
+            expected *= hits << (len(group) - 1)
+            factor *= kernel._coin_hits(bid, group, pi) << (len(group) - 1)
+        assert factor == expected
+    assert coin_blocks and set(kernel._coin_arcs) == coin_blocks
 
 
 def test_exact_matches_support_weighted_cycles_on_sts9():
