@@ -363,8 +363,8 @@ class CopyKernel:
     induced pair in a size-t block is a closed-form factor, multiplied as an
     integer numerator and denominator; a coin block is tested against its
     arc set, built on the block's first capture.  Every other complete-block
-    capture is looked up in one memo, keyed by the block's kind, its size
-    and its captured edges relabelled by first appearance, whose entry
+    capture is looked up in one memo, keyed by the block's kind (which fixes
+    its size) and its captured edges relabelled by first appearance, whose entry
     holds the block's whole contribution: numerator, denominator, capture
     counts and whether the copy stays typical.  On a
     miss a triangle in a size-t block takes its closed form; any other shape
@@ -389,7 +389,6 @@ class CopyKernel:
         self.h_edges = sorted(h.edges)
         self.e = len(self.h_edges)
         self.block_kind = [b.kind for b in d.blocks]
-        self.block_size = [len(b.vertices) for b in d.blocks]
         self._closed = capture_factors(d.t)
         # keyed in the order of h_edges, the order in which groups lists a block's edges
         self._pair_capture, self._triangle_capture = local_shapes(self.h_edges)
@@ -469,7 +468,7 @@ class CopyKernel:
         of the shape the key names."""
         shapes = self._capture_shapes(group)
         deltas = tuple((k, shapes.count(k)) for k in sorted(set(shapes)))
-        kind, _, mapped = key
+        kind, mapped = key
         if kind is BlockKind.KT and len(group) == 3 and shapes and shapes[0] >= 2:
             # three edges forming one triangle, none of its pairs induced
             entry = (*self._closed[shapes[0]], deltas, True)
@@ -533,7 +532,7 @@ class CopyKernel:
         return all(e in arcs for e in mapped) + all((v, u) in arcs for u, v in mapped)
 
     def _complete_shape(self, bid: int, group) -> tuple[tuple, int]:
-        """Memo key (kind, block size, captured edges relabelled by first appearance) and vertex count.
+        """Memo key (kind, captured edges relabelled by first appearance) and vertex count.
 
         A copy maps the group's vertices injectively into the block, so
         relabelling the pattern vertices by first appearance gives the same
@@ -549,25 +548,28 @@ class CopyKernel:
             if b is None:
                 b = seen[v] = len(seen)
             mapped.append((a, b))
-        return (self.block_kind[bid], self.block_size[bid], tuple(mapped)), len(seen)
+        return (self.block_kind[bid], tuple(mapped)), len(seen)
 
     def _base_injections(self, bid: int, key: tuple, m: int) -> tuple[tuple[int, ...], int]:
-        """(bit rows of the block's base, perm(size, m)); raises over ``_INJECTION_BUDGET``."""
-        kind, size, _ = key
-        total = math.perm(size, m)
+        """(bit rows of the block's base, perm(size, m)); raises over ``_INJECTION_BUDGET``.
+
+        The size is the base's: ``pair_block_index`` checked every block
+        against its kind's size."""
+        base = self.bases.of(key[0])
+        total = math.perm(base.n, m)
         if total > _INJECTION_BUDGET:
             raise BudgetExceededError(
                 f"block {bid} needs {total} injections, over the budget "
                 f"{_INJECTION_BUDGET}", size=total, budget=_INJECTION_BUDGET,
             )
-        return self.bases.of(kind).rows, total
+        return base.rows, total
 
     def _injection_hits(self, bid: int, key: tuple, m: int) -> tuple[int, int]:
         """(injections that orient every captured edge, all injections), by listing every injection."""
         rows, total = self._base_injections(bid, key, m)
-        _, size, mapped = key
+        kind, mapped = key
         hits = 0
-        for inj in permutations(range(size), m):
+        for inj in permutations(range(self.bases.of(kind).n), m):
             if all((rows[inj[a]] >> inj[b]) & 1 for a, b in mapped):
                 hits += 1
         return hits, total

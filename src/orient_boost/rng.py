@@ -7,13 +7,13 @@ run produces bit-identical output no matter how samples are distributed
 across workers, platforms, or Python builds.
 
 ``Stream`` draws one value at a time and is the reference.  The k-th state
-of a stream is its seed plus ``k`` times the increment, so many outputs are
-mixed at once, packed into one integer.  ``stream_words`` mixes the first
-``D`` outputs of one stream that way; the tournament sampler takes all the
-draws of a sample from it.  The Monte Carlo scan draws whole index ranges
-with ``stream_permutations``, which yields exactly
-``stream_for(master, i).permutation(n)`` for each index ``i`` and packs the
-draws of many streams together.
+of a stream is its seed plus ``k`` times the increment, so many outputs of
+many streams are mixed at once, packed into one integer, by ``_words``.  Its
+two callers turn the outputs into exactly the scalar draws, rejection
+included: ``stream_residues`` gives the residues of ``Stream.below`` for a
+list of moduli on one stream, all the draws of a tournament sample, and
+``stream_permutations`` yields ``stream_for(master, i).permutation(n)`` for a
+range of indices, the copies of the Monte Carlo scan.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from operator import lt, mod
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INDEX_SALT = 0x6A09E667F3BCC909
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
-# 128-bit lanes per packed int of stream_permutations and stream_words: 32 KB each.
+# 128-bit lanes per packed int of a stream_permutations sub-batch, 32 KB, unless one
+# stream has more draws; stream_residues packs all the draws of its one stream
 _LANES = 2048
 
 
@@ -107,81 +109,75 @@ def _mix_lanes(z: int, mask: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-def _steps(draws: int, count: int) -> int:
-    """Lane ``k * count + s`` holds ``(k + 1)`` times the increment, for k < draws and s < count."""
-    return int.from_bytes(b"".join(array("Q", [(k * _GAMMA) & _MASK, 0]).tobytes() * count
-                                   for k in range(1, draws + 1)), "little")
+@lru_cache(maxsize=16)
+def _layout(count: int, draws: int) -> tuple[int, int, int, int, int]:
+    """A 1, s in lane s, and the low-half mask, in each of ``count`` lanes; the
+    low-half mask in each of ``draws * count`` lanes, and ``k + 1`` increments
+    in lane ``k * count + s`` of them."""
+    steps = b"".join(array("Q", [(k * _GAMMA) & _MASK, 0]).tobytes() * count for k in range(1, draws + 1))
+    return (_lanes([1, 0], count), _lanes([w for s in range(count) for w in (s, 0)]), _lanes([_MASK, 0], count),
+            _lanes([_MASK, 0], count * draws), int.from_bytes(steps, "little"))
+
+
+def _words(master: int, lo: int, count: int, draws: int) -> Sequence[int]:
+    """The first ``draws`` outputs of each stream ``stream_for(master, lo + s)``,
+    s < count: output k of stream s at position ``k * count + s``.
+
+    One packed int mixes the ``count`` stream seeds, lane s holding stream
+    s's; a second, of ``draws * count`` lanes, adds ``k + 1`` increments to
+    the seed in lane ``k * count + s`` and mixes every state.  The words are
+    raw 64-bit outputs, before any rejection.
+    """
+    if sys.byteorder != "little":
+        streams = [stream_for(master, i) for i in range(lo, lo + count)]
+        return [stream.next_u64() for _ in range(draws) for stream in streams]
+    ones, ramp, mask, draw_mask, steps = _layout(count, draws)
+    z = ((((lo & _MASK) * ones + ramp) & mask) ^ _INDEX_SALT * ones)  # lane s: index lo + s, salted
+    z = _mix_lanes(_mix_lanes(z, mask) ^ mix64(master) * ones, mask)
+    z = int.from_bytes(z.to_bytes(16 * count, "little") * draws, "little")
+    z = _mix_lanes((z + steps) & draw_mask, draw_mask)
+    return memoryview(z.to_bytes(16 * count * draws, "little")).cast("Q")[::2]
 
 
 @lru_cache(maxsize=16)
-def _word_lanes(count: int) -> tuple[int, int, int]:
-    """A 1, the increments and the low-half mask in each of ``count`` lanes."""
-    return _lanes([1, 0], count), _steps(count, 1), _lanes([_MASK, 0], count)
+def _limits(mods: tuple[int, ...]) -> tuple[int, ...]:
+    """The rejection limit of ``Stream.below(m)`` for each modulus m: an output
+    at or over it is redrawn.  A modulus of 2^64 has limit 2^64 and never redraws."""
+    return tuple((1 << 64) - (1 << 64) % m for m in mods)
 
 
-def stream_words(master: int, index: int, count: int) -> Sequence[int]:
-    """The first ``count`` outputs of ``stream_for(master, index)``, mixed in one pass.
+def stream_residues(master: int, index: int, mods: tuple[int, ...]) -> tuple[int, ...]:
+    """``tuple(map(stream.below, mods))`` for ``stream = stream_for(master, index)``,
+    from one packed pass.
 
-    Lane ``k`` holds the stream seed plus ``k + 1`` increments, in packed
-    ints of at most ``_LANES`` lanes; the words are the raw 64-bit outputs,
-    before any rejection, in draw order.
+    If an output reaches its rejection limit, which ``below`` would redraw,
+    the whole tuple is drawn from the scalar stream instead.
     """
-    seed = _stream_seed(master, index)
-    if sys.byteorder != "little":
-        stream = Stream(seed)
-        return [stream.next_u64() for _ in range(count)]
-    chunks = []
-    for start in range(0, count, _LANES):
-        size = min(_LANES, count - start)
-        ones, steps, mask = _word_lanes(size)
-        z = (((seed + start * _GAMMA) & _MASK) * ones + steps) & mask
-        chunks.append(_mix_lanes(z, mask).to_bytes(16 * size, "little"))
-    return memoryview(b"".join(chunks)).cast("Q")[::2]
-
-
-def _draw_limits(n: int) -> list[int]:
-    """The rejection limit of each draw of ``Stream.permutation(n)``, as in ``Stream.below``."""
-    return [(1 << 64) - (1 << 64) % m for m in range(n, 1, -1)]
+    words = _words(master, index, 1, len(mods))
+    if all(map(lt, words, _limits(mods))):
+        return tuple(map(mod, words, mods))
+    return tuple(map(stream_for(master, index).below, mods))
 
 
 def stream_permutations(master: int, lo: int, hi: int, n: int) -> Iterator[list[int]]:
     """Yield ``stream_for(master, i).permutation(n)`` for each i in [lo, hi).
 
-    Streams go in sub-batches of at most ``_LANES // (n - 1)``.  A sub-batch
-    mixes its stream seeds, then all ``n - 1`` states of every stream, each
-    as one packed int (lane ``k * count + s`` holds draw ``k`` of stream
-    ``s``), and runs Fisher-Yates on the unpacked draws.  A stream with a
-    draw at or over its rejection limit, which the scalar draw would redraw,
-    is drawn by ``Stream.permutation`` instead.
+    Streams go in sub-batches of ``_LANES // (n - 1)``, and at least one:
+    ``_words`` draws all ``n - 1`` outputs of a sub-batch's streams at once,
+    and Fisher-Yates runs on each stream's outputs.  A stream with an output
+    at or over its rejection limit, which the scalar draw would redraw, is
+    drawn by ``Stream.permutation`` instead.
     """
-    draws = n - 1
-    if not 1 <= draws <= _LANES or sys.byteorder != "little":
-        for index in range(lo, hi):
-            yield stream_for(master, index).permutation(n)
-        return
-    limits = _draw_limits(n)
+    draws = max(n - 1, 0)
+    per = max(1, _LANES // max(draws, 1))
     tops = range(n - 1, 0, -1)
-    per = _LANES // draws
-    head = mix64(master)
-
-    def constants(count: int) -> tuple[int, int, int, int]:
-        return (_lanes([_MASK, 0], count), _lanes([head, 0], count),
-                _lanes([_MASK, 0], count * draws), _steps(draws, count))
-
-    count = min(per, hi - lo)
-    mask, heads, draw_mask, offsets = constants(count)
+    limits = _limits(tuple(range(n, 1, -1)))
     for start in range(lo, hi, per):
-        if hi - start < count:
-            count = hi - start
-            mask, heads, draw_mask, offsets = constants(count)
-        z = _lanes([w for i in range(start, start + count) for w in ((i & _MASK) ^ _INDEX_SALT, 0)])
-        z = _mix_lanes(_mix_lanes(z, mask) ^ heads, mask)
-        z = int.from_bytes(z.to_bytes(16 * count, "little") * draws, "little")
-        z = _mix_lanes((z + offsets) & draw_mask, draw_mask)
-        words = memoryview(z.to_bytes(16 * count * draws, "little")).cast("Q")
+        count = min(per, hi - start)
+        words = _words(master, start, count, draws)
         for s in range(count):
             items = list(range(n))
-            for i, u, limit in zip(tops, words[2 * s::2 * count], limits):
+            for i, u, limit in zip(tops, words[s::count], limits):
                 if u >= limit:
                     items = stream_for(master, start + s).permutation(n)
                     break

@@ -10,8 +10,9 @@ tournament; the even-n star-path layer yields a balanced one.
 A sample walks the blocks in order on one stream: a complete block of size k
 takes the k - 1 draws of ``Stream.permutation(k)``, a coin block one
 ``Stream.coin()``.  ``SamplingPlan`` lays that walk out once per (design,
-bases) pair, so a sample is one packed draw of all its words
-(``rng.stream_words``), their residues, and a table lookup per block.
+bases) pair as a list of moduli, so a sample is one call of
+``rng.stream_residues``, which packs the draws and handles their rejection,
+and a table lookup per block.
 
 Every draw is a tournament exactly when the blocks partition the pairs of
 K_n, a property of the design alone: the plan checks it once, by
@@ -26,12 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from operator import lt, mod
 
 from .designs import Block, BlockKind, Decomposition
 from .errors import BudgetExceededError, InvalidTournamentError
 from .orientations import Tournament, _unchecked_tournament
-from .rng import Stream, _draw_limits, stream_for, stream_words
+from .rng import stream_residues
 
 
 def circulant_regular_tournament(m: int) -> Tournament:
@@ -91,9 +91,6 @@ class SampleSeed:
     master: int
     index: int = 0
 
-    def stream(self) -> Stream:
-        return stream_for(self.master, self.index)
-
 
 # a complete kind's local out-masks are memoised per relabeling only when it has
 # at most 7! relabelings, so the memo never outgrows 5040 entries per kind; the
@@ -143,11 +140,11 @@ class SamplingPlan:
     Draw ``i`` of a sample is ``Stream.below(mods[i])``: a complete block of
     size k owns the moduli k, k-1, ..., 2 of ``Stream.permutation(k)``, a coin
     block one modulus 2^64, the raw word whose top bit is ``Stream.coin()``.
-    ``limits`` are the matching rejection limits.  A complete block keeps a
-    table spreading local bit masks onto its vertices, and its kind's memo
-    of local out-masks by draws; a block of a kind with too many relabelings
-    to memoise gets its global out-masks straight from the draws.  A coin
-    block keeps its out-masks along ``Block.arcs()`` and reversed.
+    A complete block keeps a table spreading local bit masks onto its
+    vertices, and its kind's memo of local out-masks by draws; a block of a
+    kind with too many relabelings to memoise gets its global out-masks
+    straight from the draws.  A coin block keeps its out-masks along
+    ``Block.arcs()`` and reversed.
 
     A design whose blocks do not partition the pairs of K_n is refused here
     by ``checked_pair_index``, run for its check alone, before any draw; so
@@ -159,14 +156,12 @@ class SamplingPlan:
         checked_pair_index(d, bases)  # the index is not kept
         self.n = d.n
         mods: list[int] = []
-        limits: list[int] = []
         kinds: dict[BlockKind, tuple] = {}
         self._complete, self._coins = [], []
         for block in d.blocks:
             vs, at = block.vertices, len(mods)
             if block.kind.complete:
                 mods.extend(range(len(vs), 1, -1))
-                limits.extend(_draw_limits(len(vs)))
                 if block.kind not in kinds:
                     base = bases.of(block.kind)
                     kinds[block.kind] = (tuple(tuple(v for v in range(base.n) if row >> v & 1) for row in base.rows), {})
@@ -181,20 +176,9 @@ class SamplingPlan:
                     self._complete.append((at, len(mods), vs, base_out, tuple(1 << v for v in vs), None, None))
             else:
                 mods.append(1 << 64)
-                limits.append(1 << 64)
                 arcs = block.arcs()
                 self._coins.append((at, _coin_masks(arcs), _coin_masks((v, u) for u, v in arcs)))
-        self.mods, self.limits = tuple(mods), tuple(limits)
-
-    def residues(self, seed: SampleSeed) -> tuple[int, ...] | None:
-        """The draws of ``seed`` from one packed pass, or None if a word reaches its rejection limit."""
-        words = stream_words(seed.master, seed.index, len(self.mods))
-        return tuple(map(mod, words, self.mods)) if all(map(lt, words, self.limits)) else None
-
-    def scalar_residues(self, seed: SampleSeed) -> tuple[int, ...]:
-        """The draws of ``seed`` one ``Stream.below`` at a time, redrawing rejected words."""
-        stream = seed.stream()
-        return tuple(stream.below(m) for m in self.mods)
+        self.mods = tuple(mods)
 
     def orient(self, residues: tuple[int, ...]) -> Tournament:
         """The tournament the draws pick, each block ORed into the rows, unchecked."""
@@ -244,12 +228,11 @@ def sampling_plan(d: Decomposition, bases: BaseTournaments) -> SamplingPlan:
 def sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tournament:
     """Draw one block-randomized tournament; pure in (d, bases, seed).
 
-    A sample whose packed draw reaches a rejection limit is drawn again
-    through the same plan, its residues taken from a scalar ``Stream``.
+    The draws are ``Stream.below`` of the plan's moduli on the seed's stream,
+    taken by ``rng.stream_residues``.
     """
     plan = sampling_plan(d, bases)
-    residues = plan.residues(seed)
-    return plan.orient(plan.scalar_residues(seed) if residues is None else residues)
+    return plan.orient(stream_residues(seed.master, seed.index, plan.mods))
 
 
 def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:

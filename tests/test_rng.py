@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orient_boost import rng
-from orient_boost.rng import Stream, mix64, stream_for, stream_permutations, stream_words
+from orient_boost.rng import Stream, mix64, stream_for, stream_permutations, stream_residues
 
 
 def test_streams_are_deterministic_and_independent():
@@ -68,16 +68,26 @@ def test_batched_draw_of_an_empty_or_short_range():
     assert list(stream_permutations(4, 10, 12, 21)) == [stream_for(4, i).permutation(21) for i in (10, 11)]
 
 
+def _forced_limits(mods):
+    """Limits that reject each of a stream's len(mods) draws with probability
+    about 1/(2 len(mods) + 2) instead of under m/2^64."""
+    return ((1 << 64) - (1 << 64) // (2 * len(mods) + 2),) * len(mods)
+
+
 @pytest.mark.parametrize("n", [2, 3, 21, 70])
 def test_rejected_streams_fall_back_to_the_scalar_draw(monkeypatch, n):
     lo, hi = 5, 5 + 3 * _sub_batch(n) // 2
     want = [stream_for(-3, i).permutation(n) for i in range(lo, hi)]
-    # each draw is now rejected with probability about 1/(2n) instead of under n/2^64
-    monkeypatch.setattr(rng, "_draw_limits", lambda size: [(1 << 64) - (1 << 64) // (2 * size)] * (size - 1))
+    monkeypatch.setattr(rng, "_limits", _forced_limits)
     redrawn = []
     monkeypatch.setattr(rng, "stream_for", lambda master, index=0: redrawn.append(index) or stream_for(master, index))
     assert list(stream_permutations(-3, lo, hi, n)) == want
     # streams after a rejected one are still drawn from their own offsets
+    assert 0.2 * (hi - lo) < len(redrawn) < 0.8 * (hi - lo)
+    mods = tuple(range(n, 1, -1))
+    redrawn.clear()
+    got = [stream_residues(-3, i, mods) for i in range(lo, hi)]
+    assert got == [tuple(map(stream_for(-3, i).below, mods)) for i in range(lo, hi)]
     assert 0.2 * (hi - lo) < len(redrawn) < 0.8 * (hi - lo)
 
 
@@ -96,16 +106,50 @@ class _Scripted(Stream):
 
 @pytest.mark.parametrize("n", [2, 3, 21, 70])
 def test_draw_limits_are_the_scalar_rejection_thresholds(n):
-    limits = rng._draw_limits(n)
-    assert len(limits) == n - 1
-    for m, limit in zip(range(n, 1, -1), limits):
+    mods = tuple(range(n, 1, -1)) + (1, 1 << 64)
+    limits = rng._limits(mods)
+    assert len(limits) == len(mods)
+    for m, limit in zip(mods, limits):
         assert _Scripted([limit - 1]).below(m) == (limit - 1) % m
-        assert _Scripted([limit, 5]).below(m) == 5 % m
+        if limit < 1 << 64:
+            assert _Scripted([limit, 5]).below(m) == 5 % m
+
+
+def test_a_coin_modulus_never_rejects():
+    # 2^64 is the coin's modulus: the raw word, whose top bit Stream.coin() reads
+    assert rng._limits((1 << 64,)) == (1 << 64,)
+    stream = stream_for(3, 4)
+    assert stream_residues(3, 4, (1 << 64,) * 5) == tuple(stream.next_u64() for _ in range(5))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(master=WIDE, index=WIDE, count=st.one_of(st.integers(0, 8), st.integers(9, 300),
-                                                 st.integers(rng._LANES - 2, 2 * rng._LANES + 3)))
-def test_packed_words_equal_the_stream_outputs(master, index, count):
+@given(master=WIDE, index=WIDE, count=st.integers(1, 3),
+       draws=st.one_of(st.integers(0, 8), st.integers(9, 300), st.integers(rng._LANES - 2, 2 * rng._LANES + 3)))
+def test_packed_words_equal_the_stream_outputs(master, index, count, draws):
+    # output k of stream index + s sits at k * count + s
+    streams = [stream_for(master, index + s) for s in range(count)]
+    want = [[stream.next_u64() for _ in range(draws)] for stream in streams]
+    words = rng._words(master, index, count, draws)
+    assert len(words) == count * draws
+    assert [list(words[s::count]) for s in range(count)] == want
+
+
+# every valid modulus of Stream.below: small ones, any up to 2^64, 2^64 itself,
+# and ones just over 2^63, which reject about half the words
+MODULI = st.one_of(st.integers(1, 70), st.integers(1, 1 << 64), st.just(1 << 64),
+                   st.integers((1 << 63) + 1, (1 << 63) + 1000))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(master=WIDE, index=WIDE, pool=st.lists(MODULI, min_size=1, max_size=8),
+       length=st.one_of(st.integers(0, 300), st.integers(rng._LANES - 2, 4100)))
+def test_stream_residues_equal_the_scalar_below_draws(master, index, pool, length):
+    mods = tuple(pool[i % len(pool)] for i in range(length))
     stream = stream_for(master, index)
-    assert list(stream_words(master, index, count)) == [stream.next_u64() for _ in range(count)]
+    assert stream_residues(master, index, mods) == tuple(map(stream.below, mods))
+
+
+def test_the_big_endian_branch_lays_out_the_words_alike(monkeypatch):
+    packed = [list(rng._words(-7, 2 ** 64 - 2, count, draws)) for count, draws in ((1, 0), (1, 9), (3, 5))]
+    monkeypatch.setattr(rng.sys, "byteorder", "big")
+    assert [rng._words(-7, 2 ** 64 - 2, count, draws) for count, draws in ((1, 0), (1, 9), (3, 5))] == packed

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orient_boost import sampling
+from orient_boost import rng, sampling
 from orient_boost.designs import (
     Block,
     BlockKind,
@@ -19,7 +19,7 @@ from orient_boost.designs import (
 from orient_boost.counting import CopyKernel
 from orient_boost.errors import BudgetExceededError, InvalidDecompositionError, InvalidTournamentError
 from orient_boost.orientations import Tournament, make_pattern
-from orient_boost.rng import Stream, stream_words
+from orient_boost.rng import Stream, stream_for, stream_residues
 from orient_boost.sampling import (
     BaseTournaments,
     SampleSeed,
@@ -199,7 +199,7 @@ def test_a_design_that_is_not_a_partition_is_refused_before_any_draw(kind, monke
     def drawn(*args):
         raise AssertionError("drew before checking the design")
 
-    monkeypatch.setattr(sampling, "stream_words", drawn)
+    monkeypatch.setattr(sampling, "stream_residues", drawn)
     monkeypatch.setattr(sampling, "_block_outcomes", drawn)
     refusals = []
     for refuse in (lambda: sampling.sampling_plan(d, bases), lambda: sample(d, bases, SampleSeed(1, 0)),
@@ -297,7 +297,7 @@ def _orient_block(block: Block, bases: BaseTournaments, stream: Stream, rows: li
 
 
 def oracle_sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tournament:
-    stream = seed.stream()
+    stream = stream_for(seed.master, seed.index)
     rows = [0] * d.n
     for block in d.blocks:
         _orient_block(block, bases, stream, rows)
@@ -334,35 +334,40 @@ def test_planned_sample_equals_the_per_pair_walk(coin_design6, name, master, ind
 
 def test_a_packed_draw_at_its_limit_is_redrawn_from_a_scalar_stream(monkeypatch):
     d, bases, seed = _design("11-3"), BaseTournaments.circulant(3), SampleSeed(3, 8)
-    plan = sampling.sampling_plan(d, bases)
-    words = stream_words(seed.master, seed.index, len(plan.mods))
-    limits = list(plan.limits)
+    mods = sampling.sampling_plan(d, bases).mods
+    words = rng._words(seed.master, seed.index, 1, len(mods))
+    limits = list(rng._limits(mods))
     limits[-1] = words[-1]  # the K2T1 block's last draw reaches its limit
-    monkeypatch.setattr(plan, "limits", tuple(limits))
-    assert plan.residues(seed) is None
-    scalar = []
-    monkeypatch.setattr(plan, "scalar_residues", lambda s: scalar.append(s) or SamplingPlan.scalar_residues(plan, s))
+    monkeypatch.setattr(rng, "_limits", lambda m: tuple(limits))
+    redrawn = []
+    monkeypatch.setattr(rng, "stream_for", lambda master, index=0: redrawn.append(index) or stream_for(master, index))
     assert sample(d, bases, seed).rows == oracle_sample(d, bases, seed).rows
-    assert scalar == [seed]
+    assert redrawn == [seed.index]
 
 
-def test_scalar_residues_redraw_rejected_words_like_the_per_pair_walk(monkeypatch):
-    # a rejection zone of half the words below 2^64: the scalar stream redraws
-    # often, so later blocks read later words, and the walk must read the same
-    # ones; a coin (modulus 2^64) never rejects, as in Stream.coin
+def test_redrawn_words_are_read_like_the_per_pair_walk(monkeypatch):
+    # a rejection zone of half the words below 2^64, in the packed check and
+    # in the scalar stream: almost every sample is redrawn, later blocks read
+    # later words, and the walk must read the same ones; a coin (modulus 2^64)
+    # never rejects, as in Stream.coin
+    def limit(m):
+        return 1 << 64 if m == 1 << 64 else 1 << 63
+
     def below(self, n):
-        limit = 1 << 64 if n == 1 << 64 else 1 << 63
         while True:
             u = self.next_u64()
-            if u < limit:
+            if u < limit(n):
                 return u % n
 
     monkeypatch.setattr(Stream, "below", below)
+    monkeypatch.setattr(rng, "_limits", lambda mods: tuple(map(limit, mods)))
+    redrawn = []
+    monkeypatch.setattr(rng, "stream_for", lambda master, index=0: redrawn.append(index) or stream_for(master, index))
     d, bases = _design("even-12"), BaseTournaments.circulant(3)
-    plan = SamplingPlan(d, bases)
     for index in range(20):
         seed = SampleSeed(5, index)
-        assert plan.orient(plan.scalar_residues(seed)).rows == oracle_sample(d, bases, seed).rows
+        assert sample(d, bases, seed).rows == oracle_sample(d, bases, seed).rows
+    assert len(redrawn) == 20
 
 
 def test_relabeling_memo_is_bounded():
@@ -370,7 +375,7 @@ def test_relabeling_memo_is_bounded():
     large = SamplingPlan(_design("13-7"), BaseTournaments.circulant(7))
     for index in range(300):
         for plan in (small, large):
-            plan.orient(plan.residues(SampleSeed(1, index)))
+            plan.orient(stream_residues(1, index, plan.mods))
     memos = {id(memo): memo for *_, memo, _ in small._complete}
     assert len(memos) == 1 and 0 < len(*memos.values()) <= 120
     assert [memo for *_, memo, _ in large._complete] == [None]
