@@ -329,15 +329,16 @@ def projective_plane_decomposition(q: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("left", "nodes")
 
     def __init__(self, nodes: int):
-        self.left = nodes
+        self.left = self.nodes = nodes
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceededError("search node budget exhausted", budget=0)
+            raise BudgetExceededError(f"search node budget of {self.nodes} nodes exhausted",
+                                      budget=self.nodes)
 
 
 def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = 2_000_000) -> list[Block] | None:
@@ -353,11 +354,23 @@ def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = 2_000_000
     the None result, are those of the plain lexicographic search, which
     tries a superset of these candidates.
 
+    The check runs one clique search per K_(t-1), not per edge: a K_(t-2)
+    C in the common neighbourhood of x and y makes C + y a K_(t-1) in the
+    neighbourhood of x, so for every c in C the K_(t-2) C - c + y settles
+    the edge {x, c} as well.  It also runs before the block is removed,
+    since removal changes only the block vertices' rows, which it reads
+    with the block masked out.  Each edge's verdict is still whether such
+    a K_(t-2) exists, so the same candidates pass and the node count is
+    that of the per-edge check.
+
     Returns the block list, or None once the search space is exhausted.
-    Raises ValueError for a node budget below 1, CongruenceError up front
-    when the divisibility preconditions fail, and BudgetExceededError when
-    the node budget (one node per candidate block tried) runs out.
+    Raises ValueError for t below 2 or a node budget below 1,
+    CongruenceError up front when the divisibility preconditions fail, and
+    BudgetExceededError, carrying the budget, when the node budget (one
+    node per candidate block tried) runs out.
     """
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got t={t}")
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
     edge_list = [tuple(sorted(e)) for e in edges]
@@ -393,26 +406,34 @@ def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = 2_000_000
             w = low.bit_length() - 1
             cliques(chosen + (w,), pool & adj[w], out)
 
-    def has_clique(pool: int, k: int) -> bool:
-        """Whether the vertices of `pool` span a K_k of the residual graph."""
-        if k == 0:
-            return True
+    def clique(pool: int, k: int) -> int:
+        """A K_k (k >= 1) of the residual graph inside `pool`, as a bitset; 0 when there is none."""
+        if k == 1:
+            return pool & -pool
         while pool.bit_count() >= k:
             low = pool & -pool
             pool ^= low
-            if has_clique(pool & adj[low.bit_length() - 1], k - 1):
-                return True
-        return False
+            rest = pool & adj[low.bit_length() - 1]
+            if k == 2:
+                if rest:
+                    return low | (rest & -rest)
+            else:
+                found = clique(rest, k - 1)
+                if found:
+                    return low | found
+        return 0
 
-    def coverable(vs: tuple[int, ...]) -> bool:
-        """Forward check: every residual edge at a block vertex still lies in a K_t."""
+    def coverable(vs: tuple[int, ...], mask: int) -> bool:
+        """Forward check for the block `vs` (vertex bitset `mask`), made before it is removed."""
         for x in vs:
-            rest = adj[x]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not has_clique(adj[x] & adj[low.bit_length() - 1], t - 2):
+            row = adj[x] & ~mask
+            todo = row
+            while todo:
+                low = todo & -todo
+                found = clique(row & adj[low.bit_length() - 1], t - 2)
+                if not found:
                     return False
+                todo &= ~(found | low)
         return True
 
     def search(u: int) -> bool:
@@ -429,13 +450,14 @@ def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = 2_000_000
             mask = 0
             for x in vs:
                 mask |= 1 << x
+            if t > 2 and not coverable(vs, mask):  # at t = 2 every edge is a K_2
+                continue
             for x in vs:
                 adj[x] &= ~mask
-            if coverable(vs):
-                blocks.append(vs)
-                if search(u):
-                    return True
-                blocks.pop()
+            blocks.append(vs)
+            if search(u):
+                return True
+            blocks.pop()
             for x in vs:
                 adj[x] |= mask ^ (1 << x)
         return False
@@ -606,12 +628,13 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = 2_000_000) -> D
     residual = [(u, v) for u in range(n) for v in _bits(adj[u] >> u << u)]
     try:
         if budget.left < 1:  # the earlier steps spent the whole budget
-            raise BudgetExceededError("search node budget exhausted", budget=0)
+            raise BudgetExceededError(f"search node budget of {node_budget} nodes exhausted",
+                                      budget=node_budget)
         kt_blocks = backtracking_kt_decomposition(residual, t, node_budget=budget.left)
     except BudgetExceededError as exc:
         raise InfeasibleAtDeskScale(
             f"K_{t}-decomposition search for the residual graph at (n={n}, t={t}) "
-            f"exceeded the node budget"
+            f"exceeded the node budget of {node_budget} nodes"
         ) from exc
     if kt_blocks is None:
         raise InfeasibleAtDeskScale(

@@ -81,6 +81,16 @@ def test_decompose_infeasible(capsys):
     assert json.loads(err)["error"] == "InfeasibleAtDeskScale"
 
 
+def test_decompose_names_the_node_budget_it_ran_out_of(capsys):
+    code, _, err = run(capsys, "decompose", "--n", "23", "--t", "5", "--node-budget", "20000")
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "InfeasibleAtDeskScale",
+        "message": "K_5-decomposition search for the residual graph at (n=23, t=5) "
+                   "exceeded the node budget of 20000 nodes",
+    }
+
+
 @pytest.mark.parametrize("flag", ["--kind", "--q", "--even"])
 def test_decompose_has_one_route_to_a_design(capsys, flag):
     argv = ["decompose", "--n", "9", flag] + ([] if flag == "--even" else ["sts"])

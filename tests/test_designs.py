@@ -35,9 +35,12 @@ def complete_edges(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def reference_kt_decomposition(edges, t, node_budget):
-    """The plain set-based lexicographic search: the oracle for the pruned one.
+def reference_kt_decomposition(edges, t, node_budget, *, forward_check=False):
+    """The set-based lexicographic search: the oracle for the pruned one.
 
+    With `forward_check`, a candidate block is skipped when, once it is
+    removed, some residual edge {x, y} at a block vertex x has no K_(t-2)
+    in the common neighbourhood of x and y, checked edge by edge.
     Returns (blocks or None, nodes spent), one node per candidate block tried.
     """
     adj = {}
@@ -60,6 +63,12 @@ def reference_kt_decomposition(edges, t, node_budget):
 
         yield from extend([u, v], sorted(adj[u] & adj[v]))
 
+    def spans_clique(pool, k):
+        return k == 0 or any(spans_clique({w for w in pool & adj[v] if w > v}, k - 1) for v in pool)
+
+    def coverable(vs):
+        return all(spans_clique(adj[x] & adj[y], t - 2) for x in vs for y in adj[x])
+
     def toggle(vs, op):
         for a in vs:
             for b in vs:
@@ -73,10 +82,11 @@ def reference_kt_decomposition(edges, t, node_budget):
         for vs in cliques_through(u, min(adj[u])):
             budget.spend()
             toggle(vs, set.discard)
-            blocks.append(vs)
-            if search():
-                return True
-            blocks.pop()
+            if not forward_check or coverable(vs):
+                blocks.append(vs)
+                if search():
+                    return True
+                blocks.pop()
             toggle(vs, set.add)
         return False
 
@@ -159,8 +169,21 @@ def test_backtracking_divisibility_errors():
 
 
 def test_backtracking_node_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="budget of 3 nodes") as exc:
         backtracking_kt_decomposition(complete_edges(13), 3, node_budget=3)
+    assert exc.value.budget == 3
+
+
+@pytest.mark.parametrize("t", [-1, 0, 1, 2])
+def test_backtracking_degenerate_t(t):
+    edges = complete_edges(5)
+    if t < 2:
+        with pytest.raises(ValueError, match=f"t must be at least 2, got t={t}"):
+            backtracking_kt_decomposition(edges, t)
+    else:  # every edge is its own K_2 block, and passes the check
+        blocks, spent = counted_search(edges, t)
+        assert [b.vertices for b in blocks] == edges
+        assert spent == len(edges)
 
 
 @pytest.mark.parametrize("budget", [0, -3])
@@ -195,19 +218,20 @@ def test_adjusted_25_5_is_the_golden_design():
     assert spent == 25_417  # the forward check cuts the plain search's 837,572
 
 
-@pytest.mark.parametrize("edges, t", [
-    (complete_edges(7), 3),
-    (complete_edges(9), 3),
-    (complete_edges(13), 3),
-    (complete_edges(15), 3),
-    (complete_edges(21), 5),
-    ([e for e in complete_edges(11) if e not in set(complete_edges(5))], 3),
+@pytest.mark.parametrize("edges, t, nodes", [
+    (complete_edges(7), 3, 7),
+    (complete_edges(9), 3, 16),
+    (complete_edges(13), 3, 860),
+    (complete_edges(15), 3, 35),
+    (complete_edges(21), 5, 21),
+    ([e for e in complete_edges(11) if e not in set(complete_edges(5))], 3, 18),
 ], ids=["K7", "K9", "K13", "K15", "K21-t5", "K11-K5"])
-def test_backtracking_matches_reference_on_fixed_graphs(edges, t):
-    want, want_spent = reference_kt_decomposition(edges, t, 2_000_000)
+def test_backtracking_matches_reference_on_fixed_graphs(edges, t, nodes):
+    want, plain_spent = reference_kt_decomposition(edges, t, 2_000_000)
+    checked, checked_spent = reference_kt_decomposition(edges, t, 2_000_000, forward_check=True)
     got, spent = counted_search(edges, t)
-    assert got == want
-    assert spent <= want_spent
+    assert got == want == checked
+    assert spent == checked_spent == nodes <= plain_spent
 
 
 @st.composite
@@ -238,10 +262,11 @@ def kt_unions(draw):
 @given(kt_unions())
 def test_backtracking_matches_reference_search(case):
     edges, t = case
-    want, want_spent = reference_kt_decomposition(edges, t, 2_000_000)
+    want, plain_spent = reference_kt_decomposition(edges, t, 2_000_000)
+    checked, checked_spent = reference_kt_decomposition(edges, t, 2_000_000, forward_check=True)
     got, spent = counted_search(edges, t)
-    assert got == want
-    assert spent <= want_spent
+    assert got == want == checked
+    assert spent == checked_spent <= plain_spent
     if got is not None:
         assert sorted(e for b in got for e in b.edges()) == edges
 
