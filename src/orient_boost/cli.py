@@ -436,7 +436,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_node_budget(p) -> None:
-    p.add_argument("--node-budget", type=_positive_int, default=2_000_000,
+    p.add_argument("--node-budget", type=_positive_int, default=designs.NODE_BUDGET,
                    help="search nodes allowed when building a design from --n and --t")
 
 
@@ -479,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tournament", required=True)
     p.add_argument("--method", choices=["auto", "brute", "dp"], default="auto",
                    help="dp: Hamilton cycle/path count by inclusion-exclusion over vertex "
-                        "subsets, lane-packed in Python ints (n <= 20; about 0.1 s at n = 16 "
-                        "and 2.4-3.5 s at n = 20 for cycles, no RSS growth); brute: embedding "
-                        "search (n <= --brute-budget); auto: dp for cycle and path")
+                        "subsets, lane-packed in Python ints (n <= 20; timings in the README's "
+                        "budgets table); brute: embedding search (n <= --brute-budget); "
+                        "auto: dp for cycle and path")
     p.add_argument("--seed", type=int, default=None)
     _add_brute_budget(p, default=10)
     p.set_defaults(func=_cmd_count)

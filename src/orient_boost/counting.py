@@ -27,10 +27,8 @@ subsets of up to 10 vertices packed as lanes of one Python int per vertex,
 so a step is a few big-int adds and masks.  A lane is as wide as Brégman's
 bound on the count (``_hamilton_bits``) and the carries of one step need,
 in whole bytes: 5 bytes for the cycles of a 16-vertex tournament with row
-sums 7 and 8, 7 for the paths of a 20-vertex one.  On a 2-vCPU host (Python
-3.11.7) it counts the cycles of a 16-vertex tournament in 70-80 ms and
-those of a 20-vertex one in 2.6-3.0 s (paths 5.5-6.4 s), with no measurable
-peak-RSS growth.
+sums 7 and 8, 7 for the paths of a 20-vertex one.  Its measured cost, and
+that of every other budget, is in the README's budgets table.
 """
 
 from __future__ import annotations
@@ -145,7 +143,7 @@ def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -
 
 
 _LANE_VERTICES = 10  # free vertices whose subsets share one int, one lane each
-_HAMILTON_BUDGET = 20  # largest n measured (2 vCPUs): cycles 2.6-3.0 s, paths 5.5-6.4 s, no RSS growth
+_HAMILTON_BUDGET = 20  # largest n measured; timings in the README's budgets table
 # bit_length(r!), and bit_length(r!)/r over one common denominator, for every
 # row sum r the Brégman bound meets: paths add a row of n
 _FACTORIAL_BITS = tuple(math.factorial(r).bit_length() for r in range(_HAMILTON_BUDGET + 1))

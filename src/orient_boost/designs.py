@@ -328,6 +328,16 @@ def projective_plane_decomposition(q: int) -> Decomposition:
 # search machinery
 # ---------------------------------------------------------------------------
 
+# Search nodes a design build may spend: the library default and the CLI's
+# --node-budget.  It is not lowered to refuse sooner, because a node has no
+# fixed cost: the forward check's clique searches are not counted, so a node
+# takes about 10 us at (23, 5) and 160-200 us at (37, 7) (12 s for 60,000
+# nodes; 2 vCPUs, Python 3.11.7), and no one count refuses within seconds
+# everywhere.  The value is also written into every experiment sidecar, whose
+# bytes the tests pin.
+NODE_BUDGET = 2_000_000
+
+
 class _Budget:
     __slots__ = ("left", "nodes")
 
@@ -341,33 +351,15 @@ class _Budget:
                                       budget=self.nodes)
 
 
-def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = 2_000_000) -> list[Block] | None:
-    """Partition an edge set into K_t blocks by deterministic backtracking.
-
-    Branches on the lexicographically smallest uncovered pair and tries the
-    K_t blocks through it in lexicographic order; each vertex's residual
-    neighbourhood is one bitset.  Forward check: once a block is removed,
-    every residual edge at a block vertex must still lie in a K_t of the
-    residual graph, i.e. its common neighbourhood must still span a
-    K_(t-2).  An edge that fails can never be covered, so the check only
-    cuts subtrees without a solution: the first decomposition found, and
-    the None result, are those of the plain lexicographic search, which
-    tries a superset of these candidates.
-
-    The check runs one clique search per K_(t-1), not per edge: a K_(t-2)
-    C in the common neighbourhood of x and y makes C + y a K_(t-1) in the
-    neighbourhood of x, so for every c in C the K_(t-2) C - c + y settles
-    the edge {x, c} as well.  It also runs before the block is removed,
-    since removal changes only the block vertices' rows, which it reads
-    with the block masked out.  Each edge's verdict is still whether such
-    a K_(t-2) exists, so the same candidates pass and the node count is
-    that of the per-edge check.
+def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = NODE_BUDGET) -> list[Block] | None:
+    """Partition an edge set into K_t blocks by deterministic backtracking (``_kt_search``).
 
     Returns the block list, or None once the search space is exhausted.
     Raises ValueError for t below 2 or a node budget below 1,
-    CongruenceError up front when the divisibility preconditions fail, and
-    BudgetExceededError, carrying the budget, when the node budget (one
-    node per candidate block tried) runs out.
+    InvalidDecompositionError for a duplicate edge, CongruenceError up front
+    when the divisibility preconditions fail, and BudgetExceededError,
+    carrying the budget, when the node budget (one node per candidate block
+    tried) runs out.
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got t={t}")
@@ -391,7 +383,38 @@ def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = 2_000_000
         if adj[i].bit_count() % (t - 1):
             raise CongruenceError(f"degree of vertex {v} is {adj[i].bit_count()}, not divisible by t-1 = {t - 1}")
 
-    budget = _Budget(node_budget)
+    blocks = _kt_search(adj, t, _Budget(node_budget))
+    if blocks is None:
+        return None
+    return [Block(BlockKind.KT, tuple(verts[x] for x in vs)) for vs in blocks]
+
+
+def _kt_search(adj: list[int], t: int, budget: _Budget) -> list[tuple[int, ...]] | None:
+    """K_t blocks partitioning the edges of the bit rows `adj`, by lexicographic backtracking.
+
+    Bit w of adj[v] says the edge {v, w} is uncovered; the rows are cleared
+    as blocks are placed, and rows of isolated vertices are skipped.
+    Branches on the lexicographically smallest uncovered pair and tries the
+    K_t blocks through it in lexicographic order.  Forward check: once a
+    block is removed, every residual edge at a block vertex must still lie
+    in a K_t of the residual graph, i.e. its common neighbourhood must still
+    span a K_(t-2).  An edge that fails can never be covered, so the check
+    only cuts subtrees without a solution: the first decomposition found,
+    and the None result, are those of the plain lexicographic search, which
+    tries a superset of these candidates.
+
+    The check runs one clique search per K_(t-1), not per edge: a K_(t-2)
+    C in the common neighbourhood of x and y makes C + y a K_(t-1) in the
+    neighbourhood of x, so for every c in C the K_(t-2) C - c + y settles
+    the edge {x, c} as well.  It also runs before the block is removed,
+    since removal changes only the block vertices' rows, which it reads
+    with the block masked out.  Each edge's verdict is still whether such
+    a K_(t-2) exists, so the same candidates pass and the node count is
+    that of the per-edge check.
+
+    Returns the blocks as increasing vertex tuples, or None once the search
+    space is exhausted; one node of `budget` is spent per candidate block.
+    """
     blocks: list[tuple[int, ...]] = []
 
     def cliques(chosen: tuple[int, ...], pool: int, out: list[tuple[int, ...]]) -> None:
@@ -463,7 +486,7 @@ def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = 2_000_000
         return False
 
     if search(0):
-        return [Block(BlockKind.KT, tuple(verts[x] for x in vs)) for vs in blocks]
+        return blocks
     return None
 
 
@@ -562,7 +585,7 @@ def _disjoint_cliques(adj: list[int], n: int, size: int, count: int,
 # the adjusted decomposition pipeline
 # ---------------------------------------------------------------------------
 
-def adjusted_decomposition(n: int, t: int, *, node_budget: int = 2_000_000) -> Decomposition:
+def adjusted_decomposition(n: int, t: int, *, node_budget: int = NODE_BUDGET) -> Decomposition:
     """Decompose K_n into K_t blocks plus a bounded sparse leftover.
 
     Even n is the star-path extension (`extend_to_even`) of the design on
@@ -572,9 +595,12 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = 2_000_000) -> D
     rows: (1) peel (q-1)/2 spanning triangle/4-cycle layers so every degree
     drops to n-q with q = n mod (t-1); (2) remove vertex-disjoint K_(2t-1)
     copies until the edge count is divisible by t(t-1)/2; (3) K_t-decompose
-    the rest by lexicographic backtracking.
+    the rest by lexicographic backtracking (``_kt_search``).  The three
+    steps spend one node budget.
     Raises ValueError for a node budget below 1, and InfeasibleAtDeskScale
-    when the instance needs more structure than desk-scale search provides.
+    when the instance needs more structure than desk-scale search provides
+    or the node budget runs out, in any step; the latter names (n, t) and
+    the budget, and chains the BudgetExceededError.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
@@ -600,48 +626,44 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = 2_000_000) -> D
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
 
-    for _ in range((q - 1) // 2):
-        layer = _triangle_c4_factor(adj, n, budget)
-        if layer is None:
-            raise InfeasibleAtDeskScale(f"no spanning triangle/4-cycle layer found at (n={n}, t={t})")
-        for block in layer:
-            take_leftover(block)
-
-    remaining_edges = n * (n - q) // 2
-    per_block = t * (t - 1) // 2
-    big_edges = (2 * t - 1) * (t - 1)
-    k_copies = next(
-        k for k in range(t) if (remaining_edges - k * big_edges) % per_block == 0
-    )
-    if k_copies * (2 * t - 1) > n:
-        raise InfeasibleAtDeskScale(
-            f"need {k_copies} vertex-disjoint K_{2 * t - 1} copies, which requires "
-            f"{k_copies * (2 * t - 1)} vertices but n={n}"
-        )
-    if k_copies:
-        cliques = _disjoint_cliques(adj, n, 2 * t - 1, k_copies, budget)
-        if cliques is None:
-            raise InfeasibleAtDeskScale(f"could not place {k_copies} disjoint K_{2 * t - 1} copies")
-        for vs in cliques:
-            take_leftover(Block(BlockKind.K2T1, vs))
-
-    residual = [(u, v) for u in range(n) for v in _bits(adj[u] >> u << u)]
     try:
-        if budget.left < 1:  # the earlier steps spent the whole budget
-            raise BudgetExceededError(f"search node budget of {node_budget} nodes exhausted",
-                                      budget=node_budget)
-        kt_blocks = backtracking_kt_decomposition(residual, t, node_budget=budget.left)
+        for _ in range((q - 1) // 2):
+            layer = _triangle_c4_factor(adj, n, budget)
+            if layer is None:
+                raise InfeasibleAtDeskScale(f"no spanning triangle/4-cycle layer found at (n={n}, t={t})")
+            for block in layer:
+                take_leftover(block)
+
+        remaining_edges = n * (n - q) // 2
+        per_block = t * (t - 1) // 2
+        big_edges = (2 * t - 1) * (t - 1)
+        k_copies = next(
+            k for k in range(t) if (remaining_edges - k * big_edges) % per_block == 0
+        )
+        if k_copies * (2 * t - 1) > n:
+            raise InfeasibleAtDeskScale(
+                f"need {k_copies} vertex-disjoint K_{2 * t - 1} copies, which requires "
+                f"{k_copies * (2 * t - 1)} vertices but n={n}"
+            )
+        if k_copies:
+            cliques = _disjoint_cliques(adj, n, 2 * t - 1, k_copies, budget)
+            if cliques is None:
+                raise InfeasibleAtDeskScale(f"could not place {k_copies} disjoint K_{2 * t - 1} copies")
+            for vs in cliques:
+                take_leftover(Block(BlockKind.K2T1, vs))
+
+        kt_blocks = _kt_search(adj, t, budget)
     except BudgetExceededError as exc:
         raise InfeasibleAtDeskScale(
-            f"K_{t}-decomposition search for the residual graph at (n={n}, t={t}) "
-            f"exceeded the node budget of {node_budget} nodes"
+            f"design search at (n={n}, t={t}) exceeded the node budget of {node_budget} nodes"
         ) from exc
     if kt_blocks is None:
         raise InfeasibleAtDeskScale(
             f"residual graph at (n={n}, t={t}) has no K_{t}-decomposition"
         )
 
-    d = Decomposition(n, t, tuple(kt_blocks) + tuple(leftover_blocks))
+    kt = tuple(Block(BlockKind.KT, vs) for vs in kt_blocks)
+    d = Decomposition(n, t, kt + tuple(leftover_blocks))
     report = validate(d)
     if not report.ok:
         raise InvalidDecompositionError(f"internal error: {report.first_violation}")

@@ -86,8 +86,7 @@ def test_decompose_names_the_node_budget_it_ran_out_of(capsys):
     assert code == 2
     assert json.loads(err) == {
         "error": "InfeasibleAtDeskScale",
-        "message": "K_5-decomposition search for the residual graph at (n=23, t=5) "
-                   "exceeded the node budget of 20000 nodes",
+        "message": "design search at (n=23, t=5) exceeded the node budget of 20000 nodes",
     }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -95,8 +96,9 @@ def reference_kt_decomposition(edges, t, node_budget, *, forward_check=False):
     return ([Block(BlockKind.KT, vs) for vs in blocks] if found else None), spent
 
 
-def counted_search(edges, t, node_budget=2_000_000):
-    """backtracking_kt_decomposition with the nodes it spent, counted through _Budget."""
+@contextmanager
+def counting_nodes():
+    """A list that gains one entry per node spent through any _Budget of designs."""
     spent = []
 
     class CountingBudget(_Budget):
@@ -105,6 +107,12 @@ def counted_search(edges, t, node_budget=2_000_000):
             super().spend()
 
     with mock.patch.object(designs, "_Budget", CountingBudget):
+        yield spent
+
+
+def counted_search(edges, t, node_budget=2_000_000):
+    """backtracking_kt_decomposition with the nodes it spent."""
+    with counting_nodes() as spent:
         return backtracking_kt_decomposition(edges, t, node_budget=node_budget), len(spent)
 
 
@@ -192,6 +200,45 @@ def test_non_positive_node_budget_is_rejected(budget):
         backtracking_kt_decomposition(complete_edges(7), 3, node_budget=budget)
     with pytest.raises(ValueError, match="node budget"):
         adjusted_decomposition(25, 5, node_budget=budget)
+
+
+def assert_refused_at(n, t, budget):
+    """adjusted_decomposition(n, t) refuses `budget` as InfeasibleAtDeskScale
+    naming it, at the first node past the budget, counted over every step."""
+    with counting_nodes() as spent, pytest.raises(InfeasibleAtDeskScale) as exc:
+        adjusted_decomposition(n, t, node_budget=budget)
+    assert len(spent) == budget + 1
+    assert str(exc.value) == f"design search at (n={n}, t={t}) exceeded the node budget of {budget} nodes"
+    assert type(exc.value.__cause__) is BudgetExceededError
+    assert exc.value.__cause__.budget == budget
+
+
+# nodes an unbounded build spends over its layers, K_(2t-1) placement and K_t search
+BUILD_NODES = {(9, 5): 9, (11, 3): 23, (17, 3): 4420, (25, 5): 25_417}
+
+
+@pytest.mark.parametrize("n, t", sorted(BUILD_NODES, key=lambda p: (p[1], p[0])))
+def test_design_build_spends_one_budget(n, t):
+    """Each budget below the nodes of an unbounded build is refused, naming
+    it; each budget from there on builds the same design.  Budgets 1-64 pass
+    every step's end; above them the budgets go in 16 strides."""
+    with counting_nodes() as spent:
+        design = adjusted_decomposition(n, t)
+    nodes = len(spent)
+    assert nodes == BUILD_NODES[n, t]
+    assert validate(design).ok
+    budgets = {*range(1, 65), *range(1, nodes + 2, -(-nodes // 16)), nodes - 1, nodes, nodes + 1}
+    for budget in sorted(b for b in budgets if 1 <= b <= nodes + 1):
+        if budget < nodes:
+            assert_refused_at(n, t, budget)
+        else:
+            assert adjusted_decomposition(n, t, node_budget=budget) == design
+
+
+def test_design_build_at_23_5_names_the_callers_budget():
+    # its triangle/4-cycle layer spends 31 nodes, so budgets 1-30 run out there
+    for budget in (*range(1, 41), 20_000):
+        assert_refused_at(23, 5, budget)
 
 
 # The (25,5) design found by the plain lexicographic search, which spent
