@@ -24,11 +24,11 @@ over the injections (``_injection_table``, built once per kernel and
 stays the independent oracle.  Hamilton cycles and paths are
 counted by ``_covering_walks``: inclusion-exclusion over vertex subsets, the
 subsets of up to 10 vertices packed as lanes of one Python int per vertex,
-so a step is a few big-int adds and masks.  A lane is as wide as Brégman's
-bound on the count (``_hamilton_bits``) and the carries of one step need,
-in whole bytes: 5 bytes for the cycles of a 16-vertex tournament with row
-sums 7 and 8, 7 for the paths of a 20-vertex one.  Its measured cost, and
-that of every other budget, is in the README's budgets table.
+so a step is a few big-int adds and masks.  A lane is exactly as wide as
+Brégman's bound on the count (``_hamilton_bits``) and the carries of one
+step need: 37 bits for the cycles of a 16-vertex tournament with row sums 7
+and 8, 55 for the paths of a 20-vertex one.  Its measured cost, and that of
+every other budget, is in the README's budgets table.
 """
 
 from __future__ import annotations
@@ -177,45 +177,60 @@ def _hamilton_bits(rows, n: int, closed: bool) -> int:
 class _Lanes:
     """Lane layout of the covering-walk count for one (n, closed, bits).
 
-    Counts are kept modulo 2^bits, from ``_hamilton_bits``.  Each lane adds
-    ``bit_length(n)`` guard bits for the carries of one step's sum and is
-    rounded up to ``size`` bytes.  Lane s holds the subset s of the k lowest
-    free vertices; ``member[j]`` keeps the lanes holding free vertex j,
-    ``even`` those that leave out an even number of the k.
+    Counts are kept modulo 2^bits, from ``_hamilton_bits``.  A lane is
+    ``width`` = bits + bit_length(n) bits wide: the guard bits hold the
+    carries of a sum of up to n masked lanes.  Lane s holds the subset s of
+    the k lowest free vertices; ``member[j]`` keeps the lanes holding free
+    vertex j, ``even`` those that leave out an even number of the k.
+    ``fold[j]`` is (shift, mask) of the j-th pairwise fold, whose mask keeps
+    the blocks of 2^j lanes without free vertex j.
     """
 
     bits: int
-    size: int
+    width: int
     k: int
     one: int
     full: int
     member: tuple[int, ...]
     even: int
+    fold: tuple[tuple[int, int], ...]
+
+
+def _repeat(block: int, width: int, count: int) -> int:
+    """``count`` copies of the ``width``-bit ``block``, end to end."""
+    return block * (((1 << width * count) - 1) // ((1 << width) - 1))
 
 
 @lru_cache(maxsize=64)
 def _lane_layout(n: int, closed: bool, bits: int) -> _Lanes:
-    size = -(-(bits + n.bit_length()) // 8)
+    width = bits + n.bit_length()
     k = min(_LANE_VERTICES, n - 1 if closed else n)
-    on, off = ((1 << bits) - 1).to_bytes(size, "little"), bytes(size)
+    one = _repeat(1, width, 1 << k)
+    full = ((1 << bits) - 1) * one
+    fold = tuple((width << j, _repeat((1 << (width << j)) - 1, width << j + 1, 1 << (k - 1 - j)))
+                 for j in range(k))
     # lanes whose subset has an even/odd number of the k vertices, doubled one vertex at a time
-    even, odd = on, off
-    for _ in range(k):
-        even, odd = even + odd, odd + even
-    return _Lanes(
-        bits=bits, size=size, k=k,
-        one=int.from_bytes((1).to_bytes(size, "little") * (1 << k), "little"),
-        full=int.from_bytes(on * (1 << k), "little"),
-        member=tuple(int.from_bytes((off * (1 << j) + on * (1 << j)) * (1 << (k - 1 - j)), "little")
-                     for j in range(k)),
-        even=int.from_bytes(odd if k % 2 else even, "little"),
-    )
+    even, odd = (1 << bits) - 1, 0
+    for shift, _ in fold:
+        even, odd = even | odd << shift, odd | even << shift
+    return _Lanes(bits=bits, width=width, k=k, one=one, full=full,
+                  member=tuple(full & mask << shift for shift, mask in fold),
+                  even=odd if k % 2 else even, fold=fold)
 
 
 def _lane_sum(x: int, lay: _Lanes) -> int:
-    """Sum of the lanes of x."""
-    data = x.to_bytes(lay.size << lay.k, "little")
-    return sum(sum(data[j::lay.size]) << 8 * j for j in range(lay.size))
+    """Sum of the lanes of x, folded pairwise: each fold adds the odd blocks
+    of 2^j lanes onto the even ones, so a sum is one bit wider per fold and
+    always fits its doubled block."""
+    for shift, mask in lay.fold:
+        x = (x & mask) + (x >> shift & mask)
+    return x
+
+
+def _accumulate(acc: int, lanes: int, negate: bool, lay: _Lanes) -> int:
+    """acc + lanes, or acc - lanes if ``negate``, lane by lane modulo 2^bits;
+    the lanes of both are below 2^bits, and 2^bits - lane is a lane's negation."""
+    return (acc + (lay.full + lay.one - lanes if negate else lanes)) & lay.full
 
 
 def _covering_walks(rows, n: int, closed: bool) -> int:
@@ -227,33 +242,47 @@ def _covering_walks(rows, n: int, closed: bool) -> int:
     0..n-1 for paths (Karp 1982): the count is the sum over S of F of
     (-1)^(|F|-|S|) times the walks that stay inside S (with vertex 0, for
     cycles).  Each vertex holds one int whose lanes count the walks ending
-    there for every subset of the k lowest free vertices, and a step is
-    Y[w] = (sum of X[v] over v -> w) & mask[w].  The higher free vertices
-    are fixed per chunk, present or absent; an absent one drops out.  The
-    lanes count modulo 2^bits of ``_hamilton_bits``, above the true count, so
-    the sum modulo 2^bits is the count itself; 0 bits means there is none.
+    there for every subset of the k lowest free vertices, starting from the
+    walks of one step from vertex 0 (cycles) or of none (paths), and a step
+    is Y[w] = (sum of X[v] over v -> w) & mask[w], the sum seeded by its
+    first term; a vertex with no active in-neighbour gets mask 0.  The
+    higher free vertices are fixed per chunk, present or absent; an absent
+    one drops out.  The lanes count modulo 2^bits of ``_hamilton_bits``,
+    above the true count, and so does one accumulator over the chunks
+    (``_accumulate``), which adds a chunk's lanes or, for an odd number of
+    absent vertices, subtracts them.  Its lanes are summed with their signs
+    once, and the sum modulo 2^bits is the count itself; 0 bits means there
+    is none.
     """
     bits = _hamilton_bits(rows, n, closed)
     if not bits:
         return 0
     lay = _lane_layout(n, closed, bits)
+    full = lay.full
     first = 1 if closed else 0
     low = list(range(first + lay.k))
     high = range(first + lay.k, n)
-    total = 0
+    starts = rows[0] if closed else -1  # where the walks stand first: one step from vertex 0, or anywhere
+    acc = 0
     for chunk in range(1 << len(high)):
         kept = [v for j, v in enumerate(high) if chunk >> j & 1]
         act = low + kept
-        masks = [lay.full] * first + list(lay.member) + [lay.full] * len(kept)
-        into = [[i for i, v in enumerate(act) if rows[v] >> w & 1] for w in act]
-        x = [lay.one] + [0] * (len(act) - 1) if closed else [lay.one & m for m in masks]
-        for _ in range(n - 1):
+        masks = [full] * first + list(lay.member) + [full] * len(kept)
+        steps = []  # (first in-neighbour, the others, mask) of each target
+        for w, m in zip(act, masks):
+            ins = [i for i, v in enumerate(act) if rows[v] >> w & 1]
+            steps.append((ins[0], ins[1:], m) if ins else (0, (), 0))
+        x = [lay.one & m if starts >> v & 1 else 0 for v, m in zip(act, masks)]
+        for _ in range(n - 1 - closed):
             get = x.__getitem__
-            x = [sum(map(get, ins)) & m for ins, m in zip(into, masks)]
-        end = sum(map(x.__getitem__, into[0])) if closed else sum(x)
-        part = 2 * _lane_sum(end & lay.even, lay) - _lane_sum(end, lay)
-        total += -part if (len(high) - len(kept)) % 2 else part
-    return total % (1 << lay.bits)
+            x = [sum(map(get, rest), x[f]) & m for f, rest, m in steps]
+        if closed:
+            f, rest, m = steps[0]
+            end = sum(map(x.__getitem__, rest), x[f]) & m
+        else:
+            end = sum(x[1:], x[0]) & full
+        acc = _accumulate(acc, end, (len(high) - len(kept)) % 2, lay)
+    return (2 * _lane_sum(acc & lay.even, lay) - _lane_sum(acc, lay)) % (1 << bits)
 
 
 def _check_hamilton_budget(n: int) -> None:

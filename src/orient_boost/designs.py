@@ -600,12 +600,17 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = NODE_BUDGET) ->
     Raises ValueError for a node budget below 1, and InfeasibleAtDeskScale
     when the instance needs more structure than desk-scale search provides
     or the node budget runs out, in any step; the latter names (n, t) and
-    the budget, and chains the BudgetExceededError.
+    the budget, and chains the BudgetExceededError.  An even n's refusal
+    names n, then the odd base's refusal, which it chains.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
     if n % 2 == 0:
-        return extend_to_even(adjusted_decomposition(n - 1, t, node_budget=node_budget))
+        try:
+            odd = adjusted_decomposition(n - 1, t, node_budget=node_budget)
+        except (CongruenceError, InfeasibleAtDeskScale) as exc:
+            raise type(exc)(f"n={n} extends the design on n={n - 1}: {exc}") from exc
+        return extend_to_even(odd)
     if t % 2 == 0 or t < 3:
         raise CongruenceError(f"need odd t >= 3, got n={n}, t={t}")
     if n < t:

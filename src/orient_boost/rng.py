@@ -140,10 +140,28 @@ def _words(master: int, lo: int, count: int, draws: int) -> Sequence[int]:
 
 
 @lru_cache(maxsize=16)
+def _cached_limits(mods: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple((1 << 64) - (1 << 64) % m for m in mods)
+
+
+# (moduli, limits) of the last ``_limits`` call
+_last_limits: tuple = ((), ())
+
+
 def _limits(mods: tuple[int, ...]) -> tuple[int, ...]:
     """The rejection limit of ``Stream.below(m)`` for each modulus m: an output
-    at or over it is redrawn.  A modulus of 2^64 has limit 2^64 and never redraws."""
-    return tuple((1 << 64) - (1 << 64) % m for m in mods)
+    at or over it is redrawn.  A modulus of 2^64 has limit 2^64 and never redraws.
+
+    Limits are cached for the 16 moduli tuples used last.  A tuple does not
+    keep its hash, and a sampling plan draws one long tuple per sample, so
+    the tuple of the previous call is matched by identity first.
+    """
+    global _last_limits
+    last, limits = _last_limits
+    if mods is not last:
+        limits = _cached_limits(mods)
+        _last_limits = mods, limits
+    return limits
 
 
 def stream_residues(master: int, index: int, mods: tuple[int, ...]) -> tuple[int, ...]:

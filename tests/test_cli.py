@@ -90,6 +90,16 @@ def test_decompose_names_the_node_budget_it_ran_out_of(capsys):
     }
 
 
+def test_decompose_even_refusal_names_the_n_asked_for(capsys):
+    code, _, err = run(capsys, "decompose", "--n", "24", "--t", "5", "--node-budget", "1")
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "InfeasibleAtDeskScale",
+        "message": "n=24 extends the design on n=23: "
+                   "design search at (n=23, t=5) exceeded the node budget of 1 nodes",
+    }
+
+
 @pytest.mark.parametrize("flag", ["--kind", "--q", "--even"])
 def test_decompose_has_one_route_to_a_design(capsys, flag):
     argv = ["decompose", "--n", "9", flag] + ([] if flag == "--even" else ["sts"])

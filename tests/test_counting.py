@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -150,7 +151,7 @@ def test_hamilton_counts_of_the_empty_tournament():
 
 def test_hamilton_cycles_pinned_at_n16():
     # the value the subset DP gives; 15 free vertices, so 32 chunks of 2^10 lanes,
-    # each 5 bytes wide by the Brégman bound on row sums 7 and 8
+    # each 37 bits wide: 32 by the Brégman bound on row sums 7 and 8, 5 guard bits
     t = sample(adjusted_decomposition(16, 3), BaseTournaments.circulant(3), SampleSeed(1, 0))
     assert count_hamilton_cycles(t) == 52424821
 
@@ -267,8 +268,8 @@ def test_kernel_counts_alike_on_both_sides_of_the_table_cap(case, perm_seed):
 @pytest.mark.parametrize("count", [count_hamilton_cycles, count_hamilton_paths], ids=["cycles", "paths"])
 def test_hamilton_dp_refuses_n21_before_allocating(monkeypatch, count):
     """_HAMILTON_BUDGET = 20 is the largest size measured: on a 2-vCPU host
-    n = 20 takes 2.6-3.0 s for cycles and 5.5-6.4 s for paths (7-byte lanes),
-    with no measurable peak-RSS growth."""
+    n = 20 takes 2.3-2.5 s for cycles and 3.9-5.3 s for paths (lanes of 50
+    and 55 bits), with no measurable peak-RSS growth."""
     import orient_boost.counting as counting
 
     def allocated(*args):
@@ -322,6 +323,64 @@ def test_hamilton_counts_of_regular_tournaments_equal_subset_dp(name):
                                   (False, count_hamilton_paths, dp_hamilton_paths)):
         exact = oracle(t)
         assert count(t) == exact < 1 << counting._hamilton_bits(t.rows, t.n, closed)
+
+
+def lanes_of(x, lay):
+    """The 2^k lanes of x, low lane first; nothing may lie above the last."""
+    assert x >> (lay.width << lay.k) == 0
+    mask = (1 << lay.width) - 1
+    return [x >> s * lay.width & mask for s in range(1 << lay.k)]
+
+
+def pack_lanes(values, lay):
+    return sum(v << s * lay.width for s, v in enumerate(values))
+
+
+# closed walks below 3 vertices have 0 bits and build no layout
+LAYOUT_CASES = [(n, closed) for n in range(1, 21) for closed in (True, False) if n >= 3 or not closed]
+
+
+@pytest.mark.parametrize("n,closed", LAYOUT_CASES)
+def test_lane_layout_carries_stay_inside_each_lane(n, closed):
+    """For the Brégman bits of a few random tournaments and for the cap of
+    (n-1)! or n! (``_hamilton_bits`` clamps to it), the masks mark the lanes
+    they name, a sum of n masked lanes (a step sums at most n - 1, a path's
+    end n) carries into no other lane, ``_accumulate`` adds or subtracts
+    lane by lane modulo 2^bits, and ``_lane_sum`` is the sum of the lanes."""
+    rng = random.Random(2 * n + closed)
+    bits_seen = {counting._hamilton_bits(random_tournament(n, seed).rows, n, closed) for seed in range(3)}
+    bits_seen.add(math.factorial(n - closed).bit_length() + 1)
+    for bits in sorted(bits_seen - {0}):
+        lay = counting._lane_layout(n, closed, bits)
+        assert lay.width == bits + n.bit_length()
+        top = (1 << bits) - 1
+        lanes = range(1 << lay.k)
+        assert lanes_of(lay.one, lay) == [1 for _ in lanes]
+        assert lanes_of(lay.full, lay) == [top for _ in lanes]
+        assert lanes_of(lay.even, lay) == [top * ((lay.k - s.bit_count()) % 2 == 0) for s in lanes]
+        for j, member in enumerate(lay.member):
+            assert lanes_of(member, lay) == [top * (s >> j & 1) for s in lanes]
+        assert lanes_of(sum([lay.full] * n), lay) == [n * top for _ in lanes]
+
+        acc = [rng.randrange(1 << bits) for _ in lanes]
+        end = [rng.randrange(1 << bits) for _ in lanes]
+        for negate in (False, True):
+            got = counting._accumulate(pack_lanes(acc, lay), pack_lanes(end, lay), negate, lay)
+            sign = -1 if negate else 1
+            assert lanes_of(got, lay) == [(a + sign * e) % (1 << bits) for a, e in zip(acc, end)]
+
+        wide = [rng.randrange(1 << lay.width) for _ in lanes]
+        assert counting._lane_sum(pack_lanes(wide, lay), lay) == sum(wide)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hamilton_counts_over_several_chunks_equal_subset_dp(seed):
+    """At n = 13, past the hypothesis test, cycles fix 2 high vertices (4
+    chunks) and paths 3 (8 chunks, with odd and even numbers of absent
+    vertices), so the accumulator both adds and subtracts chunks."""
+    t = random_tournament(13, seed)
+    assert count_hamilton_cycles(t) == dp_hamilton_cycles(t)
+    assert count_hamilton_paths(t) == dp_hamilton_paths(t)
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,13 @@ def test_adjusted_21_5_uses_plane():
     assert validate(d).ok
 
 
+def test_even_refusal_names_the_n_asked_for_and_chains_the_odd_base():
+    with pytest.raises(CongruenceError) as exc:
+        adjusted_decomposition(4, 5)
+    assert str(exc.value) == "n=4 extends the design on n=3: need n >= t, got n=3, t=5"
+    assert type(exc.value.__cause__) is CongruenceError
+
+
 def test_adjusted_13_5_infeasible():
     with pytest.raises(InfeasibleAtDeskScale, match="27 vertices"):
         adjusted_decomposition(13, 5)
