@@ -22,13 +22,17 @@ over the injections (``_injection_table``, built once per kernel and
 (kind, m)): about 1.5 us a shape at t = 5, against 27 us by backtracking.
 ``CopyKernel.ratio(pi, method="enumerate")`` lists injections instead and
 stays the independent oracle.  Hamilton cycles and paths are
-counted by ``_covering_walks``: inclusion-exclusion over vertex subsets, the
-subsets of up to 10 vertices packed as lanes of one Python int per vertex,
-so a step is a few big-int adds and masks.  A lane is exactly as wide as
-Brégman's bound on the count (``_hamilton_bits``) and the carries of one
-step need: 37 bits for the cycles of a 16-vertex tournament with row sums 7
-and 8, 55 for the paths of a 20-vertex one.  Its measured cost, and that of
-every other budget, is in the README's budgets table.
+counted by one walk engine, ``_covering_walks``: the paths through a set F
+of free vertices from a start set to an end set, by inclusion-exclusion
+over the subsets of F, up to 10 of them packed as lanes of one Python int
+per vertex, so a step is a few big-int adds and masks.  Hamilton paths take
+every vertex for F and for both sets; a Hamilton cycle passes vertex 0
+once, so the cycles are the paths over 1..n-1 from out(0) to in(0).  A lane
+is exactly as wide as Brégman's bound on the count (``_hamilton_bits``) and
+the carries of one step need: 36 bits for the cycles of a 16-vertex
+tournament with row sums 7 and 8, 55 for the paths of a 20-vertex one.  Its
+measured cost, and that of every other budget, is in the README's budgets
+table.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations, islice, permutations
+from itertools import combinations, compress, islice, permutations
 from operator import itemgetter
 
 from .designs import BlockKind, Decomposition
@@ -128,15 +132,17 @@ def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -
     """Number of vertex permutations mapping every edge of h onto an edge of t.
 
     The spanning case of ``count_embeddings``; the unlabeled count is this
-    divided by aut(h).  Over the budget, use the Hamilton-path/cycle DP or
-    the estimator instead.
+    divided by aut(h).  Over the budget, count cycles and paths with
+    ``count_hamilton_cycles`` and ``count_hamilton_paths`` (``count --method
+    dp``), and anything else with the estimator.
     """
     if h.n != t.n:
         raise ValueError(f"pattern has {h.n} vertices, tournament has {t.n}")
     if h.n > budget_n:
         raise BudgetExceededError(
-            f"n={h.n} over the brute-force budget {budget_n}; use the Hamilton DP "
-            "specializations or the Monte Carlo estimator",
+            f"n={h.n} over the brute-force budget {budget_n}; count cycles and paths with "
+            "count_hamilton_cycles and count_hamilton_paths (count --method dp), "
+            "anything else with the Monte Carlo estimator",
             size=h.n, budget=budget_n,
         )
     return count_embeddings(h.edges, h.n, t.rows)
@@ -145,43 +151,51 @@ def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -
 _LANE_VERTICES = 10  # free vertices whose subsets share one int, one lane each
 _HAMILTON_BUDGET = 20  # largest n measured; timings in the README's budgets table
 # bit_length(r!), and bit_length(r!)/r over one common denominator, for every
-# row sum r the Brégman bound meets: paths add a row of n
+# row sum r the Brégman bound meets: at most the number of free vertices
 _FACTORIAL_BITS = tuple(math.factorial(r).bit_length() for r in range(_HAMILTON_BUDGET + 1))
 _BREGMAN_DEN = math.lcm(*range(1, _HAMILTON_BUDGET + 1))
 _BREGMAN_TERMS = tuple(bits * _BREGMAN_DEN // r if r else 0 for r, bits in enumerate(_FACTORIAL_BITS))
 
 
-def _hamilton_bits(rows, n: int, closed: bool) -> int:
-    """Bits that hold the Hamilton cycles (``closed``) or paths of the
-    tournament with bit rows ``rows``: the count is below 2^bits.
+@lru_cache(maxsize=64)
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices of a vertex bitset, lowest first."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
-    A directed Hamilton cycle is one permutation term of the adjacency
-    permanent, so by Brégman's theorem (1973) log2 of the count is at most
-    the sum of log2(r!)/r over the row sums r, which is below the sum of
-    bit_length(r!)/r, rounded up here over a common denominator.  A path is
-    a cycle through one added vertex joined both ways to every vertex: row
-    sums r + 1 and one row of n.  A row sum of 0 leaves no cycle, and 0
-    bits.  The result is one bit above the bound, and never more than the
-    bits of (n-1)! cycles or n! paths.
+
+def _hamilton_bits(rows, free: int, starts: int, ends: int) -> int:
+    """Bits that hold the walks of ``_covering_walks(rows, free, starts, ends)``:
+    the count is below 2^bits.
+
+    Such a walk is a Hamilton cycle through the free vertices F and one added
+    vertex z with arcs z -> starts and ends -> z, and a cycle is one
+    permutation term of the adjacency permanent.  So by Brégman's theorem
+    (1973) log2 of the count is at most the sum of log2(r!)/r over the row
+    sums r, |out(v) & F| + [v in ends] for v in F and |starts & F| for z,
+    which is below the sum of bit_length(r!)/r, rounded up here over a
+    common denominator.  A row sum of 0 leaves no walk, and 0 bits.  The
+    result is one bit above the bound, and never more than the bits of |F|!
+    walks.
     """
-    if closed and 0 in rows or not n:
+    sums = [(rows[v] & free | ends & 1 << v).bit_count() for v in _members(free)]  # no row holds its own bit
+    sums.append((starts & free).bit_count())
+    if 0 in sums:
         return 0
-    terms = _BREGMAN_TERMS if closed else _BREGMAN_TERMS[1:]  # a path's rows gain an arc
-    scaled = sum(map(terms.__getitem__, map(int.bit_count, rows)))
-    if not closed:
-        scaled += _BREGMAN_TERMS[n]
-    return min(-(-scaled // _BREGMAN_DEN) + 1, _FACTORIAL_BITS[n - closed] + 1)
+    scaled = sum(map(_BREGMAN_TERMS.__getitem__, sums))
+    return min(-(-scaled // _BREGMAN_DEN) + 1, _FACTORIAL_BITS[len(sums) - 1] + 1)
 
 
 @dataclass(frozen=True)
 class _Lanes:
-    """Lane layout of the covering-walk count for one (n, closed, bits).
+    """Lane layout of the covering-walk count for f free vertices and ``bits``.
 
     Counts are kept modulo 2^bits, from ``_hamilton_bits``.  A lane is
-    ``width`` = bits + bit_length(n) bits wide: the guard bits hold the
-    carries of a sum of up to n masked lanes.  Lane s holds the subset s of
-    the k lowest free vertices; ``member[j]`` keeps the lanes holding free
-    vertex j, ``even`` those that leave out an even number of the k.
+    ``width`` = bits + bit_length(f) bits wide: the guard bits hold the
+    carries of a sum of up to f + 1 masked lanes.  Lane s holds the subset s
+    of the k lowest free vertices; ``member[j]`` keeps the lanes holding free
+    vertex j.  ``start[p]`` holds each lane's inclusion-exclusion sign when
+    p of the higher free vertices are left out as well: 1 where an even
+    number of free vertices is left out, else 2^bits - 1, which is -1.
     ``fold[j]`` is (shift, mask) of the j-th pairwise fold, whose mask keeps
     the blocks of 2^j lanes without free vertex j.
     """
@@ -189,10 +203,9 @@ class _Lanes:
     bits: int
     width: int
     k: int
-    one: int
     full: int
     member: tuple[int, ...]
-    even: int
+    start: tuple[int, int]
     fold: tuple[tuple[int, int], ...]
 
 
@@ -202,9 +215,9 @@ def _repeat(block: int, width: int, count: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _lane_layout(n: int, closed: bool, bits: int) -> _Lanes:
-    width = bits + n.bit_length()
-    k = min(_LANE_VERTICES, n - 1 if closed else n)
+def _lane_layout(f: int, bits: int) -> _Lanes:
+    width = bits + f.bit_length()
+    k = min(_LANE_VERTICES, f)
     one = _repeat(1, width, 1 << k)
     full = ((1 << bits) - 1) * one
     fold = tuple((width << j, _repeat((1 << (width << j)) - 1, width << j + 1, 1 << (k - 1 - j)))
@@ -213,9 +226,10 @@ def _lane_layout(n: int, closed: bool, bits: int) -> _Lanes:
     even, odd = (1 << bits) - 1, 0
     for shift, _ in fold:
         even, odd = even | odd << shift, odd | even << shift
-    return _Lanes(bits=bits, width=width, k=k, one=one, full=full,
+    plus = odd if k % 2 else even  # the lanes leaving out an even number
+    return _Lanes(bits=bits, width=width, k=k, full=full,
                   member=tuple(full & mask << shift for shift, mask in fold),
-                  even=odd if k % 2 else even, fold=fold)
+                  start=(one & plus | full ^ plus, one & ~plus | plus), fold=fold)
 
 
 def _lane_sum(x: int, lay: _Lanes) -> int:
@@ -227,62 +241,49 @@ def _lane_sum(x: int, lay: _Lanes) -> int:
     return x
 
 
-def _accumulate(acc: int, lanes: int, negate: bool, lay: _Lanes) -> int:
-    """acc + lanes, or acc - lanes if ``negate``, lane by lane modulo 2^bits;
-    the lanes of both are below 2^bits, and 2^bits - lane is a lane's negation."""
-    return (acc + (lay.full + lay.one - lanes if negate else lanes)) & lay.full
+def _covering_walks(rows, free: int, starts: int, ends: int) -> int:
+    """Walks in the digraph with bit rows ``rows`` that visit every vertex of
+    the bitset ``free`` exactly once and no other, starting in ``starts`` and
+    ending in ``ends``: its Hamilton paths on ``free`` between those sets.
 
-
-def _covering_walks(rows, n: int, closed: bool) -> int:
-    """Walks through every vertex of the tournament with bit rows ``rows``:
-    closed walks of n steps from vertex 0 if ``closed``, its directed Hamilton
-    cycles; else open walks of n - 1 steps, its directed Hamilton paths.
-
-    Inclusion-exclusion over the free vertices F, 1..n-1 for cycles and
-    0..n-1 for paths (Karp 1982): the count is the sum over S of F of
-    (-1)^(|F|-|S|) times the walks that stay inside S (with vertex 0, for
-    cycles).  Each vertex holds one int whose lanes count the walks ending
-    there for every subset of the k lowest free vertices, starting from the
-    walks of one step from vertex 0 (cycles) or of none (paths), and a step
-    is Y[w] = (sum of X[v] over v -> w) & mask[w], the sum seeded by its
-    first term; a vertex with no active in-neighbour gets mask 0.  The
-    higher free vertices are fixed per chunk, present or absent; an absent
-    one drops out.  The lanes count modulo 2^bits of ``_hamilton_bits``,
-    above the true count, and so does one accumulator over the chunks
-    (``_accumulate``), which adds a chunk's lanes or, for an odd number of
-    absent vertices, subtracts them.  Its lanes are summed with their signs
-    once, and the sum modulo 2^bits is the count itself; 0 bits means there
-    is none.
+    Inclusion-exclusion over the free vertices F (Karp 1982): the count is
+    the sum over S of F of (-1)^(|F|-|S|) times the walks of |F| - 1 steps
+    that stay inside S.  Each free vertex holds one int whose lanes count,
+    for every subset of the k lowest free vertices, the signed walks ending
+    there, modulo 2^bits of ``_hamilton_bits``, which is above the true
+    count.  A walk of no steps stands on a vertex of ``starts`` with its
+    lane's sign, 1 or 2^bits - 1; a step is Y[w] = (sum of X[v] over v -> w)
+    & mask[w], the sum seeded by its first term, and a vertex with no active
+    in-neighbour gets mask 0.  The higher free vertices are fixed per chunk,
+    present or absent; an absent one drops out and flips the signs.  Each
+    chunk adds its walks ending in ``ends`` to one accumulator modulo
+    2^bits, whose lanes are summed once: the sum modulo 2^bits is the count
+    itself.  0 bits means there is none.
     """
-    bits = _hamilton_bits(rows, n, closed)
+    bits = _hamilton_bits(rows, free, starts, ends)
     if not bits:
         return 0
-    lay = _lane_layout(n, closed, bits)
+    verts = _members(free)
+    lay = _lane_layout(len(verts), bits)
     full = lay.full
-    first = 1 if closed else 0
-    low = list(range(first + lay.k))
-    high = range(first + lay.k, n)
-    starts = rows[0] if closed else -1  # where the walks stand first: one step from vertex 0, or anywhere
+    low, high = verts[:lay.k], verts[lay.k:]
     acc = 0
     for chunk in range(1 << len(high)):
-        kept = [v for j, v in enumerate(high) if chunk >> j & 1]
+        kept = tuple(v for j, v in enumerate(high) if chunk >> j & 1)
         act = low + kept
-        masks = [full] * first + list(lay.member) + [full] * len(kept)
+        masks = lay.member + (full,) * len(kept)
+        act_rows = [rows[v] for v in act]
         steps = []  # (first in-neighbour, the others, mask) of each target
         for w, m in zip(act, masks):
-            ins = [i for i, v in enumerate(act) if rows[v] >> w & 1]
+            ins = [i for i, r in enumerate(act_rows) if r >> w & 1]
             steps.append((ins[0], ins[1:], m) if ins else (0, (), 0))
-        x = [lay.one & m if starts >> v & 1 else 0 for v, m in zip(act, masks)]
-        for _ in range(n - 1 - closed):
+        sign = lay.start[(len(high) - len(kept)) % 2]
+        x = [sign & m if starts >> v & 1 else 0 for v, m in zip(act, masks)]
+        for _ in range(len(verts) - 1):
             get = x.__getitem__
             x = [sum(map(get, rest), x[f]) & m for f, rest, m in steps]
-        if closed:
-            f, rest, m = steps[0]
-            end = sum(map(x.__getitem__, rest), x[f]) & m
-        else:
-            end = sum(x[1:], x[0]) & full
-        acc = _accumulate(acc, end, (len(high) - len(kept)) % 2, lay)
-    return (2 * _lane_sum(acc & lay.even, lay) - _lane_sum(acc, lay)) % (1 << bits)
+        acc = (acc + sum(compress(x, [ends >> v & 1 for v in act]))) & full
+    return _lane_sum(acc, lay) % (1 << bits)
 
 
 def _check_hamilton_budget(n: int) -> None:
@@ -292,19 +293,21 @@ def _check_hamilton_budget(n: int) -> None:
 
 
 def count_hamilton_cycles(t: Tournament) -> int:
-    """Directed Hamilton cycles: the closed walks of n steps from vertex 0
-    that visit every vertex, counted by ``_covering_walks``."""
+    """Directed Hamilton cycles.  Each passes vertex 0 once, so they are the
+    paths over 1..n-1 from out(0) to in(0), counted by ``_covering_walks``."""
     _check_hamilton_budget(t.n)
     if t.n < 3:
         return 0
-    return _covering_walks(t.rows, t.n, closed=True)
+    rest = (1 << t.n) - 2
+    return _covering_walks(t.rows, rest, t.rows[0], rest & ~t.rows[0])
 
 
 def count_hamilton_paths(t: Tournament) -> int:
-    """Directed Hamilton paths, from every start vertex: the open walks of
-    n - 1 steps that visit every vertex, counted by ``_covering_walks``."""
+    """Directed Hamilton paths, from every start vertex to every end vertex,
+    counted by ``_covering_walks``."""
     _check_hamilton_budget(t.n)
-    return _covering_walks(t.rows, t.n, closed=False)
+    every = (1 << t.n) - 1
+    return _covering_walks(t.rows, every, every, every)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +416,7 @@ class CopyKernel:
         self.bases = bases if bases is not None else BaseTournaments.circulant(d.t)
         self.pair_block = checked_pair_index(d, self.bases)
         self.n = h.n
+        self._vertices = frozenset(range(h.n))
         self.h_edges = sorted(h.edges)
         self.e = len(self.h_edges)
         self.block_kind = [b.kind for b in d.blocks]
@@ -512,12 +516,16 @@ class CopyKernel:
         self._memo[key] = entry
         return entry
 
-    def _check_size(self, pi) -> None:
+    def _check_permutation(self, pi) -> None:
+        """Refuse a pi that is not a permutation of range(n): a repeated or
+        out-of-range image would be read as some other block."""
         if len(pi) != self.n:
             raise ValueError("permutation, pattern, and decomposition sizes must agree")
+        if set(pi) != self._vertices:
+            raise ValueError(f"pi is not a permutation of range({self.n})")
 
     def ratio_and_stats(self, pi) -> tuple[Fraction, CopyBlockStats]:
-        self._check_size(pi)
+        self._check_permutation(pi)
         num, den, caps, typical = self._terms(pi)
         return Fraction(num, den), CopyBlockStats(*caps, typical)
 
@@ -535,7 +543,7 @@ class CopyKernel:
             return self.ratio_and_stats(pi)[0]
         if method != "enumerate":
             raise ValueError(f"unknown method {method!r}; use 'auto' or 'enumerate'")
-        self._check_size(pi)
+        self._check_permutation(pi)
         result = Fraction(1)
         for bid, group in self.groups(pi).items():
             if self.block_kind[bid].complete:

@@ -3,6 +3,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 from unittest import mock
 
@@ -93,22 +94,24 @@ def test_isolated_vertices_multiply_free_slots():
     assert count_labeled_copies(h, t) == math.factorial(5) // 2
 
 
-def _hamilton_path_ends(t: Tournament, starts) -> dict[int, int]:
-    """Directed Hamilton paths of t that start in ``starts``, counted by end vertex.
+def _hamilton_path_ends(t: Tournament, starts, free: int | None = None) -> dict[int, int]:
+    """Directed paths of t through exactly the vertices of the bitset ``free``
+    (every vertex by default) that start in ``starts``, counted by end vertex.
 
     Subset DP over (mask, endpoint); each layer is dropped once extended.
     """
     rows = t.rows
-    full = (1 << t.n) - 1
+    full = (1 << t.n) - 1 if free is None else free
     dp: list[dict[int, int] | None] = [None] * (1 << t.n)
     for v in starts:
-        dp[1 << v] = {v: 1}
+        if full >> v & 1:
+            dp[1 << v] = {v: 1}
     for mask in range(1, full):
         cur = dp[mask]
         if cur is None:
             continue
         for v, cnt in cur.items():
-            avail = rows[v] & ~mask
+            avail = rows[v] & full & ~mask
             while avail:
                 low = avail & -avail
                 w = low.bit_length() - 1
@@ -135,6 +138,24 @@ def dp_hamilton_paths(t: Tournament) -> int:
     return sum(_hamilton_path_ends(t, range(t.n)).values())
 
 
+def dp_covering_walks(t: Tournament, free: int, starts: int, ends: int) -> int:
+    """Oracle of ``_covering_walks``: paths through exactly the vertices of
+    ``free`` from a vertex of ``starts`` to one of ``ends``, by the subset DP."""
+    firsts = [v for v in range(t.n) if starts >> v & 1]
+    return sum(cnt for v, cnt in _hamilton_path_ends(t, firsts, free).items() if ends >> v & 1)
+
+
+def walk_args(t: Tournament, closed: bool) -> tuple[int, int, int]:
+    """(free, starts, ends) of ``_covering_walks`` for the Hamilton cycles
+    (``closed``) or paths of t, as ``count_hamilton_cycles`` and
+    ``count_hamilton_paths`` pass them."""
+    if closed:
+        rest = (1 << t.n) - 2
+        return rest, t.rows[0], rest & ~t.rows[0]
+    every = (1 << t.n) - 1
+    return every, every, every
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(n=st.integers(1, 12), seed=st.integers(0, 10 ** 6))
 def test_hamilton_counts_equal_subset_dp(n, seed):
@@ -151,7 +172,7 @@ def test_hamilton_counts_of_the_empty_tournament():
 
 def test_hamilton_cycles_pinned_at_n16():
     # the value the subset DP gives; 15 free vertices, so 32 chunks of 2^10 lanes,
-    # each 37 bits wide: 32 by the Brégman bound on row sums 7 and 8, 5 guard bits
+    # each 36 bits wide: 32 by the Brégman bound on row sums 7 and 8, 4 guard bits
     t = sample(adjusted_decomposition(16, 3), BaseTournaments.circulant(3), SampleSeed(1, 0))
     assert count_hamilton_cycles(t) == 52424821
 
@@ -268,7 +289,7 @@ def test_kernel_counts_alike_on_both_sides_of_the_table_cap(case, perm_seed):
 @pytest.mark.parametrize("count", [count_hamilton_cycles, count_hamilton_paths], ids=["cycles", "paths"])
 def test_hamilton_dp_refuses_n21_before_allocating(monkeypatch, count):
     """_HAMILTON_BUDGET = 20 is the largest size measured: on a 2-vCPU host
-    n = 20 takes 2.3-2.5 s for cycles and 3.9-5.3 s for paths (lanes of 50
+    n = 20 takes 1.4-2.0 s for cycles and 4.0-5.3 s for paths (lanes of 50
     and 55 bits), with no measurable peak-RSS growth."""
     import orient_boost.counting as counting
 
@@ -285,7 +306,7 @@ def test_transitive_tournament_counts():
     # the sink's empty row leaves no cycle and 0 lane bits
     for n in range(3, 13):
         t = transitive_tournament(n)
-        assert counting._hamilton_bits(t.rows, n, closed=True) == 0
+        assert counting._hamilton_bits(t.rows, *walk_args(t, closed=True)) == 0
         assert count_hamilton_cycles(t) == 0
         assert count_hamilton_paths(t) == 1
 
@@ -302,7 +323,7 @@ def test_hamilton_counts_below_three_vertices():
 def test_hamilton_count_is_below_two_to_the_lane_bits(n, seed, closed):
     """The Brégman bits hold the count, and never exceed those of (n-1)! or n!."""
     t = random_tournament(n, seed)
-    bits = counting._hamilton_bits(t.rows, n, closed)
+    bits = counting._hamilton_bits(t.rows, *walk_args(t, closed))
     count = dp_hamilton_cycles(t) if closed else dp_hamilton_paths(t)
     assert count < 1 << bits
     assert bits <= math.factorial(n - 1 if closed else n).bit_length() + 1
@@ -322,7 +343,7 @@ def test_hamilton_counts_of_regular_tournaments_equal_subset_dp(name):
     for closed, count, oracle in ((True, count_hamilton_cycles, dp_hamilton_cycles),
                                   (False, count_hamilton_paths, dp_hamilton_paths)):
         exact = oracle(t)
-        assert count(t) == exact < 1 << counting._hamilton_bits(t.rows, t.n, closed)
+        assert count(t) == exact < 1 << counting._hamilton_bits(t.rows, *walk_args(t, closed))
 
 
 def lanes_of(x, lay):
@@ -336,38 +357,36 @@ def pack_lanes(values, lay):
     return sum(v << s * lay.width for s, v in enumerate(values))
 
 
-# closed walks below 3 vertices have 0 bits and build no layout
+# the cycles (closed) or paths of n vertices walk over f = n - closed free
+# vertices, so f runs over 1..20; cycles below 3 vertices have no walk
 LAYOUT_CASES = [(n, closed) for n in range(1, 21) for closed in (True, False) if n >= 3 or not closed]
 
 
 @pytest.mark.parametrize("n,closed", LAYOUT_CASES)
 def test_lane_layout_carries_stay_inside_each_lane(n, closed):
-    """For the Brégman bits of a few random tournaments and for the cap of
-    (n-1)! or n! (``_hamilton_bits`` clamps to it), the masks mark the lanes
-    they name, a sum of n masked lanes (a step sums at most n - 1, a path's
-    end n) carries into no other lane, ``_accumulate`` adds or subtracts
-    lane by lane modulo 2^bits, and ``_lane_sum`` is the sum of the lanes."""
+    """For the Brégman bits of the cycles or paths of a few random
+    n-vertex tournaments, f = n - closed free vertices, and for the cap of
+    f! (``_hamilton_bits`` clamps to it), the masks mark the lanes they
+    name, a sum of f + 1 full lanes (a step sums at most f - 1, the end
+    read at most f onto the accumulator) carries into no other lane, the
+    start lanes hold the inclusion-exclusion signs, and ``_lane_sum`` is the
+    sum of the lanes."""
+    f = n - closed
     rng = random.Random(2 * n + closed)
-    bits_seen = {counting._hamilton_bits(random_tournament(n, seed).rows, n, closed) for seed in range(3)}
-    bits_seen.add(math.factorial(n - closed).bit_length() + 1)
+    bits_seen = {counting._hamilton_bits(t.rows, *walk_args(t, closed))
+                 for t in (random_tournament(n, seed) for seed in range(3))}
+    bits_seen.add(math.factorial(f).bit_length() + 1)
     for bits in sorted(bits_seen - {0}):
-        lay = counting._lane_layout(n, closed, bits)
-        assert lay.width == bits + n.bit_length()
+        lay = counting._lane_layout(f, bits)
+        assert lay.width == bits + f.bit_length()
         top = (1 << bits) - 1
         lanes = range(1 << lay.k)
-        assert lanes_of(lay.one, lay) == [1 for _ in lanes]
         assert lanes_of(lay.full, lay) == [top for _ in lanes]
-        assert lanes_of(lay.even, lay) == [top * ((lay.k - s.bit_count()) % 2 == 0) for s in lanes]
+        for p, start in enumerate(lay.start):
+            assert lanes_of(start, lay) == [top if (lay.k - s.bit_count() + p) % 2 else 1 for s in lanes]
         for j, member in enumerate(lay.member):
             assert lanes_of(member, lay) == [top * (s >> j & 1) for s in lanes]
-        assert lanes_of(sum([lay.full] * n), lay) == [n * top for _ in lanes]
-
-        acc = [rng.randrange(1 << bits) for _ in lanes]
-        end = [rng.randrange(1 << bits) for _ in lanes]
-        for negate in (False, True):
-            got = counting._accumulate(pack_lanes(acc, lay), pack_lanes(end, lay), negate, lay)
-            sign = -1 if negate else 1
-            assert lanes_of(got, lay) == [(a + sign * e) % (1 << bits) for a, e in zip(acc, end)]
+        assert lanes_of(sum([lay.full] * (f + 1)), lay) == [(f + 1) * top for _ in lanes]
 
         wide = [rng.randrange(1 << lay.width) for _ in lanes]
         assert counting._lane_sum(pack_lanes(wide, lay), lay) == sum(wide)
@@ -377,10 +396,34 @@ def test_lane_layout_carries_stay_inside_each_lane(n, closed):
 def test_hamilton_counts_over_several_chunks_equal_subset_dp(seed):
     """At n = 13, past the hypothesis test, cycles fix 2 high vertices (4
     chunks) and paths 3 (8 chunks, with odd and even numbers of absent
-    vertices), so the accumulator both adds and subtracts chunks."""
+    vertices), so chunks start from both signs."""
     t = random_tournament(13, seed)
     assert count_hamilton_cycles(t) == dp_hamilton_cycles(t)
     assert count_hamilton_paths(t) == dp_hamilton_paths(t)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_covering_walks_equal_subset_dp_on_any_free_start_and_end_sets(n, seed, data):
+    """Walks through any vertex subset, from any start set to any end set,
+    which may hold vertices outside ``free``, against the subset DP."""
+    t = random_tournament(n, seed)
+    masks = st.integers(0, (1 << n) - 1)
+    free, starts, ends = data.draw(masks), data.draw(masks), data.draw(masks)
+    walks = counting._covering_walks(t.rows, free, starts, ends)
+    assert walks == dp_covering_walks(t, free, starts, ends)
+    assert walks < 1 << counting._hamilton_bits(t.rows, free, starts, ends)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 11), seed=st.integers(0, 10 ** 6))
+def test_cycles_through_each_forced_arc_sum_to_the_cycle_count(n, seed):
+    """The cycles through the arc 0 -> b are the walks over 1..n-1 from b
+    alone to in(0); over every b in out(0) they are all the cycles."""
+    t = random_tournament(n, seed)
+    rest, out0, in0 = walk_args(t, closed=True)
+    forced = [counting._covering_walks(t.rows, rest, 1 << b, in0) for b in range(n) if out0 >> b & 1]
+    assert sum(forced) == count_hamilton_cycles(t)
 
 
 # ---------------------------------------------------------------------------
@@ -930,6 +973,19 @@ def test_per_copy_methods_check_the_permutation_size():
                      lambda pi: kernel.ratio(pi, method="enumerate")):
             with pytest.raises(ValueError, match="sizes must agree"):
                 call(pi)
+
+
+@pytest.mark.parametrize("pi", [[0, 1, 2, 3, 4, 5, 5], [0, 1, 2, 3, 4, 5, -1], [1] * 7, [0, 1, 2, 3, 4, 5, 7]],
+                         ids=["repeated", "negative", "constant", "out-of-range"])
+@pytest.mark.parametrize("method", ["ratio_and_stats", "block_stats", "ratio", "probability", "enumerate"])
+def test_per_copy_methods_refuse_a_non_permutation(pi, method):
+    """Of the right length but no permutation: a repeated image read the
+    pair (5, 5) as the last block, and a negative one wrapped round."""
+    kernel = CopyKernel(make_pattern("cycle", 7), steiner_triple_system(7))
+    call = (partial(kernel.ratio, method="enumerate") if method == "enumerate"
+            else getattr(kernel, method))
+    with pytest.raises(ValueError, match=r"not a permutation of range\(7\)"):
+        call(pi)
 
 
 # ---------------------------------------------------------------------------
