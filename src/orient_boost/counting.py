@@ -431,6 +431,11 @@ class CopyKernel:
 
     def groups(self, pi) -> dict[int, list[tuple[int, int]]]:
         """H-edges keyed by the index of the block covering their image."""
+        self._check_permutation(pi)
+        return self._groups(pi)
+
+    def _groups(self, pi) -> dict[int, list[tuple[int, int]]]:
+        """``groups`` without the permutation check, for callers that made it."""
         out: dict[int, list[tuple[int, int]]] = {}
         pair_block = self.pair_block
         for edge in self.h_edges:
@@ -452,7 +457,7 @@ class CopyKernel:
         pair_capture = self._pair_capture
         block_kind = self.block_kind
         memo = self._memo
-        for bid, group in self.groups(pi).items():
+        for bid, group in self._groups(pi).items():
             m = len(group)
             if m == 1:
                 continue
@@ -545,7 +550,7 @@ class CopyKernel:
             raise ValueError(f"unknown method {method!r}; use 'auto' or 'enumerate'")
         self._check_permutation(pi)
         result = Fraction(1)
-        for bid, group in self.groups(pi).items():
+        for bid, group in self._groups(pi).items():
             if self.block_kind[bid].complete:
                 hits, total = self._injection_hits(bid, *self._complete_shape(bid, group))
             else:

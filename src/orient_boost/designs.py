@@ -296,28 +296,17 @@ def projective_plane_decomposition(q: int) -> Decomposition:
     """
     if q not in (2, 4):
         raise CongruenceError(f"unsupported plane order q={q}: need q in {{2,4}} (odd t=q+1)")
-    if q == 2:
-        mul = lambda a, b: a & b  # GF(2)
-        elems = (0, 1)
-    else:
-        mul = lambda a, b: _GF4_MUL[a][b]
-        elems = (0, 1, 2, 3)
-
-    points: list[tuple[int, int, int]] = [(1, b, c) for b in elems for c in elems]
-    points += [(0, 1, c) for c in elems]
+    mul = _GF4_MUL if q == 4 else ((0, 0), (0, 1))
+    points = [(1, b, c) for b in range(q) for c in range(q)]
+    points += [(0, 1, c) for c in range(q)]
     points.append((0, 0, 1))
-    index = {p: i for i, p in enumerate(points)}
     n = len(points)
 
-    def dot(u, p) -> int:
-        acc = 0
-        for a, b in zip(u, p):
-            acc ^= mul(a, b)
-        return acc
-
     blocks = []
-    for line in points:
-        members = tuple(sorted(index[p] for p in points if dot(line, p) == 0))
+    for a, b, c in points:
+        # the points p with L.p = 0 over GF(q), addition being XOR; enumerate keeps them sorted
+        ra, rb, rc = mul[a], mul[b], mul[c]
+        members = tuple(i for i, (x, y, z) in enumerate(points) if not ra[x] ^ rb[y] ^ rc[z])
         if len(members) != q + 1:
             raise InvalidDecompositionError("internal error: line of wrong size")
         blocks.append(Block(BlockKind.KT, members))

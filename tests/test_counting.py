@@ -970,17 +970,19 @@ def test_per_copy_methods_check_the_permutation_size():
     kernel = CopyKernel(make_pattern("cycle", 7), steiner_triple_system(7))
     for pi in (list(range(6)), list(range(8))):
         for call in (kernel.ratio_and_stats, kernel.block_stats, kernel.ratio, kernel.probability,
-                     lambda pi: kernel.ratio(pi, method="enumerate")):
+                     lambda pi: kernel.ratio(pi, method="enumerate"), kernel.groups):
             with pytest.raises(ValueError, match="sizes must agree"):
                 call(pi)
 
 
 @pytest.mark.parametrize("pi", [[0, 1, 2, 3, 4, 5, 5], [0, 1, 2, 3, 4, 5, -1], [1] * 7, [0, 1, 2, 3, 4, 5, 7]],
                          ids=["repeated", "negative", "constant", "out-of-range"])
-@pytest.mark.parametrize("method", ["ratio_and_stats", "block_stats", "ratio", "probability", "enumerate"])
+@pytest.mark.parametrize("method", ["ratio_and_stats", "block_stats", "ratio", "probability", "enumerate",
+                                    "groups"])
 def test_per_copy_methods_refuse_a_non_permutation(pi, method):
     """Of the right length but no permutation: a repeated image read the
-    pair (5, 5) as the last block, and a negative one wrapped round."""
+    pair (5, 5) as the last block, and a negative one wrapped round; through
+    ``groups`` the edge (5, 6) was filed under block -1, or under block 3."""
     kernel = CopyKernel(make_pattern("cycle", 7), steiner_triple_system(7))
     call = (partial(kernel.ratio, method="enumerate") if method == "enumerate"
             else getattr(kernel, method))

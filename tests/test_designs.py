@@ -147,6 +147,42 @@ def test_projective_plane_order_4():
     assert per_vertex == [5] * 21
 
 
+def test_projective_plane_order_2_bytes_are_pinned():
+    # no DESIGN_SHA256 entry reaches PG(2,2): (7, 3) is built as a Steiner triple system
+    text = projective_plane_decomposition(2).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ff8a4ec17cc9ae8737a9e75e1299cc4b0fec7d6ff13114d1cebc71e55ebe4aca")
+
+
+def _gf_mul(a, b):
+    """Product in GF(2), or in GF(4) = GF(2)[x]/(x^2 + x + 1) with elements as bit vectors."""
+    prod = 0
+    for k in range(2):
+        if b >> k & 1:
+            prod ^= a << k
+    return prod ^ 0b111 if prod & 0b100 else prod
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_projective_plane_lines_are_the_zeros_of_a_dot_product(q):
+    """Reference construction: the points in the package's order, and the line
+    L = (a, b, c) as the points p with L.p = 0, by a plain loop over the field."""
+    elems = range(q)
+    points = [(1, b, c) for b in elems for c in elems] + [(0, 1, c) for c in elems] + [(0, 0, 1)]
+
+    def dot(u, p):
+        acc = 0
+        for a, b in zip(u, p):
+            acc ^= _gf_mul(a, b)
+        return acc
+
+    d = projective_plane_decomposition(q)
+    assert (d.n, d.t) == (q * q + q + 1, q + 1)
+    assert all(b.kind is BlockKind.KT for b in d.blocks)
+    assert [b.vertices for b in d.blocks] == [
+        tuple(sorted(i for i, p in enumerate(points) if dot(line, p) == 0)) for line in points]
+
+
 def test_projective_plane_unsupported_order():
     with pytest.raises(CongruenceError):
         projective_plane_decomposition(3)
