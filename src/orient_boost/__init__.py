@@ -31,6 +31,7 @@ from .designs import (
     backtracking_kt_decomposition,
     decomposition_from_json,
     extend_to_even,
+    point_stabiliser_orbits,
     projective_plane_decomposition,
     steiner_triple_system,
     validate,

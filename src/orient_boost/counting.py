@@ -7,9 +7,11 @@ fixed permutation factors over blocks; this module computes that probability
 exactly (per-block closed forms for the common shapes, an injection count
 for every other complete-block capture, memoised per captured shape with the
 block's whole contribution), sums it over all permutations on tiny instances
-(``exact_copy_summary``, one kernel for every pattern vertex orbit), and
-estimates it by seeded Monte Carlo otherwise (``estimate_expected_copies``).
-Both accumulate into one record of exact partial sums, ``_ExactSums``; the
+(``exact_copy_summary``, one kernel for every pattern vertex orbit and every
+orbit of the design's point stabiliser), and estimates it by seeded Monte
+Carlo otherwise (``estimate_expected_copies``).  Both accumulate into one
+record of exact partial sums, ``_ExactSums``: a block of copies holds few
+distinct terms, so each is tallied and added once, times its count.  The
 worker pool merges the records of its chunks with ``_ExactSums.merge``.  A
 Monte Carlo chunk takes its permutations from ``rng.stream_permutations``,
 the batched draw whose scalar oracle is ``stream_for(master, i).permutation(n)``.
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +49,7 @@ from functools import lru_cache, partial, reduce
 from itertools import combinations, compress, islice, permutations
 from operator import itemgetter
 
-from .designs import BlockKind, Decomposition
+from .designs import BlockKind, Decomposition, point_stabiliser_orbits
 from .errors import BudgetExceededError
 from .orientations import Orientation, Tournament, local_shapes, vertex_orbits
 from .rng import stream_permutations
@@ -449,18 +452,35 @@ class CopyKernel:
 
     # -- the one pass --------------------------------------------------------
 
-    def _terms(self, pi) -> tuple[int, int, list[int], bool]:
-        """(numerator, denominator, [c, i, f, g], typical) of one copy; not reduced."""
+    def _terms(self, pi) -> tuple[int, int, tuple[int, int, int, int], bool]:
+        """(numerator, denominator, (c, i, f, g), typical) of one copy; not reduced.
+
+        The copy's edges are keyed by block id, and a block keeps only its
+        first edge until a second arrives: single-edge blocks contribute
+        nothing, and a copy with no other block returns at once.
+        """
+        first: dict[int, tuple[int, int]] = {}
+        groups: dict[int, list[tuple[int, int]]] = {}  # the blocks holding two or more edges
+        pair_block = self.pair_block
+        for edge in self.h_edges:
+            bid = pair_block[pi[edge[0]]][pi[edge[1]]]
+            held = first.setdefault(bid, edge)
+            if held is not edge:
+                group = groups.get(bid)
+                if group is None:
+                    groups[bid] = [held, edge]
+                else:
+                    group.append(edge)
+        if not groups:
+            return 1, 1, (0, 0, 0, 0), True
         num = den = 1
         caps = [0, 0, 0, 0]
         typical = True
         pair_capture = self._pair_capture
         block_kind = self.block_kind
         memo = self._memo
-        for bid, group in self._groups(pi).items():
+        for bid, group in groups.items():
             m = len(group)
-            if m == 1:
-                continue
             kind = block_kind[bid]
             if kind is BlockKind.KT and m == 2:
                 # an induced pair, or two disjoint edges (factor 1)
@@ -487,7 +507,7 @@ class CopyKernel:
                 a, b = self._coin_hits(bid, group, pi) << (m - 1), 1
             num *= a
             den *= b
-        return num, den, caps, typical
+        return num, den, tuple(caps), typical
 
     def _capture_shapes(self, group) -> list[int]:
         """[c, i, f, g] indices of the induced pairs and triangles among a group's edges."""
@@ -637,8 +657,11 @@ class _ExactSums:
     ratio, its square and the capture counts.
 
     Ratios are summed as integer numerators keyed by their reduced
-    denominator, and squares keyed by its square, so a copy costs one gcd
-    instead of two Fraction additions.  Records of disjoint index ranges
+    denominator, and squares keyed by its square, so a distinct term costs
+    one gcd instead of two Fraction additions; ``add(..., times=k)`` adds k
+    equal copies at that cost, which is how the scans fold their tallies of
+    distinct terms (a Monte Carlo chunk of 4,000 C8 copies on the even
+    extension of STS(7) holds 6 of them).  Records of disjoint index ranges
     combine with ``merge``, which adds integers only, so the merged record
     does not depend on how the range was split or in which order.
     """
@@ -650,28 +673,29 @@ class _ExactSums:
         self.s = [0, 0, 0, 0]
         self.sq = [0, 0, 0, 0]
 
-    def add(self, num: int, den: int, caps: list[int], typical: bool) -> None:
+    def add(self, num: int, den: int, caps, typical: bool, times: int = 1) -> None:
+        """Add one copy's terms (as ``CopyKernel._terms`` gives them), ``times`` over."""
         g = math.gcd(num, den)
         num //= g
         den //= g
-        self.r[den] = self.r.get(den, 0) + num
+        self.r[den] = self.r.get(den, 0) + num * times
         den *= den
-        self.r_sq[den] = self.r_sq.get(den, 0) + num * num
-        self.typical += typical
+        self.r_sq[den] = self.r_sq.get(den, 0) + num * num * times
+        self.typical += typical * times
         for k, x in enumerate(caps):
             if x:
-                self.s[k] += x
-                self.sq[k] += x * x
+                self.s[k] += x * times
+                self.sq[k] += x * x * times
 
-    def merge(self, other: "_ExactSums", times: int = 1) -> "_ExactSums":
-        """Add the sums of ``other``, ``times`` over, into this record and return it."""
+    def merge(self, other: "_ExactSums") -> "_ExactSums":
+        """Add the sums of ``other`` into this record and return it."""
         for mine, theirs in ((self.r, other.r), (self.r_sq, other.r_sq)):
             for den, num in theirs.items():
-                mine[den] = mine.get(den, 0) + num * times
-        self.typical += other.typical * times
+                mine[den] = mine.get(den, 0) + num
+        self.typical += other.typical
         for k in range(4):
-            self.s[k] += other.s[k] * times
-            self.sq[k] += other.sq[k] * times
+            self.s[k] += other.s[k]
+            self.sq[k] += other.sq[k]
         return self
 
     def totals(self) -> tuple[Fraction, Fraction, int, list[int], list[int]]:
@@ -688,20 +712,36 @@ class _ExactSums:
 def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
                        *, budget_n: int = 9) -> ExactSummary:
     """Sum the per-permutation probabilities over all n! permutations, one
-    Aut(h) vertex orbit at a time, through one kernel.
+    Aut(h) vertex orbit and one design point-stabiliser orbit at a time,
+    through one kernel.
 
-    A copy's success probability and captures depend only on its image edge
+    A copy's terms (``CopyKernel._terms``) depend only on its image edge
     set, which every automorphism s of h keeps: the copies pi and pi∘s score
     alike.  So the copies sending w to vertex 0 give one record S_w for every
     w of an orbit, and the full sum is the sum of |orbit(u)| · S_u over one
-    representative u per orbit.  S_u sums the (n-1)! copies with pi[u] = 0:
-    the first (n-1)! of ``permutations(range(n))``, those with 0 at position
-    0, with positions 0 and u exchanged, all through the one kernel on h.
-    The budget counts terms: (orbits) · (n-1)! may not exceed budget_n!, so
-    a cycle (one orbit) of n = budget_n + 1 is summed while a directed path
-    (n orbits) of that size is refused.  As there are at most n orbits, that
-    bound holds whenever budget_n >= n, and it is decided without computing
-    budget_n!.
+    representative u per orbit.
+
+    A design automorphism g that fixes point 0 (``point_stabiliser_orbits``)
+    maps each complete block onto a complete block of its kind, and the
+    block's uniform relabelling of its base stays uniform; it maps each coin
+    block's arcs onto the image block's arcs or their reversal, each drawn
+    with probability 1/2.  So g keeps the block-randomised distribution and
+    every block's capture, and f(g∘pi) = f(pi) for each term f.  With a
+    fixed w ≠ u, pi ↦ g∘pi is then a one-to-one map from the copies with
+    pi[u] = 0, pi[w] = p onto those with pi[u] = 0, pi[w] = g(p) of equal
+    terms: S_u is the sum of |P| · S_u,p over one representative p per
+    stabiliser orbit P.  S_u,p sums (n-2)! copies: the first (n-2)! of
+    ``permutations([0, p, ...])``, those with 0 and p in front, spread onto
+    positions u, w and the rest.  A design without symmetry has singleton
+    orbits, and the sum is (n-1)! terms per pattern orbit.  Each block of
+    copies tallies its distinct terms and adds each once, times its count
+    and weight.
+
+    The budget counts terms as if there were no design symmetry: (orbits) ·
+    (n-1)! may not exceed budget_n!, so a cycle (one orbit) of n = budget_n
+    + 1 is summed while a directed path (n orbits) of that size is refused.
+    As there are at most n orbits, that bound holds whenever budget_n >= n,
+    and it is decided without computing budget_n!.
     """
     n = h.n
     # the cheap test first, so a huge n is refused before the orbit search
@@ -713,15 +753,18 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
             size=n, budget=budget_n,
         )
     kernel = CopyKernel(h, d, bases)
+    # (images of the positions in front, |P|): pi[u] = 0 and pi[w] = p; at n = 1 the one copy
+    heads = [((0, p[0]), len(p)) for p in point_stabiliser_orbits(d)] or [((0,), 1)]
     acc = _ExactSums()
     for orbit in orbits:
         u = orbit[0]
-        swap = list(range(n))
-        swap[0], swap[u] = u, 0
-        part = _ExactSums()
-        for pi in map(itemgetter(*swap), islice(permutations(range(n)), math.factorial(n - 1))):
-            part.add(*kernel._terms(pi))
-        acc.merge(part, times=len(orbit))
+        # position u reads slot 0, the others slots 1..n-1 in order: w is the least of them
+        slot = [0 if x == u else x + (x < u) for x in range(n)]
+        for head, size in heads:
+            values = [*head, *(v for v in range(n) if v not in head)]
+            pis = map(itemgetter(*slot), islice(permutations(values), math.factorial(n - len(head))))
+            for terms, k in Counter(map(kernel._terms, pis)).items():
+                acc.add(*terms, times=k * len(orbit) * size)
     total, _, typical, sums, _ = acc.totals()
     nfact = math.factorial(n)
     return ExactSummary(
@@ -755,10 +798,11 @@ class EstimateReport:
 
 
 def _scan_kernel(kernel: CopyKernel, master: int, lo: int, hi: int) -> _ExactSums:
-    """The record of sample indices [lo, hi), scanned through ``kernel``."""
+    """The record of sample indices [lo, hi), scanned through ``kernel``, each
+    distinct term added once, times its count."""
     acc = _ExactSums()
-    for pi in stream_permutations(master, lo, hi, kernel.n):
-        acc.add(*kernel._terms(pi))
+    for terms, k in Counter(map(kernel._terms, stream_permutations(master, lo, hi, kernel.n))).items():
+        acc.add(*terms, times=k)
     return acc
 
 

@@ -208,12 +208,11 @@ def vertex_orbits(h: Orientation) -> list[tuple[int, ...]]:
     """The vertex orbits of Aut(h), each sorted, listed by least vertex.
 
     For each pair u < v not yet known to share an orbit, a backtracking
-    search looks for an automorphism sending u to v; every automorphism found
-    joins each vertex with its image (union-find).  The search places u
-    first, then the rest in breadth-first order of the underlying graph, so
-    most vertices have a placed neighbour; a candidate image must have the
-    same out- and in-degree and agree with every placed vertex on the edges
-    in both directions.
+    search looks for an automorphism sending u to v (``searched_orbits``).
+    The search places u first, then the rest in breadth-first order of the
+    underlying graph, so most vertices have a placed neighbour; a candidate
+    image must have the same out- and in-degree and agree with every placed
+    vertex on the edges in both directions.
     """
     n = h.n
     out = [0] * n
@@ -221,13 +220,6 @@ def vertex_orbits(h: Orientation) -> list[tuple[int, ...]]:
         out[a] |= 1 << b
     degrees = list(zip(h.out_degrees(), h.in_degrees()))
     adj = h.underlying_adjacency()
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def placement_order(u: int) -> list[int]:
         order = []
@@ -267,14 +259,34 @@ def vertex_orbits(h: Orientation) -> list[tuple[int, ...]]:
 
         return image if extend(0) else None
 
-    for u, v in combinations(range(n), 2):
+    return searched_orbits(n, range(n), automorphism)
+
+
+def searched_orbits(n: int, points, automorphism) -> list[tuple[int, ...]]:
+    """The orbits on ``points`` (increasing, in 0..n-1) of the group that the
+    automorphisms found generate, each sorted, listed by least point.
+
+    For each pair u < v of points not yet known to share an orbit,
+    ``automorphism(u, v)`` returns an automorphism sending u to v, as the
+    list of the images of 0..n-1, or None; every automorphism found joins
+    each point with its image (union-find).
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in combinations(points, 2):
         if find(u) != find(v):
             sigma = automorphism(u, v)
             if sigma is not None:
                 for x, y in enumerate(sigma):
                     parent[find(x)] = find(y)
     orbits: dict[int, list[int]] = {}
-    for x in range(n):
+    for x in points:
         orbits.setdefault(find(x), []).append(x)
     return [tuple(orbit) for orbit in orbits.values()]
 

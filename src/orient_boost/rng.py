@@ -136,7 +136,7 @@ def _words(master: int, lo: int, count: int, draws: int) -> Sequence[int]:
     z = _mix_lanes(_mix_lanes(z, mask) ^ mix64(master) * ones, mask)
     z = int.from_bytes(z.to_bytes(16 * count, "little") * draws, "little")
     z = _mix_lanes((z + steps) & draw_mask, draw_mask)
-    return memoryview(z.to_bytes(16 * count * draws, "little")).cast("Q")[::2]
+    return memoryview(z.to_bytes(16 * count * draws, "little")).cast("Q")[::2].tolist()
 
 
 @lru_cache(maxsize=16)

@@ -30,7 +30,7 @@ from itertools import permutations
 
 from .designs import Block, BlockKind, Decomposition
 from .errors import BudgetExceededError, InvalidTournamentError
-from .orientations import Tournament, _unchecked_tournament
+from .orientations import Orientation, Tournament, _unchecked_tournament, vertex_orbits
 from .rng import stream_residues
 
 
@@ -236,17 +236,28 @@ def sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tourna
 
 
 def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
-    """Distinct edge orientations of one block with their probabilities."""
+    """Distinct edge orientations of one block with their probabilities.
+
+    For every automorphism a of the base, the relabelings sigma and a∘sigma
+    orient a complete block alike, and an a that maps base vertex x to r
+    pairs the relabelings sending the block's first vertex to x one to one
+    with those sending it to r.  So only the relabelings that send the first
+    vertex to one representative r per ``vertex_orbits`` orbit of the base
+    are listed, each counted |orbit| times.
+    """
     arcs = tuple(block.arcs())
     if not block.kind.complete:
         return [(arcs, Fraction(1, 2)), (tuple((v, u) for u, v in arcs), Fraction(1, 2))]
     base = bases.of(block.kind)
     k = len(block.vertices)
+    orbits = vertex_orbits(Orientation(k, frozenset(base.edges())))
     counts: dict[tuple[tuple[int, int], ...], int] = {}
-    for sigma in permutations(range(k)):
-        label = dict(zip(block.vertices, sigma))
-        key = tuple((u, v) if base.beats(label[u], label[v]) else (v, u) for u, v in arcs)
-        counts[key] = counts.get(key, 0) + 1
+    for orbit in orbits:
+        r = orbit[0]
+        for rest in permutations([x for x in range(k) if x != r]):
+            label = dict(zip(block.vertices, (r, *rest)))
+            key = tuple((u, v) if base.beats(label[u], label[v]) else (v, u) for u, v in arcs)
+            counts[key] = counts.get(key, 0) + len(orbit)
     total = math.factorial(k)
     return [(key, Fraction(cnt, total)) for key, cnt in sorted(counts.items())]
 

@@ -48,7 +48,7 @@ from orient_boost.orientations import (
     transitive_tournament,
     vertex_orbits,
 )
-from orient_boost.rng import stream_for
+from orient_boost.rng import stream_for, stream_permutations
 from orient_boost.sampling import (
     BaseTournaments,
     SampleSeed,
@@ -1017,6 +1017,7 @@ BRUTE_CASES = {
     "c7-fano": ("cycle", 7, "fano"),
     "p7-fano": ("path", 7, "fano"),
     "reg2-fano": ("k_regular_random", 7, "fano"),  # seed 1: orbits of sizes 1 and 2
+    "c7-fano-c3": ("cycle", 7, "fano-c3"),  # stabiliser orbits (1, 2, 6) and (3, 4, 5)
     "c8-even7": ("cycle", 8, "even7"),
     "p8-even7": ("path", 8, "even7"),  # trivial group on a design that is not vertex-transitive
     "matching8-even7": ("matching", 8, "even7"),
@@ -1025,10 +1026,10 @@ BRUTE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(BRUTE_CASES))
-def test_orbit_sum_equals_the_brute_sum(name, coin_design6):
+def test_orbit_sum_equals_the_brute_sum(name, coin_design6, fano_c3):
     kind, n, design = BRUTE_CASES[name]
     d = {"fano": steiner_triple_system(7), "even7": extend_to_even(steiner_triple_system(7)),
-         "coin6": coin_design6}[design]
+         "coin6": coin_design6, "fano-c3": fano_c3}[design]
     h = make_pattern(kind, n, k=2, seed=1) if kind == "k_regular_random" else make_pattern(kind, n)
     assert exact_copy_summary(h, d) == _brute_summary(h, d)
 
@@ -1082,6 +1083,34 @@ def test_orbit_sum_and_orbits_equal_brute_force(h):
     assert exact_copy_summary(h, d) == _brute_summary(h, d)
 
 
+def test_exact_sum_visits_n_minus_2_factorial_copies_per_stabiliser_orbit(monkeypatch):
+    # C7 on Fano: one pattern orbit, one stabiliser orbit of 6 points, so 5! copies, weighted by 7 · 6
+    c7, fano = make_pattern("cycle", 7), steiner_triple_system(7)
+    seen = []
+
+    class CountedKernel(CopyKernel):
+        def _terms(self, pi):
+            seen.append(tuple(pi))
+            return super()._terms(pi)
+
+    monkeypatch.setattr(counting, "CopyKernel", CountedKernel)
+    assert exact_copy_summary(c7, fano) == _brute_summary(c7, fano)
+    assert len(seen) == len(set(seen)) == math.factorial(5)
+    assert {pi[0] for pi in seen} == {0} and {pi[1] for pi in seen} == {1}
+
+
+# the bracket stops at n = 9, where STS(9) is 2-transitive and the sum is 8 times
+# shorter: at n = 10 the even design fixes its hub, its stabiliser orbits are
+# singletons, and the sum is still (n-1)! terms per pattern orbit
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(edges=st.integers(1, 36), pattern_seed=st.integers(0, 10 ** 6), master=st.integers(0, 10 ** 6))
+def test_exact_ratio_lies_in_a_monte_carlo_bracket_at_n9(edges, pattern_seed, master):
+    h, sts9 = random_orientation(9, edges, seed=pattern_seed), steiner_triple_system(9)
+    exact = exact_copy_summary(h, sts9).ratio
+    rep = estimate_expected_copies(h, sts9, samples=20_000, master_seed=master)
+    assert abs(rep.ratio - exact) <= 4 * rep.ratio_stderr
+
+
 def test_exact_c10_is_pinned_inside_a_monte_carlo_bracket():
     d = adjusted_decomposition(10, 3)  # the even extension of STS(9)
     c10 = make_pattern("cycle", 10)
@@ -1114,6 +1143,33 @@ def test_merged_chunk_records_equal_one_scan(data, name, n_samples, pattern_seed
     whole = _scan_kernel(CopyKernel(h, d, bases), master, 0, n_samples)
     assert vars(merged) == vars(whole)
     assert merged.totals() == whole.totals()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(num=st.integers(0, 10 ** 9), den=st.integers(1, 10 ** 9), caps=st.tuples(*[st.integers(0, 5)] * 4),
+       typical=st.booleans(), times=st.integers(1, 40), before=st.integers(0, 3))
+def test_adding_times_k_equals_k_single_adds(num, den, caps, typical, times, before):
+    once, single = _ExactSums(), _ExactSums()
+    for acc in (once, single):
+        for _ in range(before):  # a record that already holds other terms
+            acc.add(3, 4, (1, 0, 2, 0), False)
+    once.add(num, den, caps, typical, times=times)
+    for _ in range(times):
+        single.add(num, den, caps, typical)
+    assert vars(once) == vars(single)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS) + ["coin6"])
+def test_tallied_scan_equals_the_copy_by_copy_scan(name, coin_design6):
+    h, d = {"cycle21-pg24": (make_pattern("cycle", 21), adjusted_decomposition(21, 5)),
+            "reg2-pg24": (make_pattern("k_regular_random", 21, k=2, seed=7), adjusted_decomposition(21, 5)),
+            "cycle8-even7": (make_pattern("cycle", 8), extend_to_even(steiner_triple_system(7))),
+            "coin6": (random_orientation(6, 9, seed=3), coin_design6)}[name]
+    kernel = CopyKernel(h, d)
+    single = _ExactSums()
+    for pi in stream_permutations(5, 0, 400, h.n):
+        single.add(*kernel._terms(pi))
+    assert vars(_scan_kernel(kernel, 5, 0, 400)) == vars(single)
 
 
 def test_pool_and_serial_scans_give_one_record():

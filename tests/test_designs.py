@@ -1,6 +1,7 @@
 import hashlib
 import random
 from contextlib import contextmanager
+from itertools import permutations
 from unittest import mock
 
 import pytest
@@ -838,3 +839,52 @@ def test_pair_block_index_refuses_exactly_what_validate_finds_not_a_partition(d)
     assert {(u, v): idx[u][v] for u in range(d.n) for v in range(d.n) if u != v} == {
         (u, v): brute[min(u, v), max(u, v)] for u in range(d.n) for v in range(d.n) if u != v}
     assert all(idx[v][v] == -1 for v in range(d.n))
+
+
+# ---------------------------------------------------------------------------
+# point-stabiliser orbits, against every permutation of the points
+# ---------------------------------------------------------------------------
+
+def brute_stabiliser_orbits(d):
+    """Oracle: the orbits on 1..n-1 of the permutations fixing 0 that map each
+    block onto a block of its kind, and a coin block's arcs onto that block's
+    arcs or all onto their reversal; found among all (n-1)! candidates."""
+    by_set = {(b.kind, frozenset(b.vertices)): set(b.arcs()) for b in d.blocks}
+    autos = []
+    for rest in permutations(range(1, d.n)):
+        g = (0, *rest)
+        for b in d.blocks:
+            target = by_set.get((b.kind, frozenset(g[v] for v in b.vertices)))
+            if target is None:
+                break
+            arcs = {(g[u], g[v]) for u, v in b.arcs()}
+            if not b.kind.complete and arcs != target and {(v, u) for u, v in arcs} != target:
+                break
+        else:
+            autos.append(g)
+    return sorted({tuple(sorted({g[x] for g in autos})) for x in range(1, d.n)})
+
+
+@pytest.mark.parametrize("name", ["fano", "pg2", "fano-c3", "even7", "coin6", "6-3", "k5"])
+def test_point_stabiliser_orbits_equal_the_brute_search(name, coin_design6, fano_c3):
+    d = {"fano": steiner_triple_system(7), "pg2": projective_plane_decomposition(2),
+         "fano-c3": fano_c3,
+         "even7": extend_to_even(steiner_triple_system(7)), "coin6": coin_design6,
+         "6-3": adjusted_decomposition(6, 3),
+         "k5": Decomposition(5, 3, (Block(BlockKind.K2T1, (0, 1, 2, 3, 4)),))}[name]
+    orbits = designs.point_stabiliser_orbits(d)
+    assert orbits == brute_stabiliser_orbits(d)
+    assert sorted(x for orbit in orbits for x in orbit) == list(range(1, d.n))
+
+
+def test_point_stabiliser_orbits_of_the_symmetric_designs():
+    # Fano, AG(2,3) and PG(2,4) are 2-transitive; the even extension of STS(9) fixes its hub
+    for d in (steiner_triple_system(7), steiner_triple_system(9), projective_plane_decomposition(4)):
+        assert designs.point_stabiliser_orbits(d) == [tuple(range(1, d.n))]
+    assert designs.point_stabiliser_orbits(adjusted_decomposition(10, 3)) == [(x,) for x in range(1, 10)]
+
+
+def test_point_stabiliser_orbits_refuse_what_is_not_a_partition():
+    d = Decomposition(4, 3, (Block(BlockKind.C4, (0, 1, 2, 3)), Block(BlockKind.EDGE, (0, 2))))
+    with pytest.raises(InvalidDecompositionError, match="pair \\(1,3\\) never covered"):
+        designs.point_stabiliser_orbits(d)

@@ -1,6 +1,8 @@
 import hashlib
+import math
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +20,7 @@ from orient_boost.designs import (
 )
 from orient_boost.counting import CopyKernel
 from orient_boost.errors import BudgetExceededError, InvalidDecompositionError, InvalidTournamentError
-from orient_boost.orientations import Tournament, make_pattern
+from orient_boost.orientations import Orientation, Tournament, make_pattern, vertex_orbits
 from orient_boost.rng import Stream, stream_for, stream_residues
 from orient_boost.sampling import (
     BaseTournaments,
@@ -228,6 +230,40 @@ def test_enumerate_support_counts_distinct_outcomes():
     assert len(outcomes) == 2 ** 12
     assert len({t.rows for t, _ in outcomes}) == 2 ** 12
     assert all(w == Fraction(1, 2 ** 12) for _, w in outcomes)
+
+
+def listed_outcomes(block, bases):
+    """Oracle: a complete block's orientations counted over all k! relabelings."""
+    arcs, base, k = block.arcs(), bases.of(block.kind), len(block.vertices)
+    counts = {}
+    for sigma in permutations(range(k)):
+        label = dict(zip(block.vertices, sigma))
+        key = tuple((u, v) if base.beats(label[u], label[v]) else (v, u) for u, v in arcs)
+        counts[key] = counts.get(key, 0) + 1
+    return [(key, Fraction(cnt, math.factorial(k))) for key, cnt in sorted(counts.items())]
+
+
+def _reversed_triangle(t, triangle):
+    """t with the directed triangle (x, y, z) reversed: still regular."""
+    rows = list(t.rows)
+    x, y, z = triangle
+    for u, v in ((x, y), (y, z), (z, x)):
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return Tournament(t.n, tuple(rows))
+
+
+def test_block_outcomes_list_one_relabeling_per_base_orbit():
+    # the K5 of (11,3) under the vertex-transitive circulant, and a size-7 block
+    # under a regular base with three vertex orbits
+    (k5,) = [b for b in adjusted_decomposition(11, 3).blocks if b.kind is BlockKind.K2T1]
+    r7 = _reversed_triangle(circulant_regular_tournament(7), (0, 2, 4))
+    assert r7.is_regular() and [len(o) for o in vertex_orbits(Orientation(7, frozenset(r7.edges())))] == [3, 3, 1]
+    bases7 = BaseTournaments(r7, circulant_regular_tournament(13))
+    for block, bases in ((k5, BaseTournaments.circulant(3)), (Block(BlockKind.KT, (6, 2, 9, 4, 0, 7, 3)), bases7)):
+        outcomes = sampling._block_outcomes(block, bases)
+        assert outcomes == listed_outcomes(block, bases)
+        assert sum(w for _, w in outcomes) == 1
 
 
 def test_support_matches_sampler_distribution():
