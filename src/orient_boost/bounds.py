@@ -17,22 +17,6 @@ from .errors import BudgetExceededError, InvalidTournamentError
 from .orientations import Tournament, as_fraction
 
 
-def expected_consistent(t: int) -> Fraction:
-    return Fraction(t - 1, 2 * t - 4)
-
-
-def expected_inconsistent(t: int) -> Fraction:
-    return Fraction(t - 3, 2 * t - 4)
-
-
-def expected_cyclic(t: int) -> Fraction:
-    return Fraction(t + 1, 4 * (t - 2))
-
-
-def expected_transitive(t: int) -> Fraction:
-    return Fraction(3 * (t - 3), 4 * (t - 2))
-
-
 @dataclass(frozen=True)
 class RelabelCheck:
     """Measured vs predicted triple probabilities under uniform relabeling."""
@@ -47,14 +31,13 @@ class RelabelCheck:
 
     @property
     def ok(self) -> bool:
-        t = self.t
-        return (
-            self.uniform_over_triples
-            and self.consistent == expected_consistent(t)
-            and self.inconsistent == expected_inconsistent(t)
-            and self.cyclic == expected_cyclic(t)
-            and self.transitive == expected_transitive(t)
-        )
+        """Uniform over triples, and as ``capture_factors(t)`` predicts: a fixed
+        directed 2-path has probability c/4 and a fixed cyclic triangle f/8, so
+        a pair is consistent with probability c/2 and a triangle cyclic f/4."""
+        (c_num, c_den), _, (f_num, f_den), _ = capture_factors(self.t)
+        consistent, cyclic = Fraction(c_num, 2 * c_den), Fraction(f_num, 4 * f_den)
+        return (self.uniform_over_triples and (self.consistent, self.cyclic) == (consistent, cyclic)
+                and (self.inconsistent, self.transitive) == (1 - consistent, 1 - cyclic))
 
 
 def verify_relabel_probabilities(r: Tournament, *, method: str = "auto") -> RelabelCheck:

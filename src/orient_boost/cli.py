@@ -68,10 +68,6 @@ class ExperimentConfig:
         if self.samples < 0 or (self.samples == 0 and not self.exact):
             raise OrientBoostError("need --samples >= 1 or --exact")
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        return cls(**{f: obj[f] for f in cls.__dataclass_fields__})
-
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
@@ -192,25 +188,24 @@ def _cmd_sample(args) -> int:
 
 def _cmd_count(args) -> int:
     t = _load_tournament(args.tournament)
-    has_dp = args.pattern in ("cycle", "path") and not args.pattern_file
-    if args.method == "dp" and not has_dp:
-        raise OrientBoostError(f"no Hamilton DP for pattern {_pattern_label(args)}; use brute or auto")
-    method = args.method
-    if method == "auto":
-        method = "dp" if has_dp else "brute"
     h = _pattern_from_args(args, args.seed if args.seed is not None else 0)
+    shape = counting.hamilton_shape(h)
+    if args.method == "dp" and shape is None:
+        raise OrientBoostError(f"no Hamilton DP for pattern {_pattern_label(args)}; use brute or auto")
     if h.n != t.n:
         raise OrientBoostError(f"pattern has {h.n} vertices, tournament has {t.n}")
+    method = args.method
+    if method == "auto":
+        method = "dp" if shape else "brute"
     out: dict = {"n": t.n, "method": method, "pattern": _pattern_label(args)}
-    if method == "dp":
-        if args.pattern == "cycle":
-            cycles = counting.count_hamilton_cycles(t)
-            out |= {"cycles": cycles, "labeled_copies": cycles * t.n}
-        else:
-            paths = counting.count_hamilton_paths(t)
-            out |= {"paths": paths, "labeled_copies": paths}
-    else:
+    if method == "brute":
         out["labeled_copies"] = counting.count_labeled_copies(h, t, budget_n=args.brute_budget)
+    elif shape == "cycle":
+        cycles = counting.count_hamilton_cycles(t)
+        out |= {"cycles": cycles, "labeled_copies": cycles * t.n}
+    else:
+        paths = counting.count_hamilton_paths(t)
+        out |= {"paths": paths, "labeled_copies": paths}
     _emit(out)
     return 0
 
@@ -481,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dp: Hamilton cycle/path count by inclusion-exclusion over vertex "
                         "subsets, lane-packed in Python ints (n <= 20; timings in the README's "
                         "budgets table); brute: embedding search (n <= --brute-budget); "
-                        "auto: dp for cycle and path")
+                        "auto: dp for any directed Hamilton cycle or path, pattern files included")
     p.add_argument("--seed", type=int, default=None)
     _add_brute_budget(p, default=10)
     p.set_defaults(func=_cmd_count)

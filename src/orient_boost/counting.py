@@ -8,33 +8,35 @@ exactly (per-block closed forms for the common shapes, an injection count
 for every other complete-block capture, memoised per captured shape with the
 block's whole contribution), sums it over all permutations on tiny instances
 (``exact_copy_summary``, one kernel for every pattern vertex orbit and every
-orbit of the design's point stabiliser), and estimates it by seeded Monte
-Carlo otherwise (``estimate_expected_copies``).  Both accumulate into one
-record of exact partial sums, ``_ExactSums``: a block of copies holds few
-distinct terms, so each is tallied and added once, times its count.  The
-worker pool merges the records of its chunks with ``_ExactSums.merge``.  A
-Monte Carlo chunk takes its permutations from ``rng.stream_permutations``,
-the batched draw whose scalar oracle is ``stream_for(master, i).permutation(n)``.
+orbit of the design's point stabiliser, budgeted by the terms it sums), and
+estimates it by seeded Monte Carlo otherwise (``estimate_expected_copies``).
+Both accumulate into one record of exact partial sums, ``_ExactSums``: a
+block of copies holds few distinct terms, so each is tallied and added once,
+times its count.  The worker pool merges the records of its chunks with
+``_ExactSums.merge``.  A Monte Carlo chunk takes its permutations from
+``rng.stream_permutations``, the batched draw whose scalar oracle is
+``stream_for(master, i).permutation(n)``.
 
 ``count_embeddings`` is the embedding counter of ``count_labeled_copies``,
-``bounds`` and the large complete-block captures of ``CopyKernel``; a capture
-of m vertices in a block of size s with at most ``_TABLE_INJECTIONS``
-injections is counted instead as the popcount of an AND of per-arc bitsets
-over the injections (``_injection_table``, built once per kernel and
-(kind, m)): about 1.5 us a shape at t = 5, against 27 us by backtracking.
-``CopyKernel.ratio(pi, method="enumerate")`` lists injections instead and
-stays the independent oracle.  Hamilton cycles and paths are
-counted by one walk engine, ``_covering_walks``: the paths through a set F
-of free vertices from a start set to an end set, by inclusion-exclusion
-over the subsets of F, up to 10 of them packed as lanes of one Python int
-per vertex, so a step is a few big-int adds and masks.  Hamilton paths take
-every vertex for F and for both sets; a Hamilton cycle passes vertex 0
-once, so the cycles are the paths over 1..n-1 from out(0) to in(0).  A lane
-is exactly as wide as Brégman's bound on the count (``_hamilton_bits``) and
-the carries of one step need: 36 bits for the cycles of a 16-vertex
-tournament with row sums 7 and 8, 55 for the paths of a 20-vertex one.  Its
-measured cost, and that of every other budget, is in the README's budgets
-table.
+``bounds`` and the large complete-block captures of ``CopyKernel``; a
+capture of m vertices in a block of size s with at most
+``_TABLE_INJECTIONS`` injections is counted instead as the popcount of an
+AND of per-arc bitsets over the injections (``_injection_table``, built once
+per kernel and (kind, m)): about 1.5 us a shape at t = 5, against 27 us by
+backtracking.  ``CopyKernel.ratio(pi, method="enumerate")`` lists injections
+instead and stays the independent oracle.  Hamilton cycles and paths are
+counted by one walk engine, and ``hamilton_shape`` tells whether a pattern
+is one of them under some labelling, so that ``count`` routes it there.  The
+engine, ``_covering_walks``, counts the paths through a set F of free
+vertices from a start set to an end set, by inclusion-exclusion over the
+subsets of F, up to 10 of them packed as lanes of one Python int per vertex,
+so a step is a few big-int adds and masks.  Hamilton paths take every vertex
+for F and for both sets; a Hamilton cycle passes vertex 0 once, so the
+cycles are the paths over 1..n-1 from out(0) to in(0).  A lane is exactly as
+wide as Brégman's bound on the count (``_hamilton_bits``) and the carries of
+one step need: 36 bits for the cycles of a 16-vertex tournament with row
+sums 7 and 8, 55 for the paths of a 20-vertex one.  Its measured cost, and
+that of every other budget, is in the README's budgets table.
 """
 
 from __future__ import annotations
@@ -134,21 +136,40 @@ def count_embeddings(edges, m: int, rows) -> int:
 def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -> int:
     """Number of vertex permutations mapping every edge of h onto an edge of t.
 
-    The spanning case of ``count_embeddings``; the unlabeled count is this
-    divided by aut(h).  Over the budget, count cycles and paths with
-    ``count_hamilton_cycles`` and ``count_hamilton_paths`` (``count --method
-    dp``), and anything else with the estimator.
+    The spanning case of ``count_embeddings``, and the oracle of the walk
+    counts; the unlabeled count is this divided by aut(h).  Over the budget,
+    the ``count`` subcommand counts a directed Hamilton cycle or path by its
+    shape (``hamilton_shape``), and anything else takes the estimator.
     """
     if h.n != t.n:
         raise ValueError(f"pattern has {h.n} vertices, tournament has {t.n}")
     if h.n > budget_n:
         raise BudgetExceededError(
-            f"n={h.n} over the brute-force budget {budget_n}; count cycles and paths with "
-            "count_hamilton_cycles and count_hamilton_paths (count --method dp), "
-            "anything else with the Monte Carlo estimator",
+            f"n={h.n} over the brute-force budget {budget_n}; the count subcommand counts "
+            "directed Hamilton cycles and paths, anything else takes the Monte Carlo estimator",
             size=h.n, budget=budget_n,
         )
     return count_embeddings(h.edges, h.n, t.rows)
+
+
+def hamilton_shape(h: Orientation) -> str | None:
+    """"cycle" or "path" when h is a directed Hamilton cycle or path under
+    some labelling, else None.
+
+    Such an h has n or n - 1 edges, no two leaving one vertex and no two
+    entering one, and the walk along them from the vertex nothing enters
+    (from 0 for a cycle) visits all n vertices before it stops or returns.
+    """
+    shape = {h.n - 1: "path", h.n: "cycle"}.get(h.edge_count)
+    succ = dict(h.edges)
+    entered = set(succ.values())
+    if shape is None or len(succ) != h.edge_count or len(entered) != h.edge_count:
+        return None
+    start = min(set(range(h.n)) - entered, default=0)
+    v, seen = succ.get(start), 1
+    while v is not None and v != start:
+        v, seen = succ.get(v), seen + 1
+    return shape if seen == h.n else None
 
 
 _LANE_VERTICES = 10  # free vertices whose subsets share one int, one lane each
@@ -737,24 +758,25 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     copies tallies its distinct terms and adds each once, times its count
     and weight.
 
-    The budget counts terms as if there were no design symmetry: (orbits) ·
-    (n-1)! may not exceed budget_n!, so a cycle (one orbit) of n = budget_n
-    + 1 is summed while a directed path (n orbits) of that size is refused.
-    As there are at most n orbits, that bound holds whenever budget_n >= n,
-    and it is decided without computing budget_n!.
+    The budget counts the terms summed, (pattern orbits) · (stabiliser
+    orbits) · (n-2)!, against budget_n!.  That is at most n!, so any budget_n
+    >= n is accepted without computing budget_n!, and at least (n-2)!, so n
+    - 2 > budget_n is refused before any orbit search.
     """
     n = h.n
-    # the cheap test first, so a huge n is refused before the orbit search
-    orbits = vertex_orbits(h) if n - 1 <= budget_n else []
-    if n - 1 > budget_n or (n - 1 == budget_n and len(orbits) > 1):
-        raise BudgetExceededError(
-            f"exact expectation at n={n} is over the budget of {budget_n}! terms; "
-            f"it sums (n-1)! terms per vertex orbit of the pattern",
-            size=n, budget=budget_n,
-        )
+    if n - 2 > budget_n:
+        raise BudgetExceededError(f"exact expectation at n={n} sums at least {n - 2}! terms, over the "
+                                  f"budget of {budget_n}! terms", size=n, budget=budget_n)
+    orbits = vertex_orbits(h)
     kernel = CopyKernel(h, d, bases)
     # (images of the positions in front, |P|): pi[u] = 0 and pi[w] = p; at n = 1 the one copy
     heads = [((0, p[0]), len(p)) for p in point_stabiliser_orbits(d)] or [((0,), 1)]
+    per_head = math.factorial(n - len(heads[0][0]))
+    summed = len(orbits) * len(heads) * per_head
+    if budget_n < n and summed > math.factorial(budget_n):
+        raise BudgetExceededError(f"exact expectation at n={n} sums {summed} terms ({len(orbits)} pattern "
+                                  f"orbits x {len(heads)} stabiliser orbits x {n - 2}!), over the budget "
+                                  f"of {budget_n}! terms", size=n, budget=budget_n)
     acc = _ExactSums()
     for orbit in orbits:
         u = orbit[0]
@@ -762,7 +784,7 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
         slot = [0 if x == u else x + (x < u) for x in range(n)]
         for head, size in heads:
             values = [*head, *(v for v in range(n) if v not in head)]
-            pis = map(itemgetter(*slot), islice(permutations(values), math.factorial(n - len(head))))
+            pis = map(itemgetter(*slot), islice(permutations(values), per_head))
             for terms, k in Counter(map(kernel._terms, pis)).items():
                 acc.add(*terms, times=k * len(orbit) * size)
     total, _, typical, sums, _ = acc.totals()

@@ -71,15 +71,12 @@ class Stream:
         """Fair bit (top bit of the next output)."""
         return self.next_u64() >> 63
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
+    def permutation(self, n: int) -> list[int]:
+        """A Fisher-Yates shuffle of range(n)."""
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> list[int]:
-        items = list(range(n))
-        self.shuffle(items)
         return items
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -6,8 +7,6 @@ import pytest
 
 from orient_boost.bounds import (
     amgm_bound,
-    expected_consistent,
-    expected_cyclic,
     inequalities_hold,
     kreg_boost_formula,
     solve_parameters,
@@ -27,10 +26,17 @@ from orient_boost.sampling import circulant_regular_tournament, quadratic_residu
 def test_relabel_probabilities_circulant(t, cons, cyc):
     chk = verify_relabel_probabilities(circulant_regular_tournament(t))
     assert chk.ok
-    assert chk.consistent == cons == expected_consistent(t)
-    assert chk.cyclic == cyc == expected_cyclic(t)
+    assert chk.consistent == cons
+    assert chk.cyclic == cyc
     assert chk.inconsistent == 1 - cons
     assert chk.transitive == 1 - cyc
+
+
+@pytest.mark.parametrize("field", ["consistent", "inconsistent", "cyclic", "transitive", "uniform_over_triples"])
+def test_relabel_check_fails_on_any_field_off_its_capture_factor(field):
+    chk = verify_relabel_probabilities(circulant_regular_tournament(5))
+    off = not chk.uniform_over_triples if field == "uniform_over_triples" else getattr(chk, field) + Fraction(1, 60)
+    assert chk.ok and not dataclasses.replace(chk, **{field: off}).ok
 
 
 def test_relabel_probabilities_t9_and_base_independence():
@@ -43,12 +49,15 @@ def test_relabel_probabilities_t9_and_base_independence():
     assert (qr.consistent, qr.cyclic) == (circ.consistent, circ.cyclic)
 
 
-@pytest.mark.parametrize("r", [circulant_regular_tournament(15), quadratic_residue_tournament(19)],
-                         ids=["circulant15", "qr19"])
-def test_relabel_injections_beyond_t13(r):
+# (t-1)/(2t-4) and (t+1)/(4t-8) at t = 15 and 19
+@pytest.mark.parametrize("r,cons,cyc", [
+    (circulant_regular_tournament(15), Fraction(7, 13), Fraction(4, 13)),
+    (quadratic_residue_tournament(19), Fraction(9, 17), Fraction(5, 17)),
+], ids=["circulant15", "qr19"])
+def test_relabel_injections_beyond_t13(r, cons, cyc):
     chk = verify_relabel_probabilities(r)
     assert chk.ok and chk.method == "injections"
-    assert (chk.consistent, chk.cyclic) == (expected_consistent(r.n), expected_cyclic(r.n))
+    assert (chk.consistent, chk.cyclic) == (cons, cyc)
 
 
 @pytest.mark.parametrize("t", [3, 5, 7, 9])

@@ -6,7 +6,7 @@ import pytest
 
 from orient_boost.cli import ExperimentConfig, main
 from orient_boost.errors import OrientBoostError
-from orient_boost.orientations import tournament_from_hex_text, tournament_from_json
+from orient_boost.orientations import make_pattern, tournament_from_hex_text, tournament_from_json
 from orient_boost.reports import render_csv, write_report
 
 
@@ -241,6 +241,40 @@ def test_count_reports_the_method_it_took(capsys, tmp_path, tournament7, method,
     assert ("cycles" in obj or "paths" in obj) == (expected == "dp")
 
 
+@pytest.fixture(scope="module")
+def tournament13(tmp_path_factory):
+    path = tmp_path_factory.mktemp("t13") / "t13.json"
+    assert main(["sample", "--n", "13", "--seed", "5", "--output", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path"])
+@pytest.mark.parametrize("method", ["auto", "dp"])
+def test_count_routes_a_relabelled_pattern_file_by_its_shape(capsys, tmp_path, tournament13, shape, method):
+    pattern = tmp_path / f"{shape}13.json"
+    pattern.write_text(make_pattern(shape, 13).relabel([(5 * v + 3) % 13 for v in range(13)]).to_json())
+    code, out, _ = run(capsys, "count", "--n", "13", "--pattern-file", str(pattern),
+                       "--tournament", tournament13, "--method", method)
+    assert code == 0
+    code, named, _ = run(capsys, "count", "--n", "13", "--pattern", shape, "--tournament", tournament13)
+    assert code == 0
+    obj, named = json.loads(out), json.loads(named)
+    assert obj["method"] == named["method"] == "dp"
+    assert obj["labeled_copies"] == named["labeled_copies"] > 0
+    assert obj[shape + "s"] == named[shape + "s"]
+
+
+def test_count_routes_a_one_regular_pattern_as_a_cycle(capsys, tournament7):
+    code, out, _ = run(capsys, "count", "--n", "7", "--pattern", "k_regular_random", "--k", "1",
+                       "--seed", "4", "--tournament", tournament7)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["method"] == "dp" and "cycles" in obj
+    code, brute, _ = run(capsys, "count", "--n", "7", "--pattern", "k_regular_random", "--k", "1",
+                         "--seed", "4", "--tournament", tournament7, "--method", "brute")
+    assert obj["labeled_copies"] == json.loads(brute)["labeled_copies"]
+
+
 @pytest.mark.parametrize("argv,message", [
     (("--n", "5", "--pattern", "cycle"), "pattern has 5 vertices, tournament has 7"),
     (("--n", "5", "--pattern", "path", "--method", "brute"), "pattern has 5 vertices"),
@@ -287,10 +321,10 @@ def test_experiment_exact_csv(capsys, tmp_path):
     row = lines[1].split(",")
     assert float(row[7]) > 1.25
     sidecar = json.loads((tmp_path / "exp.json").read_text())
-    cfg = ExperimentConfig.from_dict(sidecar["config"])
+    cfg = ExperimentConfig(**sidecar["config"])
     assert cfg.master_seed == 1 and cfg.exact
     # parse -> print -> parse fixture
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert ExperimentConfig(**cfg.to_dict()) == cfg
     assert sidecar["derived"]["t"] == 3
     assert "base_tournament_hex" in sidecar["derived"]
 
@@ -377,13 +411,13 @@ def test_experiment_config_validation(tmp_path):
         master_seed=0, csv_path="x.csv", sidecar_path=None,
         node_budget=1, brute_budget=1,
     )
-    ExperimentConfig.from_dict(base)
+    ExperimentConfig(**base)
     with pytest.raises(OrientBoostError, match="does not exist"):
-        ExperimentConfig.from_dict(base | {"design_file": str(tmp_path / "missing.json")})
+        ExperimentConfig(**base | {"design_file": str(tmp_path / "missing.json")})
     with pytest.raises(OrientBoostError, match="positive"):
-        ExperimentConfig.from_dict(base | {"node_budget": 0})
+        ExperimentConfig(**base | {"node_budget": 0})
     with pytest.raises(OrientBoostError, match="samples"):
-        ExperimentConfig.from_dict(base | {"exact": False, "samples": 0})
+        ExperimentConfig(**base | {"exact": False, "samples": 0})
 
 
 def test_experiment_config_validates_on_construction():

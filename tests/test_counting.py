@@ -25,6 +25,7 @@ from orient_boost.counting import (
     count_labeled_copies,
     estimate_expected_copies,
     exact_copy_summary,
+    hamilton_shape,
     typical_closed_form,
     worker_count_from_env,
 )
@@ -34,6 +35,7 @@ from orient_boost.designs import (
     Decomposition,
     adjusted_decomposition,
     extend_to_even,
+    point_stabiliser_orbits,
     steiner_triple_system,
 )
 from orient_boost.errors import BudgetExceededError
@@ -318,6 +320,63 @@ def test_hamilton_counts_below_three_vertices():
             assert count_hamilton_paths(t) == paths
 
 
+def _shape_by_search(h: Orientation) -> str | None:
+    """Oracle of ``hamilton_shape``: a vertex order whose consecutive pairs (and
+    the closing pair) are edges, with no other edge."""
+    n, edges = h.n, h.edges
+    for order in permutations(range(n)):
+        steps = list(zip(order, order[1:]))
+        if len(edges) == n - 1 and all(e in edges for e in steps):
+            return "path"
+        if len(edges) == n and all(e in edges for e in steps + [(order[-1], order[0])]):
+            return "cycle"
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), closed=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_hamilton_shape_matches_a_permutation_search(n, closed, seed):
+    h = random_orientation(n, min(n - 1 + closed, n * (n - 1) // 2), seed)
+    assert hamilton_shape(h) == _shape_by_search(h)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(3, 14))
+def test_hamilton_shape_of_relabelled_cycles_and_paths(data, n):
+    perm = data.draw(st.permutations(range(n)))
+    cycle = make_pattern("cycle", n).relabel(perm)
+    assert hamilton_shape(cycle) == "cycle"
+    assert hamilton_shape(make_pattern("path", n).relabel(perm)) == "path"
+    # one edge dropped leaves a path, one edge reversed leaves neither
+    u, v = data.draw(st.sampled_from(sorted(cycle.edges)))
+    assert hamilton_shape(Orientation(n, cycle.edges - {(u, v)})) == "path"
+    assert hamilton_shape(Orientation(n, cycle.edges - {(u, v)} | {(v, u)})) is None
+
+
+@pytest.mark.parametrize("n", [3, 7, 13, 21])
+def test_hamilton_shape_of_named_patterns(n):
+    for seed in range(5):
+        assert hamilton_shape(make_pattern("k_regular_random", n, k=1, seed=seed)) == "cycle"
+    if n > 4:
+        assert hamilton_shape(make_pattern("k_regular_random", n, k=2, seed=1)) is None
+    assert hamilton_shape(orientation_from_edges(n, [(0, 1)])) == ("path" if n == 2 else None)
+    assert hamilton_shape(make_pattern("matching", n + 1)) == ("path" if n + 1 == 2 else None)
+    if n > 3:  # a cycle on all but one vertex, and the last vertex hanging off it: n edges, not one cycle
+        hanging = [(v, (v + 1) % (n - 1)) for v in range(n - 1)] + [(n - 1, 0)]
+        assert hamilton_shape(orientation_from_edges(n, hanging)) is None
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path"])
+def test_walk_counts_of_relabelled_shapes_equal_embedding_counts(shape):
+    for seed in range(4):
+        n = 5 + seed
+        h = make_pattern(shape, n).relabel(random.Random(seed).sample(range(n), n))
+        t = random_tournament(n, seed)
+        walks = n * count_hamilton_cycles(t) if shape == "cycle" else count_hamilton_paths(t)
+        assert hamilton_shape(h) == shape
+        assert count_labeled_copies(h, t) == walks
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(n=st.integers(1, 12), seed=st.integers(0, 10 ** 6), closed=st.booleans())
 def test_hamilton_count_is_below_two_to_the_lane_bits(n, seed, closed):
@@ -568,15 +627,43 @@ def test_exact_expectation_single_edge():
     assert exact_copy_summary(single7, fano, bases).expectation == Fraction(math.factorial(7), 2)
 
 
-def test_exact_expectation_budget():
-    # the budget counts (orbits) · (n-1)! terms against budget_n!: P6 and C7 both
-    # sum 6! terms and are admitted at budget 6, P7 (7! terms) is refused
-    fano = steiner_triple_system(7)
-    assert exact_copy_summary(make_pattern("cycle", 7), fano, budget_n=6) == exact_copy_summary(
-        make_pattern("cycle", 7), fano)
-    exact_copy_summary(make_pattern("path", 6), adjusted_decomposition(6, 3), budget_n=6)
-    with pytest.raises(BudgetExceededError, match=r"n=7 is over the budget of 6! terms; it sums \(n-1\)! terms per"):
-        exact_copy_summary(make_pattern("path", 7), fano, budget_n=6)
+def _summed_terms(h, d) -> int:
+    """The oracle of the exact budget: (pattern orbits) · (stabiliser orbits) · (n-2)!."""
+    return len(vertex_orbits(h)) * len(point_stabiliser_orbits(d)) * math.factorial(h.n - 2)
+
+
+def _count_terms_calls(monkeypatch) -> list:
+    calls = []
+
+    class CountedKernel(CopyKernel):
+        def _terms(self, pi):
+            calls.append(pi)
+            return super()._terms(pi)
+
+    monkeypatch.setattr(counting, "CopyKernel", CountedKernel)
+    return calls
+
+
+def test_exact_expectation_budget(monkeypatch):
+    # the budget counts the terms summed against budget_n!: C7 on Fano sums 5!
+    # and C9 on STS(9) 7!, so they are admitted at budgets 5 and 7; P9 sums
+    # 9 · 7! = 45,360 > 8! and is refused at 8
+    calls = _count_terms_calls(monkeypatch)
+    fano, sts9 = steiner_triple_system(7), steiner_triple_system(9)
+    c7, c9, p9 = make_pattern("cycle", 7), make_pattern("cycle", 9), make_pattern("path", 9)
+    assert exact_copy_summary(c7, fano, budget_n=5).ratio == Fraction(43, 15)
+    assert len(calls) == _summed_terms(c7, fano) == math.factorial(5)
+    calls.clear()
+    assert exact_copy_summary(c9, sts9, budget_n=7).ratio == Fraction(101, 35)
+    assert len(calls) == _summed_terms(c9, sts9) == math.factorial(7)
+    calls.clear()
+    with pytest.raises(BudgetExceededError, match=(
+            r"^exact expectation at n=9 sums 45360 terms \(9 pattern orbits x 1 stabiliser orbits x 7!\), "
+            r"over the budget of 8! terms$")):
+        exact_copy_summary(p9, sts9, budget_n=8)
+    with pytest.raises(BudgetExceededError, match="sums at least 5! terms"):
+        exact_copy_summary(c7, fano, budget_n=4)
+    assert calls == []
 
 
 def test_exact_expectation_budget_refuses_huge_n_before_the_orbit_search(monkeypatch):
@@ -584,9 +671,11 @@ def test_exact_expectation_budget_refuses_huge_n_before_the_orbit_search(monkeyp
         raise AssertionError("orbit search ran")
 
     monkeypatch.setattr(counting, "vertex_orbits", searched)
-    with pytest.raises(BudgetExceededError) as err:
-        exact_copy_summary(make_pattern("cycle", 11), adjusted_decomposition(11, 3))
-    assert (err.value.size, err.value.budget) == (11, 9)
+    monkeypatch.setattr(counting, "point_stabiliser_orbits", searched)
+    with pytest.raises(BudgetExceededError, match=r"^exact expectation at n=12 sums at least 10! terms, "
+                                                  r"over the budget of 9! terms$") as err:
+        exact_copy_summary(make_pattern("cycle", 12), adjusted_decomposition(12, 3))
+    assert (err.value.size, err.value.budget) == (12, 9)
 
 
 def test_exact_expectation_budget_far_above_n_is_decided_at_once():
@@ -599,22 +688,31 @@ def test_exact_expectation_budget_far_above_n_is_decided_at_once():
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
-def test_exact_expectation_budget_decisions_match_the_term_count(n):
-    # the term count (orbits) · (n-1)! against budget_n!, computed as written, is the oracle here
+def test_exact_expectation_budget_decisions_match_the_term_count(n, monkeypatch):
+    # the summed terms against budget_n!, computed as written, is the oracle here,
+    # and an admitted sum makes exactly that many _terms calls
+    calls = _count_terms_calls(monkeypatch)
     d = adjusted_decomposition(n, 3)
+    stabiliser = len(point_stabiliser_orbits(d))
     patterns = [make_pattern("cycle", n), make_pattern("path", n),
                 make_pattern("k_regular_random", n, k=2, seed=1)]
     patterns += [make_pattern("matching", n)] if n % 2 == 0 else []
     for h in patterns:
-        terms = len(vertex_orbits(h)) * math.factorial(n - 1)
+        terms = _summed_terms(h, d)
+        calls.clear()
+        full = exact_copy_summary(h, d)
+        assert len(calls) == terms
         for budget in range(n - 3, n + 2):
-            if terms > math.factorial(budget):
-                with pytest.raises(BudgetExceededError, match=(
-                        rf"^exact expectation at n={n} is over the budget of {budget}! terms; "
-                        r"it sums \(n-1\)! terms per vertex orbit of the pattern$")):
-                    exact_copy_summary(h, d, budget_n=budget)
+            if terms <= math.factorial(budget):
+                assert exact_copy_summary(h, d, budget_n=budget) == full
+                continue
+            if budget < n - 2:
+                message = rf"^exact expectation at n={n} sums at least {n - 2}! terms, "
             else:
-                assert exact_copy_summary(h, d, budget_n=budget) == exact_copy_summary(h, d)
+                message = (rf"^exact expectation at n={n} sums {terms} terms \({len(vertex_orbits(h))} "
+                           rf"pattern orbits x {stabiliser} stabiliser orbits x {n - 2}!\), ")
+            with pytest.raises(BudgetExceededError, match=message + rf"over the budget of {budget}! terms$"):
+                exact_copy_summary(h, d, budget_n=budget)
 
 
 def test_exact_matches_support_average_for_path():
