@@ -3,7 +3,8 @@
 Subcommands: stats, decompose, sample, count, estimate, exact-expect, solve,
 boost-formula, verify, experiment.  All randomness flows from one --seed;
 when omitted a seed is generated, printed, and embedded in every output.
-ORIENT_BOOST_THREADS sets the worker count and never affects numeric output.
+ORIENT_BOOST_THREADS sets the worker count of Monte Carlo runs and never
+affects numeric output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -34,39 +34,6 @@ from .orientations import (
     tournament_from_json,
 )
 from .rng import stream_for, stream_permutations, stream_residues
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything an experiment run depends on; embedded in every sidecar."""
-
-    pattern_kind: str
-    pattern_n: int
-    pattern_k: int | None
-    design_file: str | None
-    design_t: int | None
-    base_file: str | None
-    base_star_file: str | None
-    samples: int
-    exact: bool
-    master_seed: int
-    csv_path: str
-    sidecar_path: str | None
-    node_budget: int
-    brute_budget: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def __post_init__(self):
-        for path in (self.design_file, self.base_file, self.base_star_file):
-            if path is not None and not os.path.exists(path):
-                raise OrientBoostError(f"referenced file does not exist: {path}")
-        for name in ("node_budget", "brute_budget"):
-            if getattr(self, name) <= 0:
-                raise OrientBoostError(f"{name} must be positive")
-        if self.samples < 0 or (self.samples == 0 and not self.exact):
-            raise OrientBoostError("need --samples >= 1 or --exact")
 
 
 def _resolve_seed(args) -> int:
@@ -95,7 +62,10 @@ def _load_tournament(path: str):
 
 def _pattern_from_args(args, seed: int) -> Orientation:
     if args.pattern_file:
-        return _load_orientation(args.pattern_file, None)
+        h = _load_orientation(args.pattern_file, None)
+        if h.n != args.n:
+            raise OrientBoostError(f"pattern file {args.pattern_file} has {h.n} vertices, --n is {args.n}")
+        return h
     return make_pattern(args.pattern, args.n, k=args.k, seed=seed)
 
 
@@ -111,18 +81,49 @@ def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
     return d, f"adjusted{'+even' if d.n % 2 == 0 else ''}(t={d.t})"
 
 
-def _bases_from_args(args, t: int) -> sampling.BaseTournaments:
-    r = _load_tournament(args.base) if args.base else sampling.circulant_regular_tournament(t)
-    rstar = (_load_tournament(args.base_star) if args.base_star
-             else sampling.circulant_regular_tournament(2 * t - 1))
-    return sampling.BaseTournaments(r, rstar)
+def _load_inputs(args, seed: int) -> tuple[Orientation | None, designs.Decomposition, str, sampling.BaseTournaments]:
+    """The pattern (None for sample), design, design label and bases of a run.
+
+    Every file the run names is checked, and read, before the design is
+    built, so a missing or malformed input is refused before any design
+    search.  Bases not given by file are the circulant ones.
+    """
+    for path in (getattr(args, "pattern_file", None), args.design, args.base, args.base_star):
+        if path is not None and not os.path.exists(path):
+            raise OrientBoostError(f"referenced file does not exist: {path}")
+    h = _pattern_from_args(args, seed) if hasattr(args, "pattern") else None
+    r, rstar = (_load_tournament(path) if path else None for path in (args.base, args.base_star))
+    d, design_label = _design_from_args(args, args.n)
+    bases = sampling.BaseTournaments(r or sampling.circulant_regular_tournament(d.t),
+                                     rstar or sampling.circulant_regular_tournament(2 * d.t - 1))
+    return h, d, design_label, bases
 
 
-def _run_inputs(args, seed: int) -> tuple[Orientation, designs.Decomposition, str, sampling.BaseTournaments]:
-    """The pattern, design, design label and bases of estimate, exact-expect and experiment."""
-    h = _pattern_from_args(args, seed)
-    d, design_label = _design_from_args(args, h.n)
-    return h, d, design_label, _bases_from_args(args, d.t)
+def _run(args, *, exact: bool):
+    """The one run behind estimate, exact-expect and experiment.
+
+    Reads the worker count (Monte Carlo only), resolves the seed, loads the
+    inputs once and takes the exact sum or the Monte Carlo estimate.
+    Returns the run's CSV row, the ExactSummary or EstimateReport, the
+    baseline n!/2^e, the design and the bases.
+    """
+    workers = 1 if exact else counting.worker_count_from_env()
+    seed = _resolve_seed(args)
+    h, d, design_label, bases = _load_inputs(args, seed)
+    baseline = counting.baseline_expected_copies(h)
+    # samples, baseline_log2, estimate_log2, ratio, stderr_ratio, typical_frac
+    if exact:
+        out = counting.exact_copy_summary(h, d, bases, budget_n=args.brute_budget)
+        fields = (0, counting.log2_fraction(baseline),
+                  counting.log2_fraction(out.expectation) if out.expectation else -math.inf,
+                  float(out.ratio), 0.0, float(out.typical_fraction))
+    else:
+        out = counting.estimate_expected_copies(h, d, bases, samples=args.samples, master_seed=seed,
+                                                workers=workers)
+        fields = (out.samples, out.baseline_log2, out.estimate_log2, out.ratio, out.ratio_stderr,
+                  out.typical_fraction)
+    row = dict(zip(reports.CSV_FIELDS, (h.n, d.t, _pattern_label(args), design_label, *fields, seed)))
+    return row, out, baseline, d, bases
 
 
 def _emit(obj: dict) -> None:
@@ -150,8 +151,7 @@ def _cmd_decompose(args) -> int:
     d, _ = _design_from_args(args, args.n)
     report = designs.validate(d)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(d.to_json())
+        reports._atomic_write(args.output, d.to_json())
     else:
         print(d.to_json())
     _emit({"n": d.n, "t": d.t, "blocks": len(d.blocks), "valid": report.ok,
@@ -171,16 +171,14 @@ def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     if not args.design and args.n is None:
         raise ValueError("need either --design or --n")
-    d, _ = _design_from_args(args, args.n)
-    bases = _bases_from_args(args, d.t)
+    _, d, _, bases = _load_inputs(args, seed)
     chunks = []
     for index in range(args.samples):
         t = sampling.sample(d, bases, sampling.SampleSeed(seed, index))
         chunks.append(t.to_json() + "\n" if args.format == "json" else t.to_hex_text() + "\n")
     data = "".join(chunks)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(data)
+        reports._atomic_write(args.output, data)
     else:
         sys.stdout.write(data)
     return 0
@@ -210,16 +208,6 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _report_record(pattern_label: str, design_label: str, seed: int, rep) -> dict:
-    return {
-        "n": rep.n, "t": rep.t, "pattern": pattern_label, "design": design_label,
-        "samples": rep.samples, "baseline_log2": rep.baseline_log2,
-        "estimate_log2": rep.estimate_log2, "ratio": rep.ratio,
-        "stderr_ratio": rep.ratio_stderr, "typical_frac": rep.typical_fraction,
-        "seed": seed,
-    }
-
-
 def _pattern_label(args) -> str:
     if args.pattern_file:
         return f"file:{os.path.basename(args.pattern_file)}"
@@ -230,26 +218,14 @@ def _pattern_label(args) -> str:
 
 
 def _cmd_estimate(args) -> int:
-    workers = counting.worker_count_from_env()
-    seed = _resolve_seed(args)
-    h, d, design_label, bases = _run_inputs(args, seed)
-    rep = counting.estimate_expected_copies(
-        h, d, bases, samples=args.samples, master_seed=seed,
-        workers=workers,
-    )
-    _emit(_report_record(_pattern_label(args), design_label, seed, rep) | {
-        "baseline": str(rep.baseline), "capture_means": list(rep.capture_means),
-    })
+    row, rep, *_ = _run(args, exact=False)
+    _emit(row | {"baseline": str(rep.baseline), "capture_means": list(rep.capture_means)})
     return 0
 
 
 def _cmd_exact_expect(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    h, d, design_label, bases = _run_inputs(args, seed)
-    summary = counting.exact_copy_summary(h, d, bases, budget_n=args.brute_budget)
-    baseline = counting.baseline_expected_copies(h)
-    _emit({
-        "n": h.n, "t": d.t, "pattern": _pattern_label(args), "design": design_label,
+    row, summary, baseline, *_ = _run(args, exact=True)
+    _emit({key: row[key] for key in ("n", "t", "pattern", "design")} | {
         "expectation": str(summary.expectation), "baseline": str(baseline),
         "ratio": str(summary.ratio), "ratio_float": float(summary.ratio),
         "typical_fraction": str(summary.typical_fraction),
@@ -350,39 +326,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    workers = counting.worker_count_from_env()
-    seed = _resolve_seed(args)
-    cfg = ExperimentConfig(
-        pattern_kind=args.pattern, pattern_n=args.n, pattern_k=args.k,
-        design_file=args.design, design_t=args.t,
-        base_file=args.base, base_star_file=args.base_star,
-        samples=args.samples, exact=args.exact, master_seed=seed,
-        csv_path=args.output, sidecar_path=args.sidecar,
-        node_budget=args.node_budget, brute_budget=args.brute_budget,
-    )
-    h, d, design_label, bases = _run_inputs(args, seed)
-    baseline = counting.baseline_expected_copies(h)
-
-    if args.exact:
-        summary = counting.exact_copy_summary(h, d, bases, budget_n=args.brute_budget)
-        record = {
-            "n": h.n, "t": d.t, "pattern": _pattern_label(args), "design": design_label,
-            "samples": 0, "baseline_log2": counting.log2_fraction(baseline),
-            "estimate_log2": counting.log2_fraction(summary.expectation),
-            "ratio": float(summary.ratio), "stderr_ratio": 0.0,
-            "typical_frac": float(summary.typical_fraction), "seed": seed,
-        }
-        extra = {"expectation": str(summary.expectation), "ratio_exact": str(summary.ratio)}
-    else:
-        rep = counting.estimate_expected_copies(
-            h, d, bases, samples=args.samples, master_seed=seed,
-            workers=workers,
-        )
-        record = _report_record(_pattern_label(args), design_label, seed, rep)
-        extra = {"capture_means": list(rep.capture_means)}
-
+    row, out, baseline, d, bases = _run(args, exact=args.exact)
+    extra = ({"expectation": str(out.expectation), "ratio_exact": str(out.ratio)} if args.exact
+             else {"capture_means": list(out.capture_means)})
+    config = {
+        "pattern_kind": f"file:{args.pattern_file}" if args.pattern_file else args.pattern,
+        "pattern_n": row["n"], "pattern_k": args.k, "design_file": args.design, "design_t": d.t,
+        "base_file": args.base, "base_star_file": args.base_star,
+        "samples": args.samples, "exact": args.exact, "master_seed": row["seed"],
+        "csv_path": args.output, "sidecar_path": args.sidecar,
+        "node_budget": args.node_budget, "brute_budget": args.brute_budget,
+    }
     sidecar = {
-        "config": cfg.to_dict(),
+        "config": config,
         "derived": {
             "t": d.t,
             "delta": str(Fraction(1, 4 * (d.t - 2))),
@@ -391,10 +347,10 @@ def _cmd_experiment(args) -> int:
             "base_star_tournament_hex": bases.rstar.to_hex_text(),
             "design_blocks": len(d.blocks),
         },
-        "results": [record | extra],
+        "results": [row | extra],
     }
-    reports.write_report([record], args.output, sidecar, args.sidecar)
-    _emit({"written": args.output, **record})
+    reports.write_report([row], args.output, sidecar, args.sidecar)
+    _emit({"written": args.output, **row})
     return 0
 
 
@@ -491,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_args(p)
     _add_design_args(p)
     _add_brute_budget(p, default=9)
-    p.set_defaults(func=_cmd_exact_expect)
+    # the seed only draws a random pattern; an omitted one is 0, never generated
+    p.set_defaults(func=_cmd_exact_expect, seed=0)
 
     p = sub.add_parser("solve", help="least odd block size for the target inequalities")
     p.add_argument("--eps", required=True)
@@ -511,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_args(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--exact", action="store_true")
-    group.add_argument("--samples", type=int, default=0)
+    group.add_argument("--samples", type=_positive_int, default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--sidecar", default=None)
     _add_brute_budget(p, default=10)

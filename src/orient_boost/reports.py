@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -25,34 +26,31 @@ def render_csv(records: list[dict]) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write ``data`` to ``path`` through a temporary file in its directory;
+    every file the command line writes goes through here."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".tmp-report-{os.urandom(8).hex()}")
-    # mode 0o666 lets the umask decide the report's permissions, as open() does
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        # mode 0o666 lets the umask decide the file's permissions, as open() does
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"writing {path}: {exc}") from exc
 
 
 def write_report(records: list[dict], csv_path: str, sidecar: dict | None = None,
                  sidecar_path: str | None = None) -> None:
     """Write the CSV (atomically) plus an optional JSON sidecar."""
-    try:
-        _atomic_write(csv_path, render_csv(records))
-    except OSError as exc:
-        raise OSError(f"writing {csv_path}: {exc}") from exc
+    _atomic_write(csv_path, render_csv(records))
     if sidecar is not None:
         if sidecar_path is None:
             base, _ = os.path.splitext(csv_path)
             sidecar_path = base + ".json"
-        try:
-            _atomic_write(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise OSError(f"writing {sidecar_path}: {exc}") from exc
+        _atomic_write(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

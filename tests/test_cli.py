@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
 
-from orient_boost.cli import ExperimentConfig, main
-from orient_boost.errors import OrientBoostError
+from orient_boost import designs
+from orient_boost.cli import main
 from orient_boost.orientations import make_pattern, tournament_from_hex_text, tournament_from_json
 from orient_boost.reports import render_csv, write_report
 
@@ -201,6 +202,7 @@ def test_count_refuses_a_wrong_edge_count_at_once(capsys, tmp_path):
     ("sample", "--n", "7", "--samples", "-2"),
     ("sample", "--n", "7", "--samples", "0"),
     ("estimate", "--n", "7", "--samples", "0"),
+    ("experiment", "--n", "7", "--samples", "0", "--output", "never.csv"),
 ])
 def test_sample_counts_below_one_are_rejected_up_front(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -321,10 +323,7 @@ def test_experiment_exact_csv(capsys, tmp_path):
     row = lines[1].split(",")
     assert float(row[7]) > 1.25
     sidecar = json.loads((tmp_path / "exp.json").read_text())
-    cfg = ExperimentConfig(**sidecar["config"])
-    assert cfg.master_seed == 1 and cfg.exact
-    # parse -> print -> parse fixture
-    assert ExperimentConfig(**cfg.to_dict()) == cfg
+    assert sidecar["config"]["master_seed"] == 1 and sidecar["config"]["exact"]
     assert sidecar["derived"]["t"] == 3
     assert "base_tournament_hex" in sidecar["derived"]
 
@@ -389,49 +388,33 @@ def test_report_writer_shapes(tmp_path):
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o007])
-def test_report_files_honour_the_umask(tmp_path, umask):
+def test_report_files_honour_the_umask(capsys, tmp_path, umask):
     old = os.umask(umask)
     try:
         with open(tmp_path / "plain.txt", "w") as fh:
             fh.write("x")
         write_report([], str(tmp_path / "r.csv"), sidecar={}, sidecar_path=str(tmp_path / "r.json"))
+        assert main(["decompose", "--n", "7", "--output", str(tmp_path / "d.json")]) == 0
+        assert main(["sample", "--n", "7", "--seed", "1", "--output", str(tmp_path / "s.json")]) == 0
     finally:
         os.umask(old)
+    capsys.readouterr()
     want = (tmp_path / "plain.txt").stat().st_mode & 0o777
     assert want == 0o666 & ~umask
-    for name in ("r.csv", "r.json"):
+    names = ["d.json", "r.csv", "r.json", "s.json"]
+    for name in names:
         assert (tmp_path / name).stat().st_mode & 0o777 == want
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt", "r.csv", "r.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["plain.txt"])
 
 
-def test_experiment_config_validation(tmp_path):
-    base = dict(
-        pattern_kind="cycle", pattern_n=7, pattern_k=None, design_file=None,
-        design_t=3, base_file=None, base_star_file=None, samples=0, exact=True,
-        master_seed=0, csv_path="x.csv", sidecar_path=None,
-        node_budget=1, brute_budget=1,
-    )
-    ExperimentConfig(**base)
-    with pytest.raises(OrientBoostError, match="does not exist"):
-        ExperimentConfig(**base | {"design_file": str(tmp_path / "missing.json")})
-    with pytest.raises(OrientBoostError, match="positive"):
-        ExperimentConfig(**base | {"node_budget": 0})
-    with pytest.raises(OrientBoostError, match="samples"):
-        ExperimentConfig(**base | {"exact": False, "samples": 0})
-
-
-def test_experiment_config_validates_on_construction():
-    fields = dict(
-        pattern_kind="cycle", pattern_n=7, pattern_k=None, design_file=None,
-        design_t=3, base_file=None, base_star_file=None, samples=0, exact=False,
-        master_seed=0, csv_path="x.csv", sidecar_path=None,
-        node_budget=1, brute_budget=1,
-    )
-    with pytest.raises(OrientBoostError, match="samples"):
-        ExperimentConfig(**fields)
-    with pytest.raises(OrientBoostError, match="brute_budget must be positive"):
-        ExperimentConfig(**fields | {"samples": 5, "brute_budget": 0})
-    assert ExperimentConfig(**fields | {"samples": 5}).samples == 5
+def test_decompose_and_sample_write_the_bytes_they_print(capsys, tmp_path):
+    for argv in (["decompose", "--n", "9"], ["sample", "--n", "9", "--seed", "2", "--samples", "3"]):
+        path = tmp_path / f"{argv[0]}.out"
+        code, printed, _ = run(capsys, *argv)
+        assert code == 0
+        code, _, _ = run(capsys, *argv, "--output", str(path))
+        assert code == 0
+        assert printed.startswith(path.read_text())
 
 
 def test_custom_base_tournament_flag(capsys, tmp_path):
@@ -459,6 +442,14 @@ def test_bad_thread_count_is_reported_up_front(capsys, tmp_path, monkeypatch, th
     assert code == 2
     assert "ORIENT_BOOST_THREADS" in json.loads(err)["message"]
     assert not path.exists()
+
+
+def test_exact_runs_do_not_read_the_thread_count(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("ORIENT_BOOST_THREADS", "abc")
+    for argv in (("exact-expect",), ("experiment", "--exact", "--output", str(tmp_path / "x.csv"))):
+        code, out, _ = run(capsys, *argv, "--n", "7", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["n"] == 7
 
 
 @pytest.mark.parametrize("argv", [
@@ -527,6 +518,82 @@ def test_sample_refuses_a_huge_empty_design(capsys, huge_design):
     assert code == 2
     assert out == ""
     assert json.loads(err)["message"] == "design file invalid: pair (0,1) never covered"
+
+
+RUN_ARGV = {
+    "estimate": ("--n", "7", "--samples", "5", "--seed", "1"),
+    "exact-expect": ("--n", "7"),
+    "experiment": ("--n", "7", "--exact", "--seed", "1", "--output", "never.csv"),
+    "sample": ("--n", "7", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in RUN_ARGV
+    for flag in ("--pattern-file", "--design", "--base", "--base-star")
+    if not (command == "sample" and flag == "--pattern-file")
+])
+def test_a_missing_input_file_is_refused_before_the_design_search(
+        capsys, tmp_path, monkeypatch, command, flag):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the design search ran")
+
+    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, *RUN_ARGV[command], flag, "missing.json")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["message"] == "referenced file does not exist: missing.json"
+    assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["count", "estimate", "exact-expect"])
+def test_a_pattern_file_on_another_vertex_count_is_refused(capsys, tmp_path, tournament7, command):
+    pattern = tmp_path / "c7.json"
+    pattern.write_text(make_pattern("cycle", 7).to_json())
+    extra = {"count": ("--tournament", tournament7), "estimate": ("--samples", "5", "--seed", "1"),
+             "exact-expect": ()}[command]
+    code, out, err = run(capsys, command, "--n", "9", "--pattern-file", str(pattern), *extra)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["message"] == f"pattern file {pattern} has 7 vertices, --n is 9"
+
+
+def test_the_sidecar_records_the_files_of_its_run(capsys, tmp_path, monkeypatch):
+    from orient_boost.designs import Block, BlockKind, Decomposition
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "c7.json").write_text(make_pattern("cycle", 7).to_json())
+    # one K_7 block: the design's t is 7, though --t keeps its default of 3
+    (tmp_path / "in" / "k7.json").write_text(
+        Decomposition(7, 7, (Block(BlockKind.KT, tuple(range(7))),)).to_json())
+    code, _, _ = run(capsys, "experiment", "--n", "7", "--pattern-file", "in/c7.json",
+                     "--design", "in/k7.json", "--exact", "--seed", "1", "--output", "exp.csv")
+    assert code == 0
+    sidecar = json.loads((tmp_path / "exp.json").read_text())
+    assert sidecar["config"] | {"csv_path": None} == {
+        "pattern_kind": "file:in/c7.json", "pattern_n": 7, "pattern_k": None,
+        "design_file": "in/k7.json", "design_t": 7, "base_file": None, "base_star_file": None,
+        "samples": 0, "exact": True, "master_seed": 1, "csv_path": None, "sidecar_path": None,
+        "node_budget": designs.NODE_BUDGET, "brute_budget": 10,
+    }
+    assert sidecar["derived"]["t"] == 7
+    row = (tmp_path / "exp.csv").read_text().splitlines()[1].split(",")
+    assert row[:4] == ["7", "7", "file:c7.json", "file:k7.json"]
+
+
+def test_an_exact_run_with_no_copies_reports_minus_infinity(capsys, tmp_path):
+    # the transitive tournament on 7 vertices lies in no regular tournament
+    pattern = tmp_path / "tt7.txt"
+    pattern.write_text("7\n" + "".join(f"{u} {v}\n" for u in range(7) for v in range(u + 1, 7)))
+    code, out, _ = run(capsys, "exact-expect", "--n", "7", "--pattern-file", str(pattern))
+    assert code == 0
+    assert json.loads(out)["expectation"] == "0"
+    code, out, _ = run(capsys, "experiment", "--n", "7", "--pattern-file", str(pattern), "--exact",
+                       "--seed", "1", "--output", str(tmp_path / "tt7.csv"))
+    assert code == 0
+    assert json.loads(out)["estimate_log2"] == -math.inf
 
 
 # Golden pins: sha256 of what the run commands print or write, recorded before
