@@ -81,16 +81,25 @@ def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
     return d, f"adjusted{'+even' if d.n % 2 == 0 else ''}(t={d.t})"
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Refuse an output path whose directory does not exist, naming the directory."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise OrientBoostError(f"output directory does not exist: {os.path.dirname(path)}")
+
+
 def _load_inputs(args, seed: int) -> tuple[Orientation | None, designs.Decomposition, str, sampling.BaseTournaments]:
     """The pattern (None for sample), design, design label and bases of a run.
 
-    Every file the run names is checked, and read, before the design is
-    built, so a missing or malformed input is refused before any design
-    search.  Bases not given by file are the circulant ones.
+    Every file the run names is checked, and every input read, before the
+    design is built, so a missing or malformed input, or an output directory
+    that does not exist, is refused before any design search or sum.  Bases
+    not given by file are the circulant ones.
     """
     for path in (getattr(args, "pattern_file", None), args.design, args.base, args.base_star):
         if path is not None and not os.path.exists(path):
             raise OrientBoostError(f"referenced file does not exist: {path}")
+    _check_output_dirs(getattr(args, "output", None), getattr(args, "sidecar", None))
     h = _pattern_from_args(args, seed) if hasattr(args, "pattern") else None
     r, rstar = (_load_tournament(path) if path else None for path in (args.base, args.base_star))
     d, design_label = _design_from_args(args, args.n)
@@ -148,6 +157,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _check_output_dirs(args.output)
     d, _ = _design_from_args(args, args.n)
     report = designs.validate(d)
     if args.output:

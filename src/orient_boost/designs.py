@@ -230,57 +230,18 @@ def validate(d: Decomposition) -> ValidationReport:
 
 def point_stabiliser_orbits(d: Decomposition) -> list[tuple[int, ...]]:
     """The orbits on points 1..n-1 of the design automorphisms that fix point
-    0, each sorted, listed by least point (``searched_orbits``).
+    0, each sorted, listed by least point.
 
     An automorphism maps each block onto a block of the same kind, so it
     keeps the block-randomised distribution: a coin block is a path or a
     cycle, and a map of its edges onto those of another sends its arcs onto
-    that block's arcs or all of them onto their reversal.  For each pair
-    a < b a backtracking search places 0 on 0, then a on b, then the other
-    points in order.  A candidate image must agree with every placed point:
-    the pair's block must go to the candidate pair's block, under one
-    one-to-one block map that keeps kinds.  Refuses a design that is not a
-    partition as ``pair_block_index`` does.
+    that block's arcs or all of them onto their reversal.  So the search
+    (``searched_orbits``) labels each pair by its block, of the block's
+    kind.  Refuses a design that is not a partition as ``pair_block_index``
+    does.
     """
-    n = d.n
-    idx = d.pair_block_index()
     kinds = [block.kind for block in d.blocks]
-
-    def automorphism(a: int, b: int) -> list[int] | None:
-        order = [0, a, *(x for x in range(1, n) if x != a)]
-        image = [-1] * n
-        used = [False] * n
-        to, back = [-1] * len(kinds), [-1] * len(kinds)
-
-        def extend(k: int) -> bool:
-            if k == n:
-                return True
-            x = order[k]
-            for y in ((0,) if k == 0 else (b,) if k == 1 else range(1, n)):
-                if used[y]:
-                    continue
-                mapped = []  # the blocks first mapped by this placement
-                for p in order[:k]:
-                    src, dst = idx[p][x], idx[image[p]][y]
-                    if to[src] < 0:
-                        if back[dst] >= 0 or kinds[src] is not kinds[dst]:
-                            break
-                        to[src], back[dst] = dst, src
-                        mapped.append(src)
-                    elif to[src] != dst:
-                        break
-                else:
-                    image[x], used[y] = y, True
-                    if extend(k + 1):
-                        return True
-                    used[y] = False
-                for src in mapped:
-                    back[to[src]] = to[src] = -1
-            return False
-
-        return image if extend(0) else None
-
-    return searched_orbits(n, range(1, n), automorphism)
+    return searched_orbits(d.pair_block_index(), kinds, range(1, d.n), fixed=(0,))
 
 
 # ---------------------------------------------------------------------------

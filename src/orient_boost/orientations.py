@@ -39,18 +39,6 @@ class Orientation:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def out_degrees(self) -> list[int]:
-        d = [0] * self.n
-        for u, _ in self.edges:
-            d[u] += 1
-        return d
-
-    def in_degrees(self) -> list[int]:
-        d = [0] * self.n
-        for _, v in self.edges:
-            d[v] += 1
-        return d
-
     def underlying_adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
@@ -207,70 +195,44 @@ def _connected(h: Orientation) -> bool:
 def vertex_orbits(h: Orientation) -> list[tuple[int, ...]]:
     """The vertex orbits of Aut(h), each sorted, listed by least vertex.
 
-    For each pair u < v not yet known to share an orbit, a backtracking
-    search looks for an automorphism sending u to v (``searched_orbits``).
-    The search places u first, then the rest in breadth-first order of the
-    underlying graph, so most vertices have a placed neighbour; a candidate
-    image must have the same out- and in-degree and agree with every placed
-    vertex on the edges in both directions.
+    An automorphism carries the pair labels none (0), out (1) and in (2) onto
+    themselves, each its own kind (``searched_orbits``).
     """
-    n = h.n
-    out = [0] * n
+    labels = [[0] * h.n for _ in range(h.n)]
     for a, b in h.edges:
-        out[a] |= 1 << b
-    degrees = list(zip(h.out_degrees(), h.in_degrees()))
-    adj = h.underlying_adjacency()
-
-    def placement_order(u: int) -> list[int]:
-        order = []
-        seen = [False] * n
-        for start in (u, *range(n)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            queue = [start]
-            for x in queue:
-                order.append(x)
-                for w in sorted(adj[x]):
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-        return order
-
-    def automorphism(u: int, v: int) -> list[int] | None:
-        order = placement_order(u)
-        image = [-1] * n
-        used = [False] * n
-
-        def extend(k: int) -> bool:
-            if k == n:
-                return True
-            x = order[k]
-            for y in ((v,) if k == 0 else range(n)):
-                if used[y] or degrees[y] != degrees[x]:
-                    continue
-                if all((out[x] >> a) & 1 == (out[y] >> image[a]) & 1
-                       and (out[a] >> x) & 1 == (out[image[a]] >> y) & 1 for a in order[:k]):
-                    image[x], used[y] = y, True
-                    if extend(k + 1):
-                        return True
-                    used[y] = False
-            return False
-
-        return image if extend(0) else None
-
-    return searched_orbits(n, range(n), automorphism)
+        labels[a][b], labels[b][a] = 1, 2
+    return searched_orbits(labels, (0, 1, 2), range(h.n))
 
 
-def searched_orbits(n: int, points, automorphism) -> list[tuple[int, ...]]:
-    """The orbits on ``points`` (increasing, in 0..n-1) of the group that the
-    automorphisms found generate, each sorted, listed by least point.
+def searched_orbits(labels, kinds, points, fixed=()) -> list[tuple[int, ...]]:
+    """The orbits on ``points`` (increasing) of the permutations g of 0..n-1
+    that fix ``fixed`` pointwise and carry the pair labelling onto itself,
+    each orbit sorted, listed by least point.
 
-    For each pair u < v of points not yet known to share an orbit,
-    ``automorphism(u, v)`` returns an automorphism sending u to v, as the
-    list of the images of 0..n-1, or None; every automorphism found joins
-    each point with its image (union-find).
+    ``labels[x][y]`` labels the pair (x, y), x != y, by an index into
+    ``kinds``; the diagonal is not read.  g carries the labelling onto
+    itself if one one-to-one map m of the labels, keeping each label's kind,
+    has labels[g(x)][g(y)] = m(labels[x][y]) for every pair.  For each pair
+    u < v of points not yet known to share an orbit, a backtracking search
+    looks for such a g with g(u) = v; every g found joins each point with
+    its image (union-find).
+
+    A vertex maps only to one with the same multiset of label kinds.  The
+    placement order is fixed once per u, the most constrained vertex first
+    (B. D. McKay, "Practical graph isomorphism", 1981): the fixed points,
+    then u, then repeatedly the unplaced vertex with the most links to placed
+    vertices through labels rarer than the commonest one (a pattern's edges,
+    so the order is breadth-first), ties going to the most links through a
+    label that a placed pair already carries (a mapped design block, which
+    forces the image), then to the least vertex.
     """
+    n = len(labels)
+    kind_counts = [frozenset(Counter(kinds[label] for y, label in enumerate(row) if y != x).items())
+                   for x, row in enumerate(labels)]
+    alike = [[y for y in range(n) if kind_counts[y] == kind_counts[x]] for x in range(n)]
+    freq = Counter(label for x, row in enumerate(labels) for y, label in enumerate(row) if y != x)
+    commonest = max(freq.values(), default=0)
+    rare = {label for label, c in freq.items() if c < commonest}
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -279,12 +241,66 @@ def searched_orbits(n: int, points, automorphism) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for u, v in combinations(points, 2):
-        if find(u) != find(v):
-            sigma = automorphism(u, v)
-            if sigma is not None:
-                for x, y in enumerate(sigma):
-                    parent[find(x)] = find(y)
+    def placement_order(u: int) -> list[int]:
+        order = [*fixed, u]
+        carried = {labels[a][b] for a in order for b in order if a != b}
+        rest = [x for x in range(n) if x not in order]
+        while rest:
+            x = max(rest, key=lambda w: (sum(labels[p][w] in rare for p in order),
+                                         sum(labels[p][w] in carried for p in order), -w))
+            rest.remove(x)
+            carried.update(label for p in order for label in (labels[p][x], labels[x][p]))
+            order.append(x)
+        return order
+
+    def automorphism(order: list[int], v: int) -> list[int] | None:
+        image = [-1] * n
+        used = [False] * n
+        to, back = [-1] * len(kinds), [-1] * len(kinds)
+
+        def carry(x: int, y: int, k: int) -> list[int] | None:
+            """The labels first mapped by placing x on y, or None (nothing
+            left mapped) if the label map cannot take them."""
+            mapped = []
+            # the latest placed first: a mismatch shows sooner on STS(19) and P21
+            for p in reversed(order[:k]):
+                q = image[p]
+                for src, dst in ((labels[p][x], labels[q][y]), (labels[x][p], labels[y][q])):
+                    if to[src] < 0 and back[dst] < 0 and kinds[src] == kinds[dst]:
+                        to[src], back[dst] = dst, src
+                        mapped.append(src)
+                    elif to[src] != dst:
+                        for src in mapped:
+                            back[to[src]] = to[src] = -1
+                        return None
+            return mapped
+
+        def extend(k: int) -> bool:
+            if k == n:
+                return True
+            x = order[k]
+            for y in (x,) if k < len(fixed) else (v,) if k == len(fixed) else alike[x]:
+                if not used[y] and (mapped := carry(x, y, k)) is not None:
+                    image[x], used[y] = y, True
+                    if extend(k + 1):
+                        return True
+                    used[y] = False
+                    for src in mapped:
+                        back[to[src]] = to[src] = -1
+            return False
+
+        return image if extend(0) else None
+
+    points = list(points)
+    for i, u in enumerate(points):
+        order = None
+        for v in points[i + 1:]:
+            if find(u) != find(v) and v in alike[u]:
+                order = order or placement_order(u)
+                sigma = automorphism(order, v)
+                if sigma is not None:
+                    for x, y in enumerate(sigma):
+                        parent[find(x)] = find(y)
     orbits: dict[int, list[int]] = {}
     for x in points:
         orbits.setdefault(find(x), []).append(x)

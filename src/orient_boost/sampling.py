@@ -30,7 +30,7 @@ from itertools import permutations
 
 from .designs import Block, BlockKind, Decomposition
 from .errors import BudgetExceededError, InvalidTournamentError
-from .orientations import Orientation, Tournament, _unchecked_tournament, vertex_orbits
+from .orientations import Tournament, _unchecked_tournament, searched_orbits
 from .rng import stream_residues
 
 
@@ -242,15 +242,17 @@ def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tu
     orient a complete block alike, and an a that maps base vertex x to r
     pairs the relabelings sending the block's first vertex to x one to one
     with those sending it to r.  So only the relabelings that send the first
-    vertex to one representative r per ``vertex_orbits`` orbit of the base
-    are listed, each counted |orbit| times.
+    vertex to one representative r per vertex orbit of the base are listed,
+    each counted |orbit| times.  The orbits are searched as those of a
+    pattern (``vertex_orbits``) on the base's rows.
     """
     arcs = tuple(block.arcs())
     if not block.kind.complete:
         return [(arcs, Fraction(1, 2)), (tuple((v, u) for u, v in arcs), Fraction(1, 2))]
     base = bases.of(block.kind)
     k = len(block.vertices)
-    orbits = vertex_orbits(Orientation(k, frozenset(base.edges())))
+    labels = [[0 if x == y else 1 if base.beats(x, y) else 2 for y in range(k)] for x in range(k)]
+    orbits = searched_orbits(labels, (0, 1, 2), range(k))
     counts: dict[tuple[tuple[int, int], ...], int] = {}
     for orbit in orbits:
         r = orbit[0]

@@ -547,6 +547,26 @@ def test_a_missing_input_file_is_refused_before_the_design_search(
     assert not (tmp_path / "never.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "nodir/e.csv"),
+    ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "e.csv", "--sidecar", "nodir/s.json"),
+    ("experiment", "--n", "7", "--samples", "5", "--seed", "1", "--output", "e.csv", "--sidecar", "nodir/s.json"),
+    ("sample", "--n", "7", "--seed", "1", "--output", "nodir/t.json"),
+    ("decompose", "--n", "7", "--output", "nodir/d.json"),
+])
+def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, tmp_path, monkeypatch, argv):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the design search ran")
+
+    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["message"] == "output directory does not exist: nodir"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["count", "estimate", "exact-expect"])
 def test_a_pattern_file_on_another_vertex_count_is_refused(capsys, tmp_path, tournament7, command):
     pattern = tmp_path / "c7.json"

@@ -5,7 +5,7 @@ from itertools import permutations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orient_boost import designs
@@ -882,6 +882,32 @@ def test_point_stabiliser_orbits_of_the_symmetric_designs():
     for d in (steiner_triple_system(7), steiner_triple_system(9), projective_plane_decomposition(4)):
         assert designs.point_stabiliser_orbits(d) == [tuple(range(1, d.n))]
     assert designs.point_stabiliser_orbits(adjusted_decomposition(10, 3)) == [(x,) for x in range(1, 10)]
+
+
+@pytest.mark.parametrize("name", ["fano", "pg2", "fano-c3", "even7", "coin6", "6-3", "k5"])
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # the fixtures are frozen designs
+@given(data=st.data())
+def test_point_stabiliser_orbits_follow_a_relabelling_that_fixes_0(name, data, coin_design6, fano_c3):
+    # the search's placement order depends on the labels, its orbits must not
+    d = {"fano": steiner_triple_system(7), "pg2": projective_plane_decomposition(2),
+         "fano-c3": fano_c3,
+         "even7": extend_to_even(steiner_triple_system(7)), "coin6": coin_design6,
+         "6-3": adjusted_decomposition(6, 3),
+         "k5": Decomposition(5, 3, (Block(BlockKind.K2T1, (0, 1, 2, 3, 4)),))}[name]
+    sigma = (0, *data.draw(st.permutations(range(1, d.n))))
+    moved = Decomposition(d.n, d.t, tuple(Block(b.kind, tuple(sigma[v] for v in b.vertices)) for b in d.blocks))
+    images = sorted(tuple(sorted(sigma[x] for x in orbit)) for orbit in designs.point_stabiliser_orbits(d))
+    assert designs.point_stabiliser_orbits(moved) == images
+
+
+def test_point_stabiliser_orbits_of_the_triple_systems_pinned():
+    # the orbit lists predate the one search shared with the pattern orbits
+    assert designs.point_stabiliser_orbits(steiner_triple_system(13)) == [
+        (1, 3, 12), (2, 8, 9), (4, 5, 11), (6, 7, 10)]
+    assert designs.point_stabiliser_orbits(steiner_triple_system(15)) == [
+        (1, 2, 3, 4), (5,), (6, 7, 8, 9), (10,), (11, 12, 13, 14)]
+    assert designs.point_stabiliser_orbits(steiner_triple_system(19)) == [(x,) for x in range(1, 19)]
 
 
 def test_point_stabiliser_orbits_refuse_what_is_not_a_partition():

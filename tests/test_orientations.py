@@ -24,6 +24,7 @@ from orient_boost.orientations import (
     tournament_from_hex_text,
     tournament_from_json,
     transitive_tournament,
+    vertex_orbits,
 )
 from orient_boost.rng import stream_for
 
@@ -65,7 +66,7 @@ def test_identities_on_random_orientations():
         s = stats(h)
         assert s.plus == 3 * s.f + s.c + s.g
         assert s.minus == 2 * s.g + s.i
-        assert s.plus == sum(do * di for do, di in zip(h.out_degrees(), h.in_degrees()))
+        assert s.plus == sum(b == c for _, b in h.edges for c, _ in h.edges)
 
 
 def triple_shape_counts(h):
@@ -433,3 +434,12 @@ def test_tournament_degree_helpers():
     t = random_tournament(9, 0)
     assert sum(t.out_degrees()) == 9 * 8 // 2
     assert transitive_tournament(6).is_balanced() is False
+
+
+def test_vertex_orbits_at_n_21_pinned():
+    # relabelled by v -> 5v + 3 (mod 21), so the search cannot lean on the numeric order;
+    # the orbit lists predate the one search shared with the design stabiliser
+    relabel = [(5 * v + 3) % 21 for v in range(21)]
+    assert vertex_orbits(make_pattern("cycle", 21).relabel(relabel)) == [tuple(range(21))]
+    assert vertex_orbits(make_pattern("path", 21).relabel(relabel)) == [(v,) for v in range(21)]
+    assert vertex_orbits(make_pattern("k_regular_random", 21, k=2, seed=3)) == [(v,) for v in range(21)]
