@@ -28,7 +28,6 @@ from .designs import (
     Decomposition,
     ValidationReport,
     adjusted_decomposition,
-    backtracking_kt_decomposition,
     decomposition_from_json,
     extend_to_even,
     point_stabiliser_orbits,

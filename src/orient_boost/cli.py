@@ -88,37 +88,38 @@ def _check_output_dirs(*paths: str | None) -> None:
             raise OrientBoostError(f"output directory does not exist: {os.path.dirname(path)}")
 
 
-def _load_inputs(args, seed: int) -> tuple[Orientation | None, designs.Decomposition, str, sampling.BaseTournaments]:
-    """The pattern (None for sample), design, design label and bases of a run.
+def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, str, sampling.BaseTournaments]:
+    """The seed, pattern (None for sample), design, design label and bases of a run.
 
-    Every file the run names is checked, and every input read, before the
-    design is built, so a missing or malformed input, or an output directory
-    that does not exist, is refused before any design search or sum.  Bases
-    not given by file are the circulant ones.
+    Every file the run names, and every output directory, is checked before
+    the seed is resolved, so a refused run prints no generated seed; every
+    input is read before the design is built, so a missing or malformed
+    input is refused before any design search or sum.  Bases not given by
+    file are the circulant ones.
     """
     for path in (getattr(args, "pattern_file", None), args.design, args.base, args.base_star):
         if path is not None and not os.path.exists(path):
             raise OrientBoostError(f"referenced file does not exist: {path}")
     _check_output_dirs(getattr(args, "output", None), getattr(args, "sidecar", None))
+    seed = _resolve_seed(args)
     h = _pattern_from_args(args, seed) if hasattr(args, "pattern") else None
     r, rstar = (_load_tournament(path) if path else None for path in (args.base, args.base_star))
     d, design_label = _design_from_args(args, args.n)
     bases = sampling.BaseTournaments(r or sampling.circulant_regular_tournament(d.t),
                                      rstar or sampling.circulant_regular_tournament(2 * d.t - 1))
-    return h, d, design_label, bases
+    return seed, h, d, design_label, bases
 
 
 def _run(args, *, exact: bool):
     """The one run behind estimate, exact-expect and experiment.
 
-    Reads the worker count (Monte Carlo only), resolves the seed, loads the
-    inputs once and takes the exact sum or the Monte Carlo estimate.
+    Reads the worker count (Monte Carlo only), loads the inputs and the
+    seed once and takes the exact sum or the Monte Carlo estimate.
     Returns the run's CSV row, the ExactSummary or EstimateReport, the
     baseline n!/2^e, the design and the bases.
     """
     workers = 1 if exact else counting.worker_count_from_env()
-    seed = _resolve_seed(args)
-    h, d, design_label, bases = _load_inputs(args, seed)
+    seed, h, d, design_label, bases = _load_inputs(args)
     baseline = counting.baseline_expected_copies(h)
     # samples, baseline_log2, estimate_log2, ratio, stderr_ratio, typical_frac
     if exact:
@@ -178,10 +179,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    seed = _resolve_seed(args)
     if not args.design and args.n is None:
         raise ValueError("need either --design or --n")
-    _, d, _, bases = _load_inputs(args, seed)
+    seed, _, d, _, bases = _load_inputs(args)
     chunks = []
     for index in range(args.samples):
         t = sampling.sample(d, bases, sampling.SampleSeed(seed, index))
@@ -311,9 +311,10 @@ def _cmd_verify(args) -> int:
           all(list(stream_permutations(11, 0, 500, n)) == [stream_for(11, i).permutation(n) for i in range(500)]
               for n in (7, 21)))
 
-    mods, streams = sampling.sampling_plan(fano, bases).mods, [stream_for(5, i) for i in range(100)]
+    plan, streams = sampling.sampling_plan(fano, bases), [stream_for(5, i) for i in range(100)]
     check("packed sampler draws equal the scalar Stream draws on 100 seeds (Fano)",
-          all(stream_residues(5, i, mods) == tuple(map(streams[i].below, mods)) for i in range(100)))
+          all(stream_residues(5, i, plan.mods, plan.limits) == tuple(map(streams[i].below, plan.mods))
+              for i in range(100)))
 
     kernel = counting.CopyKernel(c7, fano, bases)
     check("closed-form factors equal enumerated factors on 500 sampled copies",

@@ -357,51 +357,14 @@ class _Budget:
                                       budget=self.nodes)
 
 
-def backtracking_kt_decomposition(edges, t: int, *, node_budget: int = NODE_BUDGET) -> list[Block] | None:
-    """Partition an edge set into K_t blocks by deterministic backtracking (``_kt_search``).
-
-    Returns the block list, or None once the search space is exhausted.
-    Raises ValueError for t below 2 or a node budget below 1,
-    InvalidDecompositionError for a duplicate edge, CongruenceError up front
-    when the divisibility preconditions fail, and BudgetExceededError,
-    carrying the budget, when the node budget (one node per candidate block
-    tried) runs out.
-    """
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got t={t}")
-    if node_budget < 1:
-        raise ValueError(f"node budget must be at least 1, got {node_budget}")
-    edge_list = [tuple(sorted(e)) for e in edges]
-    if len(set(edge_list)) != len(edge_list):
-        raise InvalidDecompositionError("duplicate edge in input graph")
-    if not edge_list:
-        return []
-    verts = sorted({v for e in edge_list for v in e})
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)  # bit j of adj[i]: edge {verts[i], verts[j]} still uncovered
-    for u, v in edge_list:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
-    per_block = t * (t - 1) // 2
-    if len(edge_list) % per_block:
-        raise CongruenceError(f"{len(edge_list)} edges not divisible by t(t-1)/2 = {per_block}")
-    for i, v in enumerate(verts):
-        if adj[i].bit_count() % (t - 1):
-            raise CongruenceError(f"degree of vertex {v} is {adj[i].bit_count()}, not divisible by t-1 = {t - 1}")
-
-    blocks = _kt_search(adj, t, _Budget(node_budget))
-    if blocks is None:
-        return None
-    return [Block(BlockKind.KT, tuple(verts[x] for x in vs)) for vs in blocks]
-
-
 def _kt_search(adj: list[int], t: int, budget: _Budget) -> list[tuple[int, ...]] | None:
     """K_t blocks partitioning the edges of the bit rows `adj`, by lexicographic backtracking.
 
     Bit w of adj[v] says the edge {v, w} is uncovered; the rows are cleared
-    as blocks are placed, and rows of isolated vertices are skipped.
-    Branches on the lexicographically smallest uncovered pair and tries the
-    K_t blocks through it in lexicographic order.  Forward check: once a
+    as blocks are placed, and rows of isolated vertices are skipped.  t is
+    at least 3, as ``adjusted_decomposition`` requires.  Branches on the
+    lexicographically smallest uncovered pair and tries the K_t blocks
+    through it in lexicographic order.  Forward check: once a
     block is removed, every residual edge at a block vertex must still lie
     in a K_t of the residual graph, i.e. its common neighbourhood must still
     span a K_(t-2).  An edge that fails can never be covered, so the check
@@ -479,7 +442,7 @@ def _kt_search(adj: list[int], t: int, budget: _Budget) -> list[tuple[int, ...]]
             mask = 0
             for x in vs:
                 mask |= 1 << x
-            if t > 2 and not coverable(vs, mask):  # at t = 2 every edge is a K_2
+            if not coverable(vs, mask):
                 continue
             for x in vs:
                 adj[x] &= ~mask

@@ -14,6 +14,12 @@ included: ``stream_residues`` gives the residues of ``Stream.below`` for a
 list of moduli on one stream, all the draws of a tournament sample, and
 ``stream_permutations`` yields ``stream_for(master, i).permutation(n)`` for a
 range of indices, the copies of the Monte Carlo scan.
+
+An output is rejected at or over its modulus's limit from
+``rejection_limits``.  ``stream_residues`` takes the limits with the moduli,
+so a caller drawing many samples, a sampling plan, computes them once;
+``stream_permutations`` computes its n - 1 limits once per call.  The one
+cache the module keeps is ``_layout``'s packing constants per lane shape.
 """
 
 from __future__ import annotations
@@ -136,40 +142,22 @@ def _words(master: int, lo: int, count: int, draws: int) -> Sequence[int]:
     return memoryview(z.to_bytes(16 * count * draws, "little")).cast("Q")[::2].tolist()
 
 
-@lru_cache(maxsize=16)
-def _cached_limits(mods: tuple[int, ...]) -> tuple[int, ...]:
+def rejection_limits(mods: Sequence[int]) -> tuple[int, ...]:
+    """The rejection limit of ``Stream.below(m)`` for each modulus m: an output
+    at or over it is redrawn.  A modulus of 2^64 has limit 2^64 and never redraws."""
     return tuple((1 << 64) - (1 << 64) % m for m in mods)
 
 
-# (moduli, limits) of the last ``_limits`` call
-_last_limits: tuple = ((), ())
-
-
-def _limits(mods: tuple[int, ...]) -> tuple[int, ...]:
-    """The rejection limit of ``Stream.below(m)`` for each modulus m: an output
-    at or over it is redrawn.  A modulus of 2^64 has limit 2^64 and never redraws.
-
-    Limits are cached for the 16 moduli tuples used last.  A tuple does not
-    keep its hash, and a sampling plan draws one long tuple per sample, so
-    the tuple of the previous call is matched by identity first.
-    """
-    global _last_limits
-    last, limits = _last_limits
-    if mods is not last:
-        limits = _cached_limits(mods)
-        _last_limits = mods, limits
-    return limits
-
-
-def stream_residues(master: int, index: int, mods: tuple[int, ...]) -> tuple[int, ...]:
+def stream_residues(master: int, index: int, mods: Sequence[int], limits: Sequence[int]) -> tuple[int, ...]:
     """``tuple(map(stream.below, mods))`` for ``stream = stream_for(master, index)``,
-    from one packed pass.
+    from one packed pass; ``limits`` is ``rejection_limits(mods)``, which a
+    caller drawing many tuples of the same moduli computes once.
 
     If an output reaches its rejection limit, which ``below`` would redraw,
     the whole tuple is drawn from the scalar stream instead.
     """
     words = _words(master, index, 1, len(mods))
-    if all(map(lt, words, _limits(mods))):
+    if all(map(lt, words, limits)):
         return tuple(map(mod, words, mods))
     return tuple(map(stream_for(master, index).below, mods))
 
@@ -186,7 +174,7 @@ def stream_permutations(master: int, lo: int, hi: int, n: int) -> Iterator[list[
     draws = max(n - 1, 0)
     per = max(1, _LANES // max(draws, 1))
     tops = range(n - 1, 0, -1)
-    limits = _limits(tuple(range(n, 1, -1)))
+    limits = rejection_limits(range(n, 1, -1))
     for start in range(lo, hi, per):
         count = min(per, hi - start)
         words = _words(master, start, count, draws)

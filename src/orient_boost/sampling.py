@@ -10,9 +10,9 @@ tournament; the even-n star-path layer yields a balanced one.
 A sample walks the blocks in order on one stream: a complete block of size k
 takes the k - 1 draws of ``Stream.permutation(k)``, a coin block one
 ``Stream.coin()``.  ``SamplingPlan`` lays that walk out once per (design,
-bases) pair as a list of moduli, so a sample is one call of
-``rng.stream_residues``, which packs the draws and handles their rejection,
-and a table lookup per block.
+bases) pair as its moduli ``mods`` and their rejection ``limits``, so a
+sample is one call of ``rng.stream_residues``, which packs the draws and
+handles their rejection, and a table lookup per block.
 
 Every draw is a tournament exactly when the blocks partition the pairs of
 K_n, a property of the design alone: the plan checks it once, by
@@ -31,7 +31,7 @@ from itertools import permutations
 from .designs import Block, BlockKind, Decomposition
 from .errors import BudgetExceededError, InvalidTournamentError
 from .orientations import Tournament, _unchecked_tournament, searched_orbits
-from .rng import stream_residues
+from .rng import rejection_limits, stream_residues
 
 
 def circulant_regular_tournament(m: int) -> Tournament:
@@ -139,12 +139,13 @@ class SamplingPlan:
 
     Draw ``i`` of a sample is ``Stream.below(mods[i])``: a complete block of
     size k owns the moduli k, k-1, ..., 2 of ``Stream.permutation(k)``, a coin
-    block one modulus 2^64, the raw word whose top bit is ``Stream.coin()``.
-    A complete block keeps a table spreading local bit masks onto its
-    vertices, and its kind's memo of local out-masks by draws; a block of a
-    kind with too many relabelings to memoise gets its global out-masks
-    straight from the draws.  A coin block keeps its out-masks along
-    ``Block.arcs()`` and reversed.
+    block one modulus 2^64, the raw word whose top bit is ``Stream.coin()``;
+    ``limits`` holds each modulus's rejection limit.  A complete block keeps
+    a table spreading local bit masks onto its vertices, and its kind's
+    memo of local out-masks by draws; a block of a kind with too many
+    relabelings to memoise gets its global out-masks straight from the
+    draws.  A coin block keeps its out-masks along ``Block.arcs()`` and
+    reversed.
 
     A design whose blocks do not partition the pairs of K_n is refused here
     by ``checked_pair_index``, run for its check alone, before any draw; so
@@ -179,6 +180,7 @@ class SamplingPlan:
                 arcs = block.arcs()
                 self._coins.append((at, _coin_masks(arcs), _coin_masks((v, u) for u, v in arcs)))
         self.mods = tuple(mods)
+        self.limits = rejection_limits(mods)
 
     def orient(self, residues: tuple[int, ...]) -> Tournament:
         """The tournament the draws pick, each block ORed into the rows, unchecked."""
@@ -232,7 +234,7 @@ def sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tourna
     taken by ``rng.stream_residues``.
     """
     plan = sampling_plan(d, bases)
-    return plan.orient(stream_residues(seed.master, seed.index, plan.mods))
+    return plan.orient(stream_residues(seed.master, seed.index, plan.mods, plan.limits))
 
 
 def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:

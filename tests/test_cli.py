@@ -567,6 +567,22 @@ def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, error, message", [
+    (("sample", "--samples", "1"), "ValueError", "need either --design or --n"),
+    (("estimate", "--n", "7", "--samples", "10", "--design", "nothere.json"),
+     "OrientBoostError", "referenced file does not exist: nothere.json"),
+    (("experiment", "--n", "7", "--samples", "10", "--output", "nodir/x.csv"),
+     "OrientBoostError", "output directory does not exist: nodir"),
+])
+def test_a_refused_run_prints_no_generated_seed(capsys, tmp_path, monkeypatch, argv, error, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": error, "message": message}
+
+
 @pytest.mark.parametrize("command", ["count", "estimate", "exact-expect"])
 def test_a_pattern_file_on_another_vertex_count_is_refused(capsys, tmp_path, tournament7, command):
     pattern = tmp_path / "c7.json"

@@ -15,9 +15,9 @@ from orient_boost.designs import (
     Decomposition,
     _Budget,
     _disjoint_cliques,
+    _kt_search,
     _triangle_c4_factor,
     adjusted_decomposition,
-    backtracking_kt_decomposition,
     decomposition_from_json,
     extend_to_even,
     gcd_identity_holds,
@@ -111,10 +111,15 @@ def counting_nodes():
         yield spent
 
 
-def counted_search(edges, t, node_budget=2_000_000):
-    """backtracking_kt_decomposition with the nodes it spent."""
-    with counting_nodes() as spent:
-        return backtracking_kt_decomposition(edges, t, node_budget=node_budget), len(spent)
+def counted_search(edges, t):
+    """_kt_search on the bit rows of the edge list, its blocks as Blocks, with the nodes it spent."""
+    adj = [0] * (1 + max((v for e in edges for v in e), default=-1))
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    with counting_nodes() as spent:  # designs._Budget is the counting one inside this block
+        blocks = _kt_search(adj, t, designs._Budget(2_000_000))
+    return (None if blocks is None else [Block(BlockKind.KT, vs) for vs in blocks]), len(spent)
 
 
 @pytest.mark.parametrize("n", [7, 9, 13, 15, 19, 21, 25, 27, 31, 33])
@@ -190,7 +195,7 @@ def test_projective_plane_unsupported_order():
 
 
 def test_backtracking_complete_graphs():
-    blocks = backtracking_kt_decomposition(complete_edges(7), 3)
+    blocks, _ = counted_search(complete_edges(7), 3)
     assert len(blocks) == 7
     cover = sorted(e for b in blocks for e in b.edges())
     assert cover == complete_edges(7)
@@ -199,42 +204,14 @@ def test_backtracking_complete_graphs():
 def test_backtracking_k11_minus_k5():
     k5 = set(complete_edges(5))
     edges = [e for e in complete_edges(11) if e not in k5]
-    blocks = backtracking_kt_decomposition(edges, 3)
+    blocks, _ = counted_search(edges, 3)
     assert len(blocks) == 15
     cover = sorted(e for b in blocks for e in b.edges())
     assert cover == sorted(edges)
 
 
-def test_backtracking_divisibility_errors():
-    with pytest.raises(CongruenceError, match="not divisible"):
-        backtracking_kt_decomposition(complete_edges(5), 3)
-    # degrees not divisible by t-1: path graph
-    with pytest.raises(CongruenceError, match="degree"):
-        backtracking_kt_decomposition([(0, 1), (1, 2), (2, 3)], 3)
-
-
-def test_backtracking_node_budget():
-    with pytest.raises(BudgetExceededError, match="budget of 3 nodes") as exc:
-        backtracking_kt_decomposition(complete_edges(13), 3, node_budget=3)
-    assert exc.value.budget == 3
-
-
-@pytest.mark.parametrize("t", [-1, 0, 1, 2])
-def test_backtracking_degenerate_t(t):
-    edges = complete_edges(5)
-    if t < 2:
-        with pytest.raises(ValueError, match=f"t must be at least 2, got t={t}"):
-            backtracking_kt_decomposition(edges, t)
-    else:  # every edge is its own K_2 block, and passes the check
-        blocks, spent = counted_search(edges, t)
-        assert [b.vertices for b in blocks] == edges
-        assert spent == len(edges)
-
-
 @pytest.mark.parametrize("budget", [0, -3])
 def test_non_positive_node_budget_is_rejected(budget):
-    with pytest.raises(ValueError, match="node budget"):
-        backtracking_kt_decomposition(complete_edges(7), 3, node_budget=budget)
     with pytest.raises(ValueError, match="node budget"):
         adjusted_decomposition(25, 5, node_budget=budget)
 
@@ -398,8 +375,9 @@ def test_adjusted_13_5_infeasible():
 
 def test_adjusted_parameter_errors():
     assert adjusted_decomposition(8, 3) == extend_to_even(adjusted_decomposition(7, 3))
-    with pytest.raises(CongruenceError):
-        adjusted_decomposition(9, 4)
+    for t in (-1, 1, 2, 4):  # the K_t search is never reached below odd t = 3
+        with pytest.raises(CongruenceError, match=f"need odd t >= 3, got n=9, t={t}"):
+            adjusted_decomposition(9, t)
     with pytest.raises(CongruenceError):
         adjusted_decomposition(3, 5)
 

@@ -78,7 +78,7 @@ def _forced_limits(mods):
 def test_rejected_streams_fall_back_to_the_scalar_draw(monkeypatch, n):
     lo, hi = 5, 5 + 3 * _sub_batch(n) // 2
     want = [stream_for(-3, i).permutation(n) for i in range(lo, hi)]
-    monkeypatch.setattr(rng, "_limits", _forced_limits)
+    monkeypatch.setattr(rng, "rejection_limits", _forced_limits)
     redrawn = []
     monkeypatch.setattr(rng, "stream_for", lambda master, index=0: redrawn.append(index) or stream_for(master, index))
     assert list(stream_permutations(-3, lo, hi, n)) == want
@@ -86,7 +86,7 @@ def test_rejected_streams_fall_back_to_the_scalar_draw(monkeypatch, n):
     assert 0.2 * (hi - lo) < len(redrawn) < 0.8 * (hi - lo)
     mods = tuple(range(n, 1, -1))
     redrawn.clear()
-    got = [stream_residues(-3, i, mods) for i in range(lo, hi)]
+    got = [stream_residues(-3, i, mods, _forced_limits(mods)) for i in range(lo, hi)]
     assert got == [tuple(map(stream_for(-3, i).below, mods)) for i in range(lo, hi)]
     assert 0.2 * (hi - lo) < len(redrawn) < 0.8 * (hi - lo)
 
@@ -107,7 +107,7 @@ class _Scripted(Stream):
 @pytest.mark.parametrize("n", [2, 3, 21, 70])
 def test_draw_limits_are_the_scalar_rejection_thresholds(n):
     mods = tuple(range(n, 1, -1)) + (1, 1 << 64)
-    limits = rng._limits(mods)
+    limits = rng.rejection_limits(mods)
     assert len(limits) == len(mods)
     for m, limit in zip(mods, limits):
         assert _Scripted([limit - 1]).below(m) == (limit - 1) % m
@@ -117,9 +117,10 @@ def test_draw_limits_are_the_scalar_rejection_thresholds(n):
 
 def test_a_coin_modulus_never_rejects():
     # 2^64 is the coin's modulus: the raw word, whose top bit Stream.coin() reads
-    assert rng._limits((1 << 64,)) == (1 << 64,)
+    assert rng.rejection_limits((1 << 64,)) == (1 << 64,)
     stream = stream_for(3, 4)
-    assert stream_residues(3, 4, (1 << 64,) * 5) == tuple(stream.next_u64() for _ in range(5))
+    mods = (1 << 64,) * 5
+    assert stream_residues(3, 4, mods, rng.rejection_limits(mods)) == tuple(stream.next_u64() for _ in range(5))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -146,7 +147,7 @@ MODULI = st.one_of(st.integers(1, 70), st.integers(1, 1 << 64), st.just(1 << 64)
 def test_stream_residues_equal_the_scalar_below_draws(master, index, pool, length):
     mods = tuple(pool[i % len(pool)] for i in range(length))
     stream = stream_for(master, index)
-    assert stream_residues(master, index, mods) == tuple(map(stream.below, mods))
+    assert stream_residues(master, index, mods, rng.rejection_limits(mods)) == tuple(map(stream.below, mods))
 
 
 def test_the_big_endian_branch_lays_out_the_words_alike(monkeypatch):

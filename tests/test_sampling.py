@@ -370,11 +370,11 @@ def test_planned_sample_equals_the_per_pair_walk(coin_design6, name, master, ind
 
 def test_a_packed_draw_at_its_limit_is_redrawn_from_a_scalar_stream(monkeypatch):
     d, bases, seed = _design("11-3"), BaseTournaments.circulant(3), SampleSeed(3, 8)
-    mods = sampling.sampling_plan(d, bases).mods
-    words = rng._words(seed.master, seed.index, 1, len(mods))
-    limits = list(rng._limits(mods))
+    plan = sampling.sampling_plan(d, bases)
+    words = rng._words(seed.master, seed.index, 1, len(plan.mods))
+    limits = list(rng.rejection_limits(plan.mods))
     limits[-1] = words[-1]  # the K2T1 block's last draw reaches its limit
-    monkeypatch.setattr(rng, "_limits", lambda m: tuple(limits))
+    monkeypatch.setattr(plan, "limits", tuple(limits))
     redrawn = []
     monkeypatch.setattr(rng, "stream_for", lambda master, index=0: redrawn.append(index) or stream_for(master, index))
     assert sample(d, bases, seed).rows == oracle_sample(d, bases, seed).rows
@@ -396,10 +396,11 @@ def test_redrawn_words_are_read_like_the_per_pair_walk(monkeypatch):
                 return u % n
 
     monkeypatch.setattr(Stream, "below", below)
-    monkeypatch.setattr(rng, "_limits", lambda mods: tuple(map(limit, mods)))
+    d, bases = _design("even-12"), BaseTournaments.circulant(3)
+    plan = sampling.sampling_plan(d, bases)
+    monkeypatch.setattr(plan, "limits", tuple(map(limit, plan.mods)))
     redrawn = []
     monkeypatch.setattr(rng, "stream_for", lambda master, index=0: redrawn.append(index) or stream_for(master, index))
-    d, bases = _design("even-12"), BaseTournaments.circulant(3)
     for index in range(20):
         seed = SampleSeed(5, index)
         assert sample(d, bases, seed).rows == oracle_sample(d, bases, seed).rows
@@ -411,7 +412,7 @@ def test_relabeling_memo_is_bounded():
     large = SamplingPlan(_design("13-7"), BaseTournaments.circulant(7))
     for index in range(300):
         for plan in (small, large):
-            plan.orient(stream_residues(1, index, plan.mods))
+            plan.orient(stream_residues(1, index, plan.mods, plan.limits))
     memos = {id(memo): memo for *_, memo, _ in small._complete}
     assert len(memos) == 1 and 0 < len(*memos.values()) <= 120
     assert [memo for *_, memo, _ in large._complete] == [None]
@@ -421,6 +422,7 @@ def test_sampling_plan_is_built_once_per_pair():
     d, bases = _design("fano"), BaseTournaments.circulant(3)
     assert sampling.sampling_plan(d, bases) is sampling.sampling_plan(d, bases)
     assert sampling.sampling_plan(d, bases).mods == (3, 2) * 7
+    assert sampling.sampling_plan(d, bases).limits == rng.rejection_limits((3, 2) * 7)
 
 
 def test_plans_are_matched_by_identity_then_by_equality():
