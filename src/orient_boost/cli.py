@@ -36,14 +36,6 @@ from .orientations import (
 from .rng import stream_for, stream_permutations, stream_residues
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = int.from_bytes(os.urandom(8), "big")
-    print(f"generated seed: {seed}", file=sys.stderr)
-    return seed
-
-
 def _load_orientation(path: str, fmt: str | None) -> Orientation:
     with open(path) as fh:
         text = fh.read()
@@ -61,6 +53,9 @@ def _load_tournament(path: str):
 
 
 def _pattern_from_args(args, seed: int) -> Orientation:
+    if args.k is not None and (args.pattern_file or args.pattern != "k_regular_random"):
+        given = f"--pattern-file {args.pattern_file}" if args.pattern_file else f"--pattern {args.pattern}"
+        raise OrientBoostError(f"--k is the degree of --pattern k_regular_random; it does not apply to {given}")
     if args.pattern_file:
         h = _load_orientation(args.pattern_file, None)
         if h.n != args.n:
@@ -91,22 +86,25 @@ def _check_output_dirs(*paths: str | None) -> None:
 def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, str, sampling.BaseTournaments]:
     """The seed, pattern (None for sample), design, design label and bases of a run.
 
-    Every file the run names, and every output directory, is checked before
-    the seed is resolved, so a refused run prints no generated seed; every
-    input is read before the design is built, so a missing or malformed
-    input is refused before any design search or sum.  Bases not given by
-    file are the circulant ones.
+    Every file the run names, and every output directory, is checked first;
+    every input is read before the design is built, so a missing or
+    malformed input is refused before any design search or sum.  A seed not
+    given is generated before the pattern is drawn from it, and printed once
+    the design and bases are built, so a refused run prints none.  Bases
+    not given by file are the circulant ones.
     """
     for path in (getattr(args, "pattern_file", None), args.design, args.base, args.base_star):
         if path is not None and not os.path.exists(path):
             raise OrientBoostError(f"referenced file does not exist: {path}")
     _check_output_dirs(getattr(args, "output", None), getattr(args, "sidecar", None))
-    seed = _resolve_seed(args)
+    seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big")
     h = _pattern_from_args(args, seed) if hasattr(args, "pattern") else None
     r, rstar = (_load_tournament(path) if path else None for path in (args.base, args.base_star))
     d, design_label = _design_from_args(args, args.n)
     bases = sampling.BaseTournaments(r or sampling.circulant_regular_tournament(d.t),
                                      rstar or sampling.circulant_regular_tournament(2 * d.t - 1))
+    if args.seed is None:
+        print(f"generated seed: {seed}", file=sys.stderr)
     return seed, h, d, design_label, bases
 
 

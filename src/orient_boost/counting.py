@@ -10,10 +10,10 @@ block's whole contribution), sums it over all permutations on tiny instances
 (``exact_copy_summary``, one kernel for every pattern vertex orbit and every
 orbit of the design's point stabiliser, budgeted by the terms it sums), and
 estimates it by seeded Monte Carlo otherwise (``estimate_expected_copies``).
-Both accumulate into one record of exact partial sums, ``_ExactSums``: a
-block of copies holds few distinct terms, so each is tallied and added once,
-times its count.  The worker pool merges the records of its chunks with
-``_ExactSums.merge``.  A Monte Carlo chunk takes its permutations from
+Both feed one record of exact partial sums, ``_ExactSums``, through its one
+entry ``tally``, which adds each distinct term of a fold of ``_FOLD`` copies
+once, times its count.  The worker pool merges the records of its chunks
+with ``_ExactSums.merge``.  A Monte Carlo chunk takes its permutations from
 ``rng.stream_permutations``, the batched draw whose scalar oracle is
 ``stream_for(master, i).permutation(n)``.
 
@@ -454,12 +454,8 @@ class CopyKernel:
     # -- grouping ----------------------------------------------------------
 
     def groups(self, pi) -> dict[int, list[tuple[int, int]]]:
-        """H-edges keyed by the index of the block covering their image."""
+        """H-edges keyed by the index of the block covering their image; pi is checked."""
         self._check_permutation(pi)
-        return self._groups(pi)
-
-    def _groups(self, pi) -> dict[int, list[tuple[int, int]]]:
-        """``groups`` without the permutation check, for callers that made it."""
         out: dict[int, list[tuple[int, int]]] = {}
         pair_block = self.pair_block
         for edge in self.h_edges:
@@ -589,9 +585,8 @@ class CopyKernel:
             return self.ratio_and_stats(pi)[0]
         if method != "enumerate":
             raise ValueError(f"unknown method {method!r}; use 'auto' or 'enumerate'")
-        self._check_permutation(pi)
         result = Fraction(1)
-        for bid, group in self._groups(pi).items():
+        for bid, group in self.groups(pi).items():
             if self.block_kind[bid].complete:
                 hits, total = self._injection_hits(bid, *self._complete_shape(bid, group))
             else:
@@ -673,6 +668,9 @@ def typical_closed_form(stats: CopyBlockStats, e: int, t: int) -> Fraction:
     return p
 
 
+_FOLD = 4096  # copies per Counter of ``_ExactSums.tally``: a long scan holds one fold's terms
+
+
 class _ExactSums:
     """The one record of a run's exact partial sums: over its copies, the
     ratio, its square and the capture counts.
@@ -680,11 +678,12 @@ class _ExactSums:
     Ratios are summed as integer numerators keyed by their reduced
     denominator, and squares keyed by its square, so a distinct term costs
     one gcd instead of two Fraction additions; ``add(..., times=k)`` adds k
-    equal copies at that cost, which is how the scans fold their tallies of
-    distinct terms (a Monte Carlo chunk of 4,000 C8 copies on the even
-    extension of STS(7) holds 6 of them).  Records of disjoint index ranges
-    combine with ``merge``, which adds integers only, so the merged record
-    does not depend on how the range was split or in which order.
+    equal copies at that cost.  Copies enter a record only through
+    ``tally``, which adds each distinct term of a fold of copies once (a
+    Monte Carlo chunk of 4,000 C8 copies on the even extension of STS(7)
+    holds 6 of them).  Records of disjoint index ranges combine with
+    ``merge``, which adds integers only, so the merged record does not
+    depend on how the range was split or in which order.
     """
 
     def __init__(self):
@@ -707,6 +706,16 @@ class _ExactSums:
             if x:
                 self.s[k] += x * times
                 self.sq[k] += x * x * times
+
+    def tally(self, kernel: CopyKernel, pis, weight: int = 1) -> "_ExactSums":
+        """Add the copies ``pis``, scored by ``kernel._terms``, each ``weight``
+        times, and return this record.  The terms of ``_FOLD`` copies at a time
+        are counted, and each distinct one is added once, times its count."""
+        pis = iter(pis)
+        while fold := Counter(map(kernel._terms, islice(pis, _FOLD))):
+            for terms, k in fold.items():
+                self.add(*terms, times=k * weight)
+        return self
 
     def merge(self, other: "_ExactSums") -> "_ExactSums":
         """Add the sums of ``other`` into this record and return it."""
@@ -754,9 +763,8 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     stabiliser orbit P.  S_u,p sums (n-2)! copies: the first (n-2)! of
     ``permutations([0, p, ...])``, those with 0 and p in front, spread onto
     positions u, w and the rest.  A design without symmetry has singleton
-    orbits, and the sum is (n-1)! terms per pattern orbit.  Each block of
-    copies tallies its distinct terms and adds each once, times its count
-    and weight.
+    orbits, and the sum is (n-1)! terms per pattern orbit.  The copies of
+    each (u, P) are one ``_ExactSums.tally``, of weight |orbit(u)| · |P|.
 
     The budget counts the terms summed, (pattern orbits) · (stabiliser
     orbits) · (n-2)!, against budget_n!.  That is at most n!, so any budget_n
@@ -784,9 +792,7 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
         slot = [0 if x == u else x + (x < u) for x in range(n)]
         for head, size in heads:
             values = [*head, *(v for v in range(n) if v not in head)]
-            pis = map(itemgetter(*slot), islice(permutations(values), per_head))
-            for terms, k in Counter(map(kernel._terms, pis)).items():
-                acc.add(*terms, times=k * len(orbit) * size)
+            acc.tally(kernel, map(itemgetter(*slot), islice(permutations(values), per_head)), len(orbit) * size)
     total, _, typical, sums, _ = acc.totals()
     nfact = math.factorial(n)
     return ExactSummary(
@@ -819,15 +825,6 @@ class EstimateReport:
     capture_stderrs: tuple[float, float, float, float]
 
 
-def _scan_kernel(kernel: CopyKernel, master: int, lo: int, hi: int) -> _ExactSums:
-    """The record of sample indices [lo, hi), scanned through ``kernel``, each
-    distinct term added once, times its count."""
-    acc = _ExactSums()
-    for terms, k in Counter(map(kernel._terms, stream_permutations(master, lo, hi, kernel.n))).items():
-        acc.add(*terms, times=k)
-    return acc
-
-
 # the kernel of a pool worker process, built once by _start_worker so that its
 # memo and injection tables serve every chunk the worker scans; bases of None
 # reach the worker as they are, and its kernel builds the circulant pair there
@@ -840,13 +837,13 @@ def _start_worker(h: Orientation, d: Decomposition, bases: BaseTournaments | Non
 
 
 def _scan_worker_chunk(master: int, lo: int, hi: int) -> _ExactSums:
-    return _scan_kernel(_worker_kernel, master, lo, hi)
+    return _ExactSums().tally(_worker_kernel, stream_permutations(master, lo, hi, _worker_kernel.n))
 
 
 def _scan_samples(h, d, bases, samples: int, master: int, workers: int) -> _ExactSums:
     """The record of sample indices [0, samples): one chunk, or pool chunks merged in span order."""
     if workers <= 1 or samples < 2:
-        return _scan_kernel(CopyKernel(h, d, bases), master, 0, samples)
+        return _ExactSums().tally(CopyKernel(h, d, bases), stream_permutations(master, 0, samples, h.n))
     chunk = max(256, samples // (workers * 8))
     los = range(0, samples, chunk)
     his = [min(lo + chunk, samples) for lo in los]

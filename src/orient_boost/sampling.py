@@ -12,7 +12,9 @@ takes the k - 1 draws of ``Stream.permutation(k)``, a coin block one
 ``Stream.coin()``.  ``SamplingPlan`` lays that walk out once per (design,
 bases) pair as its moduli ``mods`` and their rejection ``limits``, so a
 sample is one call of ``rng.stream_residues``, which packs the draws and
-handles their rejection, and a table lookup per block.
+handles their rejection, and a table lookup per block.  ``sampling_plan``
+keeps the plan of the last pair drawn from, matched by identity and then by
+equality.
 
 Every draw is a tournament exactly when the blocks partition the pairs of
 K_n, a property of the design alone: the plan checks it once, by
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 
 from .designs import Block, BlockKind, Decomposition
@@ -202,11 +203,6 @@ class SamplingPlan:
         return _unchecked_tournament(self.n, tuple(rows))
 
 
-@lru_cache(maxsize=16)
-def _cached_plan(d: Decomposition, bases: BaseTournaments) -> SamplingPlan:
-    return SamplingPlan(d, bases)
-
-
 # (design, bases, plan) of the last ``sampling_plan`` call
 _last_plan: tuple = (None, None, None)
 
@@ -214,15 +210,16 @@ _last_plan: tuple = (None, None, None)
 def sampling_plan(d: Decomposition, bases: BaseTournaments) -> SamplingPlan:
     """The plan of this pair, built (its design checked) on its first draw and reused after.
 
-    Plans are cached for the 16 pairs used last, so equal designs share one.
-    The cache hashes the whole design, every block of it (about 4 us at
-    (25, 5)), so the pair of the previous call is matched by identity first.
+    One plan is kept, that of the pair of the last call.  It is matched by
+    identity first, and then by equality, which compares the whole design
+    block by block, so an equal design read afresh shares the plan.
     """
     global _last_plan
     last_d, last_bases, plan = _last_plan
     if d is last_d and bases is last_bases:
         return plan
-    plan = _cached_plan(d, bases)
+    if not (d == last_d and bases == last_bases):
+        plan = SamplingPlan(d, bases)
     _last_plan = d, bases, plan
     return plan
 

@@ -573,6 +573,11 @@ def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, 
      "OrientBoostError", "referenced file does not exist: nothere.json"),
     (("experiment", "--n", "7", "--samples", "10", "--output", "nodir/x.csv"),
      "OrientBoostError", "output directory does not exist: nodir"),
+    # refused by the design build, after the seed is generated but before it is printed
+    (("sample", "--n", "24", "--t", "5", "--node-budget", "1"), "InfeasibleAtDeskScale",
+     "n=24 extends the design on n=23: design search at (n=23, t=5) exceeded the node budget of 1 nodes"),
+    (("estimate", "--n", "13", "--t", "5", "--samples", "10"), "InfeasibleAtDeskScale",
+     "need 3 vertex-disjoint K_9 copies, which requires 27 vertices but n=13"),
 ])
 def test_a_refused_run_prints_no_generated_seed(capsys, tmp_path, monkeypatch, argv, error, message):
     monkeypatch.chdir(tmp_path)
@@ -581,6 +586,27 @@ def test_a_refused_run_prints_no_generated_seed(capsys, tmp_path, monkeypatch, a
     assert out == ""
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("pattern", [("--pattern", "cycle"), ("--pattern", "path"), ("--pattern", "matching"),
+                                     ("--pattern", "k_regular_random", "--pattern-file", "c7.json")])
+@pytest.mark.parametrize("command", ["count", "estimate", "exact-expect", "experiment"])
+def test_k_on_any_other_pattern_is_refused(capsys, tmp_path, monkeypatch, tournament7, command, pattern):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the design search ran")
+
+    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c7.json").write_text(make_pattern("cycle", 7).to_json())
+    extra = {"count": ("--tournament", tournament7), "estimate": ("--samples", "10"), "exact-expect": (),
+             "experiment": ("--samples", "10", "--output", "x.csv")}[command]
+    code, out, err = run(capsys, command, "--n", "7", "--k", "3", "--seed", "1", *pattern, *extra)
+    assert code == 2
+    assert out == ""
+    given = "--pattern-file c7.json" if "--pattern-file" in pattern else f"--pattern {pattern[1]}"
+    assert json.loads(err) == {"error": "OrientBoostError", "message":
+                               f"--k is the degree of --pattern k_regular_random; it does not apply to {given}"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c7.json", "t7.json"]  # no output written
 
 
 @pytest.mark.parametrize("command", ["count", "estimate", "exact-expect"])

@@ -16,7 +16,6 @@ from orient_boost.counting import (
     CopyKernel,
     ExactSummary,
     _ExactSums,
-    _scan_kernel,
     _scan_samples,
     baseline_expected_copies,
     count_embeddings,
@@ -960,7 +959,7 @@ def test_spanning_k9_capture_counts_through_count_embeddings(monkeypatch):
 # ---------------------------------------------------------------------------
 
 GOLDEN_SCANS = {
-    # (master seed 7, sample indices [0, 300)) -> exact partial sums of _scan_kernel
+    # (master seed 7, sample indices [0, 300)) -> exact partial sums of their tally
     "cycle21-pg24": (
         Fraction(1790377, 2187), Fraction(12670119367, 4782969), 124,
         [984, 0, 0, 0], [3882, 0, 0, 0]),
@@ -972,15 +971,40 @@ GOLDEN_SCANS = {
 }
 
 
+def _golden_case(name):
+    """(pattern, design) of a GOLDEN_SCANS case."""
+    if name == "cycle8-even7":
+        return make_pattern("cycle", 8), extend_to_even(steiner_triple_system(7))
+    d = adjusted_decomposition(21, 5)
+    h = make_pattern("cycle", 21) if name == "cycle21-pg24" else \
+        make_pattern("k_regular_random", 21, k=2, seed=7)
+    return h, d
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
 def test_scan_partial_sums_are_golden(name):
-    if name == "cycle8-even7":
-        h, d = make_pattern("cycle", 8), extend_to_even(steiner_triple_system(7))
-    else:
-        d = adjusted_decomposition(21, 5)
-        h = make_pattern("cycle", 21) if name == "cycle21-pg24" else \
-            make_pattern("k_regular_random", 21, k=2, seed=7)
-    assert _scan_kernel(CopyKernel(h, d, BaseTournaments.circulant(d.t)), 7, 0, 300).totals() == GOLDEN_SCANS[name]
+    h, d = _golden_case(name)
+    kernel = CopyKernel(h, d, BaseTournaments.circulant(d.t))
+    assert _ExactSums().tally(kernel, stream_permutations(7, 0, 300, h.n)).totals() == GOLDEN_SCANS[name]
+
+
+@pytest.mark.parametrize("fold", [1, 7])
+def test_the_record_does_not_depend_on_the_fold(monkeypatch, fold):
+    kernels = [CopyKernel(*_golden_case(name)) for name in sorted(GOLDEN_SCANS)]
+    path7, fano = make_pattern("path", 7), steiner_triple_system(7)  # 4 orbits, 120 copies a head
+    exact_records = []
+    real_totals = _ExactSums.totals
+    monkeypatch.setattr(_ExactSums, "totals", lambda self: exact_records.append(vars(self)) or real_totals(self))
+
+    def records():
+        scans = [vars(_ExactSums().tally(kernel, stream_permutations(7, 0, 300, kernel.n))) for kernel in kernels]
+        summary = exact_copy_summary(path7, fano)
+        return scans, exact_records.pop(), summary
+
+    assert counting._FOLD == 4096
+    whole = records()
+    monkeypatch.setattr(counting, "_FOLD", fold)
+    assert records() == whole
 
 
 DIFFERENTIAL_DESIGNS = {
@@ -1234,11 +1258,12 @@ def test_merged_chunk_records_equal_one_scan(data, name, n_samples, pattern_seed
     bases = BaseTournaments.circulant(d.t)
     cuts = data.draw(st.lists(st.integers(1, n_samples - 1), unique=True, max_size=6)) if n_samples > 1 else []
     bounds = [0, *sorted(cuts), n_samples]
-    chunks = [_scan_kernel(CopyKernel(h, d, bases), master, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    chunks = [_ExactSums().tally(CopyKernel(h, d, bases), stream_permutations(master, lo, hi, h.n))
+              for lo, hi in zip(bounds, bounds[1:])]
     merged = _ExactSums()
     for chunk in data.draw(st.permutations(chunks)):
         assert merged.merge(chunk) is merged
-    whole = _scan_kernel(CopyKernel(h, d, bases), master, 0, n_samples)
+    whole = _ExactSums().tally(CopyKernel(h, d, bases), stream_permutations(master, 0, n_samples, h.n))
     assert vars(merged) == vars(whole)
     assert merged.totals() == whole.totals()
 
@@ -1259,15 +1284,12 @@ def test_adding_times_k_equals_k_single_adds(num, den, caps, typical, times, bef
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCANS) + ["coin6"])
 def test_tallied_scan_equals_the_copy_by_copy_scan(name, coin_design6):
-    h, d = {"cycle21-pg24": (make_pattern("cycle", 21), adjusted_decomposition(21, 5)),
-            "reg2-pg24": (make_pattern("k_regular_random", 21, k=2, seed=7), adjusted_decomposition(21, 5)),
-            "cycle8-even7": (make_pattern("cycle", 8), extend_to_even(steiner_triple_system(7))),
-            "coin6": (random_orientation(6, 9, seed=3), coin_design6)}[name]
+    h, d = (random_orientation(6, 9, seed=3), coin_design6) if name == "coin6" else _golden_case(name)
     kernel = CopyKernel(h, d)
     single = _ExactSums()
     for pi in stream_permutations(5, 0, 400, h.n):
         single.add(*kernel._terms(pi))
-    assert vars(_scan_kernel(kernel, 5, 0, 400)) == vars(single)
+    assert vars(_ExactSums().tally(kernel, stream_permutations(5, 0, 400, h.n))) == vars(single)
 
 
 def test_pool_and_serial_scans_give_one_record():
