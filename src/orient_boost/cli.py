@@ -90,7 +90,8 @@ def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, 
     every input is read before the design is built, so a missing or
     malformed input is refused before any design search or sum.  A seed not
     given is generated before the pattern is drawn from it, and printed once
-    the design and bases are built, so a refused run prints none.  Bases
+    the design and bases are built and, on a design of one block such as the
+    K13 of (13,7), one copy is scored, so a refused run prints none.  Bases
     not given by file are the circulant ones.
     """
     for path in (getattr(args, "pattern_file", None), args.design, args.base, args.base_star):
@@ -104,6 +105,9 @@ def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, 
     bases = sampling.BaseTournaments(r or sampling.circulant_regular_tournament(d.t),
                                      rstar or sampling.circulant_regular_tournament(2 * d.t - 1))
     if args.seed is None:
+        if h is not None and len(d.blocks) == 1:
+            # every copy captures the same shape in the one block: one copy's score refuses them all
+            counting.CopyKernel(h, d, bases).ratio(range(h.n))
         print(f"generated seed: {seed}", file=sys.stderr)
     return seed, h, d, design_label, bases
 

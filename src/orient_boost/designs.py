@@ -335,12 +335,12 @@ def projective_plane_decomposition(q: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 # Search nodes a design build may spend: the library default and the CLI's
-# --node-budget.  It is not lowered to refuse sooner, because a node has no
-# fixed cost: the forward check's clique searches are not counted, so a node
-# takes about 10 us at (23, 5) and 160-200 us at (37, 7) (12 s for 60,000
-# nodes; 2 vCPUs, Python 3.11.7), and no one count refuses within seconds
-# everywhere.  The value is also written into every experiment sidecar, whose
-# bytes the tests pin.
+# --node-budget.  A node of the K_t search is a candidate block or a step of
+# its split check, so every clique search it makes is counted: a node takes
+# about 4 us at (23, 5), which is refused after 7-8 s, and about 3 us at
+# (37, 7) (0.17 s for 60,000 nodes).  (25, 5) builds in 2,621 nodes and
+# about 7.5 ms (2 vCPUs, Python 3.11.7).  The value is also written into
+# every experiment sidecar, whose bytes the tests pin.
 NODE_BUDGET = 2_000_000
 
 
@@ -363,70 +363,26 @@ def _kt_search(adj: list[int], t: int, budget: _Budget) -> list[tuple[int, ...]]
     Bit w of adj[v] says the edge {v, w} is uncovered; the rows are cleared
     as blocks are placed, and rows of isolated vertices are skipped.  t is
     at least 3, as ``adjusted_decomposition`` requires.  Branches on the
-    lexicographically smallest uncovered pair and tries the K_t blocks
-    through it in lexicographic order.  Forward check: once a
-    block is removed, every residual edge at a block vertex must still lie
-    in a K_t of the residual graph, i.e. its common neighbourhood must still
-    span a K_(t-2).  An edge that fails can never be covered, so the check
-    only cuts subtrees without a solution: the first decomposition found,
-    and the None result, are those of the plain lexicographic search, which
-    tries a superset of these candidates.
+    lexicographically smallest uncovered pair {u, v} and tries the K_t
+    blocks through it in lexicographic order.
 
-    The check runs one clique search per K_(t-1), not per edge: a K_(t-2)
-    C in the common neighbourhood of x and y makes C + y a K_(t-1) in the
-    neighbourhood of x, so for every c in C the K_(t-2) C - c + y settles
-    the edge {x, c} as well.  It also runs before the block is removed,
-    since removal changes only the block vertices' rows, which it reads
-    with the block masked out.  Each edge's verdict is still whether such
-    a K_(t-2) exists, so the same candidates pass and the node count is
-    that of the per-edge check.
+    Lookahead: once a block is removed, the residual neighbourhood of each
+    block vertex x, u first, must split into vertex-disjoint K_(t-1)s of the
+    residual graph (``_splits``).  Every residual edge at x must still be
+    covered by a K_t through x, and those blocks split the neighbourhood of
+    x, so a block that fails the check leaves no solution below it: the
+    first decomposition found, and the None result, are those of the plain
+    lexicographic search, which tries a superset of these candidates.  The
+    candidates are listed lazily; the rows are restored before the lister
+    resumes, so it lists what it would have listed at once.
 
     Returns the blocks as increasing vertex tuples, or None once the search
-    space is exhausted; one node of `budget` is spent per candidate block.
+    space is exhausted.  A node of `budget` is one candidate block or one
+    step of a split check, so the lookahead runs inside the budget too: K_25
+    at t = 5 takes 98 candidates and 2,523 split steps, where the plain
+    search tries 837,572 candidates.
     """
     blocks: list[tuple[int, ...]] = []
-
-    def cliques(chosen: tuple[int, ...], pool: int, out: list[tuple[int, ...]]) -> None:
-        """Extend `chosen` by vertices of `pool` to K_t vertex sets, in lexicographic order."""
-        need = t - len(chosen)
-        if need == 0:
-            out.append(chosen)
-            return
-        while pool.bit_count() >= need:
-            low = pool & -pool
-            pool ^= low
-            w = low.bit_length() - 1
-            cliques(chosen + (w,), pool & adj[w], out)
-
-    def clique(pool: int, k: int) -> int:
-        """A K_k (k >= 1) of the residual graph inside `pool`, as a bitset; 0 when there is none."""
-        if k == 1:
-            return pool & -pool
-        while pool.bit_count() >= k:
-            low = pool & -pool
-            pool ^= low
-            rest = pool & adj[low.bit_length() - 1]
-            if k == 2:
-                if rest:
-                    return low | (rest & -rest)
-            else:
-                found = clique(rest, k - 1)
-                if found:
-                    return low | found
-        return 0
-
-    def coverable(vs: tuple[int, ...], mask: int) -> bool:
-        """Forward check for the block `vs` (vertex bitset `mask`), made before it is removed."""
-        for x in vs:
-            row = adj[x] & ~mask
-            todo = row
-            while todo:
-                low = todo & -todo
-                found = clique(row & adj[low.bit_length() - 1], t - 2)
-                if not found:
-                    return False
-                todo &= ~(found | low)
-        return True
 
     def search(u: int) -> bool:
         # vertices before u have no uncovered edge left, and removals never add one
@@ -435,21 +391,18 @@ def _kt_search(adj: list[int], t: int, budget: _Budget) -> list[tuple[int, ...]]
         if u == len(adj):
             return True
         v = (adj[u] & -adj[u]).bit_length() - 1  # v > u: a neighbour below u would be uncovered
-        candidates: list[tuple[int, ...]] = []
-        cliques((u, v), adj[u] & adj[v], candidates)
-        for vs in candidates:
+        for vs in _cliques(adj, t, (u, v), adj[u] & adj[v]):
             budget.spend()
             mask = 0
             for x in vs:
                 mask |= 1 << x
-            if not coverable(vs, mask):
-                continue
             for x in vs:
                 adj[x] &= ~mask
-            blocks.append(vs)
-            if search(u):
-                return True
-            blocks.pop()
+            if all(_splits(adj, adj[x], t - 1, budget) for x in vs):
+                blocks.append(vs)
+                if search(u):
+                    return True
+                blocks.pop()
             for x in vs:
                 adj[x] |= mask ^ (1 << x)
         return False
@@ -465,6 +418,49 @@ def _bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def _cliques(adj: list[int], size: int, chosen: tuple[int, ...], pool: int):
+    """The K_size vertex sets of the rows `adj` that extend `chosen` by
+    vertices of `pool`, lazily and in lexicographic order."""
+    need = size - len(chosen)
+    if need == 0:
+        yield chosen
+        return
+    while pool.bit_count() >= need:
+        low = pool & -pool
+        pool ^= low
+        w = low.bit_length() - 1
+        yield from _cliques(adj, size, chosen + (w,), pool & adj[w])
+
+
+def _splits(adj: list[int], pool: int, size: int, budget: _Budget) -> bool:
+    """Whether the vertex bitset `pool` splits into vertex-disjoint K_size's
+    of the rows `adj` (size >= 2).
+
+    Each step spends one node of `budget`.  It fails at once when a pool
+    vertex has fewer than size - 1 pool neighbours, and otherwise branches
+    on the one with fewest (the lowest among equals), trying the K_size's
+    through it in the lexicographic order of ``_cliques``: the fewest-options
+    rule of exact cover (D. E. Knuth, "Dancing links", 2000).
+    """
+    budget.spend()
+    if not pool:
+        return True
+    branch, fewest = -1, pool.bit_count()  # above every degree inside the pool
+    for x in _bits(pool):
+        degree = (adj[x] & pool).bit_count()
+        if degree < size - 1:
+            return False
+        if degree < fewest:
+            branch, fewest = x, degree
+    for part in _cliques(adj, size, (branch,), adj[branch] & pool):
+        rest = pool
+        for x in part:
+            rest ^= 1 << x
+        if _splits(adj, rest, size, budget):
+            return True
+    return False
 
 
 def _triangle_c4_factor(adj: list[int], n: int, budget: _Budget) -> list[Block] | None:

@@ -578,6 +578,9 @@ def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, 
      "n=24 extends the design on n=23: design search at (n=23, t=5) exceeded the node budget of 1 nodes"),
     (("estimate", "--n", "13", "--t", "5", "--samples", "10"), "InfeasibleAtDeskScale",
      "need 3 vertex-disjoint K_9 copies, which requires 27 vertices but n=13"),
+    # (13,7) is one K13 block: every copy of C13 captures all of it, so one scored copy refuses the run
+    (("estimate", "--n", "13", "--t", "7", "--pattern", "cycle", "--samples", "10"), "BudgetExceededError",
+     "block 0 needs 6227020800 injections, over the budget 500000"),
 ])
 def test_a_refused_run_prints_no_generated_seed(capsys, tmp_path, monkeypatch, argv, error, message):
     monkeypatch.chdir(tmp_path)
@@ -586,6 +589,18 @@ def test_a_refused_run_prints_no_generated_seed(capsys, tmp_path, monkeypatch, a
     assert out == ""
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": error, "message": message}
+
+
+def test_a_one_edge_pattern_on_the_one_block_design_runs(capsys, tmp_path):
+    """One edge captures no shape in the K13 of (13,7), so each copy's ratio is 1."""
+    pattern = tmp_path / "edge.txt"
+    pattern.write_text("13\n0 1\n")
+    code, out, err = run(capsys, "estimate", "--n", "13", "--t", "7", "--pattern-file", str(pattern),
+                         "--samples", "10")
+    assert code == 0
+    assert err.startswith("generated seed: ")
+    obj = json.loads(out)
+    assert (obj["n"], obj["t"], obj["ratio"]) == (13, 7, 1.0)
 
 
 @pytest.mark.parametrize("pattern", [("--pattern", "cycle"), ("--pattern", "path"), ("--pattern", "matching"),

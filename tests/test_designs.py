@@ -1,7 +1,7 @@
 import hashlib
 import random
 from contextlib import contextmanager
-from itertools import permutations
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -16,6 +16,7 @@ from orient_boost.designs import (
     _Budget,
     _disjoint_cliques,
     _kt_search,
+    _splits,
     _triangle_c4_factor,
     adjusted_decomposition,
     decomposition_from_json,
@@ -37,13 +38,15 @@ def complete_edges(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def reference_kt_decomposition(edges, t, node_budget, *, forward_check=False):
+def reference_kt_decomposition(edges, t, node_budget, *, split=False):
     """The set-based lexicographic search: the oracle for the pruned one.
 
-    With `forward_check`, a candidate block is skipped when, once it is
-    removed, some residual edge {x, y} at a block vertex x has no K_(t-2)
-    in the common neighbourhood of x and y, checked edge by edge.
-    Returns (blocks or None, nodes spent), one node per candidate block tried.
+    With `split`, a candidate block is skipped when, once it is removed, the
+    residual neighbourhood of some block vertex, the branch vertex first,
+    does not split into vertex-disjoint K_(t-1)s.  A split step fails when a
+    vertex left has fewer than t-2 neighbours left, and else tries the
+    K_(t-1)s through the one with fewest, the lowest among equals.
+    Returns (blocks or None, candidate blocks tried, split steps taken).
     """
     adj = {}
     for u, v in edges:
@@ -52,6 +55,7 @@ def reference_kt_decomposition(edges, t, node_budget, *, forward_check=False):
     verts = sorted(adj)
     budget = _Budget(node_budget)
     blocks = []
+    candidates = steps = 0
 
     def cliques_through(u, v):
         def extend(chosen, pool):
@@ -65,11 +69,18 @@ def reference_kt_decomposition(edges, t, node_budget, *, forward_check=False):
 
         yield from extend([u, v], sorted(adj[u] & adj[v]))
 
-    def spans_clique(pool, k):
-        return k == 0 or any(spans_clique({w for w in pool & adj[v] if w > v}, k - 1) for v in pool)
-
-    def coverable(vs):
-        return all(spans_clique(adj[x] & adj[y], t - 2) for x in vs for y in adj[x])
+    def splits(pool):
+        nonlocal steps
+        budget.spend()
+        steps += 1
+        if not pool:
+            return True
+        degree = {x: len(adj[x] & pool) for x in pool}
+        if min(degree.values()) < t - 2:
+            return False
+        x = min(pool, key=lambda y: (degree[y], y))
+        return any(splits(pool - {x, *rest}) for rest in combinations(sorted(adj[x] & pool), t - 2)
+                   if all(b in adj[a] for a, b in combinations(rest, 2)))
 
     def toggle(vs, op):
         for a in vs:
@@ -78,13 +89,15 @@ def reference_kt_decomposition(edges, t, node_budget, *, forward_check=False):
                     op(adj[a], b)
 
     def search():
+        nonlocal candidates
         u = next((u for u in verts if adj[u]), None)
         if u is None:
             return True
         for vs in cliques_through(u, min(adj[u])):
             budget.spend()
+            candidates += 1
             toggle(vs, set.discard)
-            if not forward_check or coverable(vs):
+            if not split or all(splits(set(adj[x])) for x in vs):
                 blocks.append(vs)
                 if search():
                     return True
@@ -93,8 +106,7 @@ def reference_kt_decomposition(edges, t, node_budget, *, forward_check=False):
         return False
 
     found = search()
-    spent = node_budget - budget.left
-    return ([Block(BlockKind.KT, vs) for vs in blocks] if found else None), spent
+    return ([Block(BlockKind.KT, vs) for vs in blocks] if found else None), candidates, steps
 
 
 @contextmanager
@@ -227,8 +239,9 @@ def assert_refused_at(n, t, budget):
     assert exc.value.__cause__.budget == budget
 
 
-# nodes an unbounded build spends over its layers, K_(2t-1) placement and K_t search
-BUILD_NODES = {(9, 5): 9, (11, 3): 23, (17, 3): 4420, (25, 5): 25_417}
+# nodes an unbounded build spends over its layers, K_(2t-1) placement and K_t search,
+# a node of the K_t search being a candidate block or a split step
+BUILD_NODES = {(9, 5): 9, (11, 3): 146, (17, 3): 773, (25, 5): 2_621}
 
 
 @pytest.mark.parametrize("n, t", sorted(BUILD_NODES, key=lambda p: (p[1], p[0])))
@@ -276,36 +289,39 @@ def test_adjusted_25_5_is_the_golden_design():
     )
     blocks, spent = counted_search(complete_edges(25), 5)
     assert tuple(b.vertices for b in blocks) == GOLDEN_25_5
-    assert spent == 25_417  # the forward check cuts the plain search's 837,572
+    assert spent == 2_621  # the plain search tries 837,572 candidates
+    checked, candidates, steps = reference_kt_decomposition(complete_edges(25), 5, 2_000_000, split=True)
+    assert checked == blocks and (candidates, steps) == (98, 2_523)
 
 
 @pytest.mark.parametrize("edges, t, nodes", [
-    (complete_edges(7), 3, 7),
-    (complete_edges(9), 3, 16),
-    (complete_edges(13), 3, 860),
-    (complete_edges(15), 3, 35),
-    (complete_edges(21), 5, 21),
-    ([e for e in complete_edges(11) if e not in set(complete_edges(5))], 3, 18),
+    (complete_edges(7), 3, 49),
+    (complete_edges(9), 3, 118),
+    (complete_edges(13), 3, 4709),
+    (complete_edges(15), 3, 455),
+    (complete_edges(21), 5, 336),
+    ([e for e in complete_edges(11) if e not in set(complete_edges(5))], 3, 141),
 ], ids=["K7", "K9", "K13", "K15", "K21-t5", "K11-K5"])
 def test_backtracking_matches_reference_on_fixed_graphs(edges, t, nodes):
-    want, plain_spent = reference_kt_decomposition(edges, t, 2_000_000)
-    checked, checked_spent = reference_kt_decomposition(edges, t, 2_000_000, forward_check=True)
+    want, plain_spent, _ = reference_kt_decomposition(edges, t, 2_000_000)
+    checked, candidates, steps = reference_kt_decomposition(edges, t, 2_000_000, split=True)
     got, spent = counted_search(edges, t)
     assert got == want == checked
-    assert spent == checked_spent == nodes <= plain_spent
+    assert spent == candidates + steps == nodes
+    assert candidates <= plain_spent
 
 
 @st.composite
 def kt_unions(draw):
-    """Seeded unions of edge-disjoint K_t blocks (t = 3 or 5) on at most 13
-    vertices; half of them also hold a circulant that passes the
-    divisibility checks but is no union of K_t's (C_m, or the 4-regular
-    C_10(1,2)), laid down before the blocks."""
-    t = draw(st.sampled_from([3, 5]))
+    """Seeded unions of edge-disjoint K_t blocks (t = 3, 5 or 7) on at most
+    13 vertices; for t = 3 and 5, half of them also hold a circulant that
+    passes the divisibility checks but is no union of K_t's (C_m, or the
+    4-regular C_10(1,2)), laid down before the blocks."""
+    t = draw(st.sampled_from([3, 5, 7]))
     n = draw(st.integers(t, 13))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     edges = set()
-    sizes = [m for m in ((6, 9, 12) if t == 3 else (10,)) if m <= n]
+    sizes = [m for m in {3: (6, 9, 12), 5: (10,), 7: ()}[t] if m <= n]
     if sizes and draw(st.booleans()):
         m = rng.choice(sizes)
         ring = rng.sample(range(n), m)
@@ -323,11 +339,12 @@ def kt_unions(draw):
 @given(kt_unions())
 def test_backtracking_matches_reference_search(case):
     edges, t = case
-    want, plain_spent = reference_kt_decomposition(edges, t, 2_000_000)
-    checked, checked_spent = reference_kt_decomposition(edges, t, 2_000_000, forward_check=True)
+    want, plain_spent, _ = reference_kt_decomposition(edges, t, 2_000_000)
+    checked, candidates, steps = reference_kt_decomposition(edges, t, 2_000_000, split=True)
     got, spent = counted_search(edges, t)
     assert got == want == checked
-    assert spent == checked_spent <= plain_spent
+    assert spent == candidates + steps
+    assert candidates <= plain_spent
     if got is not None:
         assert sorted(e for b in got for e in b.edges()) == edges
 
@@ -556,6 +573,63 @@ def test_disjoint_cliques_match_the_set_based_search(graph, size, count, nodes):
     assert rows == [sum(1 << w for w in s) for s in sets]
 
 
+@st.composite
+def neighbourhoods(draw):
+    """(bit rows of a random graph on at most 13 vertices, the neighbourhood
+    of vertex 0 as the pool, t in {3, 5, 7}).  Half of them have K_(t-1)s
+    laid on a random split of the pool, whose left-over vertices are cut
+    from vertex 0, so that both answers come up."""
+    t = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(t, 13))
+    keep = draw(st.sampled_from([0.5, 0.8, 0.95]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [0] * n
+    for u, v in complete_edges(n):
+        if rng.random() < keep:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    pool = [w for w in range(n) if rows[0] >> w & 1]
+    if draw(st.booleans()):
+        rng.shuffle(pool)
+        for w in pool[len(pool) - len(pool) % (t - 1):]:
+            rows[0] ^= 1 << w
+            rows[w] ^= 1
+        del pool[len(pool) - len(pool) % (t - 1):]
+        for i in range(0, len(pool), t - 1):
+            for u, v in combinations(pool[i:i + t - 1], 2):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows, sum(1 << w for w in pool), t
+
+
+def partitions_into_cliques(rows, pool, size):
+    """Every partition of the vertex list `pool` into K_size's of the bit rows, each part a sorted tuple."""
+    if not pool:
+        return [[]]
+    first, rest = pool[0], pool[1:]
+    found = []
+    for others in combinations(rest, size - 1):
+        part = (first, *others)
+        if all(rows[a] >> b & 1 for a, b in combinations(part, 2)):
+            left = [w for w in rest if w not in others]
+            found += [[part, *tail] for tail in partitions_into_cliques(rows, left, size)]
+    return found
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(neighbourhoods())
+def test_splits_matches_the_list_of_every_partition(case):
+    """The split check answers whether some partition exists; it finishes at
+    the nodes it spent and is refused one node short."""
+    rows, pool, t = case
+    want = partitions_into_cliques(rows, [w for w in range(len(rows)) if pool >> w & 1], t - 1)
+    budget = _Budget(10**6)
+    assert _splits(rows, pool, t - 1, budget) == bool(want)
+    spent = 10**6 - budget.left
+    with pytest.raises(BudgetExceededError):
+        _splits(rows, pool, t - 1, _Budget(spent - 1))
+
+
 def test_smallest_triple_designs():
     d3 = adjusted_decomposition(3, 3)
     assert d3 == Decomposition(3, 3, (Block(BlockKind.KT, (0, 1, 2)),))
@@ -620,6 +694,15 @@ def test_adjusted_infeasible_messages_are_pinned(n, message):
     with pytest.raises(InfeasibleAtDeskScale) as exc:
         adjusted_decomposition(n, 5)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, t", [(21, 7), (33, 5)])
+def test_refusals_that_only_the_kt_search_reaches_are_pinned(n, t):
+    """The K_t search exhausts its space within the default budget: the
+    lookahead prunes most here, and None stays None."""
+    with pytest.raises(InfeasibleAtDeskScale) as exc:
+        adjusted_decomposition(n, t)
+    assert str(exc.value) == f"residual graph at (n={n}, t={t}) has no K_{t}-decomposition"
 
 
 def test_extend_to_even_from_7():
