@@ -30,7 +30,12 @@ is one of them under some labelling, so that ``count`` routes it there.  The
 engine, ``_covering_walks``, counts the paths through a set F of free
 vertices from a start set to an end set, by inclusion-exclusion over the
 subsets of F, up to 10 of them packed as lanes of one Python int per vertex,
-so a step is a few big-int adds and masks.  Hamilton paths take every vertex
+so a step is a few big-int adds and masks.  From 10 free vertices on, the
+adds of a step are planned once per count by Paar's greedy (1997, for the
+XOR networks of Reed-Solomon encoders): the pair of in-neighbours that the
+most vertices both sum is added once and shared, until no pair is shared.
+On the 16-vertex tournament of the cycle pin a step then takes 1,232 adds
+over its 32 chunks instead of 1,920.  Hamilton paths take every vertex
 for F and for both sets; a Hamilton cycle passes vertex 0 once, so the
 cycles are the paths over 1..n-1 from out(0) to in(0).  A lane is exactly as
 wide as Brégman's bound on the count (``_hamilton_bits``) and the carries of
@@ -174,6 +179,7 @@ def hamilton_shape(h: Orientation) -> str | None:
 
 _LANE_VERTICES = 10  # free vertices whose subsets share one int, one lane each
 _HAMILTON_BUDGET = 20  # largest n measured; timings in the README's budgets table
+_SHARED_SUMS_FROM = 10  # free vertices from which a count plans shared sums; README budgets table
 # bit_length(r!), and bit_length(r!)/r over one common denominator, for every
 # row sum r the Brégman bound meets: at most the number of free vertices
 _FACTORIAL_BITS = tuple(math.factorial(r).bit_length() for r in range(_HAMILTON_BUDGET + 1))
@@ -278,36 +284,129 @@ def _covering_walks(rows, free: int, starts: int, ends: int) -> int:
     count.  A walk of no steps stands on a vertex of ``starts`` with its
     lane's sign, 1 or 2^bits - 1; a step is Y[w] = (sum of X[v] over v -> w)
     & mask[w], the sum seeded by its first term, and a vertex with no active
-    in-neighbour gets mask 0.  The higher free vertices are fixed per chunk,
-    present or absent; an absent one drops out and flips the signs.  Each
-    chunk adds its walks ending in ``ends`` to one accumulator modulo
-    2^bits, whose lanes are summed once: the sum modulo 2^bits is the count
-    itself.  0 bits means there is none.
+    in-neighbour gets mask 0.  From ``_SHARED_SUMS_FROM`` free vertices on,
+    the sums share the pair sums of ``_shared_sums``, added first in each
+    step; a partial sum holds at most |F| masked lanes, within the guard
+    bits.  The higher free vertices are fixed per chunk, present or absent;
+    an absent one drops out, from the shared sums too (``_chunk_sums``), and
+    flips the signs.  Each chunk adds its walks ending in ``ends`` to one
+    accumulator modulo 2^bits, whose lanes are summed once: the sum modulo
+    2^bits is the count itself.  0 bits means there is none.
     """
     bits = _hamilton_bits(rows, free, starts, ends)
     if not bits:
         return 0
     verts = _members(free)
-    lay = _lane_layout(len(verts), bits)
+    f = len(verts)
+    lay = _lane_layout(f, bits)
     full = lay.full
+    at = {1 << v: i for i, v in enumerate(verts)}
+    ins = [[] for _ in verts]  # by index in verts: the free in-neighbours, ascending
+    for i, v in enumerate(verts):
+        out = rows[v] & free
+        while out:
+            w = out & -out
+            ins[at[w]].append(i)
+            out ^= w
+    plan = _shared_sums(ins) if f >= _SHARED_SUMS_FROM else ((), ins, ())
     low, high = verts[:lay.k], verts[lay.k:]
     acc = 0
     for chunk in range(1 << len(high)):
         kept = tuple(v for j, v in enumerate(high) if chunk >> j & 1)
         act = low + kept
         masks = lay.member + (full,) * len(kept)
-        act_rows = [rows[v] for v in act]
-        steps = []  # (first in-neighbour, the others, mask) of each target
-        for w, m in zip(act, masks):
-            ins = [i for i, r in enumerate(act_rows) if r >> w & 1]
-            steps.append((ins[0], ins[1:], m) if ins else (0, (), 0))
+        # with no high vertex every vertex is present, and x is indexed as the plan's operands
+        pairs, sums = _chunk_sums(plan, chunk << lay.k | (1 << lay.k) - 1) if high else plan[:2]
+        steps = [(s[0], s[1:], m) if s else (0, (), 0) for s, m in zip(sums, masks)]
         sign = lay.start[(len(high) - len(kept)) % 2]
         x = [sign & m if starts >> v & 1 else 0 for v, m in zip(act, masks)]
-        for _ in range(len(verts) - 1):
+        for _ in range(f - 1):
+            for a, b in pairs:
+                x.append(x[a] + x[b])
             get = x.__getitem__
-            x = [sum(map(get, rest), x[f]) & m for f, rest, m in steps]
+            x = [sum(map(get, rest), x[first]) & m for first, rest, m in steps]
         acc = (acc + sum(compress(x, [ends >> v & 1 for v in act]))) & full
     return _lane_sum(acc, lay) % (1 << bits)
+
+
+def _shared_sums(ins: list[list[int]]) -> tuple[list[tuple[int, int]], list[list[int]], list[int]]:
+    """A plan of shared pair sums for the targets w that sum the operands
+    ``ins[w]``, drawn from 0..f-1 with f = len(ins): Paar's greedy (1997).
+    While some pair of operands is summed by two targets or more, the pair
+    summed by the most (the first counted, on a tie) becomes operand f + c for
+    the c-th op, in place of both in each of those targets.
+
+    Returns the ops, the operands left to each target, and for each op the
+    bitset of the targets whose sum passes through it.  Expanded through the
+    ops, the operands of target w are ``ins[w]``, each once.  ``cols[o]``
+    holds the targets that sum operand o directly, so a pair's count is the
+    popcount of an AND, and a new op changes only the counts of its pair
+    and its own.
+    """
+    f = len(ins)
+    terms = [list(s) for s in ins]
+    cols = [0] * f
+    for w, s in enumerate(ins):
+        for o in s:
+            cols[o] |= 1 << w
+    count = {}
+    for a, b in combinations(range(f), 2):
+        if (both := (cols[a] & cols[b]).bit_count()) > 1:
+            count[a, b] = both
+    ops = []
+    while count:
+        a, b = top = max(count, key=count.__getitem__)
+        both, c = cols[a] & cols[b], len(cols)
+        ops.append(top)
+        cols[a] ^= both
+        cols[b] ^= both
+        cols.append(both)
+        del count[top]
+        near = set()  # the operands summed with a and b, whose counts with them and c change
+        for w in range(f):
+            if both >> w & 1:
+                terms[w].remove(a)
+                terms[w].remove(b)
+                near.update(terms[w])
+                terms[w].append(c)
+        for x in (a, b, c):
+            for o in near:
+                key = (o, x) if o < x else (x, o)
+                if (shared := (cols[o] & cols[x]).bit_count()) > 1:
+                    count[key] = shared
+                else:
+                    count.pop(key, None)
+    through = cols[f:]
+    for c in reversed(range(len(ops))):
+        for o in ops[c]:
+            if o >= f:
+                through[o - f] |= through[c]
+    return ops, terms, through
+
+
+def _chunk_sums(plan, live: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The plan of ``_shared_sums`` in a chunk where only the free vertices
+    of the bitset ``live`` are present, and x[j] holds the lanes of the j-th:
+    the pair sums to append to x in turn, and the slots of x that each
+    present target sums.  An op that no present target passes through is
+    dropped, and so is one with both operands absent; one with a single
+    absent operand stands for the other."""
+    ops, terms, through = plan
+    f = len(terms)
+    slot = [None] * (f + len(ops))
+    present = [i for i in range(f) if live >> i & 1]
+    for j, i in enumerate(present):
+        slot[i] = j
+    pairs = []
+    for c, (a, b) in enumerate(ops, f):
+        if through[c - f] & live:
+            sa, sb = slot[a], slot[b]
+            if sa is None or sb is None:
+                slot[c] = sb if sa is None else sa
+            else:
+                slot[c] = len(present) + len(pairs)
+                pairs.append((sa, sb))
+    return pairs, [[s for s in map(slot.__getitem__, terms[i]) if s is not None] for i in present]
 
 
 def _check_hamilton_budget(n: int) -> None:

@@ -2,6 +2,7 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
@@ -178,6 +179,13 @@ def test_hamilton_cycles_pinned_at_n16():
     assert count_hamilton_cycles(t) == 52424821
 
 
+def test_hamilton_paths_pinned_at_n16():
+    # on the tournament of the cycle pin: 16 free vertices, so 64 chunks, and
+    # every absent high vertex drops out of the shared sums of its chunk
+    t = sample(adjusted_decomposition(16, 3), BaseTournaments.circulant(3), SampleSeed(1, 0))
+    assert count_hamilton_paths(t) == 1493245689
+
+
 def test_hamilton_dp_against_brute_force():
     for n in (3, 4, 5):
         cn, pn = make_pattern("cycle", n), make_pattern("path", n)
@@ -290,8 +298,9 @@ def test_kernel_counts_alike_on_both_sides_of_the_table_cap(case, perm_seed):
 @pytest.mark.parametrize("count", [count_hamilton_cycles, count_hamilton_paths], ids=["cycles", "paths"])
 def test_hamilton_dp_refuses_n21_before_allocating(monkeypatch, count):
     """_HAMILTON_BUDGET = 20 is the largest size measured: on a 2-vCPU host
-    n = 20 takes 1.4-2.0 s for cycles and 4.0-5.3 s for paths (lanes of 50
-    and 55 bits), with no measurable peak-RSS growth."""
+    n = 20 takes 0.8-1.6 s for cycles and 2.3-3.8 s for paths (lanes of 50
+    and 55 bits, 1,024 chunks for paths), with no measurable peak-RSS
+    growth."""
     import orient_boost.counting as counting
 
     def allocated(*args):
@@ -458,6 +467,62 @@ def test_hamilton_counts_over_several_chunks_equal_subset_dp(seed):
     t = random_tournament(13, seed)
     assert count_hamilton_cycles(t) == dp_hamilton_cycles(t)
     assert count_hamilton_paths(t) == dp_hamilton_paths(t)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(n=st.integers(12, 14), seed=st.integers(0, 10 ** 6))
+def test_hamilton_counts_with_shared_sums_equal_subset_dp(n, seed):
+    """Past the hypothesis test at n <= 12: 11 to 14 free vertices, so every
+    count plans shared sums and runs 2 to 16 chunks."""
+    t = random_tournament(n, seed)
+    assert count_hamilton_cycles(t) == dp_hamilton_cycles(t)
+    assert count_hamilton_paths(t) == dp_hamilton_paths(t)
+
+
+@st.composite
+def in_neighbour_matrix(draw):
+    """Operand lists of f <= 16 targets over operands 0..f-1, as ascending
+    lists, and a bitset of present vertices."""
+    f = draw(st.integers(1, 16))
+    ins = [[o for o in range(f) if row >> o & 1] for row in draw(st.lists(
+        st.integers(0, (1 << f) - 1), min_size=f, max_size=f))]
+    return ins, draw(st.integers(0, (1 << f) - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=in_neighbour_matrix())
+def test_chunk_sums_expand_to_the_present_in_neighbours_each_once(case):
+    """Through the pair sums of its chunk, each present target sums exactly
+    its present in-neighbours, each once; a pair sum reads only earlier
+    slots, and some present target reads it."""
+    ins, live = case
+    present = [i for i in range(len(ins)) if live >> i & 1]
+    pairs, sums = counting._chunk_sums(counting._shared_sums(ins), live)
+    slots = [Counter([i]) for i in present]
+    for a, b in pairs:
+        assert a < len(slots) and b < len(slots)
+        slots.append(slots[a] + slots[b])
+    read = set()
+    for i, s in zip(present, sums, strict=True):
+        assert sum((slots[j] for j in s), Counter()) == Counter(o for o in ins[i] if live >> o & 1)
+        read.update(s)
+    for j in reversed(range(len(present), len(slots))):
+        if j in read:
+            read.update(pairs[j - len(present)])
+    assert read >= set(range(len(present), len(slots)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(11, 14), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_covering_walks_over_several_chunks_equal_subset_dp(n, seed, data):
+    """11 to 13 free vertices out of n, so 2 to 8 chunks with shared sums, in
+    which the absent high vertices drop out of the pair sums."""
+    t = random_tournament(n, seed)
+    free = sum(1 << v for v in data.draw(st.sets(st.integers(0, n - 1), min_size=11,
+                                                 max_size=min(13, n))))
+    masks = st.integers(0, (1 << n) - 1)
+    starts, ends = data.draw(masks), data.draw(masks)
+    assert counting._covering_walks(t.rows, free, starts, ends) == dp_covering_walks(t, free, starts, ends)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
