@@ -3,8 +3,8 @@
 Subcommands: stats, decompose, sample, count, estimate, exact-expect, solve,
 boost-formula, verify, experiment.  All randomness flows from one --seed;
 when omitted a seed is generated, printed, and embedded in every output.
-ORIENT_BOOST_THREADS sets the worker count of Monte Carlo runs and never
-affects numeric output.
+ORIENT_BOOST_THREADS sets the worker count of every estimate, exact sum and
+experiment, and never affects numeric output.
 """
 
 from __future__ import annotations
@@ -115,17 +115,17 @@ def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, 
 def _run(args, *, exact: bool):
     """The one run behind estimate, exact-expect and experiment.
 
-    Reads the worker count (Monte Carlo only), loads the inputs and the
-    seed once and takes the exact sum or the Monte Carlo estimate.
+    Reads the worker count, loads the inputs and the seed once and takes
+    the exact sum or the Monte Carlo estimate.
     Returns the run's CSV row, the ExactSummary or EstimateReport, the
     baseline n!/2^e, the design and the bases.
     """
-    workers = 1 if exact else counting.worker_count_from_env()
+    workers = counting.worker_count_from_env()
     seed, h, d, design_label, bases = _load_inputs(args)
     baseline = counting.baseline_expected_copies(h)
     # samples, baseline_log2, estimate_log2, ratio, stderr_ratio, typical_frac
     if exact:
-        out = counting.exact_copy_summary(h, d, bases, budget_n=args.brute_budget)
+        out = counting.exact_copy_summary(h, d, bases, budget_n=args.brute_budget, workers=workers)
         fields = (0, counting.log2_fraction(baseline),
                   counting.log2_fraction(out.expectation) if out.expectation else -math.inf,
                   float(out.ratio), 0.0, float(out.typical_fraction))
@@ -496,7 +496,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has left: no error, and the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
     except (OrientBoostError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

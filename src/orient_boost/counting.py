@@ -7,15 +7,15 @@ fixed permutation factors over blocks; this module computes that probability
 exactly (per-block closed forms for the common shapes, an injection count
 for every other complete-block capture, memoised per captured shape with the
 block's whole contribution), sums it over all permutations on tiny instances
-(``exact_copy_summary``, one kernel for every pattern vertex orbit and every
+(``exact_copy_summary``, one chunk for every pattern vertex orbit and every
 orbit of the design's point stabiliser, budgeted by the terms it sums), and
 estimates it by seeded Monte Carlo otherwise (``estimate_expected_copies``).
-Both feed one record of exact partial sums, ``_ExactSums``, through its one
-entry ``tally``, which adds each distinct term of a fold of ``_FOLD`` copies
-once, times its count.  The worker pool merges the records of its chunks
-with ``_ExactSums.merge``.  A Monte Carlo chunk takes its permutations from
-``rng.stream_permutations``, the batched draw whose scalar oracle is
-``stream_for(master, i).permutation(n)``.
+Both tally their chunks through one runner, ``_run_chunks``, on one kernel
+or a worker pool, into one record of exact partial sums, ``_ExactSums``,
+whose one entry ``tally`` adds each distinct term of a fold of ``_FOLD``
+copies once, times its count, and whose ``merge`` combines chunks.  A Monte
+Carlo chunk's permutations come from ``rng.stream_permutations``, the batched
+draw whose scalar oracle is ``stream_for(master, i).permutation(n)``.
 
 ``count_embeddings`` is the embedding counter of ``count_labeled_copies``,
 ``bounds`` and the large complete-block captures of ``CopyKernel``; a
@@ -780,9 +780,8 @@ class _ExactSums:
     equal copies at that cost.  Copies enter a record only through
     ``tally``, which adds each distinct term of a fold of copies once (a
     Monte Carlo chunk of 4,000 C8 copies on the even extension of STS(7)
-    holds 6 of them).  Records of disjoint index ranges combine with
-    ``merge``, which adds integers only, so the merged record does not
-    depend on how the range was split or in which order.
+    holds 6 of them).  Records of disjoint chunks combine with ``merge``,
+    which adds integers only, so the sum does not depend on the split.
     """
 
     def __init__(self):
@@ -834,15 +833,52 @@ class _ExactSums:
         return total(self.r), total(self.r_sq), self.typical, self.s, self.sq
 
 
+# a pool worker's kernel, built by _start_worker: its memo and tables serve every
+# chunk the worker tallies, and bases of None give it the circulant pair there
+_worker_kernel: CopyKernel | None = None
+
+
+def _start_worker(h: Orientation, d: Decomposition, bases: BaseTournaments | None) -> None:
+    global _worker_kernel
+    _worker_kernel = CopyKernel(h, d, bases)
+
+
+def _tally_chunk(chunk, kernel: CopyKernel | None = None) -> _ExactSums:
+    weight, source, args = chunk  # the copies source(*args), each weight times
+    return _ExactSums().tally(kernel or _worker_kernel, source(*args), weight)
+
+
+def _run_chunks(h, d, bases, chunks, workers: int) -> _ExactSums:
+    """The one record of ``chunks``, each (weight, module-level source, args),
+    tallied on one kernel or a pool of min(workers, chunks) workers and merged
+    in list order; bad bases are refused by the first kernel, before a pool."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    kernel = CopyKernel(h, d, bases)
+    if workers == 1:
+        return reduce(_ExactSums.merge, map(partial(_tally_chunk, kernel=kernel), chunks))
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks)), initializer=_start_worker,
+                             initargs=(h, d, bases)) as pool:
+        return reduce(_ExactSums.merge, pool.map(_tally_chunk, chunks))
+
+
 # ---------------------------------------------------------------------------
 # exact expectation on tiny instances
 # ---------------------------------------------------------------------------
 
+def _head_copies(n: int, u: int, head: tuple[int, ...]):
+    """The permutations of range(n) that start with ``head``, spread so that
+    position u reads the first entry and the others the rest in order."""
+    slot = (0 if x == u else x + (x < u) for x in range(n))
+    values = (*head, *(v for v in range(n) if v not in head))
+    return map(itemgetter(*slot), islice(permutations(values), math.factorial(n - len(head))))
+
+
 def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
-                       *, budget_n: int = 9) -> ExactSummary:
+                       *, budget_n: int = 9, workers: int = 1) -> ExactSummary:
     """Sum the per-permutation probabilities over all n! permutations, one
-    Aut(h) vertex orbit and one design point-stabiliser orbit at a time,
-    through one kernel.
+    Aut(h) vertex orbit and one design point-stabiliser orbit at a time, as
+    one chunk of ``_run_chunks`` each, on ``workers`` processes.
 
     A copy's terms (``CopyKernel._terms``) depend only on its image edge
     set, which every automorphism s of h keeps: the copies pi and pi∘s score
@@ -863,7 +899,7 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     ``permutations([0, p, ...])``, those with 0 and p in front, spread onto
     positions u, w and the rest.  A design without symmetry has singleton
     orbits, and the sum is (n-1)! terms per pattern orbit.  The copies of
-    each (u, P) are one ``_ExactSums.tally``, of weight |orbit(u)| · |P|.
+    each (u, P) are one chunk (``_head_copies``), of weight |orbit(u)| · |P|.
 
     The budget counts the terms summed, (pattern orbits) · (stabiliser
     orbits) · (n-2)!, against budget_n!.  That is at most n!, so any budget_n
@@ -875,24 +911,15 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
         raise BudgetExceededError(f"exact expectation at n={n} sums at least {n - 2}! terms, over the "
                                   f"budget of {budget_n}! terms", size=n, budget=budget_n)
     orbits = vertex_orbits(h)
-    kernel = CopyKernel(h, d, bases)
     # (images of the positions in front, |P|): pi[u] = 0 and pi[w] = p; at n = 1 the one copy
     heads = [((0, p[0]), len(p)) for p in point_stabiliser_orbits(d)] or [((0,), 1)]
-    per_head = math.factorial(n - len(heads[0][0]))
-    summed = len(orbits) * len(heads) * per_head
+    summed = len(orbits) * len(heads) * math.factorial(n - len(heads[0][0]))
     if budget_n < n and summed > math.factorial(budget_n):
         raise BudgetExceededError(f"exact expectation at n={n} sums {summed} terms ({len(orbits)} pattern "
                                   f"orbits x {len(heads)} stabiliser orbits x {n - 2}!), over the budget "
                                   f"of {budget_n}! terms", size=n, budget=budget_n)
-    acc = _ExactSums()
-    for orbit in orbits:
-        u = orbit[0]
-        # position u reads slot 0, the others slots 1..n-1 in order: w is the least of them
-        slot = [0 if x == u else x + (x < u) for x in range(n)]
-        for head, size in heads:
-            values = [*head, *(v for v in range(n) if v not in head)]
-            acc.tally(kernel, map(itemgetter(*slot), islice(permutations(values), per_head)), len(orbit) * size)
-    total, _, typical, sums, _ = acc.totals()
+    chunks = [(len(orbit) * size, _head_copies, (n, orbit[0], head)) for orbit in orbits for head, size in heads]
+    total, _, typical, sums, _ = _run_chunks(h, d, bases, chunks, workers).totals()
     nfact = math.factorial(n)
     return ExactSummary(
         expectation=total / (1 << h.edge_count),
@@ -922,33 +949,6 @@ class EstimateReport:
     typical_fraction: float
     capture_means: tuple[float, float, float, float]
     capture_stderrs: tuple[float, float, float, float]
-
-
-# the kernel of a pool worker process, built once by _start_worker so that its
-# memo and injection tables serve every chunk the worker scans; bases of None
-# reach the worker as they are, and its kernel builds the circulant pair there
-_worker_kernel: CopyKernel | None = None
-
-
-def _start_worker(h: Orientation, d: Decomposition, bases: BaseTournaments | None) -> None:
-    global _worker_kernel
-    _worker_kernel = CopyKernel(h, d, bases)
-
-
-def _scan_worker_chunk(master: int, lo: int, hi: int) -> _ExactSums:
-    return _ExactSums().tally(_worker_kernel, stream_permutations(master, lo, hi, _worker_kernel.n))
-
-
-def _scan_samples(h, d, bases, samples: int, master: int, workers: int) -> _ExactSums:
-    """The record of sample indices [0, samples): one chunk, or pool chunks merged in span order."""
-    if workers <= 1 or samples < 2:
-        return _ExactSums().tally(CopyKernel(h, d, bases), stream_permutations(master, 0, samples, h.n))
-    chunk = max(256, samples // (workers * 8))
-    los = range(0, samples, chunk)
-    his = [min(lo + chunk, samples) for lo in los]
-    with ProcessPoolExecutor(max_workers=min(workers, len(los)), initializer=_start_worker,
-                             initargs=(h, d, bases)) as pool:
-        return reduce(_ExactSums.merge, pool.map(partial(_scan_worker_chunk, master), los, his))
 
 
 def worker_count_from_env() -> int:
@@ -983,7 +983,11 @@ def estimate_expected_copies(h: Orientation, d: Decomposition, bases: BaseTourna
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    r_sum, r_sq, typical, s, sq = _scan_samples(h, d, bases, samples, master_seed, workers).totals()
+    workers = min(workers, samples)  # a single sample is tallied in this process
+    size = samples if workers <= 1 else max(256, samples // (workers * 8))
+    chunks = [(1, stream_permutations, (master_seed, lo, min(lo + size, samples), h.n))
+              for lo in range(0, samples, size)]
+    r_sum, r_sq, typical, s, sq = _run_chunks(h, d, bases, chunks, workers).totals()
     e = h.edge_count
     n = h.n
     baseline = baseline_expected_copies(h)

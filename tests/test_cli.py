@@ -2,9 +2,12 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import orient_boost
 from orient_boost import designs
 from orient_boost.cli import main
 from orient_boost.orientations import make_pattern, tournament_from_hex_text, tournament_from_json
@@ -433,23 +436,50 @@ def test_custom_base_tournament_flag(capsys, tmp_path):
     assert json.loads(out)["t"] == 7
 
 
-@pytest.mark.parametrize("threads", ["abc", "0"])
-def test_bad_thread_count_is_reported_up_front(capsys, tmp_path, monkeypatch, threads):
+@pytest.mark.parametrize("argv,threads", [
+    pytest.param(argv, threads, id=prefix + threads)
+    for prefix, argv in (("", ("experiment", "--samples", "50")), ("exact-expect-", ("exact-expect",)),
+                         ("experiment-exact-", ("experiment", "--exact")))
+    for threads in ("abc", "0")
+])
+def test_bad_thread_count_is_reported_up_front(capsys, tmp_path, monkeypatch, argv, threads):
     monkeypatch.setenv("ORIENT_BOOST_THREADS", threads)
     path = tmp_path / "never.csv"
-    code, _, err = run(capsys, "experiment", "--pattern", "cycle", "--n", "9", "--t", "3",
-                       "--samples", "50", "--seed", "1", "--output", str(path))
-    assert code == 2
+    output = ("--output", str(path)) if argv[0] == "experiment" else ()
+    code, out, err = run(capsys, *argv, "--pattern", "cycle", "--n", "9", "--t", "3", "--seed", "1", *output)
+    assert code == 2 and out == ""
     assert "ORIENT_BOOST_THREADS" in json.loads(err)["message"]
     assert not path.exists()
 
 
-def test_exact_runs_do_not_read_the_thread_count(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ORIENT_BOOST_THREADS", "abc")
-    for argv in (("exact-expect",), ("experiment", "--exact", "--output", str(tmp_path / "x.csv"))):
-        code, out, _ = run(capsys, *argv, "--n", "7", "--seed", "1")
+def test_exact_expect_writes_the_same_bytes_at_any_thread_count(capsys, monkeypatch):
+    # P9 on STS(9) sums one chunk per pattern orbit, 9 of them, so two workers share the sum
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ORIENT_BOOST_THREADS", threads)
+        code, out, _ = run(capsys, "exact-expect", "--pattern", "path", "--n", "9")
         assert code == 0
-        assert json.loads(out)["n"] == 7
+        outputs.append(out.encode())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["ratio"] == "81/35"
+
+
+@pytest.mark.parametrize("argv", [("decompose", "--n", "9"), ("exact-expect", "--n", "7")],
+                         ids=["decompose", "exact-expect"])
+def test_a_closed_stdout_ends_the_run_quietly(argv):
+    # the reader has left before the first write, as in `orient-boost decompose --n 25 --t 5 | true`:
+    # exit 128 + SIGPIPE with nothing on stderr, where a refused run exits 2 with an error line
+    src = os.path.dirname(os.path.dirname(orient_boost.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "orient_boost.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60, check=False)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from orient_boost.counting import (
     CopyKernel,
     ExactSummary,
     _ExactSums,
-    _scan_samples,
+    _run_chunks,
     baseline_expected_copies,
     count_embeddings,
     count_hamilton_cycles,
@@ -38,7 +38,7 @@ from orient_boost.designs import (
     point_stabiliser_orbits,
     steiner_triple_system,
 )
-from orient_boost.errors import BudgetExceededError
+from orient_boost.errors import BudgetExceededError, InvalidTournamentError
 from orient_boost.orientations import (
     Orientation,
     make_pattern,
@@ -945,7 +945,7 @@ def test_estimate_past_the_float_range(monkeypatch):
     c199 = make_pattern("cycle", 199)
     d = adjusted_decomposition(199, 3)
     assert estimate_expected_copies(c199, d, samples=2, master_seed=0).estimate == math.inf
-    monkeypatch.setattr(counting, "_scan_samples", lambda *args: _ExactSums())
+    monkeypatch.setattr(counting, "_run_chunks", lambda *args: _ExactSums())
     rep = estimate_expected_copies(c199, d, samples=2, master_seed=0)
     assert rep.ratio == 0 and rep.estimate == 0.0
 
@@ -1357,13 +1357,18 @@ def test_tallied_scan_equals_the_copy_by_copy_scan(name, coin_design6):
     assert vars(_ExactSums().tally(kernel, stream_permutations(5, 0, 400, h.n))) == vars(single)
 
 
+def _sample_chunks(master, samples, size, n):
+    """The Monte Carlo chunks of ``estimate_expected_copies``: index ranges of ``size``."""
+    return [(1, stream_permutations, (master, lo, min(lo + size, samples), n)) for lo in range(0, samples, size)]
+
+
 def test_pool_and_serial_scans_give_one_record():
     # 600 samples at 2 workers span three chunks of at most 256 samples
     d = extend_to_even(steiner_triple_system(7))
     h = random_orientation(8, 12, seed=5)
     bases = BaseTournaments.circulant(3)
-    serial = _scan_samples(h, d, bases, 600, 11, 1)
-    pooled = _scan_samples(h, d, bases, 600, 11, 2)
+    serial = _run_chunks(h, d, bases, _sample_chunks(11, 600, 600, 8), 1)
+    pooled = _run_chunks(h, d, bases, _sample_chunks(11, 600, 256, 8), 2)
     assert type(serial) is type(pooled) is _ExactSums
     assert vars(serial) == vars(pooled)
 
@@ -1372,8 +1377,55 @@ def test_pool_workers_build_the_default_bases_themselves():
     # bases of None reach each worker, whose kernel builds the circulant pair
     d = extend_to_even(steiner_triple_system(7))
     h = random_orientation(8, 12, seed=5)
-    serial = _scan_samples(h, d, BaseTournaments.circulant(3), 600, 11, 1)
-    assert vars(_scan_samples(h, d, None, 600, 11, 2)) == vars(serial)
+    serial = _run_chunks(h, d, BaseTournaments.circulant(3), _sample_chunks(11, 600, 600, 8), 1)
+    assert vars(_run_chunks(h, d, None, _sample_chunks(11, 600, 256, 8), 2)) == vars(serial)
+
+
+@pytest.mark.parametrize("pattern,n,ratio,chunks", [
+    ("cycle", 7, Fraction(43, 15), 1), ("cycle", 9, Fraction(101, 35), 1),
+    ("path", 9, Fraction(81, 35), 9), ("cycle", 10, Fraction(18, 7), 9),
+])
+def test_exact_pins_give_one_record_on_one_and_two_workers(monkeypatch, pattern, n, ratio, chunks):
+    # one chunk per (pattern orbit, stabiliser orbit): C10 on the even (10,3) has 9 singleton
+    # stabiliser orbits and P9 has 9 vertex orbits on the 2-transitive STS(9)
+    h, d = make_pattern(pattern, n), adjusted_decomposition(n, 3)
+    runs, real = [], counting._run_chunks
+
+    def run_chunks(h, d, bases, chunks, workers):
+        runs.append((len(chunks), real(h, d, bases, chunks, workers)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(counting, "_run_chunks", run_chunks)
+    assert [exact_copy_summary(h, d, budget_n=n, workers=w).ratio for w in (1, 2)] == [ratio, ratio]
+    (serial_chunks, serial), (pooled_chunks, pooled) = runs
+    assert serial_chunks == pooled_chunks == chunks
+    assert vars(serial) == vars(pooled)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+@pytest.mark.parametrize("entry", ["estimate", "exact"])
+def test_a_worker_count_below_one_is_refused_before_any_kernel(monkeypatch, entry, workers):
+    def built(*args):
+        raise AssertionError("a kernel was built")
+
+    c7, fano = make_pattern("cycle", 7), steiner_triple_system(7)
+    monkeypatch.setattr(counting, "CopyKernel", built)
+    with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+        if entry == "estimate":
+            estimate_expected_copies(c7, fano, samples=600, master_seed=1, workers=workers)
+        else:
+            exact_copy_summary(c7, fano, workers=workers)
+
+
+@pytest.mark.parametrize("entry", ["estimate", "exact"])
+def test_bases_that_do_not_fit_are_refused_before_a_pool_starts(entry):
+    # the worker initialiser would otherwise fail in each worker, and the pool break
+    c7, fano, bases = make_pattern("cycle", 7), steiner_triple_system(7), BaseTournaments.circulant(5)
+    with pytest.raises(InvalidTournamentError, match="base tournament has 5 vertices, decomposition t=3"):
+        if entry == "estimate":
+            estimate_expected_copies(c7, fano, bases, samples=600, master_seed=1, workers=2)
+        else:
+            exact_copy_summary(c7, fano, bases, workers=2)
 
 
 # ---------------------------------------------------------------------------
