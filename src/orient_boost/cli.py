@@ -402,7 +402,7 @@ def _positive_int(text: str) -> int:
 def _add_node_budget(p) -> None:
     p.add_argument("--node-budget", type=_positive_int, default=designs.NODE_BUDGET,
                    help="search nodes allowed when building a design from --n and --t; a node "
-                        "is a candidate block or a step of the split check, so (11, 3) takes 146 "
+                        "is a candidate block or a step of the split check, so (11, 3) takes 142 "
                         "nodes and (25, 5) 2,621")
 
 

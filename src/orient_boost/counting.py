@@ -850,14 +850,15 @@ def _tally_chunk(chunk, kernel: CopyKernel | None = None) -> _ExactSums:
 
 def _run_chunks(h, d, bases, chunks, workers: int) -> _ExactSums:
     """The one record of ``chunks``, each (weight, module-level source, args),
-    tallied on one kernel or a pool of min(workers, chunks) workers and merged
-    in list order; bad bases are refused by the first kernel, before a pool."""
+    merged in list order: tallied on this process's kernel when min(workers,
+    chunks) is 1, else on a pool of that many, which bad bases never reach."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(chunks))
     kernel = CopyKernel(h, d, bases)
     if workers == 1:
         return reduce(_ExactSums.merge, map(partial(_tally_chunk, kernel=kernel), chunks))
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks)), initializer=_start_worker,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                              initargs=(h, d, bases)) as pool:
         return reduce(_ExactSums.merge, pool.map(_tally_chunk, chunks))
 
@@ -979,11 +980,12 @@ def estimate_expected_copies(h: Orientation, d: Decomposition, bases: BaseTourna
     Per-sample probabilities are exact rationals; sums are accumulated
     exactly and converted to floats only in the report, so results are
     bit-identical for any worker count.  The report gives the mean ratio and
-    the mean captures [c, i, f, g], each with its standard error.
+    the mean captures [c, i, f, g], each with its standard error.  On w > 1
+    workers a chunk holds max(256, samples // 8w) samples, so 256 or fewer
+    samples are one chunk and start no pool.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    workers = min(workers, samples)  # a single sample is tallied in this process
     size = samples if workers <= 1 else max(256, samples // (workers * 8))
     chunks = [(1, stream_permutations, (master_seed, lo, min(lo + size, samples), h.n))
               for lo in range(0, samples, size)]

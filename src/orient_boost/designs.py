@@ -482,15 +482,14 @@ def _triangle_c4_factor(adj: list[int], n: int, budget: _Budget) -> list[Block] 
         free ^= 1 << v
         near = adj[v] & free
         # triangles through v
-        for a in _bits(near):
-            for b in _bits(near & adj[a] & ~((2 << a) - 1)):
-                budget.spend()
-                if remaining - 3 < 4 * c4_left:
-                    continue
-                out.append(Block(BlockKind.C3, (v, a, b)))
-                if search(free ^ (1 << a) ^ (1 << b), c4_left):
-                    return True
-                out.pop()
+        for _, a, b in _cliques(adj, 3, (v,), near):
+            budget.spend()
+            if remaining - 3 < 4 * c4_left:
+                continue
+            out.append(Block(BlockKind.C3, (v, a, b)))
+            if search(free ^ (1 << a) ^ (1 << b), c4_left):
+                return True
+            out.pop()
         if c4_left > 0 and remaining >= 4:
             for a in _bits(near):
                 for b in _bits(free & adj[a]):
@@ -513,35 +512,27 @@ def _disjoint_cliques(adj: list[int], n: int, size: int, count: int,
     """`count` pairwise vertex-disjoint cliques of the given size, by backtracking.
 
     Bit w of adj[v] says the edge {v, w} is available.  Symmetry is broken by
-    forcing the minimal vertices of successive cliques to increase.
+    forcing the minimal vertices of successive cliques to increase; the
+    cliques through each minimal vertex come from ``_cliques``, and each
+    candidate spends one node, as in ``_kt_search``.
     """
     found: list[tuple[int, ...]] = []
 
-    def extend(chosen: tuple[int, ...], pool: int, used: int) -> bool:
-        """Grow `chosen` by vertices of `pool` (unused, above chosen[-1], adjacent to all of it)."""
-        if len(chosen) == size:
-            found.append(chosen)
-            if place_next(chosen[0] + 1, used):
-                return True
-            found.pop()
-            return False
-        for w in _bits(pool):
-            budget.spend()
-            if extend(chosen + (w,), pool & adj[w] & ~((2 << w) - 1), used | 1 << w):
-                return True
-        return False
-
-    def place_next(min_start: int, used: int) -> bool:
+    def place(free: int) -> bool:
+        """Place the rest of the cliques on the bitset `free`, above the last minimal vertex."""
         if len(found) == count:
             return True
-        free = ((1 << n) - 1) & ~used & ~((1 << min_start) - 1)
         for v0 in _bits(free):
-            budget.spend()
-            if extend((v0,), adj[v0] & free & ~((2 << v0) - 1), used | 1 << v0):
-                return True
+            above = free & ~((2 << v0) - 1)
+            for vs in _cliques(adj, size, (v0,), adj[v0] & above):
+                budget.spend()
+                found.append(vs)
+                if place(above & ~sum(1 << x for x in vs[1:])):
+                    return True
+                found.pop()
         return False
 
-    if place_next(0, 0):
+    if place((1 << n) - 1):
         return found
     return None
 

@@ -1417,6 +1417,24 @@ def test_a_worker_count_below_one_is_refused_before_any_kernel(monkeypatch, entr
             exact_copy_summary(c7, fano, workers=workers)
 
 
+@pytest.mark.parametrize("n, samples", [(7, None), (9, None), (7, 1), (7, 256)])
+def test_a_run_of_one_chunk_starts_no_pool(monkeypatch, n, samples):
+    # C7 on the Fano plane and C9 on STS(9) are one chunk each: one vertex orbit on a 2-transitive
+    # design; an estimate of at most 256 samples is one chunk on any worker count
+    h, d = make_pattern("cycle", n), adjusted_decomposition(n, 3)
+    if samples is None:
+        run = partial(exact_copy_summary, h, d)
+    else:
+        run = partial(estimate_expected_copies, h, d, samples=samples, master_seed=4)
+    serial = run(workers=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", no_pool)
+    assert vars(run(workers=2)) == vars(serial)
+
+
 @pytest.mark.parametrize("entry", ["estimate", "exact"])
 def test_bases_that_do_not_fit_are_refused_before_a_pool_starts(entry):
     # the worker initialiser would otherwise fail in each worker, and the pool break

@@ -240,8 +240,8 @@ def assert_refused_at(n, t, budget):
 
 
 # nodes an unbounded build spends over its layers, K_(2t-1) placement and K_t search,
-# a node of the K_t search being a candidate block or a split step
-BUILD_NODES = {(9, 5): 9, (11, 3): 146, (17, 3): 773, (25, 5): 2_621}
+# a node being one candidate triangle, 4-cycle or clique, or one split step
+BUILD_NODES = {(9, 5): 1, (11, 3): 142, (17, 3): 769, (25, 5): 2_621}
 
 
 @pytest.mark.parametrize("n, t", sorted(BUILD_NODES, key=lambda p: (p[1], p[0])))
@@ -488,12 +488,14 @@ def reference_triangle_c4_factor(adj, n, budget):
 
 
 def reference_disjoint_cliques(adj, n, size, count, budget):
-    """The set-based disjoint-clique search the bit-row one replaced: its oracle."""
+    """The set-based disjoint-clique search the bit-row one replaced: its
+    oracle, spending one node per complete candidate clique."""
     used = [False] * n
     found = []
 
     def extend(chosen, start):
         if len(chosen) == size:
+            budget.spend()
             found.append(tuple(chosen))
             if place_next(found[-1][0] + 1):
                 return True
@@ -502,7 +504,6 @@ def reference_disjoint_cliques(adj, n, size, count, budget):
         for w in range(start, n):
             if used[w] or any(w not in adj[x] for x in chosen):
                 continue
-            budget.spend()
             used[w] = True
             chosen.append(w)
             if extend(chosen, w + 1):
@@ -517,7 +518,6 @@ def reference_disjoint_cliques(adj, n, size, count, budget):
         for v0 in range(min_start, n):
             if used[v0]:
                 continue
-            budget.spend()
             used[v0] = True
             if extend([v0], v0 + 1):
                 return True
