@@ -2,7 +2,7 @@
 
 Subcommands: stats, decompose, sample, count, estimate, exact-expect, solve,
 boost-formula, verify, experiment.  All randomness flows from one --seed;
-when omitted a seed is generated, printed, and embedded in every output.
+an omitted seed is generated, embedded in every output and printed on success.
 ORIENT_BOOST_THREADS sets the worker count of every estimate, exact sum and
 experiment, and never affects numeric output.
 """
@@ -89,27 +89,22 @@ def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, 
     Every file the run names, and every output directory, is checked first;
     every input is read before the design is built, so a missing or
     malformed input is refused before any design search or sum.  A seed not
-    given is generated before the pattern is drawn from it, and printed once
-    the design and bases are built and, on a design of one block such as the
-    K13 of (13,7), one copy is scored, so a refused run prints none.  Bases
-    not given by file are the circulant ones.
+    given is generated before the pattern is drawn from it and kept in
+    args.seed and args.generated_seed, which ``main`` prints.  Bases not
+    given by file are the circulant ones.
     """
     for path in (getattr(args, "pattern_file", None), args.design, args.base, args.base_star):
         if path is not None and not os.path.exists(path):
             raise OrientBoostError(f"referenced file does not exist: {path}")
     _check_output_dirs(getattr(args, "output", None), getattr(args, "sidecar", None))
-    seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big")
-    h = _pattern_from_args(args, seed) if hasattr(args, "pattern") else None
+    if args.seed is None:
+        args.seed = args.generated_seed = int.from_bytes(os.urandom(8), "big")
+    h = _pattern_from_args(args, args.seed) if hasattr(args, "pattern") else None
     r, rstar = (_load_tournament(path) if path else None for path in (args.base, args.base_star))
     d, design_label = _design_from_args(args, args.n)
     bases = sampling.BaseTournaments(r or sampling.circulant_regular_tournament(d.t),
                                      rstar or sampling.circulant_regular_tournament(2 * d.t - 1))
-    if args.seed is None:
-        if h is not None and len(d.blocks) == 1:
-            # every copy captures the same shape in the one block: one copy's score refuses them all
-            counting.CopyKernel(h, d, bases).ratio(range(h.n))
-        print(f"generated seed: {seed}", file=sys.stderr)
-    return seed, h, d, design_label, bases
+    return args.seed, h, d, design_label, bases
 
 
 def _run(args, *, exact: bool):
@@ -402,8 +397,8 @@ def _positive_int(text: str) -> int:
 def _add_node_budget(p) -> None:
     p.add_argument("--node-budget", type=_positive_int, default=designs.NODE_BUDGET,
                    help="search nodes allowed when building a design from --n and --t; a node "
-                        "is a candidate block or a step of the split check, so (11, 3) takes 142 "
-                        "nodes and (25, 5) 2,621")
+                        "is a candidate block, a vertex tried by the K_(2t-1) placement or a step "
+                        "of the split check, so (11, 3) takes 143 nodes and (25, 5) 2,621")
 
 
 def _add_brute_budget(p, *, default: int) -> None:
@@ -414,6 +409,7 @@ def _add_brute_budget(p, *, default: int) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orient-boost", description=__doc__)
+    parser.set_defaults(generated_seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="statistics of an orientation file")
@@ -498,6 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+        if args.generated_seed is not None:
+            print(f"generated seed: {args.generated_seed}", file=sys.stderr)
         return code
     except BrokenPipeError:
         # the reader of stdout has left: no error, and the flush at exit goes to devnull

@@ -481,15 +481,13 @@ def _triangle_c4_factor(adj: list[int], n: int, budget: _Budget) -> list[Block] 
         v = (free & -free).bit_length() - 1
         free ^= 1 << v
         near = adj[v] & free
-        # triangles through v
-        for _, a, b in _cliques(adj, 3, (v,), near):
-            budget.spend()
-            if remaining - 3 < 4 * c4_left:
-                continue
-            out.append(Block(BlockKind.C3, (v, a, b)))
-            if search(free ^ (1 << a) ^ (1 << b), c4_left):
-                return True
-            out.pop()
+        if remaining - 3 >= 4 * c4_left:  # triangles through v, when the 4-cycles still fit
+            for _, a, b in _cliques(adj, 3, (v,), near):
+                budget.spend()
+                out.append(Block(BlockKind.C3, (v, a, b)))
+                if search(free ^ (1 << a) ^ (1 << b), c4_left):
+                    return True
+                out.pop()
         if c4_left > 0 and remaining >= 4:
             for a in _bits(near):
                 for b in _bits(free & adj[a]):
@@ -513,8 +511,9 @@ def _disjoint_cliques(adj: list[int], n: int, size: int, count: int,
 
     Bit w of adj[v] says the edge {v, w} is available.  Symmetry is broken by
     forcing the minimal vertices of successive cliques to increase; the
-    cliques through each minimal vertex come from ``_cliques``, and each
-    candidate spends one node, as in ``_kt_search``.
+    cliques through each minimal vertex come from ``_cliques``.  Each minimal
+    vertex tried and each candidate clique spends one node, so a placement
+    that finds no clique is bounded too.
     """
     found: list[tuple[int, ...]] = []
 
@@ -523,6 +522,7 @@ def _disjoint_cliques(adj: list[int], n: int, size: int, count: int,
         if len(found) == count:
             return True
         for v0 in _bits(free):
+            budget.spend()
             above = free & ~((2 << v0) - 1)
             for vs in _cliques(adj, size, (v0,), adj[v0] & above):
                 budget.spend()

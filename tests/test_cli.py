@@ -608,17 +608,62 @@ def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, 
      "n=24 extends the design on n=23: design search at (n=23, t=5) exceeded the node budget of 1 nodes"),
     (("estimate", "--n", "13", "--t", "5", "--samples", "10"), "InfeasibleAtDeskScale",
      "need 3 vertex-disjoint K_9 copies, which requires 27 vertices but n=13"),
-    # (13,7) is one K13 block: every copy of C13 captures all of it, so one scored copy refuses the run
+    # refused by the injection budget at the first copy: (13,7) is one K13 block, which every copy
+    # of C13 captures whole, and (14,7) its even extension
     (("estimate", "--n", "13", "--t", "7", "--pattern", "cycle", "--samples", "10"), "BudgetExceededError",
+     "block 0 needs 6227020800 injections, over the budget 500000"),
+    (("estimate", "--n", "14", "--t", "7", "--pattern", "cycle", "--samples", "10"), "BudgetExceededError",
+     "block 0 needs 6227020800 injections, over the budget 500000"),
+    (("experiment", "--n", "14", "--t", "7", "--pattern", "path", "--samples", "10", "--output", "x.csv"),
+     "BudgetExceededError", "block 0 needs 6227020800 injections, over the budget 500000"),
+    # on two workers 600 samples are three chunks, so this copy is refused inside a pool worker
+    (("estimate", "--n", "14", "--t", "7", "--pattern", "cycle", "--samples", "600"), "BudgetExceededError",
      "block 0 needs 6227020800 injections, over the budget 500000"),
 ])
 def test_a_refused_run_prints_no_generated_seed(capsys, tmp_path, monkeypatch, argv, error, message):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ORIENT_BOOST_THREADS", "2")
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "7", "--samples", "3", "--format", "hex"),
+    ("estimate", "--n", "7", "--samples", "10"),
+    ("experiment", "--n", "8", "--samples", "10", "--output", "x.csv"),
+], ids=["sample", "estimate", "experiment"])
+def test_a_generated_seed_is_printed_once_after_the_output(capsys, tmp_path, monkeypatch, argv):
+    """Without --seed the one stderr line is the generated seed, written after
+    the whole output; the run with that --seed repeats the output and writes no stderr."""
+    monkeypatch.chdir(tmp_path)
+    writes = []
+
+    class Stream:
+        def __init__(self, name):
+            self.name = name
+
+        def write(self, text):
+            writes.append((self.name, text))
+
+        def flush(self):
+            pass
+
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", Stream("out"))
+        m.setattr(sys, "stderr", Stream("err"))
+        assert main(list(argv)) == 0
+    first_err = [name for name, _ in writes].index("err")
+    assert {name for name, _ in writes[first_err:]} == {"err"}
+    out = "".join(text for _, text in writes[:first_err])
+    err = "".join(text for _, text in writes[first_err:])
+    assert err.startswith("generated seed: ") and err.count("\n") == 1
+    seed = int(err.removeprefix("generated seed: "))
+    if argv[0] != "sample":
+        assert json.loads(out)["seed"] == seed
+    assert run(capsys, *argv, "--seed", str(seed)) == (0, out, "")
 
 
 def test_a_one_edge_pattern_on_the_one_block_design_runs(capsys, tmp_path):

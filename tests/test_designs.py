@@ -240,8 +240,9 @@ def assert_refused_at(n, t, budget):
 
 
 # nodes an unbounded build spends over its layers, K_(2t-1) placement and K_t search,
-# a node being one candidate triangle, 4-cycle or clique, or one split step
-BUILD_NODES = {(9, 5): 1, (11, 3): 142, (17, 3): 769, (25, 5): 2_621}
+# a node being one candidate triangle, 4-cycle or clique, one minimal vertex of the
+# placement, or one split step
+BUILD_NODES = {(9, 5): 2, (11, 3): 143, (17, 3): 770, (25, 5): 2_621}
 
 
 @pytest.mark.parametrize("n, t", sorted(BUILD_NODES, key=lambda p: (p[1], p[0])))
@@ -263,7 +264,7 @@ def test_design_build_spends_one_budget(n, t):
 
 
 def test_design_build_at_23_5_names_the_callers_budget():
-    # its triangle/4-cycle layer spends 31 nodes, so budgets 1-30 run out there
+    # its triangle/4-cycle layer spends 7 nodes, so budgets 1-6 run out there
     for budget in (*range(1, 41), 20_000):
         assert_refused_at(23, 5, budget)
 
@@ -451,14 +452,12 @@ def reference_triangle_c4_factor(adj, n, budget):
         v = covered.index(False)
         free = [w for w in range(v + 1, n) if not covered[w]]
         for ia, a in enumerate(free):
-            if a not in adj[v]:
+            if a not in adj[v] or remaining - 3 < 4 * c4_left:
                 continue
             for b in free[ia + 1:]:
                 if b not in adj[v] or b not in adj[a]:
                     continue
                 budget.spend()
-                if remaining - 3 < 4 * c4_left:
-                    continue
                 covered[v] = covered[a] = covered[b] = True
                 out.append(Block(BlockKind.C3, (v, a, b)))
                 if search(remaining - 3, c4_left):
@@ -489,7 +488,8 @@ def reference_triangle_c4_factor(adj, n, budget):
 
 def reference_disjoint_cliques(adj, n, size, count, budget):
     """The set-based disjoint-clique search the bit-row one replaced: its
-    oracle, spending one node per complete candidate clique."""
+    oracle, spending one node per minimal vertex tried and one per complete
+    candidate clique."""
     used = [False] * n
     found = []
 
@@ -518,6 +518,7 @@ def reference_disjoint_cliques(adj, n, size, count, budget):
         for v0 in range(min_start, n):
             if used[v0]:
                 continue
+            budget.spend()
             used[v0] = True
             if extend([v0], v0 + 1):
                 return True
