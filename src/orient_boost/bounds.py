@@ -115,6 +115,18 @@ class ParameterSolution:
     k: int
 
 
+# The largest power a check of `solve_parameters` may raise to.  A solve scans
+# about 2k^2/eps values of t, each raising t-sized fractions to these powers, so
+# its cost grows with their square (timings in the README's budgets table).
+_EXPONENT_BUDGET = 3000
+
+
+def _exponents(eps: Fraction, k: int) -> tuple[int, int, int, int]:
+    """The powers the checks raise to: 3 - eps and 2k^2/eps, as numerator and denominator."""
+    exp3, kk = 3 - eps, Fraction(2 * k * k) / eps
+    return exp3.numerator, exp3.denominator, kk.numerator, kk.denominator
+
+
 def inequalities_hold(t: int, eps, k: int) -> tuple[bool, bool, bool]:
     """The three selection inequalities at a candidate odd t, checked exactly.
 
@@ -122,14 +134,11 @@ def inequalities_hold(t: int, eps, k: int) -> tuple[bool, bool, bool]:
     denominator, which preserves order for positive bases.
     """
     eps = as_fraction(eps)
-    exp3 = Fraction(3) - eps
-    u, v = exp3.numerator, exp3.denominator
+    u, v, w, x = _exponents(eps, k)
     consistent, _, cyclic, _ = (Fraction(a, b) for a, b in capture_factors(t))
     first = cyclic ** v >= consistent ** u
 
     rho = Fraction(1, t - 2)
-    kk = Fraction(2 * k * k) / eps
-    w, x = kk.numerator, kk.denominator
     lhs = (1 - rho * rho) ** w
     rhs = ((1 + rho / 2) / (1 + rho)) ** x
     second = lhs >= rhs
@@ -139,13 +148,21 @@ def inequalities_hold(t: int, eps, k: int) -> tuple[bool, bool, bool]:
 
 
 def solve_parameters(eps, k: int) -> ParameterSolution:
-    """Least odd t satisfying all three selection inequalities."""
+    """Least odd t satisfying all three selection inequalities.
+
+    The third, t * eps >= 2, fails below 2/eps, so the scan starts there.
+    Raises BudgetExceededError when a check would raise to a power over
+    ``_EXPONENT_BUDGET``.
+    """
     eps = as_fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    for t in count(3, 2):
+    if (power := max(_exponents(eps, k))) > _EXPONENT_BUDGET:
+        raise BudgetExceededError(f"solve at eps={eps}, k={k} raises to the power {power}, over the budget "
+                                  f"{_EXPONENT_BUDGET}", size=power, budget=_EXPONENT_BUDGET)
+    for t in count(max(3, math.ceil(2 / eps)) | 1, 2):
         if all(inequalities_hold(t, eps, k)):
             return ParameterSolution(
                 t=t, rho=Fraction(1, t - 2), delta=Fraction(1, 4 * (t - 2)), eps=eps, k=k
@@ -159,10 +176,13 @@ def kreg_boost_formula(k: int, t: int) -> float:
         raise ValueError(f"need odd t >= 5, got {t}")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    log = k * (t - 3) * math.log1p(1 / (t - 2))
-    log += k * k * t * math.log1p(-1 / ((t - 2) ** 2))
-    log += k * k * t * math.log1p(-(3 * t - 5) / ((t - 1) ** 3))
-    return math.exp(log)
+    try:
+        log = k * (t - 3) * math.log1p(1 / (t - 2))
+        log += k * k * t * math.log1p(-1 / ((t - 2) ** 2))
+        log += k * k * t * math.log1p(-(3 * t - 5) / ((t - 1) ** 3))
+        return math.exp(log)
+    except OverflowError:
+        raise ValueError(f"the boost product at k={k}, t={t} is outside the float range") from None
 
 
 @dataclass(frozen=True)

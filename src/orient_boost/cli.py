@@ -4,7 +4,8 @@ Subcommands: stats, decompose, sample, count, estimate, exact-expect, solve,
 boost-formula, verify, experiment.  All randomness flows from one --seed;
 an omitted seed is generated, embedded in every output and printed on success.
 ORIENT_BOOST_THREADS sets the worker count of every estimate, exact sum and
-experiment, and never affects numeric output.
+experiment, and never affects numeric output.  A refusal, by the parser or by
+the run, is exit code 2 and one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import OrientBoostError
 from .orientations import (
     Orientation,
     Tournament,
-    as_fraction,
     classify,
     make_pattern,
     orientation_from_json,
@@ -36,20 +36,18 @@ from .orientations import (
 from .rng import stream_for, stream_permutations, stream_residues
 
 
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _load_orientation(path: str, fmt: str | None) -> Orientation:
-    with open(path) as fh:
-        text = fh.read()
-    if fmt == "json" or (fmt is None and path.endswith(".json")):
-        return orientation_from_json(text)
-    return orientation_from_text(text)
+    json_file = fmt == "json" or (fmt is None and path.endswith(".json"))
+    return (orientation_from_json if json_file else orientation_from_text)(_read(path))
 
 
-def _load_tournament(path: str):
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        return tournament_from_json(text)
-    return tournament_from_hex_text(text)
+def _load_tournament(path: str) -> Tournament:
+    return (tournament_from_json if path.endswith(".json") else tournament_from_hex_text)(_read(path))
 
 
 def _pattern_from_args(args, seed: int) -> Orientation:
@@ -66,8 +64,7 @@ def _pattern_from_args(args, seed: int) -> Orientation:
 
 def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
     if getattr(args, "design", None):
-        with open(args.design) as fh:
-            d = designs.decomposition_from_json(fh.read())
+        d = designs.decomposition_from_json(_read(args.design))
         report = designs.validate(d)
         if not report.ok:
             raise OrientBoostError(f"design file invalid: {report.first_violation}")
@@ -76,27 +73,16 @@ def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
     return d, f"adjusted{'+even' if d.n % 2 == 0 else ''}(t={d.t})"
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    """Refuse an output path whose directory does not exist, naming the directory."""
-    for path in paths:
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise OrientBoostError(f"output directory does not exist: {os.path.dirname(path)}")
-
-
 def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, str, sampling.BaseTournaments]:
     """The seed, pattern (None for sample), design, design label and bases of a run.
 
-    Every file the run names, and every output directory, is checked first;
-    every input is read before the design is built, so a missing or
-    malformed input is refused before any design search or sum.  A seed not
+    The parser has checked that every named file exists; every input is
+    read before the design is built, so a malformed input is refused
+    before any design search or sum.  A seed not
     given is generated before the pattern is drawn from it and kept in
     args.seed and args.generated_seed, which ``main`` prints.  Bases not
     given by file are the circulant ones.
     """
-    for path in (getattr(args, "pattern_file", None), args.design, args.base, args.base_star):
-        if path is not None and not os.path.exists(path):
-            raise OrientBoostError(f"referenced file does not exist: {path}")
-    _check_output_dirs(getattr(args, "output", None), getattr(args, "sidecar", None))
     if args.seed is None:
         args.seed = args.generated_seed = int.from_bytes(os.urandom(8), "big")
     h = _pattern_from_args(args, args.seed) if hasattr(args, "pattern") else None
@@ -155,7 +141,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    _check_output_dirs(args.output)
     d, _ = _design_from_args(args, args.n)
     report = designs.validate(d)
     if args.output:
@@ -168,8 +153,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.input) as fh:
-        d = designs.decomposition_from_json(fh.read())
+    d = designs.decomposition_from_json(_read(args.input))
     report = designs.validate(d)
     _emit({"valid": report.ok, "failures": list(report.failures)})
     return 0 if report.ok else 1
@@ -193,15 +177,13 @@ def _cmd_sample(args) -> int:
 
 def _cmd_count(args) -> int:
     t = _load_tournament(args.tournament)
-    h = _pattern_from_args(args, args.seed if args.seed is not None else 0)
+    h = _pattern_from_args(args, args.seed)
     shape = counting.hamilton_shape(h)
     if args.method == "dp" and shape is None:
         raise OrientBoostError(f"no Hamilton DP for pattern {_pattern_label(args)}; use brute or auto")
     if h.n != t.n:
         raise OrientBoostError(f"pattern has {h.n} vertices, tournament has {t.n}")
-    method = args.method
-    if method == "auto":
-        method = "dp" if shape else "brute"
+    method = ("dp" if shape else "brute") if args.method == "auto" else args.method
     out: dict = {"n": t.n, "method": method, "pattern": _pattern_label(args)}
     if method == "brute":
         out["labeled_copies"] = counting.count_labeled_copies(h, t, budget_n=args.brute_budget)
@@ -218,10 +200,7 @@ def _cmd_count(args) -> int:
 def _pattern_label(args) -> str:
     if args.pattern_file:
         return f"file:{os.path.basename(args.pattern_file)}"
-    label = args.pattern
-    if args.k:
-        label += f"{args.k}"
-    return label
+    return f"{args.pattern}{args.k or ''}"
 
 
 def _cmd_estimate(args) -> int:
@@ -242,7 +221,7 @@ def _cmd_exact_expect(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    sol = bounds.solve_parameters(as_fraction(args.eps), args.k)
+    sol = bounds.solve_parameters(args.eps, args.k)
     _emit({"t": sol.t, "delta": float(sol.delta), "rho": float(sol.rho),
            "delta_exact": str(sol.delta), "eps": str(sol.eps), "k": sol.k})
     return 0
@@ -366,103 +345,124 @@ def _cmd_experiment(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, subparsers included, whose refusals reach main's one JSON line."""
+
+    def error(self, message: str):
+        raise OrientBoostError(message)
+
+
+def _positive(convert, noun: str = "integer"):
+    """A parse-time type: the text read by `convert`, refused unless it is positive."""
+    def parse(text: str):
+        try:
+            if (value := convert(text)) > 0:
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected a positive {noun}, got {text!r}")
+    return parse
+
+
+def _input_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"referenced file does not exist: {path}")
+    return path
+
+
+def _output_file(path: str) -> str:
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise argparse.ArgumentTypeError(f"output directory does not exist: {os.path.dirname(path)}")
+    return path
+
+
 def _add_pattern_args(p) -> None:
     p.add_argument("--pattern", default="cycle",
                    choices=["cycle", "path", "matching", "k_regular_random"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="degree for k_regular_random")
-    p.add_argument("--pattern-file", default=None, help="orientation file overriding --pattern")
+    p.add_argument("--pattern-file", type=_input_file, help="orientation file overriding --pattern")
 
 
 def _add_design_args(p) -> None:
     """The design flags shared by sample, estimate, exact-expect and experiment."""
-    p.add_argument("--design", default=None, help="decomposition JSON file")
+    p.add_argument("--design", type=_input_file, help="decomposition JSON file")
     p.add_argument("--t", type=int, default=3, help="block size when building a design")
-    p.add_argument("--base", default=None, help="regular tournament file for size-t blocks")
-    p.add_argument("--base-star", default=None, help="regular tournament file for size-(2t-1) blocks")
+    p.add_argument("--base", type=_input_file, help="regular tournament file for size-t blocks")
+    p.add_argument("--base-star", type=_input_file, help="regular tournament file for size-(2t-1) blocks")
     p.add_argument("--seed", type=int, default=None)
     _add_node_budget(p)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
 def _add_node_budget(p) -> None:
-    p.add_argument("--node-budget", type=_positive_int, default=designs.NODE_BUDGET,
+    p.add_argument("--node-budget", type=_positive(int), default=designs.NODE_BUDGET,
                    help="search nodes allowed when building a design from --n and --t; a node "
                         "is a candidate block, a vertex tried by the K_(2t-1) placement or a step "
                         "of the split check, so (11, 3) takes 143 nodes and (25, 5) 2,621")
 
 
 def _add_brute_budget(p, *, default: int) -> None:
-    p.add_argument("--brute-budget", type=_positive_int, default=default,
+    p.add_argument("--brute-budget", type=_positive(int), default=default,
                    help="largest n for the exhaustive count; the exact sum takes at most "
                         "(brute budget)! terms")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="orient-boost", description=__doc__)
+    parser = _Parser(prog="orient-boost", description=__doc__)
     parser.set_defaults(generated_seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="statistics of an orientation file")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", type=_input_file, required=True)
     p.add_argument("--format", choices=["json", "text"], default=None)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("decompose", help="build and validate a decomposition")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=3, help="block size")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", type=_output_file)
     _add_node_budget(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("validate", help="validate a decomposition file")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", type=_input_file, required=True)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("sample", help="draw block-randomized tournaments")
     p.add_argument("--n", type=int, default=None)
     _add_design_args(p)
-    p.add_argument("--samples", type=_positive_int, default=1)
+    p.add_argument("--samples", type=_positive(int), default=1)
     p.add_argument("--format", choices=["json", "hex"], default="json")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", type=_output_file)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("count", help="exact labeled-copy counts in a tournament file")
     _add_pattern_args(p)
-    p.add_argument("--tournament", required=True)
+    p.add_argument("--tournament", type=_input_file, required=True)
     p.add_argument("--method", choices=["auto", "brute", "dp"], default="auto",
                    help="dp: Hamilton cycle/path count by inclusion-exclusion over vertex "
                         "subsets, lane-packed in Python ints (n <= 20; timings in the README's "
                         "budgets table); brute: embedding search (n <= --brute-budget); "
                         "auto: dp for any directed Hamilton cycle or path, pattern files included")
-    p.add_argument("--seed", type=int, default=None)
+    # here and on exact-expect the seed only draws a random pattern; an omitted one is 0, never generated
+    p.add_argument("--seed", type=int, default=0)
     _add_brute_budget(p, default=10)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("estimate", help="Monte Carlo expected-copy estimate")
     _add_pattern_args(p)
     _add_design_args(p)
-    p.add_argument("--samples", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_positive(int), required=True)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("exact-expect", help="exact expected copies on tiny instances")
     _add_pattern_args(p)
     _add_design_args(p)
     _add_brute_budget(p, default=9)
-    # the seed only draws a random pattern; an omitted one is 0, never generated
     p.set_defaults(func=_cmd_exact_expect, seed=0)
 
     p = sub.add_parser("solve", help="least odd block size for the target inequalities")
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", type=_positive(Fraction, "number"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -479,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_args(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--exact", action="store_true")
-    group.add_argument("--samples", type=_positive_int, default=0)
-    p.add_argument("--output", required=True)
-    p.add_argument("--sidecar", default=None)
+    group.add_argument("--samples", type=_positive(int), default=0)
+    p.add_argument("--output", type=_output_file, required=True)
+    p.add_argument("--sidecar", type=_output_file)
     _add_brute_budget(p, default=10)
     p.set_defaults(func=_cmd_experiment)
 
@@ -489,9 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         if args.generated_seed is not None:

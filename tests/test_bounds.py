@@ -1,9 +1,11 @@
 import dataclasses
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orient_boost.bounds import (
     amgm_bound,
@@ -147,6 +149,32 @@ def test_solve_parameters_validation():
         solve_parameters(1, 0)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(eps=st.fractions(Fraction(1, 20), 1, max_denominator=20), k=st.integers(1, 2))
+def test_solve_parameters_is_the_least_odd_t_from_3(eps, k):
+    """The scan starts at 2/eps, below which the third inequality fails, and finds the t a scan from 3 finds."""
+    t = next(t for t in count(3, 2) if all(inequalities_hold(t, eps, k)))
+    assert solve_parameters(eps, k).t == t
+
+
+@pytest.mark.parametrize("eps, k, power", [
+    (Fraction(1, 100000), 1, 299_999),  # the numerator of 3 - eps
+    (Fraction(1, 1000), 3, 18_000),  # 2k^2/eps
+    (Fraction(1499, 1500), 1, 3_001),  # one over, though the answer is t = 7
+    (1, 39, 3_042),  # 2k^2 at eps = 1
+])
+def test_solve_refuses_a_power_over_its_budget_at_once(eps, k, power):
+    with pytest.raises(BudgetExceededError) as exc:
+        solve_parameters(eps, k)
+    assert (exc.value.size, exc.value.budget) == (power, 3000)
+    assert str(exc.value) == f"solve at eps={eps}, k={k} raises to the power {power}, over the budget 3000"
+
+
+def test_solve_admits_a_power_at_its_budget():
+    # the largest power is 3,000, the numerator of 3 - 1497/1499 = 3000/1499
+    assert solve_parameters(Fraction(1497, 1499), 1).t == 7
+
+
 def test_kreg_boost_formula_small_t():
     assert kreg_boost_formula(1, 7) == pytest.approx(0.909, abs=1e-3)
     with pytest.raises(ValueError):
@@ -161,6 +189,12 @@ def test_kreg_boost_formula_limits():
     assert abs(kreg_boost_formula(1, 10001) / math.e - 1) < 1e-3
     for k in (1, 2, 3):
         assert abs(kreg_boost_formula(k, 10 ** 6 + 1) / math.exp(k) - 1) < 1e-3
+
+
+@pytest.mark.parametrize("k, t", [(1, 10 ** 400 + 1), (10 ** 200, 7), (710, 10 ** 9 + 1)])
+def test_kreg_boost_formula_outside_the_float_range_is_refused(k, t):
+    with pytest.raises(ValueError, match=f"the boost product at k={k}, t={t} is outside the float range"):
+        kreg_boost_formula(k, t)
 
 
 def test_amgm_bound_values():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 
 import orient_boost
 from orient_boost import designs
-from orient_boost.cli import main
+from orient_boost.cli import build_parser, main
 from orient_boost.orientations import make_pattern, tournament_from_hex_text, tournament_from_json
 from orient_boost.reports import render_csv, write_report
 
@@ -18,6 +19,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refusal(capsys, *argv):
+    """The error of a refused run, which exits 2 with nothing on stdout and one JSON line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    return json.loads(err)
 
 
 def test_solve_subcommand(capsys):
@@ -30,7 +38,6 @@ def test_solve_subcommand(capsys):
 def test_boost_formula_subcommand(capsys):
     code, out, _ = run(capsys, "boost-formula", "--k", "1", "--t", "10001")
     assert code == 0
-    import math
     assert abs(json.loads(out)["value"] / math.e - 1) < 1e-3
 
 
@@ -55,9 +62,7 @@ def test_stats_of_a_huge_empty_pattern_is_reported_at_once(capsys, tmp_path):
 def test_stats_rejects_two_cycle(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3, "edges": [[0,1],[1,0]]}')
-    code, _, err = run(capsys, "stats", "--input", str(path))
-    assert code == 2
-    obj = json.loads(err)
+    obj = refusal(capsys, "stats", "--input", str(path))
     assert obj["error"] == "InvalidOrientationError"
     assert "2-cycle" in obj["message"] and "0" in obj["message"] and "1" in obj["message"]
 
@@ -80,37 +85,22 @@ def test_decompose_even(capsys):
 
 
 def test_decompose_infeasible(capsys):
-    code, _, err = run(capsys, "decompose", "--n", "13", "--t", "5")
-    assert code == 2
-    assert json.loads(err)["error"] == "InfeasibleAtDeskScale"
+    assert refusal(capsys, "decompose", "--n", "13", "--t", "5")["error"] == "InfeasibleAtDeskScale"
 
 
 def test_decompose_names_the_node_budget_it_ran_out_of(capsys):
-    code, _, err = run(capsys, "decompose", "--n", "23", "--t", "5", "--node-budget", "20000")
-    assert code == 2
-    assert json.loads(err) == {
+    assert refusal(capsys, "decompose", "--n", "23", "--t", "5", "--node-budget", "20000") == {
         "error": "InfeasibleAtDeskScale",
         "message": "design search at (n=23, t=5) exceeded the node budget of 20000 nodes",
     }
 
 
 def test_decompose_even_refusal_names_the_n_asked_for(capsys):
-    code, _, err = run(capsys, "decompose", "--n", "24", "--t", "5", "--node-budget", "1")
-    assert code == 2
-    assert json.loads(err) == {
+    assert refusal(capsys, "decompose", "--n", "24", "--t", "5", "--node-budget", "1") == {
         "error": "InfeasibleAtDeskScale",
         "message": "n=24 extends the design on n=23: "
                    "design search at (n=23, t=5) exceeded the node budget of 1 nodes",
     }
-
-
-@pytest.mark.parametrize("flag", ["--kind", "--q", "--even"])
-def test_decompose_has_one_route_to_a_design(capsys, flag):
-    argv = ["decompose", "--n", "9", flag] + ([] if flag == "--even" else ["sts"])
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_sample_formats_and_determinism(capsys, tmp_path):
@@ -181,10 +171,7 @@ def tournament7(capsys, tmp_path):
 def test_count_rejects_a_malformed_tournament_file(capsys, tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)
-    code, out, err = run(capsys, "count", "--n", "3", "--tournament", str(path))
-    assert code == 2
-    assert out == ""
-    obj = json.loads(err)
+    obj = refusal(capsys, "count", "--n", "3", "--tournament", str(path))
     assert obj["error"] == "InvalidTournamentError"
     assert obj["message"].startswith(message)
 
@@ -193,25 +180,9 @@ def test_count_refuses_a_wrong_edge_count_at_once(capsys, tmp_path):
     # the rows of 200000 vertices are never allocated or masked
     path = tmp_path / "big.json"
     path.write_text('{"n": 200000, "edges": []}')
-    code, out, err = run(capsys, "count", "--n", "3", "--tournament", str(path))
-    assert code == 2
-    assert out == ""
-    obj = json.loads(err)
+    obj = refusal(capsys, "count", "--n", "3", "--tournament", str(path))
     assert obj["error"] == "InvalidTournamentError"
     assert obj["message"] == "a tournament on n=200000 vertices has 19999900000 edges, got 0"
-
-
-@pytest.mark.parametrize("argv", [
-    ("sample", "--n", "7", "--samples", "-2"),
-    ("sample", "--n", "7", "--samples", "0"),
-    ("estimate", "--n", "7", "--samples", "0"),
-    ("experiment", "--n", "7", "--samples", "0", "--output", "never.csv"),
-])
-def test_sample_counts_below_one_are_rejected_up_front(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert "argument --samples: expected a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["auto", "brute"])
@@ -286,10 +257,7 @@ def test_count_routes_a_one_regular_pattern_as_a_cycle(capsys, tournament7):
     (("--n", "8", "--pattern", "matching", "--method", "dp"), "no Hamilton DP for pattern matching"),
 ])
 def test_count_rejects_mismatched_requests(capsys, tournament7, argv, message):
-    code, out, err = run(capsys, "count", *argv, "--tournament", tournament7)
-    assert code == 2
-    assert out == ""
-    assert message in json.loads(err)["message"]
+    assert message in refusal(capsys, "count", *argv, "--tournament", tournament7)["message"]
 
 
 def test_exact_expect_subcommand(capsys):
@@ -446,9 +414,8 @@ def test_bad_thread_count_is_reported_up_front(capsys, tmp_path, monkeypatch, ar
     monkeypatch.setenv("ORIENT_BOOST_THREADS", threads)
     path = tmp_path / "never.csv"
     output = ("--output", str(path)) if argv[0] == "experiment" else ()
-    code, out, err = run(capsys, *argv, "--pattern", "cycle", "--n", "9", "--t", "3", "--seed", "1", *output)
-    assert code == 2 and out == ""
-    assert "ORIENT_BOOST_THREADS" in json.loads(err)["message"]
+    obj = refusal(capsys, *argv, "--pattern", "cycle", "--n", "9", "--t", "3", "--seed", "1", *output)
+    assert "ORIENT_BOOST_THREADS" in obj["message"]
     assert not path.exists()
 
 
@@ -482,22 +449,27 @@ def test_a_closed_stdout_ends_the_run_quietly(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-@pytest.mark.parametrize("argv", [
-    ("decompose", "--n", "25", "--t", "5", "--node-budget", "0"),
-    ("decompose", "--n", "25", "--t", "5", "--node-budget", "-3"),
-    ("sample", "--n", "7", "--node-budget", "x"),
-    ("estimate", "--n", "7", "--samples", "5", "--node-budget", "0"),
-    ("exact-expect", "--n", "7", "--node-budget", "0"),
-    ("exact-expect", "--n", "7", "--brute-budget", "-1"),
-    ("experiment", "--n", "7", "--exact", "--output", "never.csv", "--brute-budget", "0"),
-])
-def test_non_positive_budgets_are_rejected_up_front(capsys, argv):
-    flag = next(a for a in argv if a.endswith("-budget"))
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument {flag}: expected a positive integer" in err
+SUBPARSERS = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def typed_options(type_name):
+    """(subcommand, flag) of every option whose parse-time type is the function `type_name`."""
+    return [(command, action.option_strings[0]) for command, parser in SUBPARSERS.items()
+            for action in parser._actions if getattr(action.type, "__qualname__", "").split(".")[0] == type_name]
+
+
+def assert_refused_by_the_parser(capsys, argv, message):
+    assert refusal(capsys, *argv) == {"error": "OrientBoostError", "message": message}
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("the design search ran")
+
+
+@pytest.mark.parametrize("flag", ["--kind", "--q", "--even"])
+def test_decompose_has_one_route_to_a_design(capsys, flag):
+    argv = ["decompose", "--n", "9", flag] + ([] if flag == "--even" else ["sts"])
+    assert_refused_by_the_parser(capsys, argv, "unrecognized arguments: " + " ".join(argv[3:]))
 
 
 @pytest.mark.parametrize("argv", [
@@ -506,12 +478,58 @@ def test_non_positive_budgets_are_rejected_up_front(capsys, argv):
     ("estimate", "--n", "7", "--samples", "5", "--brute-budget", "3"),
     ("count", "--n", "7", "--tournament", "t7.json", "--node-budget", "1"),
 ])
-def test_subcommands_take_only_the_budgets_they_read(capsys, argv):
-    flag = next(a for a in argv if a.endswith("-budget"))
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+def test_subcommands_take_only_the_budgets_they_read(capsys, tmp_path, monkeypatch, tournament7, argv):
+    monkeypatch.chdir(tmp_path)  # where tournament7 wrote t7.json
+    assert_refused_by_the_parser(capsys, argv, f"unrecognized arguments: {' '.join(argv[-2:])}")
+
+
+@pytest.mark.parametrize("argv", [(command, "--samples", value) for command, flag in typed_options("_positive")
+                                  if flag == "--samples" for value in ("-2", "0")])
+def test_sample_counts_below_one_are_rejected_up_front(capsys, argv):
+    assert_refused_by_the_parser(capsys, argv, f"argument --samples: expected a positive integer, got {argv[2]!r}")
+
+
+@pytest.mark.parametrize("argv", [(command, flag, value) for command, flag in typed_options("_positive")
+                                  if flag.endswith("-budget") for value in ("0", "-3", "x")])
+def test_non_positive_budgets_are_rejected_up_front(capsys, argv):
+    assert_refused_by_the_parser(capsys, argv, f"argument {argv[1]}: expected a positive integer, got {argv[2]!r}")
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "1/0", "x"])
+def test_solve_refuses_an_eps_that_is_not_positive(capsys, eps):
+    assert_refused_by_the_parser(capsys, ("solve", "--eps", eps, "--k", "1"),
+                                 f"argument --eps: expected a positive number, got {eps!r}")
+
+
+@pytest.mark.parametrize("command,flag", typed_options("_input_file"))
+def test_a_missing_input_file_is_refused_before_the_design_search(capsys, tmp_path, monkeypatch, command, flag):
+    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
+    monkeypatch.chdir(tmp_path)
+    assert_refused_by_the_parser(capsys, (command, flag, "missing.json"),
+                                 f"argument {flag}: referenced file does not exist: missing.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "nodir/e.csv"),
+    ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "e.csv", "--sidecar", "nodir/s.json"),
+    ("experiment", "--n", "7", "--samples", "5", "--seed", "1", "--output", "e.csv", "--sidecar", "nodir/s.json"),
+    ("sample", "--n", "7", "--seed", "1", "--output", "nodir/t.json"),
+    ("decompose", "--n", "7", "--output", "nodir/d.json"),
+])
+def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
+    monkeypatch.chdir(tmp_path)
+    assert_refused_by_the_parser(capsys, argv, f"argument {argv[-2]}: output directory does not exist: nodir")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_parse_time_types_cover_every_path_and_count():
+    assert sorted({flag for _, flag in typed_options("_input_file")}) == [
+        "--base", "--base-star", "--design", "--input", "--pattern-file", "--tournament"]
+    assert sorted({flag for _, flag in typed_options("_output_file")}) == ["--output", "--sidecar"]
+    assert sorted({flag for _, flag in typed_options("_positive")}) == [
+        "--brute-budget", "--eps", "--node-budget", "--samples"]
 
 
 def test_sample_validates_its_design_file(capsys, tmp_path):
@@ -520,10 +538,7 @@ def test_sample_validates_its_design_file(capsys, tmp_path):
     d = steiner_triple_system(7)
     bad = tmp_path / "bad.json"
     bad.write_text(Decomposition(7, 3, d.blocks + d.blocks[:1]).to_json())
-    code, out, err = run(capsys, "sample", "--design", str(bad), "--seed", "1")
-    assert code == 2
-    assert out == ""
-    obj = json.loads(err)
+    obj = refusal(capsys, "sample", "--design", str(bad), "--seed", "1")
     assert obj["error"] == "OrientBoostError"
     assert obj["message"].startswith("design file invalid: pair") and "covered 2 times" in obj["message"]
 
@@ -544,65 +559,16 @@ def test_validate_reports_a_huge_empty_design_at_once(capsys, huge_design):
 
 
 def test_sample_refuses_a_huge_empty_design(capsys, huge_design):
-    code, out, err = run(capsys, "sample", "--design", huge_design, "--seed", "1")
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["message"] == "design file invalid: pair (0,1) never covered"
-
-
-RUN_ARGV = {
-    "estimate": ("--n", "7", "--samples", "5", "--seed", "1"),
-    "exact-expect": ("--n", "7"),
-    "experiment": ("--n", "7", "--exact", "--seed", "1", "--output", "never.csv"),
-    "sample": ("--n", "7", "--seed", "1"),
-}
-
-
-@pytest.mark.parametrize("command,flag", [
-    (command, flag) for command in RUN_ARGV
-    for flag in ("--pattern-file", "--design", "--base", "--base-star")
-    if not (command == "sample" and flag == "--pattern-file")
-])
-def test_a_missing_input_file_is_refused_before_the_design_search(
-        capsys, tmp_path, monkeypatch, command, flag):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the design search ran")
-
-    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, command, *RUN_ARGV[command], flag, "missing.json")
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["message"] == "referenced file does not exist: missing.json"
-    assert not (tmp_path / "never.csv").exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "nodir/e.csv"),
-    ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "e.csv", "--sidecar", "nodir/s.json"),
-    ("experiment", "--n", "7", "--samples", "5", "--seed", "1", "--output", "e.csv", "--sidecar", "nodir/s.json"),
-    ("sample", "--n", "7", "--seed", "1", "--output", "nodir/t.json"),
-    ("decompose", "--n", "7", "--output", "nodir/d.json"),
-])
-def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, tmp_path, monkeypatch, argv):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the design search ran")
-
-    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["message"] == "output directory does not exist: nodir"
-    assert list(tmp_path.iterdir()) == []
+    obj = refusal(capsys, "sample", "--design", huge_design, "--seed", "1")
+    assert obj["message"] == "design file invalid: pair (0,1) never covered"
 
 
 @pytest.mark.parametrize("argv, error, message", [
     (("sample", "--samples", "1"), "ValueError", "need either --design or --n"),
     (("estimate", "--n", "7", "--samples", "10", "--design", "nothere.json"),
-     "OrientBoostError", "referenced file does not exist: nothere.json"),
+     "OrientBoostError", "argument --design: referenced file does not exist: nothere.json"),
     (("experiment", "--n", "7", "--samples", "10", "--output", "nodir/x.csv"),
-     "OrientBoostError", "output directory does not exist: nodir"),
+     "OrientBoostError", "argument --output: output directory does not exist: nodir"),
     # refused by the design build, after the seed is generated but before it is printed
     (("sample", "--n", "24", "--t", "5", "--node-budget", "1"), "InfeasibleAtDeskScale",
      "n=24 extends the design on n=23: design search at (n=23, t=5) exceeded the node budget of 1 nodes"),
@@ -623,11 +589,7 @@ def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, 
 def test_a_refused_run_prints_no_generated_seed(capsys, tmp_path, monkeypatch, argv, error, message):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("ORIENT_BOOST_THREADS", "2")
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert json.loads(err) == {"error": error, "message": message}
+    assert refusal(capsys, *argv) == {"error": error, "message": message}
 
 
 @pytest.mark.parametrize("argv", [
@@ -682,20 +644,15 @@ def test_a_one_edge_pattern_on_the_one_block_design_runs(capsys, tmp_path):
                                      ("--pattern", "k_regular_random", "--pattern-file", "c7.json")])
 @pytest.mark.parametrize("command", ["count", "estimate", "exact-expect", "experiment"])
 def test_k_on_any_other_pattern_is_refused(capsys, tmp_path, monkeypatch, tournament7, command, pattern):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the design search ran")
-
     monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c7.json").write_text(make_pattern("cycle", 7).to_json())
     extra = {"count": ("--tournament", tournament7), "estimate": ("--samples", "10"), "exact-expect": (),
              "experiment": ("--samples", "10", "--output", "x.csv")}[command]
-    code, out, err = run(capsys, command, "--n", "7", "--k", "3", "--seed", "1", *pattern, *extra)
-    assert code == 2
-    assert out == ""
     given = "--pattern-file c7.json" if "--pattern-file" in pattern else f"--pattern {pattern[1]}"
-    assert json.loads(err) == {"error": "OrientBoostError", "message":
-                               f"--k is the degree of --pattern k_regular_random; it does not apply to {given}"}
+    assert refusal(capsys, command, "--n", "7", "--k", "3", "--seed", "1", *pattern, *extra) == {
+        "error": "OrientBoostError",
+        "message": f"--k is the degree of --pattern k_regular_random; it does not apply to {given}"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c7.json", "t7.json"]  # no output written
 
 
@@ -705,10 +662,8 @@ def test_a_pattern_file_on_another_vertex_count_is_refused(capsys, tmp_path, tou
     pattern.write_text(make_pattern("cycle", 7).to_json())
     extra = {"count": ("--tournament", tournament7), "estimate": ("--samples", "5", "--seed", "1"),
              "exact-expect": ()}[command]
-    code, out, err = run(capsys, command, "--n", "9", "--pattern-file", str(pattern), *extra)
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["message"] == f"pattern file {pattern} has 7 vertices, --n is 9"
+    obj = refusal(capsys, command, "--n", "9", "--pattern-file", str(pattern), *extra)
+    assert obj["message"] == f"pattern file {pattern} has 7 vertices, --n is 9"
 
 
 def test_the_sidecar_records_the_files_of_its_run(capsys, tmp_path, monkeypatch):

@@ -1,0 +1,117 @@
+"""The command line's one contract, tested on argvs generated from its parser.
+
+Whatever the arguments, ``main`` returns 0, 1 or 2 and raises nothing; a
+refusal (exit 2) is one JSON line on stderr with the keys ``error`` and
+``message``; a run that generates its seed ends its stderr with
+``generated seed: N``, and any other successful run writes nothing there.
+"""
+
+import argparse
+import json
+import re
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from orient_boost import designs
+from orient_boost.cli import build_parser, main
+from orient_boost.orientations import make_pattern
+from orient_boost.sampling import circulant_regular_tournament
+
+SUBPARSERS = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+GENERATES_SEED = {command for command, parser in SUBPARSERS.items()
+                  if "--seed" in parser._option_string_actions and parser.get_default("seed") is None}
+
+# An argv is a subcommand (any but verify) with its required options and a few
+# others, each drawn from its choices or typical values, and at times a fault: a
+# hostile value, a required option left out or another subcommand's flag.  A
+# hostile value is also a missing or malformed file, or an output in a missing
+# directory.  Sizes are capped at n <= 9, 40 samples and 1,000 nodes, so each call
+# takes milliseconds; a 400-digit value is drawn for every other option.
+CAPPED, HUGE = ("--n", "--samples", "--node-budget"), "1" + "0" * 398 + "1"
+HOSTILE = ["0", "-1", "x", "nan", "inf", "1/0", "", "bad.json", "keys.json", "bad.txt", ".", "nodir/run.csv"]
+TYPICAL = {
+    "--n": ["5", "6", "7", "8", "9"], "--t": ["3", "5", "7", "10001"], "--k": ["1", "2", "3"],
+    "--samples": ["1", "7", "40"], "--node-budget": ["1", "40", "1000"], "--brute-budget": ["1", "7", "12"],
+    "--seed": ["0", "1", "5"],
+    # at k = 3 an eps below 1/10 takes up to a second, so the smaller ones are over the solve budget
+    "--eps": ["1", "1/2", "3/4", "0.1", "2", "1/100000", "1e-30", "999999/1000000"],
+    "--pattern-file": ["c7.json", "edge.txt"], "--design": ["fano.json"], "--base": ["r3.json"],
+    "--base-star": ["r5.json"], "--input": ["c7.json", "fano.json", "twice.json"],
+    "--tournament": ["t7.json", "t7.hex"],
+    "--output": ["out/run.csv"], "--sidecar": ["out/run.json"],
+}
+OPTIONS = {flag: action for parser in SUBPARSERS.values() for flag, action in parser._option_string_actions.items()
+           if flag.startswith("--") and flag != "--help"}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A directory of the files a drawn command line names: valid, invalid and malformed."""
+    root = tmp_path_factory.mktemp("cli")
+    for name, text in {
+        "c7.json": make_pattern("cycle", 7).to_json(), "edge.txt": "7\n0 1\n",
+        "fano.json": (fano := designs.steiner_triple_system(7)).to_json(),
+        "r3.json": circulant_regular_tournament(3).to_json(), "r5.json": circulant_regular_tournament(5).to_json(),
+        "bad.json": "{", "keys.json": '{"n": 3}', "bad.txt": "3\n0 0\n",
+        "twice.json": designs.Decomposition(7, 3, fano.blocks * 2).to_json(),
+    }.items():
+        (root / name).write_text(text)
+    for fmt in ("json", "hex"):
+        assert main(["sample", "--n", "7", "--seed", "3", "--format", fmt, "--output", str(root / f"t7.{fmt}")]) == 0
+    (root / "out").mkdir()
+    return root
+
+
+@st.composite
+def command_lines(draw):
+    """An argv drawn from build_parser(), or no subcommand or an unknown one."""
+    command = draw(st.sampled_from([*(c for c in SUBPARSERS if c != "verify"), None, "bogus"]))
+    if command not in SUBPARSERS:
+        return [command] if command else []
+    parser = SUBPARSERS[command]
+    own = {flag: action for flag, action in parser._option_string_actions.items() if flag in OPTIONS}
+    # sample needs --n or --design, the one requirement that its parser does not state
+    flags = [flag for flag, action in own.items() if action.required or (command, flag) == ("sample", "--n")]
+    flags += [draw(st.sampled_from(g._group_actions)).option_strings[0] for g in parser._mutually_exclusive_groups]
+    flags += draw(st.lists(st.sampled_from(sorted(own)), max_size=3))
+    fault = draw(st.sampled_from(["value", "missing", "foreign", None]))
+    if fault == "missing" and flags:
+        flags.remove(draw(st.sampled_from(flags)))
+    if fault == "foreign":
+        flags.append(draw(st.sampled_from(sorted(set(OPTIONS) - set(own)))))
+    argv = [command]
+    for flag in flags:
+        action = own.get(flag, OPTIONS[flag])
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if fault == "value" and draw(st.booleans()):
+            values = HOSTILE + ([] if flag in CAPPED else [HUGE])
+        else:
+            values = action.choices or TYPICAL[flag]
+        argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(argv=command_lines(), threads=st.sampled_from(["1", "2"]))
+@example(argv=["solve", "--eps", "1/0", "--k", "1"], threads="1")
+@example(argv=["solve", "--eps", "1/100000", "--k", "1"], threads="1")
+@example(argv=["boost-formula", "--k", "1", "--t", HUGE], threads="1")
+@example(argv=["sample", "--n", "7", "--samples", "0"], threads="1")
+@example(argv=[], threads="1")
+def test_every_command_line_ends_in_one_of_three_ways(capsys, cli_files, monkeypatch, argv, threads):
+    monkeypatch.chdir(cli_files)
+    monkeypatch.setenv("ORIENT_BOOST_THREADS", threads)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.count("\n") == 1 and set(json.loads(err)) == {"error", "message"}
+    elif argv[0] in GENERATES_SEED and "--seed" not in argv:
+        assert re.fullmatch(r"generated seed: \d+\n", err)
+    else:
+        assert err == ""

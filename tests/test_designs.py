@@ -263,6 +263,23 @@ def test_design_build_spends_one_budget(n, t):
             assert adjusted_decomposition(n, t, node_budget=budget) == design
 
 
+# nodes spent by the triangle/4-cycle layers of builds that the structure check then
+# refuses: (11, 5) peels one layer (q = 3) and (29, 7) two (q = 5); no built design
+# runs a layer, since every build in BUILD_NODES has q = 1
+LAYER_NODES = {(11, 5): 3, (29, 7): 28}
+
+
+@pytest.mark.parametrize("n, t", sorted(LAYER_NODES))
+def test_a_layer_spends_its_nodes_before_the_structure_check(n, t):
+    nodes = LAYER_NODES[n, t]
+    for budget in (nodes, None):
+        with counting_nodes() as spent, pytest.raises(InfeasibleAtDeskScale, match="vertex-disjoint K_"):
+            adjusted_decomposition(n, t, **({} if budget is None else {"node_budget": budget}))
+        assert len(spent) == nodes
+    for budget in range(1, nodes):
+        assert_refused_at(n, t, budget)
+
+
 def test_design_build_at_23_5_names_the_callers_budget():
     # its triangle/4-cycle layer spends 7 nodes, so budgets 1-6 run out there
     for budget in (*range(1, 41), 20_000):
