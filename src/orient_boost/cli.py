@@ -36,18 +36,18 @@ from .orientations import (
 from .rng import stream_for, stream_permutations, stream_residues
 
 
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+# each input kind's readers: its JSON format, then its text format; a design is JSON only
+_READERS = {"orientation": (orientation_from_json, orientation_from_text),
+            "tournament": (tournament_from_json, tournament_from_hex_text),
+            "decomposition": (designs.decomposition_from_json,) * 2}
 
 
-def _load_orientation(path: str, fmt: str | None) -> Orientation:
-    json_file = fmt == "json" or (fmt is None and path.endswith(".json"))
-    return (orientation_from_json if json_file else orientation_from_text)(_read(path))
-
-
-def _load_tournament(path: str) -> Tournament:
-    return (tournament_from_json if path.endswith(".json") else tournament_from_hex_text)(_read(path))
+def _load(kind: str, path: str):
+    """The input a file holds: JSON if its first non-blank character is "{", else its kind's text format."""
+    with open(path, encoding="utf-8", errors="replace") as fh:  # a non-UTF-8 byte reads as U+FFFD: no reader parses it
+        text = fh.read()
+    from_json, from_text = _READERS[kind]
+    return (from_json if text.lstrip().startswith("{") else from_text)(text)
 
 
 def _pattern_from_args(args, seed: int) -> Orientation:
@@ -55,7 +55,7 @@ def _pattern_from_args(args, seed: int) -> Orientation:
         given = f"--pattern-file {args.pattern_file}" if args.pattern_file else f"--pattern {args.pattern}"
         raise OrientBoostError(f"--k is the degree of --pattern k_regular_random; it does not apply to {given}")
     if args.pattern_file:
-        h = _load_orientation(args.pattern_file, None)
+        h = _load("orientation", args.pattern_file)
         if h.n != args.n:
             raise OrientBoostError(f"pattern file {args.pattern_file} has {h.n} vertices, --n is {args.n}")
         return h
@@ -64,7 +64,7 @@ def _pattern_from_args(args, seed: int) -> Orientation:
 
 def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
     if getattr(args, "design", None):
-        d = designs.decomposition_from_json(_read(args.design))
+        d = _load("decomposition", args.design)
         report = designs.validate(d)
         if not report.ok:
             raise OrientBoostError(f"design file invalid: {report.first_violation}")
@@ -86,7 +86,7 @@ def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, 
     if args.seed is None:
         args.seed = args.generated_seed = int.from_bytes(os.urandom(8), "big")
     h = _pattern_from_args(args, args.seed) if hasattr(args, "pattern") else None
-    r, rstar = (_load_tournament(path) if path else None for path in (args.base, args.base_star))
+    r, rstar = (_load("tournament", path) if path else None for path in (args.base, args.base_star))
     d, design_label = _design_from_args(args, args.n)
     bases = sampling.BaseTournaments(r or sampling.circulant_regular_tournament(d.t),
                                      rstar or sampling.circulant_regular_tournament(2 * d.t - 1))
@@ -128,7 +128,7 @@ def _emit(obj: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_stats(args) -> int:
-    h = _load_orientation(args.input, args.format)
+    h = _load("orientation", args.input)
     s = stats(h)
     flags = classify(h)
     _emit({
@@ -153,8 +153,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    d = designs.decomposition_from_json(_read(args.input))
-    report = designs.validate(d)
+    report = designs.validate(_load("decomposition", args.input))
     _emit({"valid": report.ok, "failures": list(report.failures)})
     return 0 if report.ok else 1
 
@@ -176,7 +175,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    t = _load_tournament(args.tournament)
+    t = _load("tournament", args.tournament)
     h = _pattern_from_args(args, args.seed)
     shape = counting.hamilton_shape(h)
     if args.method == "dp" and shape is None:
@@ -414,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="statistics of an orientation file")
     p.add_argument("--input", type=_input_file, required=True)
-    p.add_argument("--format", choices=["json", "text"], default=None)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("decompose", help="build and validate a decomposition")

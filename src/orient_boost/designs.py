@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleAtDeskScale,
     InvalidDecompositionError,
 )
-from .orientations import searched_orbits
+from .orientations import check_vertex_budget, json_int, parsing, searched_orbits
 
 
 class BlockKind(str, Enum):
@@ -110,14 +110,10 @@ class Decomposition:
 
 
 def decomposition_from_json(text: str) -> Decomposition:
-    obj = json.loads(text)
-    try:
-        blocks = tuple(
-            Block(BlockKind(b["kind"]), tuple(int(v) for v in b["vertices"])) for b in obj["blocks"]
-        )
-        return Decomposition(int(obj["n"]), int(obj["t"]), blocks)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidDecompositionError(f"malformed decomposition: {exc}") from exc
+    with parsing(InvalidDecompositionError, "decomposition"):
+        obj = json.loads(text)
+        blocks = tuple(Block(BlockKind(b["kind"]), tuple(map(json_int, b["vertices"]))) for b in obj["blocks"])
+        return Decomposition(json_int(obj["n"]), json_int(obj["t"]), blocks)
 
 
 @dataclass(frozen=True)
@@ -557,8 +553,10 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = NODE_BUDGET) ->
     when the instance needs more structure than desk-scale search provides
     or the node budget runs out, in any step; the latter names (n, t) and
     the budget, and chains the BudgetExceededError.  An even n's refusal
-    names n, then the odd base's refusal, which it chains.
+    names n, then the odd base's refusal, which it chains.  An n over the
+    vertex budget raises BudgetExceededError before any row is built.
     """
+    check_vertex_budget(n)
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
     if n % 2 == 0:

@@ -9,14 +9,23 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InvalidOrientationError, InvalidTournamentError, RejectionBudgetError
+from .errors import BudgetExceededError, InvalidOrientationError, InvalidTournamentError, RejectionBudgetError
 from .rng import stream_for
 
 _PATTERN_ATTEMPTS = 20_000  # seeded draws of k cyclic orders before k_regular_random gives up
+_VERTEX_BUDGET = 1_000  # vertices of a named pattern or a built design
+
+
+def check_vertex_budget(n: int) -> None:
+    """Refuse an n over the vertex budget, before any list of n entries is built."""
+    if n > _VERTEX_BUDGET:
+        raise BudgetExceededError(f"n={n} is over the vertex budget of {_VERTEX_BUDGET}",
+                                  size=n, budget=_VERTEX_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -63,29 +72,39 @@ def orientation_from_edges(n: int, edges) -> Orientation:
     return Orientation(n, frozenset(seen))
 
 
-def orientation_from_json(text: str) -> Orientation:
+@contextmanager
+def parsing(error, kind: str):
+    """The one refusal of a malformed file: a parse failure in the block raised as
+    ``error("malformed <kind>: <repr of the cause>")``, error being the kind's own."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidOrientationError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise InvalidOrientationError('expected an object {"n": int, "edges": [[u,v],...]}')
-    return orientation_from_edges(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
+        yield
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise error(f"malformed {kind}: {exc!r}") from exc
+
+
+def json_int(value) -> int:
+    """value, if it is a JSON integer; a bool, float or string is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _n_and_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """n and the edges of {"n": n, "edges": [[u, v], ...]}, the JSON of a pattern and of a tournament."""
+    obj = json.loads(text)
+    return json_int(obj["n"]), [(json_int(u), json_int(v)) for u, v in obj["edges"]]
+
+
+def orientation_from_json(text: str) -> Orientation:
+    with parsing(InvalidOrientationError, "orientation"):
+        return orientation_from_edges(*_n_and_edges(text))
 
 
 def orientation_from_text(text: str) -> Orientation:
     """Plain-text format: first line n, then one "u v" line per edge."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise InvalidOrientationError("empty input")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidOrientationError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return orientation_from_edges(n, edges)
+    with parsing(InvalidOrientationError, "orientation"):
+        first, *rest = filter(None, map(str.strip, text.splitlines()))
+        return orientation_from_edges(int(first), [(int(u), int(v)) for u, v in map(str.split, rest)])
 
 
 @dataclass(frozen=True)
@@ -337,7 +356,9 @@ def make_pattern(kind: str, n: int, k: int | None = None, seed: int | None = Non
     kinds: "cycle" (n >= 3), "path", "matching" (n even), and
     "k_regular_random" (2k < n): the union of k seeded random cyclic vertex
     orders, rejection-sampled until no repeated or opposite edges occur.
+    An n over the vertex budget raises BudgetExceededError.
     """
+    check_vertex_budget(n)
     if kind == "cycle":
         if n < 3:
             raise ValueError("cycle needs n >= 3")
@@ -490,29 +511,24 @@ def tournament_from_edges(n: int, edges) -> Tournament:
 
 
 def tournament_from_json(text: str) -> Tournament:
-    obj = json.loads(text)
-    try:
-        n, edges = int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidTournamentError(f"malformed tournament: {exc!r}") from exc
-    return tournament_from_edges(n, edges)
+    with parsing(InvalidTournamentError, "tournament"):
+        return tournament_from_edges(*_n_and_edges(text))
 
 
 def tournament_from_hex_text(text: str) -> Tournament:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise InvalidTournamentError("empty input")
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise InvalidTournamentError(f"expected {n} hex rows, got {len(lines) - 1}")
-    nbytes, full = (n + 7) // 8, (1 << n) - 1
-    rows = []
-    for u in range(n):
-        buf = bytes.fromhex(lines[u + 1])
-        if len(buf) != nbytes:
-            raise InvalidTournamentError(f"hex row {u} has {len(buf)} bytes, expected {nbytes}")
-        rows.append(int.from_bytes(buf.translate(_REVERSED_BITS), "little") & full)
-    return Tournament(n, tuple(rows))
+    with parsing(InvalidTournamentError, "tournament"):
+        first, *lines = filter(None, map(str.strip, text.splitlines()))
+        n = int(first)
+        if len(lines) != n:
+            raise InvalidTournamentError(f"expected {n} hex rows, got {len(lines)}")
+        nbytes, full = (n + 7) // 8, (1 << n) - 1
+        rows = []
+        for u, line in enumerate(lines):
+            buf = bytes.fromhex(line)
+            if len(buf) != nbytes:
+                raise InvalidTournamentError(f"hex row {u} has {len(buf)} bytes, expected {nbytes}")
+            rows.append(int.from_bytes(buf.translate(_REVERSED_BITS), "little") & full)
+        return Tournament(n, tuple(rows))
 
 
 def random_tournament(n: int, seed: int) -> Tournament:

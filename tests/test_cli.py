@@ -163,16 +163,27 @@ def tournament7(capsys, tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("name, text, message", [
-    ("keys.json", '{"n": 3}', "malformed tournament: KeyError('edges')"),
-    ("edges.json", '{"n": 3, "edges": 5}', "malformed tournament: TypeError("),
-    ("short.hex", "9\n" + "ff\n" * 9, "hex row 0 has 1 bytes, expected 2"),
+@pytest.mark.parametrize("name, text, message, flag", [
+    ("keys.json", '{"n": 3}', "malformed tournament: KeyError('edges')", "--tournament"),
+    ("edges.json", '{"n": 3, "edges": 5}', "malformed tournament: TypeError(", "--tournament"),
+    ("short.hex", "9\n" + "ff\n" * 9, "hex row 0 has 1 bytes, expected 2", "--tournament"),
+    # an integer of a file must be a JSON integer, not a bool, float or string
+    ("bool.json", '{"n": true, "edges": []}', "malformed tournament: TypeError('expected an integer, got True')",
+     "--tournament"),
+    ("float.json", '{"n": 3.5, "edges": []}', "malformed orientation: TypeError('expected an integer, got 3.5')",
+     "--pattern-file"),
+    ("vertex.json", '{"n": 7, "t": 3, "blocks": [{"kind": "C3", "vertices": [0, 1, "2"]}]}',
+     "malformed decomposition: TypeError(\"expected an integer, got '2'\")", "--design"),
 ])
-def test_count_rejects_a_malformed_tournament_file(capsys, tmp_path, name, text, message):
+def test_count_rejects_a_malformed_tournament_file(capsys, tmp_path, tournament7, name, text, message, flag):
+    """A malformed file of each kind is refused as its kind: a tournament or a pattern by count, a design by sample."""
     path = tmp_path / name
     path.write_text(text)
-    obj = refusal(capsys, "count", "--n", "3", "--tournament", str(path))
-    assert obj["error"] == "InvalidTournamentError"
+    argv, error = {"--tournament": (["count", "--n", "3"], "InvalidTournamentError"),
+                   "--pattern-file": (["count", "--n", "3", "--tournament", tournament7], "InvalidOrientationError"),
+                   "--design": (["sample", "--seed", "1"], "InvalidDecompositionError")}[flag]
+    obj = refusal(capsys, *argv, flag, str(path))
+    assert obj["error"] == error
     assert obj["message"].startswith(message)
 
 
