@@ -10,8 +10,9 @@ block's whole contribution), sums it over all permutations on tiny instances
 (``exact_copy_summary``, one chunk for every pattern vertex orbit and every
 orbit of the design's point stabiliser, budgeted by the terms it sums), and
 estimates it by seeded Monte Carlo otherwise (``estimate_expected_copies``).
-Both tally their chunks through one runner, ``_run_chunks``, on one kernel
-or a worker pool, into one record of exact partial sums, ``_ExactSums``,
+Both tally their chunks through one runner, ``_run_chunks``, on one kernel,
+or on a worker pool when the first chunk's measured time says that one pays
+for itself, into one record of exact partial sums, ``_ExactSums``,
 whose one entry ``tally`` adds each distinct term of a fold of ``_FOLD``
 copies once, times its count, and whose ``merge`` combines chunks.  A Monte
 Carlo chunk's permutations come from ``rng.stream_permutations``, the batched
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -527,7 +529,8 @@ class CopyKernel:
     ``perm(size, m) <= _TABLE_INJECTIONS``, and with ``count_embeddings``
     above, which alone reaches the spanning K9 captures of (9,5).  The memo
     and the tables belong to the instance, since callers may pass their own
-    bases; a pool worker keeps one kernel for all the chunks it scans.  Bases
+    bases; the calling process keeps one kernel for every chunk it tallies,
+    and so does each pool worker.  Bases
     that do not fit t and a design that is not a partition of K_n are refused
     before any term by ``sampling.checked_pair_index``, which builds the index.
     """
@@ -848,19 +851,39 @@ def _tally_chunk(chunk, kernel: CopyKernel | None = None) -> _ExactSums:
     return _ExactSums().tally(kernel or _worker_kernel, source(*args), weight)
 
 
+# A pool starts only when the time it would save exceeds this, its fixed cost in
+# seconds.  Measured on 2 vCPUs, Python 3.11.7, on the 2-regular pattern of
+# PG(2,4), medians of 11 runs in one process in each of three batches: a pool of two
+# with the kernel initialiser takes 12-17 ms to start and stop idle, and each
+# worker's cold memo adds about 2 ms to a 256-copy chunk (10 ms against 8 warm).
+# The caller's warm kernel also tallies its later chunks faster than the first,
+# at whose time the saving is counted.  Over six batches of 11-21 alternating
+# calls, 6 chunks of 256 (a counted saving of 22-25 ms in four) ran slower
+# pooled in five, and 8 (30-39 ms) as fast or faster pooled in five; hence
+# 0.03.  The README's pool note has the whole crossover table.
+_POOL_SECONDS = 0.03
+
+
 def _run_chunks(h, d, bases, chunks, workers: int) -> _ExactSums:
     """The one record of ``chunks``, each (weight, module-level source, args),
-    merged in list order: tallied on this process's kernel when min(workers,
-    chunks) is 1, else on a pool of that many, which bad bases never reach."""
+    merged in list order.  This process tallies the first chunk on its own
+    kernel, which also refuses bad bases before any pool, and times it (s
+    seconds).  The rest go to a pool of w = min(workers, chunks left) only
+    when w > 1 and the time a pool would save, s * (chunks left) * (1 - 1/w),
+    exceeds its fixed cost, ``_POOL_SECONDS``; else this kernel tallies them."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(chunks))
     kernel = CopyKernel(h, d, bases)
-    if workers == 1:
-        return reduce(_ExactSums.merge, map(partial(_tally_chunk, kernel=kernel), chunks))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                             initargs=(h, d, bases)) as pool:
-        return reduce(_ExactSums.merge, pool.map(_tally_chunk, chunks))
+    first, *rest = chunks
+    start = time.perf_counter()
+    record = _tally_chunk(first, kernel)
+    seconds = time.perf_counter() - start
+    workers = min(workers, len(rest))
+    if workers > 1 and seconds * len(rest) * (1 - 1 / workers) > _POOL_SECONDS:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(h, d, bases)) as pool:
+            return reduce(_ExactSums.merge, pool.map(_tally_chunk, rest), record)
+    return reduce(_ExactSums.merge, map(partial(_tally_chunk, kernel=kernel), rest), record)
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +976,8 @@ class EstimateReport:
 
 
 def worker_count_from_env() -> int:
-    """ORIENT_BOOST_THREADS, capped at the CPU count; never affects numeric output, only wall time."""
+    """ORIENT_BOOST_THREADS, capped at the CPUs this process may run on (``os.sched_getaffinity``
+    where the platform has it, else ``os.cpu_count``); never affects numeric output, only wall time."""
     raw = os.environ.get("ORIENT_BOOST_THREADS", "1")
     try:
         workers = int(raw)
@@ -961,7 +985,8 @@ def worker_count_from_env() -> int:
         workers = 0
     if workers < 1:
         raise ValueError(f"ORIENT_BOOST_THREADS must be an integer >= 1, got {raw!r}")
-    return min(workers, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cpus or 1)
 
 
 def _mean_stderr(total, total_sq, m: int) -> tuple[float, float]:
@@ -981,8 +1006,9 @@ def estimate_expected_copies(h: Orientation, d: Decomposition, bases: BaseTourna
     exactly and converted to floats only in the report, so results are
     bit-identical for any worker count.  The report gives the mean ratio and
     the mean captures [c, i, f, g], each with its standard error.  On w > 1
-    workers a chunk holds max(256, samples // 8w) samples, so 256 or fewer
-    samples are one chunk and start no pool.
+    workers a chunk holds max(256, samples // 8w) samples; ``_run_chunks``
+    tallies the first here and starts a pool for the rest only when its
+    measured time says the pool would save more than it costs.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

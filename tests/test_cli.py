@@ -593,7 +593,8 @@ def test_sample_refuses_a_huge_empty_design(capsys, huge_design):
      "block 0 needs 6227020800 injections, over the budget 500000"),
     (("experiment", "--n", "14", "--t", "7", "--pattern", "path", "--samples", "10", "--output", "x.csv"),
      "BudgetExceededError", "block 0 needs 6227020800 injections, over the budget 500000"),
-    # on two workers 600 samples are three chunks, so this copy is refused inside a pool worker
+    # on two workers 600 samples are three chunks, and this copy is refused in the first, which
+    # this process tallies; tests/test_counting.py refuses one inside a pool worker
     (("estimate", "--n", "14", "--t", "7", "--pattern", "cycle", "--samples", "600"), "BudgetExceededError",
      "block 0 needs 6227020800 injections, over the budget 500000"),
 ])

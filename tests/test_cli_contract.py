@@ -26,9 +26,9 @@ SUBPARSERS = next(a.choices for a in build_parser()._actions if isinstance(a, ar
 GENERATES_SEED = {command for command, parser in SUBPARSERS.items()
                   if "--seed" in parser._option_string_actions and parser.get_default("seed") is None}
 
-# An argv is a subcommand (any but verify) with its required options and a few
-# others, each drawn from its choices or typical values, and at times a fault: a
-# hostile value, a required option left out or another subcommand's flag.  A
+# An argv is a subcommand (any but verify) with its required options, its --seed
+# and a few others, each drawn from its choices or typical values, and at times a
+# fault: a hostile value, an option left out or another subcommand's flag.  A
 # hostile value is also a missing or malformed file, or an output in a missing
 # directory.  Typical sizes are n <= 9, 40 samples and 1,000 nodes, so each call
 # takes milliseconds; a 400-digit value is drawn for every option but the samples
@@ -86,8 +86,10 @@ def command_lines(draw):
         return [command] if command else []
     parser = SUBPARSERS[command]
     own = {flag: action for flag, action in parser._option_string_actions.items() if flag in OPTIONS}
-    # sample needs --n or --design, the one requirement that its parser does not state
-    flags = [flag for flag, action in own.items() if action.required or (command, flag) == ("sample", "--n")]
+    # sample needs --n or --design, the one requirement that its parser does not state; a run
+    # command is drawn with its --seed, so that its stdout is compared on one and two threads
+    flags = [flag for flag, action in own.items()
+             if action.required or (command, flag) == ("sample", "--n") or flag == "--seed"]
     flags += [draw(st.sampled_from(g._group_actions)).option_strings[0] for g in parser._mutually_exclusive_groups]
     flags += draw(st.lists(st.sampled_from(sorted(own)), max_size=3))
     fault = draw(st.sampled_from(["value", "missing", "foreign", None]))
@@ -119,7 +121,11 @@ def command_lines(draw):
 @example(argv=[], threads="1")
 @example(argv=["decompose", "--n", HUGE], threads="1")
 @example(argv=["estimate", "--n", HUGE, "--samples", "1"], threads="1")
-# seeded runs compared across thread counts; P9 on STS(9) is summed in 9 pool chunks on two workers
+# runs that generate their seed, since the drawn ones take --seed unless a fault leaves it out
+@example(argv=["estimate", "--n", "7", "--samples", "7"], threads="2")
+@example(argv=["sample", "--n", "7"], threads="1")
+@example(argv=["experiment", "--n", "7", "--samples", "1", "--output", "out/run.csv"], threads="2")
+# seeded runs compared across thread counts; P9 on STS(9) is 9 chunks, which a pool may share
 @example(argv=["exact-expect", "--pattern", "path", "--n", "9"], threads="2")
 @example(argv=["estimate", "--pattern", "k_regular_random", "--k", "2", "--n", "9", "--samples", "40",
                "--seed", "1"], threads="1")

@@ -1362,30 +1362,47 @@ def _sample_chunks(master, samples, size, n):
     return [(1, stream_permutations, (master, lo, min(lo + size, samples), n)) for lo in range(0, samples, size)]
 
 
-def test_pool_and_serial_scans_give_one_record():
-    # 600 samples at 2 workers span three chunks of at most 256 samples
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools ``_run_chunks`` starts, with a pool's fixed cost set to 0
+    so that any run with two chunks left after the first starts one."""
+    started, real = [], counting.ProcessPoolExecutor
+
+    def pool(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_POOL_SECONDS", 0)
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", pool)
+    return started
+
+
+def test_pool_and_serial_scans_give_one_record(pools):
+    # 600 samples at 2 workers span three chunks of at most 256 samples: one here, two in the pool
     d = extend_to_even(steiner_triple_system(7))
     h = random_orientation(8, 12, seed=5)
     bases = BaseTournaments.circulant(3)
     serial = _run_chunks(h, d, bases, _sample_chunks(11, 600, 600, 8), 1)
     pooled = _run_chunks(h, d, bases, _sample_chunks(11, 600, 256, 8), 2)
+    assert pools == [2]
     assert type(serial) is type(pooled) is _ExactSums
     assert vars(serial) == vars(pooled)
 
 
-def test_pool_workers_build_the_default_bases_themselves():
+def test_pool_workers_build_the_default_bases_themselves(pools):
     # bases of None reach each worker, whose kernel builds the circulant pair
     d = extend_to_even(steiner_triple_system(7))
     h = random_orientation(8, 12, seed=5)
     serial = _run_chunks(h, d, BaseTournaments.circulant(3), _sample_chunks(11, 600, 600, 8), 1)
     assert vars(_run_chunks(h, d, None, _sample_chunks(11, 600, 256, 8), 2)) == vars(serial)
+    assert pools == [2]
 
 
 @pytest.mark.parametrize("pattern,n,ratio,chunks", [
     ("cycle", 7, Fraction(43, 15), 1), ("cycle", 9, Fraction(101, 35), 1),
     ("path", 9, Fraction(81, 35), 9), ("cycle", 10, Fraction(18, 7), 9),
 ])
-def test_exact_pins_give_one_record_on_one_and_two_workers(monkeypatch, pattern, n, ratio, chunks):
+def test_exact_pins_give_one_record_on_one_and_two_workers(monkeypatch, pools, pattern, n, ratio, chunks):
     # one chunk per (pattern orbit, stabiliser orbit): C10 on the even (10,3) has 9 singleton
     # stabiliser orbits and P9 has 9 vertex orbits on the 2-transitive STS(9)
     h, d = make_pattern(pattern, n), adjusted_decomposition(n, 3)
@@ -1400,6 +1417,21 @@ def test_exact_pins_give_one_record_on_one_and_two_workers(monkeypatch, pattern,
     (serial_chunks, serial), (pooled_chunks, pooled) = runs
     assert serial_chunks == pooled_chunks == chunks
     assert vars(serial) == vars(pooled)
+    assert pools == ([2] if chunks > 1 else [])
+
+
+def test_a_copy_refused_in_a_pool_worker_reads_as_in_this_process(pools):
+    # the first chunk holds no copy, so every C14 copy on (14,7), one K13 block and the hub, is
+    # tallied, and refused, in a pool worker
+    h, d = make_pattern("cycle", 14), adjusted_decomposition(14, 7)
+    chunks = [(1, stream_permutations, (2, 0, 0, 14)), *_sample_chunks(2, 30, 10, 14)]
+    with pytest.raises(BudgetExceededError) as serial:
+        _run_chunks(h, d, None, chunks, 1)
+    assert pools == []
+    with pytest.raises(BudgetExceededError) as pooled:
+        _run_chunks(h, d, None, chunks, 2)
+    assert pools == [2]
+    assert str(pooled.value) == str(serial.value) == "block 0 needs 6227020800 injections, over the budget 500000"
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -1417,11 +1449,19 @@ def test_a_worker_count_below_one_is_refused_before_any_kernel(monkeypatch, entr
             exact_copy_summary(c7, fano, workers=workers)
 
 
-@pytest.mark.parametrize("n, samples", [(7, None), (9, None), (7, 1), (7, 256)])
-def test_a_run_of_one_chunk_starts_no_pool(monkeypatch, n, samples):
+@pytest.mark.parametrize("pattern, n, samples, pool_seconds", [
+    pytest.param("cycle", 7, None, 0, id="7-None"), pytest.param("cycle", 9, None, 0, id="9-None"),
+    pytest.param("cycle", 7, 1, 0, id="7-1"), pytest.param("cycle", 7, 256, 0, id="7-256"),
+    pytest.param("k_regular_random", 21, 512, 0, id="reg2-pg24-512"),
+    pytest.param("path", 7, None, math.inf, id="path7-fano"),
+])
+def test_a_run_of_one_chunk_starts_no_pool(monkeypatch, pattern, n, samples, pool_seconds):
     # C7 on the Fano plane and C9 on STS(9) are one chunk each: one vertex orbit on a 2-transitive
-    # design; an estimate of at most 256 samples is one chunk on any worker count
-    h, d = make_pattern("cycle", n), adjusted_decomposition(n, 3)
+    # design; an estimate of at most 256 samples is one chunk on any worker count.  The
+    # benchmark's 512 samples of the 2-regular pattern on PG(2,4) are two chunks on two workers,
+    # and one chunk left after the first needs no pool whatever its cost.  P7 on the Fano plane
+    # is 7 chunks, but a pool that costs more than any saving never starts.
+    h, d = make_pattern(pattern, n, k=2, seed=3), adjusted_decomposition(n, 5 if n == 21 else 3)
     if samples is None:
         run = partial(exact_copy_summary, h, d)
     else:
@@ -1432,6 +1472,7 @@ def test_a_run_of_one_chunk_starts_no_pool(monkeypatch, n, samples):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(counting, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(counting, "_POOL_SECONDS", pool_seconds)
     assert vars(run(workers=2)) == vars(serial)
 
 
@@ -1452,13 +1493,21 @@ def test_bases_that_do_not_fit_are_refused_before_a_pool_starts(entry):
 
 @pytest.mark.parametrize("raw,cpus,expected", [
     (None, 8, 1), ("1", 8, 1), ("3", 8, 3), (" 2 ", 8, 2), ("64", 4, 4), ("5", None, 1),
+    pytest.param("3", {0, 5}, 2, id="3-affinity-2"),
 ])
 def test_worker_count_from_env(monkeypatch, raw, cpus, expected):
+    # cpus is the CPU count of a platform without sched_getaffinity, or the set of CPUs this
+    # process may run on, out of 8
     if raw is None:
         monkeypatch.delenv("ORIENT_BOOST_THREADS", raising=False)
     else:
         monkeypatch.setenv("ORIENT_BOOST_THREADS", raw)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if isinstance(cpus, set):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert worker_count_from_env() == expected
 
 
