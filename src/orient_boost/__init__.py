@@ -43,7 +43,6 @@ from .errors import (
     InvalidOrientationError,
     InvalidTournamentError,
     OrientBoostError,
-    RejectionBudgetError,
 )
 from .orientations import (
     Orientation,

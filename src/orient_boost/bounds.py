@@ -61,7 +61,7 @@ def verify_relabel_probabilities(r: Tournament, *, method: str = "auto") -> Rela
 
     if method == "permutations":
         if t > 7:
-            raise BudgetExceededError(f"permutation tally infeasible at t={t}; use injections")
+            raise BudgetExceededError(f"permutation tally at t={t}", t, 7, "base vertices")
         bm = tuple(tuple((r.rows[a] >> b) & 1 for b in range(t)) for a in range(t))
         perms = list(permutations(range(t)))
         total = len(perms)
@@ -160,8 +160,7 @@ def solve_parameters(eps, k: int) -> ParameterSolution:
     if k < 1:
         raise ValueError("k must be a positive integer")
     if (power := max(_exponents(eps, k))) > _EXPONENT_BUDGET:
-        raise BudgetExceededError(f"solve at eps={eps}, k={k} raises to the power {power}, over the budget "
-                                  f"{_EXPONENT_BUDGET}", size=power, budget=_EXPONENT_BUDGET)
+        raise BudgetExceededError(f"solve at eps={eps}, k={k}", power, _EXPONENT_BUDGET, "the largest power raised to")
     for t in count(max(3, math.ceil(2 / eps)) | 1, 2):
         if all(inequalities_hold(t, eps, k)):
             return ParameterSolution(

@@ -159,8 +159,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if not args.design and args.n is None:
-        raise ValueError("need either --design or --n")
+    _refuse_shared_paths(args, args.output)
     seed, _, d, _, bases = _load_inputs(args)
     chunks = []
     for index in range(args.samples):
@@ -311,7 +310,19 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _refuse_shared_paths(args, *outputs: str | None) -> None:
+    """Refuse, before the run, an output path that another output or an input of the run also names."""
+    inputs = (getattr(args, name, None) for name in ("pattern_file", "design", "base", "base_star"))
+    named = [os.path.realpath(path) for path in inputs if path]
+    for path in filter(None, outputs):
+        if os.path.realpath(path) in named:
+            raise OrientBoostError(f"output {path} is also another output or an input of this run")
+        named.append(os.path.realpath(path))
+
+
 def _cmd_experiment(args) -> int:
+    sidecar_path = reports.sidecar_path_for(args.output, args.sidecar)
+    _refuse_shared_paths(args, args.output, sidecar_path)
     row, out, baseline, d, bases = _run(args, exact=args.exact)
     extra = ({"expectation": str(out.expectation), "ratio_exact": str(out.ratio)} if args.exact
              else {"capture_means": list(out.capture_means)})
@@ -335,7 +346,7 @@ def _cmd_experiment(args) -> int:
         },
         "results": [row | extra],
     }
-    reports.write_report([row], args.output, sidecar, args.sidecar)
+    reports.write_report([row], args.output, sidecar, sidecar_path)
     _emit({"written": args.output, **row})
     return 0
 
@@ -370,6 +381,8 @@ def _input_file(path: str) -> str:
 
 
 def _output_file(path: str) -> str:
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"output is a directory: {path}")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise argparse.ArgumentTypeError(f"output directory does not exist: {os.path.dirname(path)}")
     return path
@@ -383,9 +396,9 @@ def _add_pattern_args(p) -> None:
     p.add_argument("--pattern-file", type=_input_file, help="orientation file overriding --pattern")
 
 
-def _add_design_args(p) -> None:
-    """The design flags shared by sample, estimate, exact-expect and experiment."""
-    p.add_argument("--design", type=_input_file, help="decomposition JSON file")
+def _add_design_args(p, design_group=None) -> None:
+    """The design flags of sample, estimate, exact-expect and experiment; --design joins `design_group` if given."""
+    (design_group or p).add_argument("--design", type=_input_file, help="decomposition JSON file")
     p.add_argument("--t", type=int, default=3, help="block size when building a design")
     p.add_argument("--base", type=_input_file, help="regular tournament file for size-t blocks")
     p.add_argument("--base-star", type=_input_file, help="regular tournament file for size-(2t-1) blocks")
@@ -427,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("sample", help="draw block-randomized tournaments")
-    p.add_argument("--n", type=int, default=None)
-    _add_design_args(p)
+    design_or_n = p.add_mutually_exclusive_group(required=True)
+    design_or_n.add_argument("--n", type=int)
+    _add_design_args(p, design_or_n)
     p.add_argument("--samples", type=_positive(int), default=1)
     p.add_argument("--format", choices=["json", "hex"], default="json")
     p.add_argument("--output", type=_output_file)

@@ -55,7 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations, compress, islice, permutations
+from itertools import combinations, compress, count, islice, permutations
 from operator import itemgetter
 
 from .designs import BlockKind, Decomposition, point_stabiliser_orbits
@@ -144,18 +144,13 @@ def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -
     """Number of vertex permutations mapping every edge of h onto an edge of t.
 
     The spanning case of ``count_embeddings``, and the oracle of the walk
-    counts; the unlabeled count is this divided by aut(h).  Over the budget,
-    the ``count`` subcommand counts a directed Hamilton cycle or path by its
-    shape (``hamilton_shape``), and anything else takes the estimator.
+    counts; the unlabeled count is this divided by aut(h).  An n over
+    ``budget_n`` raises BudgetExceededError.
     """
     if h.n != t.n:
         raise ValueError(f"pattern has {h.n} vertices, tournament has {t.n}")
     if h.n > budget_n:
-        raise BudgetExceededError(
-            f"n={h.n} over the brute-force budget {budget_n}; the count subcommand counts "
-            "directed Hamilton cycles and paths, anything else takes the Monte Carlo estimator",
-            size=h.n, budget=budget_n,
-        )
+        raise BudgetExceededError(f"brute-force count at n={h.n}", h.n, budget_n, "vertices")
     return count_embeddings(h.edges, h.n, t.rows)
 
 
@@ -411,16 +406,11 @@ def _chunk_sums(plan, live: int) -> tuple[list[tuple[int, int]], list[list[int]]
     return pairs, [[s for s in map(slot.__getitem__, terms[i]) if s is not None] for i in present]
 
 
-def _check_hamilton_budget(n: int) -> None:
-    if n > _HAMILTON_BUDGET:
-        raise BudgetExceededError(f"n={n} over the Hamilton budget {_HAMILTON_BUDGET}",
-                                  size=n, budget=_HAMILTON_BUDGET)
-
-
 def count_hamilton_cycles(t: Tournament) -> int:
     """Directed Hamilton cycles.  Each passes vertex 0 once, so they are the
     paths over 1..n-1 from out(0) to in(0), counted by ``_covering_walks``."""
-    _check_hamilton_budget(t.n)
+    if t.n > _HAMILTON_BUDGET:
+        raise BudgetExceededError(f"Hamilton cycle count at n={t.n}", t.n, _HAMILTON_BUDGET, "vertices")
     if t.n < 3:
         return 0
     rest = (1 << t.n) - 2
@@ -430,7 +420,8 @@ def count_hamilton_cycles(t: Tournament) -> int:
 def count_hamilton_paths(t: Tournament) -> int:
     """Directed Hamilton paths, from every start vertex to every end vertex,
     counted by ``_covering_walks``."""
-    _check_hamilton_budget(t.n)
+    if t.n > _HAMILTON_BUDGET:
+        raise BudgetExceededError(f"Hamilton path count at n={t.n}", t.n, _HAMILTON_BUDGET, "vertices")
     every = (1 << t.n) - 1
     return _covering_walks(t.rows, every, every, every)
 
@@ -736,10 +727,7 @@ class CopyKernel:
         base = self.bases.of(key[0])
         total = math.perm(base.n, m)
         if total > _INJECTION_BUDGET:
-            raise BudgetExceededError(
-                f"block {bid} needs {total} injections, over the budget "
-                f"{_INJECTION_BUDGET}", size=total, budget=_INJECTION_BUDGET,
-            )
+            raise BudgetExceededError(f"block {bid}", total, _INJECTION_BUDGET, "injections")
         return base.rows, total
 
     def _injection_hits(self, bid: int, key: tuple, m: int) -> tuple[int, int]:
@@ -926,22 +914,23 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     each (u, P) are one chunk (``_head_copies``), of weight |orbit(u)| · |P|.
 
     The budget counts the terms summed, (pattern orbits) · (stabiliser
-    orbits) · (n-2)!, against budget_n!.  That is at most n!, so any budget_n
-    >= n is accepted without computing budget_n!, and at least (n-2)!, so n
-    - 2 > budget_n is refused before any orbit search.
+    orbits) · (n-2)!, against budget_n!; a refusal names the least k whose
+    k! covers that count.  It is at most n!, so any budget_n >= n is
+    accepted without computing budget_n!, and at least (n-2)!, so n - 2 >
+    budget_n is refused before any orbit search.
     """
     n = h.n
     if n - 2 > budget_n:
-        raise BudgetExceededError(f"exact expectation at n={n} sums at least {n - 2}! terms, over the "
-                                  f"budget of {budget_n}! terms", size=n, budget=budget_n)
+        raise BudgetExceededError(f"exact sum at n={n} of at least {n - 2}! terms", n - 2, budget_n, "k! terms")
     orbits = vertex_orbits(h)
     # (images of the positions in front, |P|): pi[u] = 0 and pi[w] = p; at n = 1 the one copy
     heads = [((0, p[0]), len(p)) for p in point_stabiliser_orbits(d)] or [((0,), 1)]
     summed = len(orbits) * len(heads) * math.factorial(n - len(heads[0][0]))
     if budget_n < n and summed > math.factorial(budget_n):
-        raise BudgetExceededError(f"exact expectation at n={n} sums {summed} terms ({len(orbits)} pattern "
-                                  f"orbits x {len(heads)} stabiliser orbits x {n - 2}!), over the budget "
-                                  f"of {budget_n}! terms", size=n, budget=budget_n)
+        raise BudgetExceededError(f"exact sum at n={n} of {summed} terms ({len(orbits)} pattern orbits x "
+                                  f"{len(heads)} stabiliser orbits x {n - 2}!)",
+                                  next(k for k in count(budget_n + 1) if math.factorial(k) >= summed),
+                                  budget_n, "k! terms")
     chunks = [(len(orbit) * size, _head_copies, (n, orbit[0], head)) for orbit in orbits for head, size in heads]
     total, _, typical, sums, _ = _run_chunks(h, d, bases, chunks, workers).totals()
     nfact = math.factorial(n)

@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleAtDeskScale,
     InvalidDecompositionError,
 )
-from .orientations import check_vertex_budget, json_int, parsing, searched_orbits
+from .orientations import _VERTEX_BUDGET, json_int, parsing, searched_orbits
 
 
 class BlockKind(str, Enum):
@@ -349,8 +349,7 @@ class _Budget:
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceededError(f"search node budget of {self.nodes} nodes exhausted",
-                                      budget=self.nodes)
+            raise BudgetExceededError("design search", self.nodes + 1, self.nodes, "nodes")
 
 
 def _kt_search(adj: list[int], t: int, budget: _Budget) -> list[tuple[int, ...]] | None:
@@ -556,7 +555,8 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = NODE_BUDGET) ->
     names n, then the odd base's refusal, which it chains.  An n over the
     vertex budget raises BudgetExceededError before any row is built.
     """
-    check_vertex_budget(n)
+    if n > _VERTEX_BUDGET:
+        raise BudgetExceededError(f"design at n={n}", n, _VERTEX_BUDGET, "vertices")
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
     if n % 2 == 0:

@@ -22,17 +22,21 @@ class CongruenceError(OrientBoostError):
 
 
 class BudgetExceededError(OrientBoostError):
-    """An enumeration or search exceeded its configured budget."""
+    """Work refused by its budget, the one refusal of every budget.
 
-    def __init__(self, message: str, *, size: int | None = None, budget: int | None = None):
-        super().__init__(message)
-        self.size = size
-        self.budget = budget
+    ``size`` is the least budget that admits the work, a lower bound where
+    the work stops early, and ``budget`` the budget it was refused at; both
+    are integers in the budget's unit, which the message names.
+    """
+
+    def __init__(self, work: str, size: int, budget: int, unit: str):
+        super().__init__(work, size, budget, unit)  # its arguments, so that a pool worker's refusal pickles
+        self.size, self.budget = size, budget
+
+    def __str__(self) -> str:
+        work, size, budget, unit = self.args
+        return f"{work} needs a budget of at least {size}, over the budget of {budget} (in {unit})"
 
 
 class InfeasibleAtDeskScale(OrientBoostError):
     """The requested construction is not achievable within desk-scale search limits."""
-
-
-class RejectionBudgetError(OrientBoostError):
-    """Rejection sampling used up its retry budget; retry with a new seed."""

@@ -14,18 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceededError, InvalidOrientationError, InvalidTournamentError, RejectionBudgetError
+from .errors import BudgetExceededError, InvalidOrientationError, InvalidTournamentError
 from .rng import stream_for
 
 _PATTERN_ATTEMPTS = 20_000  # seeded draws of k cyclic orders before k_regular_random gives up
-_VERTEX_BUDGET = 1_000  # vertices of a named pattern or a built design
-
-
-def check_vertex_budget(n: int) -> None:
-    """Refuse an n over the vertex budget, before any list of n entries is built."""
-    if n > _VERTEX_BUDGET:
-        raise BudgetExceededError(f"n={n} is over the vertex budget of {_VERTEX_BUDGET}",
-                                  size=n, budget=_VERTEX_BUDGET)
+_VERTEX_BUDGET = 1_000  # vertices of a named pattern or a built design, checked before any list of n entries
 
 
 @dataclass(frozen=True)
@@ -356,9 +349,10 @@ def make_pattern(kind: str, n: int, k: int | None = None, seed: int | None = Non
     kinds: "cycle" (n >= 3), "path", "matching" (n even), and
     "k_regular_random" (2k < n): the union of k seeded random cyclic vertex
     orders, rejection-sampled until no repeated or opposite edges occur.
-    An n over the vertex budget raises BudgetExceededError.
+    A draw out of attempts, or an n over the vertex budget, raises BudgetExceededError.
     """
-    check_vertex_budget(n)
+    if n > _VERTEX_BUDGET:
+        raise BudgetExceededError(f"pattern at n={n}", n, _VERTEX_BUDGET, "vertices")
     if kind == "cycle":
         if n < 3:
             raise ValueError("cycle needs n >= 3")
@@ -392,9 +386,8 @@ def make_pattern(kind: str, n: int, k: int | None = None, seed: int | None = Non
                     break
             if ok:
                 return Orientation(n, frozenset(edges))
-        raise RejectionBudgetError(
-            f"no collision-free union of {k} cyclic orders in {_PATTERN_ATTEMPTS} attempts; retry with a new seed"
-        )
+        raise BudgetExceededError(f"a collision-free union of {k} cyclic orders on n={n} at seed {seed or 0}",
+                                  _PATTERN_ATTEMPTS + 1, _PATTERN_ATTEMPTS, "attempts")
     raise ValueError(f"unknown pattern kind: {kind}")
 
 

@@ -45,12 +45,14 @@ def _atomic_write(path: str, data: str) -> None:
         raise OSError(f"writing {path}: {exc}") from exc
 
 
+def sidecar_path_for(csv_path: str, sidecar_path: str | None) -> str:
+    """The sidecar's path: `sidecar_path` if given, else the CSV's with the extension .json."""
+    return os.path.splitext(csv_path)[0] + ".json" if sidecar_path is None else sidecar_path
+
+
 def write_report(records: list[dict], csv_path: str, sidecar: dict | None = None,
                  sidecar_path: str | None = None) -> None:
-    """Write the CSV (atomically) plus an optional JSON sidecar."""
+    """Write the CSV (atomically) plus an optional JSON sidecar at ``sidecar_path_for``."""
     _atomic_write(csv_path, render_csv(records))
     if sidecar is not None:
-        if sidecar_path is None:
-            base, _ = os.path.splitext(csv_path)
-            sidecar_path = base + ".json"
-        _atomic_write(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        _atomic_write(sidecar_path_for(csv_path, sidecar_path), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

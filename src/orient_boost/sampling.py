@@ -282,17 +282,12 @@ def enumerate_support(d: Decomposition, bases: BaseTournaments):
         if block.kind.complete:
             relabelings = math.factorial(len(block.vertices))
             if relabelings > _SUPPORT_BUDGET:
-                raise BudgetExceededError(
-                    f"block {block.vertices} has {relabelings} relabelings, over the budget of {_SUPPORT_BUDGET}",
-                    size=relabelings, budget=_SUPPORT_BUDGET,
-                )
+                raise BudgetExceededError(f"listing the relabelings of block {block.vertices}", relabelings,
+                                          _SUPPORT_BUDGET, "outcomes")
         per_block.append(_block_outcomes(block, bases))
         size *= len(per_block[-1])
         if size > _SUPPORT_BUDGET:
-            raise BudgetExceededError(
-                f"support has at least {size} distinct outcomes, over the budget of {_SUPPORT_BUDGET}",
-                size=size, budget=_SUPPORT_BUDGET,
-            )
+            raise BudgetExceededError(f"the support on {d.n} vertices", size, _SUPPORT_BUDGET, "outcomes")
 
     def rec(idx: int, rows: list[int], weight: Fraction):
         if idx == len(per_block):

@@ -535,6 +535,44 @@ def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--n", "9", "--t", "3", "--output", "here"),
+    ("experiment", "--n", "7", "--t", "3", "--exact", "--seed", "1", "--output", "here"),
+    ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "e.csv", "--sidecar", "here"),
+    ("sample", "--n", "7", "--seed", "1", "--output", "here"),
+])
+def test_an_output_that_is_a_directory_is_refused_before_the_design_search(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "here").mkdir()
+    assert_refused_by_the_parser(capsys, argv, f"argument {argv[-2]}: output is a directory: here")
+    assert [p.name for p in tmp_path.iterdir()] == ["here"]
+
+
+@pytest.mark.parametrize("argv, path", [
+    # the sidecar of run.json is derived as run.json itself
+    (("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "run.json"), "run.json"),
+    (("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "x", "--sidecar", "x"), "x"),
+    (("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "e.csv", "--sidecar", "./fano.json",
+      "--design", "fano.json"), "./fano.json"),
+    (("sample", "--design", "fano.json", "--seed", "1", "--output", "fano.json"), "fano.json"),
+])
+def test_an_output_named_twice_in_one_run_is_refused_before_the_run(capsys, tmp_path, monkeypatch, argv, path):
+    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fano.json").write_text(fano := designs.steiner_triple_system(7).to_json())
+    assert_refused_by_the_parser(capsys, argv, f"output {path} is also another output or an input of this run")
+    assert [p.name for p in tmp_path.iterdir()] == ["fano.json"]
+    assert (tmp_path / "fano.json").read_text() == fano
+
+
+def test_sample_takes_a_design_or_n_but_not_both(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fano.json").write_text(designs.steiner_triple_system(7).to_json())
+    assert_refused_by_the_parser(capsys, ("sample", "--design", "fano.json", "--n", "5"),
+                                 "argument --n: not allowed with argument --design")
+
+
 def test_the_parse_time_types_cover_every_path_and_count():
     assert sorted({flag for _, flag in typed_options("_input_file")}) == [
         "--base", "--base-star", "--design", "--input", "--pattern-file", "--tournament"]
@@ -575,7 +613,7 @@ def test_sample_refuses_a_huge_empty_design(capsys, huge_design):
 
 
 @pytest.mark.parametrize("argv, error, message", [
-    (("sample", "--samples", "1"), "ValueError", "need either --design or --n"),
+    (("sample", "--samples", "1"), "OrientBoostError", "one of the arguments --n --design is required"),
     (("estimate", "--n", "7", "--samples", "10", "--design", "nothere.json"),
      "OrientBoostError", "argument --design: referenced file does not exist: nothere.json"),
     (("experiment", "--n", "7", "--samples", "10", "--output", "nodir/x.csv"),
@@ -588,15 +626,15 @@ def test_sample_refuses_a_huge_empty_design(capsys, huge_design):
     # refused by the injection budget at the first copy: (13,7) is one K13 block, which every copy
     # of C13 captures whole, and (14,7) its even extension
     (("estimate", "--n", "13", "--t", "7", "--pattern", "cycle", "--samples", "10"), "BudgetExceededError",
-     "block 0 needs 6227020800 injections, over the budget 500000"),
+     "block 0 needs a budget of at least 6227020800, over the budget of 500000 (in injections)"),
     (("estimate", "--n", "14", "--t", "7", "--pattern", "cycle", "--samples", "10"), "BudgetExceededError",
-     "block 0 needs 6227020800 injections, over the budget 500000"),
+     "block 0 needs a budget of at least 6227020800, over the budget of 500000 (in injections)"),
     (("experiment", "--n", "14", "--t", "7", "--pattern", "path", "--samples", "10", "--output", "x.csv"),
-     "BudgetExceededError", "block 0 needs 6227020800 injections, over the budget 500000"),
+     "BudgetExceededError", "block 0 needs a budget of at least 6227020800, over the budget of 500000 (in injections)"),
     # on two workers 600 samples are three chunks, and this copy is refused in the first, which
     # this process tallies; tests/test_counting.py refuses one inside a pool worker
     (("estimate", "--n", "14", "--t", "7", "--pattern", "cycle", "--samples", "600"), "BudgetExceededError",
-     "block 0 needs 6227020800 injections, over the budget 500000"),
+     "block 0 needs a budget of at least 6227020800, over the budget of 500000 (in injections)"),
 ])
 def test_a_refused_run_prints_no_generated_seed(capsys, tmp_path, monkeypatch, argv, error, message):
     monkeypatch.chdir(tmp_path)

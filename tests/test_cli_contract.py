@@ -29,10 +29,11 @@ GENERATES_SEED = {command for command, parser in SUBPARSERS.items()
 # An argv is a subcommand (any but verify) with its required options, its --seed
 # and a few others, each drawn from its choices or typical values, and at times a
 # fault: a hostile value, an option left out or another subcommand's flag.  A
-# hostile value is also a missing or malformed file, or an output in a missing
-# directory.  Typical sizes are n <= 9, 40 samples and 1,000 nodes, so each call
-# takes milliseconds; a 400-digit value is drawn for every option but the samples
-# and the node budget, and a 400-digit --n is refused by the vertex budget.
+# hostile value is also a missing or malformed file, an existing directory or an
+# output in a missing directory.  Typical sizes are n <= 9, 40 samples and 1,000
+# nodes, so each call takes milliseconds; a 400-digit value is drawn for every
+# option but the samples and the node budget, and a 400-digit --n is refused by
+# the vertex budget.
 CAPPED, HUGE = ("--samples", "--node-budget"), "1" + "0" * 398 + "1"
 # malformed as a file of any kind: not JSON, JSON nested too deep, a null or float n, edges
 # that are not a list of pairs, a non-hex row, a first line that is not a number, a byte not UTF-8
@@ -42,7 +43,7 @@ MALFORMED = {
     "scalar-edges.json": '{"n": 3, "edges": 5}', "null-edge.json": '{"n": 3, "edges": [null]}',
     "non-hex.hex": "3\nzz\nzz\nzz\n", "word.txt": "seven\n0 1\n", "latin-1.txt": "7\n0 1\xff\n",
 }
-HOSTILE = ["0", "-1", "x", "nan", "inf", "1/0", "", *MALFORMED, "keys.json", "bad.txt", ".", "nodir/run.csv"]
+HOSTILE = ["0", "-1", "x", "nan", "inf", "1/0", "", *MALFORMED, "keys.json", "bad.txt", ".", "out", "nodir/run.csv"]
 TYPICAL = {
     "--n": ["5", "6", "7", "8", "9"], "--t": ["3", "5", "7", "10001"], "--k": ["1", "2", "3"],
     "--samples": ["1", "7", "40"], "--node-budget": ["1", "40", "1000"], "--brute-budget": ["1", "7", "12"],
@@ -86,10 +87,8 @@ def command_lines(draw):
         return [command] if command else []
     parser = SUBPARSERS[command]
     own = {flag: action for flag, action in parser._option_string_actions.items() if flag in OPTIONS}
-    # sample needs --n or --design, the one requirement that its parser does not state; a run
-    # command is drawn with its --seed, so that its stdout is compared on one and two threads
-    flags = [flag for flag, action in own.items()
-             if action.required or (command, flag) == ("sample", "--n") or flag == "--seed"]
+    # a run command is drawn with its --seed, so that its stdout is compared on one and two threads
+    flags = [flag for flag, action in own.items() if action.required or flag == "--seed"]
     flags += [draw(st.sampled_from(g._group_actions)).option_strings[0] for g in parser._mutually_exclusive_groups]
     flags += draw(st.lists(st.sampled_from(sorted(own)), max_size=3))
     fault = draw(st.sampled_from(["value", "missing", "foreign", None]))
