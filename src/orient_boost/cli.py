@@ -78,11 +78,19 @@ def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, 
 
     The parser has checked that every named file exists; every input is
     read before the design is built, so a malformed input is refused
-    before any design search or sum.  A seed not
-    given is generated before the pattern is drawn from it and kept in
-    args.seed and args.generated_seed, which ``main`` prints.  Bases not
-    given by file are the circulant ones.
+    before any design search or sum.  --t and --node-budget build the
+    design from --n: beside --design they are refused before any file is
+    read, and when not given they take 3 and ``designs.NODE_BUDGET``.  A
+    seed not given is generated before the pattern is drawn from it and
+    kept in args.seed and args.generated_seed, which ``main`` prints.
+    Bases not given by file are the circulant ones.
     """
+    for flag, value in (("--t", args.t), ("--node-budget", args.node_budget)):
+        if args.design and value is not None:
+            raise OrientBoostError(f"{flag} is for a design built from --n; it does not apply beside "
+                                   f"--design {args.design}")
+    args.t = 3 if args.t is None else args.t
+    args.node_budget = args.node_budget or designs.NODE_BUDGET
     if args.seed is None:
         args.seed = args.generated_seed = int.from_bytes(os.urandom(8), "big")
     h = _pattern_from_args(args, args.seed) if hasattr(args, "pattern") else None
@@ -381,6 +389,8 @@ def _input_file(path: str) -> str:
 
 
 def _output_file(path: str) -> str:
+    if not path:
+        raise argparse.ArgumentTypeError("output path is empty")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"output is a directory: {path}")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -399,15 +409,15 @@ def _add_pattern_args(p) -> None:
 def _add_design_args(p, design_group=None) -> None:
     """The design flags of sample, estimate, exact-expect and experiment; --design joins `design_group` if given."""
     (design_group or p).add_argument("--design", type=_input_file, help="decomposition JSON file")
-    p.add_argument("--t", type=int, default=3, help="block size when building a design")
+    p.add_argument("--t", type=int, help="block size when building a design from --n (default 3)")
     p.add_argument("--base", type=_input_file, help="regular tournament file for size-t blocks")
     p.add_argument("--base-star", type=_input_file, help="regular tournament file for size-(2t-1) blocks")
     p.add_argument("--seed", type=int, default=None)
-    _add_node_budget(p)
+    _add_node_budget(p, default=None)
 
 
-def _add_node_budget(p) -> None:
-    p.add_argument("--node-budget", type=_positive(int), default=designs.NODE_BUDGET,
+def _add_node_budget(p, default: int | None = designs.NODE_BUDGET) -> None:
+    p.add_argument("--node-budget", type=_positive(int), default=default,
                    help="search nodes allowed when building a design from --n and --t; a node "
                         "is a candidate block, a vertex tried by the K_(2t-1) placement or a step "
                         "of the split check, so (11, 3) takes 143 nodes and (25, 5) 2,621")

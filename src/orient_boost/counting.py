@@ -15,8 +15,8 @@ or on a worker pool when the first chunk's measured time says that one pays
 for itself, into one record of exact partial sums, ``_ExactSums``,
 whose one entry ``tally`` adds each distinct term of a fold of ``_FOLD``
 copies once, times its count, and whose ``merge`` combines chunks.  A Monte
-Carlo chunk's permutations come from ``rng.stream_permutations``, the batched
-draw whose scalar oracle is ``stream_for(master, i).permutation(n)``.
+Carlo chunk is one fold, a span of stream indices on any worker count, drawn by
+``rng.stream_permutations``, whose scalar oracle is ``stream_for(master, i).permutation(n)``.
 
 ``count_embeddings`` is the embedding counter of ``count_labeled_copies``,
 ``bounds`` and the large complete-block captures of ``CopyKernel``; a
@@ -434,8 +434,8 @@ def count_hamilton_paths(t: Tournament) -> int:
 # the (kind, m) injection table while perm(s, m) is at most this, and by
 # count_embeddings above it.  Measured on 2 vCPUs, Python 3.11.7: a table of
 # perm(9, 5) = 15120 injections builds in about 6 ms, the time of about 20
-# backtracking counts of 0.3 ms, and one Monte Carlo chunk at t = 5 meets about
-# 240 distinct shapes; past 2^14 the build grows with perm(s, m) (33 ms at
+# backtracking counts of 0.3 ms, and a kernel meets about 240 distinct shapes in
+# its first 256 copies at t = 5; past 2^14 the build grows with perm(s, m) (33 ms at
 # perm(9, 6), 0.2 s at perm(9, 9)) while a backtracking count stays under 1 ms.
 _TABLE_INJECTIONS = 1 << 14
 _INJECTION_BUDGET = 500_000  # a capture with more injections is refused, on every path
@@ -758,7 +758,9 @@ def typical_closed_form(stats: CopyBlockStats, e: int, t: int) -> Fraction:
     return p
 
 
-_FOLD = 4096  # copies per Counter of ``_ExactSums.tally``: a long scan holds one fold's terms
+# copies per Counter of ``_ExactSums.tally`` (a long scan holds one fold's terms) and per Monte Carlo
+# chunk on any worker count; on 2 vCPUs as fast as 4,096 within 1%, where 256 cost 1.5-1.8%
+_FOLD = 512
 
 
 class _ExactSums:
@@ -770,9 +772,9 @@ class _ExactSums:
     one gcd instead of two Fraction additions; ``add(..., times=k)`` adds k
     equal copies at that cost.  Copies enter a record only through
     ``tally``, which adds each distinct term of a fold of copies once (a
-    Monte Carlo chunk of 4,000 C8 copies on the even extension of STS(7)
-    holds 6 of them).  Records of disjoint chunks combine with ``merge``,
-    which adds integers only, so the sum does not depend on the split.
+    fold of 512 C8 copies on the even extension of STS(7) holds 6 of them).
+    Records of disjoint chunks combine with ``merge``, which adds integers
+    only, so the sum does not depend on the split.
     """
 
     def __init__(self):
@@ -848,7 +850,7 @@ def _tally_chunk(chunk, kernel: CopyKernel | None = None) -> _ExactSums:
 # at whose time the saving is counted.  Over six batches of 11-21 alternating
 # calls, 6 chunks of 256 (a counted saving of 22-25 ms in four) ran slower
 # pooled in five, and 8 (30-39 ms) as fast or faster pooled in five; hence
-# 0.03.  The README's pool note has the whole crossover table.
+# 0.03.  The README's pool note has the crossover table on ``_FOLD`` spans.
 _POOL_SECONDS = 0.03
 
 
@@ -994,19 +996,16 @@ def estimate_expected_copies(h: Orientation, d: Decomposition, bases: BaseTourna
     Per-sample probabilities are exact rationals; sums are accumulated
     exactly and converted to floats only in the report, so results are
     bit-identical for any worker count.  The report gives the mean ratio and
-    the mean captures [c, i, f, g], each with its standard error.  On w > 1
-    workers a chunk holds max(256, samples // 8w) samples; ``_run_chunks``
+    the mean captures [c, i, f, g], each with its standard error.  A chunk
+    is a span of ``_FOLD`` stream indices on any worker count; ``_run_chunks``
     tallies the first here and starts a pool for the rest only when its
     measured time says the pool would save more than it costs.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    size = samples if workers <= 1 else max(256, samples // (workers * 8))
-    chunks = [(1, stream_permutations, (master_seed, lo, min(lo + size, samples), h.n))
-              for lo in range(0, samples, size)]
+    chunks = [(1, stream_permutations, (master_seed, lo, min(lo + _FOLD, samples), h.n))
+              for lo in range(0, samples, _FOLD)]
     r_sum, r_sq, typical, s, sq = _run_chunks(h, d, bases, chunks, workers).totals()
-    e = h.edge_count
-    n = h.n
     baseline = baseline_expected_copies(h)
     ratio, stderr = _mean_stderr(r_sum, r_sq, samples)
     baseline_log2 = log2_fraction(baseline)
@@ -1016,7 +1015,7 @@ def estimate_expected_copies(h: Orientation, d: Decomposition, bases: BaseTourna
     except OverflowError:
         estimate = math.inf if ratio > 0 else 0.0
     return EstimateReport(
-        n=n, t=d.t, e=e, samples=samples, master_seed=master_seed,
+        n=h.n, t=d.t, e=h.edge_count, samples=samples, master_seed=master_seed,
         baseline=baseline, baseline_log2=baseline_log2,
         ratio=ratio, ratio_stderr=stderr,
         estimate=estimate,

@@ -28,7 +28,7 @@ def render_csv(records: list[dict]) -> str:
 def _atomic_write(path: str, data: str) -> None:
     """Write ``data`` to ``path`` through a temporary file in its directory;
     every file the command line writes goes through here."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-report-{os.urandom(8).hex()}")
     try:
         # mode 0o666 lets the umask decide the file's permissions, as open() does

@@ -549,6 +549,22 @@ def test_an_output_that_is_a_directory_is_refused_before_the_design_search(capsy
     assert [p.name for p in tmp_path.iterdir()] == ["here"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--n", "7", "--output", ""),
+    ("experiment", "--n", "7", "--t", "3", "--exact", "--seed", "1", "--output", ""),
+    ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "e.csv", "--sidecar", ""),
+    ("sample", "--n", "7", "--seed", "1", "--output", ""),
+])
+def test_an_empty_output_path_is_refused_before_the_design_search(capsys, tmp_path, monkeypatch, argv):
+    # the directory of os.path.abspath("") is the parent of the working directory, which a write would touch
+    monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert_refused_by_the_parser(capsys, argv, f"argument {argv[-2]}: output path is empty")
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert list((tmp_path / "work").iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, path", [
     # the sidecar of run.json is derived as run.json itself
     (("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "run.json"), "run.json"),
@@ -631,8 +647,8 @@ def test_sample_refuses_a_huge_empty_design(capsys, huge_design):
      "block 0 needs a budget of at least 6227020800, over the budget of 500000 (in injections)"),
     (("experiment", "--n", "14", "--t", "7", "--pattern", "path", "--samples", "10", "--output", "x.csv"),
      "BudgetExceededError", "block 0 needs a budget of at least 6227020800, over the budget of 500000 (in injections)"),
-    # on two workers 600 samples are three chunks, and this copy is refused in the first, which
-    # this process tallies; tests/test_counting.py refuses one inside a pool worker
+    # 600 samples are two spans, and this copy is refused in the first, which this process
+    # tallies; tests/test_counting.py refuses one inside a pool worker
     (("estimate", "--n", "14", "--t", "7", "--pattern", "cycle", "--samples", "600"), "BudgetExceededError",
      "block 0 needs a budget of at least 6227020800, over the budget of 500000 (in injections)"),
 ])
@@ -704,6 +720,19 @@ def test_k_on_any_other_pattern_is_refused(capsys, tmp_path, monkeypatch, tourna
         "error": "OrientBoostError",
         "message": f"--k is the degree of --pattern k_regular_random; it does not apply to {given}"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c7.json", "t7.json"]  # no output written
+
+
+@pytest.mark.parametrize("flag", [("--t", "7"), ("--node-budget", "1")])
+@pytest.mark.parametrize("command", ["sample", "estimate", "exact-expect", "experiment"])
+def test_design_build_flags_beside_a_design_file_are_refused(capsys, tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d9.json").write_text("not a design")  # never read: it would be refused as malformed
+    extra = {"sample": (), "estimate": ("--n", "9", "--samples", "5"), "exact-expect": ("--n", "9"),
+             "experiment": ("--n", "9", "--samples", "5", "--output", "x.csv")}[command]
+    assert refusal(capsys, command, "--design", "d9.json", "--seed", "1", *flag, *extra) == {
+        "error": "OrientBoostError",
+        "message": f"{flag[0]} is for a design built from --n; it does not apply beside --design d9.json"}
+    assert [p.name for p in tmp_path.iterdir()] == ["d9.json"]  # no output written
 
 
 @pytest.mark.parametrize("command", ["count", "estimate", "exact-expect"])

@@ -953,6 +953,20 @@ def test_exact_block_averages_cycle_on_triple_system():
     assert avgs == (Fraction(7, 5), 0, 0, 0)
 
 
+@pytest.mark.parametrize("pattern", ["cycle", "path"])
+def test_monte_carlo_stderrs_match_the_exact_variance(pattern):
+    # the exact mean and variance of the ratio from one pass over all 7! copies on the Fano plane
+    h, fano = make_pattern(pattern, 7), steiner_triple_system(7)
+    kernel = CopyKernel(h, fano)
+    ratios = [kernel.ratio(pi) for pi in permutations(range(7))]
+    mean = sum(ratios) / len(ratios)
+    assert mean == exact_copy_summary(h, fano).ratio
+    sd = math.sqrt(sum((r - mean) ** 2 for r in ratios) / len(ratios) / 2000)
+    reports = [estimate_expected_copies(h, fano, samples=2000, master_seed=seed) for seed in range(1, 21)]
+    assert all(abs(rep.ratio_stderr / sd - 1) <= 0.1 for rep in reports)
+    assert sum(abs(rep.ratio - mean) <= 2 * rep.ratio_stderr for rep in reports) >= 17
+
+
 def test_empirical_block_averages_match_exact_mean():
     fano = steiner_triple_system(7)
     c7 = make_pattern("cycle", 7)
@@ -1062,7 +1076,7 @@ def test_the_record_does_not_depend_on_the_fold(monkeypatch, fold):
         summary = exact_copy_summary(path7, fano)
         return scans, exact_records.pop(), summary
 
-    assert counting._FOLD == 4096
+    assert counting._FOLD == 512
     whole = records()
     monkeypatch.setattr(counting, "_FOLD", fold)
     assert records() == whole
@@ -1354,8 +1368,25 @@ def test_tallied_scan_equals_the_copy_by_copy_scan(name, coin_design6):
 
 
 def _sample_chunks(master, samples, size, n):
-    """The Monte Carlo chunks of ``estimate_expected_copies``: index ranges of ``size``."""
+    """Monte Carlo chunks laid out as ``estimate_expected_copies`` lays them, with spans of ``size``."""
     return [(1, stream_permutations, (master, lo, min(lo + size, samples), n)) for lo in range(0, samples, size)]
+
+
+@pytest.mark.parametrize("samples", [1, 511, 512, 513, 6000])
+def test_an_estimate_is_cut_into_the_same_spans_on_any_worker_count(monkeypatch, samples):
+    layouts = []
+
+    def run_chunks(h, d, bases, chunks, workers):
+        layouts.append(chunks)
+        return _ExactSums()
+
+    monkeypatch.setattr(counting, "_run_chunks", run_chunks)
+    for workers in (1, 2, 3):
+        estimate_expected_copies(make_pattern("cycle", 7), steiner_triple_system(7), samples=samples,
+                                 master_seed=5, workers=workers)
+    assert layouts[0] == layouts[1] == layouts[2]
+    assert counting._FOLD == 512
+    assert layouts[0] == _sample_chunks(5, samples, 512, 7)
 
 
 @pytest.fixture
@@ -1374,7 +1405,7 @@ def pools(monkeypatch):
 
 
 def test_pool_and_serial_scans_give_one_record(pools):
-    # 600 samples at 2 workers span three chunks of at most 256 samples: one here, two in the pool
+    # three chunks of at most 256 samples: one here, two in the pool
     d = extend_to_even(steiner_triple_system(7))
     h = random_orientation(8, 12, seed=5)
     bases = BaseTournaments.circulant(3)
@@ -1450,14 +1481,15 @@ def test_a_worker_count_below_one_is_refused_before_any_kernel(monkeypatch, entr
     pytest.param("cycle", 7, None, 0, id="7-None"), pytest.param("cycle", 9, None, 0, id="9-None"),
     pytest.param("cycle", 7, 1, 0, id="7-1"), pytest.param("cycle", 7, 256, 0, id="7-256"),
     pytest.param("k_regular_random", 21, 512, 0, id="reg2-pg24-512"),
+    pytest.param("k_regular_random", 21, 1024, 0, id="reg2-pg24-1024"),
     pytest.param("path", 7, None, math.inf, id="path7-fano"),
 ])
 def test_a_run_of_one_chunk_starts_no_pool(monkeypatch, pattern, n, samples, pool_seconds):
     # C7 on the Fano plane and C9 on STS(9) are one chunk each: one vertex orbit on a 2-transitive
-    # design; an estimate of at most 256 samples is one chunk on any worker count.  The
-    # benchmark's 512 samples of the 2-regular pattern on PG(2,4) are two chunks on two workers,
-    # and one chunk left after the first needs no pool whatever its cost.  P7 on the Fano plane
-    # is 7 chunks, but a pool that costs more than any saving never starts.
+    # design; an estimate of at most 512 samples, as the benchmark's 512 samples of the 2-regular
+    # pattern on PG(2,4), is one span on any worker count.  1,024 samples are two spans, and one
+    # chunk left after the first needs no pool whatever its cost.  P7 on the Fano plane is 7 chunks,
+    # but a pool that costs more than any saving never starts.
     h, d = make_pattern(pattern, n, k=2, seed=3), adjusted_decomposition(n, 5 if n == 21 else 3)
     if samples is None:
         run = partial(exact_copy_summary, h, d)
