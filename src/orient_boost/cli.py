@@ -152,7 +152,7 @@ def _cmd_decompose(args) -> int:
     d, _ = _design_from_args(args, args.n)
     report = designs.validate(d)
     if args.output:
-        reports._atomic_write(args.output, d.to_json())
+        reports._atomic_write(args.output, [d.to_json()])
     else:
         print(d.to_json())
     _emit({"n": d.n, "t": d.t, "blocks": len(d.blocks), "valid": report.ok,
@@ -169,15 +169,14 @@ def _cmd_validate(args) -> int:
 def _cmd_sample(args) -> int:
     _refuse_shared_paths(args, args.output)
     seed, _, d, _, bases = _load_inputs(args)
-    chunks = []
-    for index in range(args.samples):
-        t = sampling.sample(d, bases, sampling.SampleSeed(seed, index))
-        chunks.append(t.to_json() + "\n" if args.format == "json" else t.to_hex_text() + "\n")
-    data = "".join(chunks)
+    text = Tournament.to_json if args.format == "json" else Tournament.to_hex_text
+    # each draw is written as it is made, so a run holds one draw at a time
+    draws = (text(sampling.sample(d, bases, sampling.SampleSeed(seed, i))) + "\n" for i in range(args.samples))
     if args.output:
-        reports._atomic_write(args.output, data)
+        reports._atomic_write(args.output, draws)
     else:
-        sys.stdout.write(data)
+        for draw in draws:
+            sys.stdout.write(draw)
     return 0
 
 
@@ -391,7 +390,7 @@ def _input_file(path: str) -> str:
 def _output_file(path: str) -> str:
     if not path:
         raise argparse.ArgumentTypeError("output path is empty")
-    if os.path.isdir(path):
+    if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):  # "out/" names a directory, made or not
         raise argparse.ArgumentTypeError(f"output is a directory: {path}")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise argparse.ArgumentTypeError(f"output directory does not exist: {os.path.dirname(path)}")

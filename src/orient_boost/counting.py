@@ -10,13 +10,14 @@ block's whole contribution), sums it over all permutations on tiny instances
 (``exact_copy_summary``, one chunk for every pattern vertex orbit and every
 orbit of the design's point stabiliser, budgeted by the terms it sums), and
 estimates it by seeded Monte Carlo otherwise (``estimate_expected_copies``).
-Both tally their chunks through one runner, ``_run_chunks``, on one kernel,
-or on a worker pool when the first chunk's measured time says that one pays
-for itself, into one record of exact partial sums, ``_ExactSums``,
-whose one entry ``tally`` adds each distinct term of a fold of ``_FOLD``
-copies once, times its count, and whose ``merge`` combines chunks.  A Monte
-Carlo chunk is one fold, a span of stream indices on any worker count, drawn by
-``rng.stream_permutations``, whose scalar oracle is ``stream_for(master, i).permutation(n)``.
+Both tally their chunks through one runner, ``_run_chunks``, on one kernel
+(which a worker pool takes warm from the caller, when the first chunk's
+measured time says that a pool pays for itself) into one record of exact
+partial sums, ``_ExactSums``, whose one entry ``tally`` adds each distinct
+term of a fold of ``_FOLD`` copies once, times its count, and whose ``merge``
+combines chunks.  A Monte Carlo chunk is one fold, a span of stream indices on
+any worker count, drawn by ``rng.stream_permutations``, whose scalar oracle is
+``stream_for(master, i).permutation(n)``.
 
 ``count_embeddings`` is the embedding counter of ``count_labeled_copies``,
 ``bounds`` and the large complete-block captures of ``CopyKernel``; a
@@ -520,8 +521,8 @@ class CopyKernel:
     ``perm(size, m) <= _TABLE_INJECTIONS``, and with ``count_embeddings``
     above, which alone reaches the spanning K9 captures of (9,5).  The memo
     and the tables belong to the instance, since callers may pass their own
-    bases; the calling process keeps one kernel for every chunk it tallies,
-    and so does each pool worker.  Bases
+    bases; a run builds one kernel for every chunk it tallies, and its pool
+    workers take that kernel from the caller.  Bases
     that do not fit t and a design that is not a partition of K_n are refused
     before any term by ``sampling.checked_pair_index``, which builds the index.
     """
@@ -826,14 +827,14 @@ class _ExactSums:
         return total(self.r), total(self.r_sq), self.typical, self.s, self.sq
 
 
-# a pool worker's kernel, built by _start_worker: its memo and tables serve every
-# chunk the worker tallies, and bases of None give it the circulant pair there
+# a pool worker's kernel: the caller's, checked and warm, which _start_worker installs
+# (inherited on fork, unpickled once per worker otherwise) for every chunk the worker tallies
 _worker_kernel: CopyKernel | None = None
 
 
-def _start_worker(h: Orientation, d: Decomposition, bases: BaseTournaments | None) -> None:
+def _start_worker(kernel: CopyKernel) -> None:
     global _worker_kernel
-    _worker_kernel = CopyKernel(h, d, bases)
+    _worker_kernel = kernel
 
 
 def _tally_chunk(chunk, kernel: CopyKernel | None = None) -> _ExactSums:
@@ -842,25 +843,25 @@ def _tally_chunk(chunk, kernel: CopyKernel | None = None) -> _ExactSums:
 
 
 # A pool starts only when the time it would save exceeds this, its fixed cost in
-# seconds.  Measured on 2 vCPUs, Python 3.11.7, on the 2-regular pattern of
-# PG(2,4), medians of 11 runs in one process in each of three batches: a pool of two
-# with the kernel initialiser takes 12-17 ms to start and stop idle, and each
-# worker's cold memo adds about 2 ms to a 256-copy chunk (10 ms against 8 warm).
-# The caller's warm kernel also tallies its later chunks faster than the first,
-# at whose time the saving is counted.  Over six batches of 11-21 alternating
-# calls, 6 chunks of 256 (a counted saving of 22-25 ms in four) ran slower
-# pooled in five, and 8 (30-39 ms) as fast or faster pooled in five; hence
-# 0.03.  The README's pool note has the crossover table on ``_FOLD`` spans.
+# seconds.  Its workers take the caller's warm kernel, so the cost is the pool's
+# start and stop: on 2 vCPUs, Python 3.11.7, with the 2-regular pattern of
+# PG(2,4), a pool of two given two empty chunks took medians of 7.5-11.4 ms over
+# twelve batches of 11 runs in one process.  The caller's warm kernel also tallies
+# its later chunks faster than the first, at whose time the saving is counted.
+# The value 0.03 dates from workers that built their own kernel (12-17 ms idle,
+# then a cold memo): over six batches of 11-21 alternating calls, 6 chunks of 256
+# copies ran slower pooled in five, and 8 as fast or faster pooled in five.  The
+# README's pool note has the crossover table on ``_FOLD`` spans.
 _POOL_SECONDS = 0.03
 
 
 def _run_chunks(h, d, bases, chunks, workers: int) -> _ExactSums:
     """The one record of ``chunks``, each (weight, module-level source, args),
-    merged in list order.  This process tallies the first chunk on its own
-    kernel, which also refuses bad bases before any pool, and times it (s
-    seconds).  The rest go to a pool of w = min(workers, chunks left) only
-    when w > 1 and the time a pool would save, s * (chunks left) * (1 - 1/w),
-    exceeds its fixed cost, ``_POOL_SECONDS``; else this kernel tallies them."""
+    merged in list order.  This process builds the run's one kernel, which
+    refuses bad bases, tallies the first chunk on it and times it (s seconds).
+    The rest go to a pool of w = min(workers, chunks left) workers that take
+    this kernel, when w > 1 and s * (chunks left) * (1 - 1/w), the time a pool
+    would save, exceeds its fixed cost ``_POOL_SECONDS``; else it tallies them."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     kernel = CopyKernel(h, d, bases)
@@ -870,8 +871,7 @@ def _run_chunks(h, d, bases, chunks, workers: int) -> _ExactSums:
     seconds = time.perf_counter() - start
     workers = min(workers, len(rest))
     if workers > 1 and seconds * len(rest) * (1 - 1 / workers) > _POOL_SECONDS:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                 initargs=(h, d, bases)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(kernel,)) as pool:
             return reduce(_ExactSums.merge, pool.map(_tally_chunk, rest), record)
     return reduce(_ExactSums.merge, map(partial(_tally_chunk, kernel=kernel), rest), record)
 

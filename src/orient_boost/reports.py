@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections.abc import Iterable
 
 CSV_FIELDS = (
     "n", "t", "pattern", "design", "samples", "baseline_log2", "estimate_log2",
@@ -25,9 +26,9 @@ def render_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: str, data: str) -> None:
-    """Write ``data`` to ``path`` through a temporary file in its directory;
-    every file the command line writes goes through here."""
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the strings ``chunks`` to ``path``, each as it comes, through a
+    temporary file in its directory; every file the command line writes goes through here."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-report-{os.urandom(8).hex()}")
     try:
@@ -35,7 +36,7 @@ def _atomic_write(path: str, data: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(data)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -53,6 +54,7 @@ def sidecar_path_for(csv_path: str, sidecar_path: str | None) -> str:
 def write_report(records: list[dict], csv_path: str, sidecar: dict | None = None,
                  sidecar_path: str | None = None) -> None:
     """Write the CSV (atomically) plus an optional JSON sidecar at ``sidecar_path_for``."""
-    _atomic_write(csv_path, render_csv(records))
+    _atomic_write(csv_path, [render_csv(records)])
     if sidecar is not None:
-        _atomic_write(sidecar_path_for(csv_path, sidecar_path), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        _atomic_write(sidecar_path_for(csv_path, sidecar_path),
+                      [json.dumps(sidecar, indent=2, sort_keys=True) + "\n"])

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -141,6 +142,27 @@ def test_sample_output_is_pinned(capsys, argv, fmt, digest):
     code, out, _ = run(capsys, "sample", *argv, "--seed", "1", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("to", ["output", "stdout"])
+def test_sample_holds_one_draw_at_a_time(tmp_path, monkeypatch, to):
+    # each draw is written as it is made, so 4,000 draws peak at under twice the memory of 400;
+    # stdout is a file here, since a capture would hold what it is given
+    monkeypatch.chdir(tmp_path)
+    peaks = []
+    for samples in (400, 4000):
+        argv = ["sample", "--n", "9", "--t", "3", "--seed", "1", "--samples", str(samples), "--format", "json"]
+        with open("stdout.txt", "w") as stdout, monkeypatch.context() as m:
+            m.setattr(sys, "stdout", stdout)
+            tracemalloc.start()
+            try:
+                assert main(argv + (["--output", "t.json"] if to == "output" else [])) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    drawn = (tmp_path / ("t.json" if to == "output" else "stdout.txt")).read_text()
+    assert drawn.count("\n") == 4000
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_count_methods_agree(capsys, tmp_path):
@@ -540,13 +562,21 @@ def test_a_missing_output_directory_is_refused_before_the_design_search(capsys, 
     ("experiment", "--n", "7", "--t", "3", "--exact", "--seed", "1", "--output", "here"),
     ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "e.csv", "--sidecar", "here"),
     ("sample", "--n", "7", "--seed", "1", "--output", "here"),
+    # a last component that is empty, "." or ".." names a directory, whether or not it exists
+    ("experiment", "--n", "7", "--t", "3", "--exact", "--seed", "1", "--output", "nodir/"),
+    ("decompose", "--n", "9", "--t", "3", "--output", "nodir//"),
+    ("sample", "--n", "7", "--seed", "1", "--output", "nodir/."),
+    ("experiment", "--n", "7", "--exact", "--seed", "1", "--output", "e.csv", "--sidecar", "nodir/.."),
 ])
 def test_an_output_that_is_a_directory_is_refused_before_the_design_search(capsys, tmp_path, monkeypatch, argv):
+    # the run works in tmp_path/work, so that a file written in its parent would show too
     monkeypatch.setattr(designs, "adjusted_decomposition", no_search)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "here").mkdir()
-    assert_refused_by_the_parser(capsys, argv, f"argument {argv[-2]}: output is a directory: here")
-    assert [p.name for p in tmp_path.iterdir()] == ["here"]
+    work = tmp_path / "work"
+    (work / "here").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    assert_refused_by_the_parser(capsys, argv, f"argument {argv[-2]}: output is a directory: {argv[-1]}")
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert [p.name for p in work.iterdir()] == ["here"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import random
 import time
@@ -1416,12 +1417,37 @@ def test_pool_and_serial_scans_give_one_record(pools):
     assert vars(serial) == vars(pooled)
 
 
-def test_pool_workers_build_the_default_bases_themselves(pools):
-    # bases of None reach each worker, whose kernel builds the circulant pair
+def test_pool_workers_take_the_callers_kernel(monkeypatch, pools):
+    # bases of None give the caller's kernel the circulant pair, and the workers take that kernel:
+    # one built in any process but this one raises there (a fork inherits the patch), and would
+    # break the pool in its initialiser
     d = extend_to_even(steiner_triple_system(7))
     h = random_orientation(8, 12, seed=5)
     serial = _run_chunks(h, d, BaseTournaments.circulant(3), _sample_chunks(11, 600, 600, 8), 1)
+    caller, build = os.getpid(), CopyKernel.__init__
+
+    def built_by_the_caller(self, *args):
+        if os.getpid() != caller:
+            raise AssertionError("a pool worker built a kernel")
+        build(self, *args)
+
+    monkeypatch.setattr(CopyKernel, "__init__", built_by_the_caller)
     assert vars(_run_chunks(h, d, None, _sample_chunks(11, 600, 256, 8), 2)) == vars(serial)
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("entry", ["estimate", "exact"])
+def test_a_pool_started_by_spawn_gives_the_serial_record(monkeypatch, pools, entry):
+    # off fork, each worker unpickles the caller's kernel: 1,200 samples are three spans, and P9 on
+    # STS(9) is 9 chunks, one per vertex orbit
+    spawn = partial(counting.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", spawn)
+    if entry == "estimate":
+        run = partial(estimate_expected_copies, random_orientation(8, 12, seed=5),
+                      extend_to_even(steiner_triple_system(7)), samples=1200, master_seed=11)
+    else:
+        run = partial(exact_copy_summary, make_pattern("path", 9), steiner_triple_system(9))
+    assert vars(run(workers=2)) == vars(run(workers=1))
     assert pools == [2]
 
 
@@ -1507,7 +1533,7 @@ def test_a_run_of_one_chunk_starts_no_pool(monkeypatch, pattern, n, samples, poo
 
 @pytest.mark.parametrize("entry", ["estimate", "exact"])
 def test_bases_that_do_not_fit_are_refused_before_a_pool_starts(entry):
-    # the worker initialiser would otherwise fail in each worker, and the pool break
+    # the run's one kernel refuses them in this process, before the first chunk
     c7, fano, bases = make_pattern("cycle", 7), steiner_triple_system(7), BaseTournaments.circulant(5)
     with pytest.raises(InvalidTournamentError, match="base tournament has 5 vertices, decomposition t=3"):
         if entry == "estimate":
