@@ -62,13 +62,19 @@ def _pattern_from_args(args, seed: int) -> Orientation:
     return make_pattern(args.pattern, args.n, k=args.k, seed=seed)
 
 
-def _design_from_args(args, n: int) -> tuple[designs.Decomposition, str]:
+def _design_from_args(args, n: int, check_t=lambda t: None) -> tuple[designs.Decomposition, str]:
+    """The one fill of --t (3) and --node-budget (``designs.NODE_BUDGET``) not given, then the design and its label.
+    ``check_t`` sees the design's t right after a --design file is read, or before a design is built."""
+    args.t = 3 if args.t is None else args.t
+    args.node_budget = designs.NODE_BUDGET if args.node_budget is None else args.node_budget
     if getattr(args, "design", None):
         d = _load("decomposition", args.design)
+        check_t(d.t)
         report = designs.validate(d)
         if not report.ok:
             raise OrientBoostError(f"design file invalid: {report.first_violation}")
         return d, f"file:{os.path.basename(args.design)}"
+    check_t(args.t)
     d = designs.adjusted_decomposition(n, args.t, node_budget=args.node_budget)
     return d, f"adjusted{'+even' if d.n % 2 == 0 else ''}(t={d.t})"
 
@@ -80,22 +86,27 @@ def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, 
     read before the design is built, so a malformed input is refused
     before any design search or sum.  --t and --node-budget build the
     design from --n: beside --design they are refused before any file is
-    read, and when not given they take 3 and ``designs.NODE_BUDGET``.  A
-    seed not given is generated before the pattern is drawn from it and
-    kept in args.seed and args.generated_seed, which ``main`` prints.
-    Bases not given by file are the circulant ones.
+    read.  A seed not given is generated before the pattern is drawn from
+    it and kept in args.seed and args.generated_seed, which ``main`` prints.
+    A base file without the vertices of its blocks, t for --base and 2t-1
+    for --base-star, is refused before any design search.  Bases not given
+    by file are the circulant ones.
     """
     for flag, value in (("--t", args.t), ("--node-budget", args.node_budget)):
         if args.design and value is not None:
             raise OrientBoostError(f"{flag} is for a design built from --n; it does not apply beside "
                                    f"--design {args.design}")
-    args.t = 3 if args.t is None else args.t
-    args.node_budget = args.node_budget or designs.NODE_BUDGET
     if args.seed is None:
         args.seed = args.generated_seed = int.from_bytes(os.urandom(8), "big")
     h = _pattern_from_args(args, args.seed) if hasattr(args, "pattern") else None
     r, rstar = (_load("tournament", path) if path else None for path in (args.base, args.base_star))
-    d, design_label = _design_from_args(args, args.n)
+
+    def check_bases(t: int) -> None:
+        for flag, path, base, size in (("--base", args.base, r, t), ("--base-star", args.base_star, rstar, 2 * t - 1)):
+            if base and base.n != size:
+                raise OrientBoostError(f"{flag} {path} has {base.n} vertices; the design needs {size} (t = {t})")
+
+    d, design_label = _design_from_args(args, args.n, check_bases)
     bases = sampling.BaseTournaments(r or sampling.circulant_regular_tournament(d.t),
                                      rstar or sampling.circulant_regular_tournament(2 * d.t - 1))
     return args.seed, h, d, design_label, bases
@@ -408,24 +419,23 @@ def _add_pattern_args(p) -> None:
 def _add_design_args(p, design_group=None) -> None:
     """The design flags of sample, estimate, exact-expect and experiment; --design joins `design_group` if given."""
     (design_group or p).add_argument("--design", type=_input_file, help="decomposition JSON file")
-    p.add_argument("--t", type=int, help="block size when building a design from --n (default 3)")
     p.add_argument("--base", type=_input_file, help="regular tournament file for size-t blocks")
     p.add_argument("--base-star", type=_input_file, help="regular tournament file for size-(2t-1) blocks")
     p.add_argument("--seed", type=int, default=None)
-    _add_node_budget(p, default=None)
+    _add_build_args(p)
 
 
-def _add_node_budget(p, default: int | None = designs.NODE_BUDGET) -> None:
-    p.add_argument("--node-budget", type=_positive(int), default=default,
+def _add_build_args(p) -> None:
+    p.add_argument("--t", type=int, help="block size when building a design from --n (default 3)")
+    p.add_argument("--node-budget", type=_positive(int),
                    help="search nodes allowed when building a design from --n and --t; a node "
                         "is a candidate block, a vertex tried by the K_(2t-1) placement or a step "
                         "of the split check, so (11, 3) takes 143 nodes and (25, 5) 2,621")
 
 
-def _add_brute_budget(p, *, default: int) -> None:
-    p.add_argument("--brute-budget", type=_positive(int), default=default,
-                   help="largest n for the exhaustive count; the exact sum takes at most "
-                        "(brute budget)! terms")
+def _add_brute_budget(p) -> None:
+    p.add_argument("--brute-budget", type=_positive(int), default=counting.BRUTE_BUDGET,
+                   help="k: the exhaustive count and the exact sum list at most k! terms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,9 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="build and validate a decomposition")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=3, help="block size")
+    _add_build_args(p)
     p.add_argument("--output", type=_output_file)
-    _add_node_budget(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("validate", help="validate a decomposition file")
@@ -467,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "auto: dp for any directed Hamilton cycle or path, pattern files included")
     # here and on exact-expect the seed only draws a random pattern; an omitted one is 0, never generated
     p.add_argument("--seed", type=int, default=0)
-    _add_brute_budget(p, default=10)
+    _add_brute_budget(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("estimate", help="Monte Carlo expected-copy estimate")
@@ -479,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact-expect", help="exact expected copies on tiny instances")
     _add_pattern_args(p)
     _add_design_args(p)
-    _add_brute_budget(p, default=9)
+    _add_brute_budget(p)
     p.set_defaults(func=_cmd_exact_expect, seed=0)
 
     p = sub.add_parser("solve", help="least odd block size for the target inequalities")
@@ -503,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--samples", type=_positive(int), default=0)
     p.add_argument("--output", type=_output_file, required=True)
     p.add_argument("--sidecar", type=_output_file)
-    _add_brute_budget(p, default=10)
+    _add_brute_budget(p)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

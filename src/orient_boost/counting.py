@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +64,8 @@ from .errors import BudgetExceededError
 from .orientations import Orientation, Tournament, local_shapes, vertex_orbits
 from .rng import stream_permutations
 from .sampling import BaseTournaments, checked_pair_index
+
+BRUTE_BUDGET = 10  # k of the k! terms an exhaustive count or exact sum may list; --brute-budget's default
 
 # ---------------------------------------------------------------------------
 # exact counting in a fixed tournament
@@ -141,17 +143,17 @@ def count_embeddings(edges, m: int, rows) -> int:
     return rec(0, 0) * free
 
 
-def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = 10) -> int:
+def count_labeled_copies(h: Orientation, t: Tournament, *, budget_n: int = BRUTE_BUDGET) -> int:
     """Number of vertex permutations mapping every edge of h onto an edge of t.
 
     The spanning case of ``count_embeddings``, and the oracle of the walk
-    counts; the unlabeled count is this divided by aut(h).  An n over
-    ``budget_n`` raises BudgetExceededError.
+    counts; the unlabeled count is this divided by aut(h).  It lists at most
+    n! maps, so an n over ``budget_n`` (in k! terms) raises BudgetExceededError.
     """
     if h.n != t.n:
         raise ValueError(f"pattern has {h.n} vertices, tournament has {t.n}")
     if h.n > budget_n:
-        raise BudgetExceededError(f"brute-force count at n={h.n}", h.n, budget_n, "vertices")
+        raise BudgetExceededError(f"brute-force count at n={h.n} of at most {h.n}! terms", h.n, budget_n, "k! terms")
     return count_embeddings(h.edges, h.n, t.rows)
 
 
@@ -855,13 +857,31 @@ def _tally_chunk(chunk, kernel: CopyKernel | None = None) -> _ExactSums:
 _POOL_SECONDS = 0.03
 
 
+def _pooled(pool, chunks, window: int):
+    """The records of ``chunks`` tallied on ``pool``, in list order, with at
+    most ``window`` chunks submitted and not yet merged, since each future
+    holds about 2 KB of this process; a refusal cancels the queued chunks."""
+    futures = deque()
+    try:
+        for chunk in chunks:
+            if len(futures) == window:
+                yield futures.popleft().result()
+            futures.append(pool.submit(_tally_chunk, chunk))
+        while futures:
+            yield futures.popleft().result()
+    finally:
+        for future in futures:
+            future.cancel()
+
+
 def _run_chunks(h, d, bases, chunks, workers: int) -> _ExactSums:
     """The one record of ``chunks``, each (weight, module-level source, args),
     merged in list order.  This process builds the run's one kernel, which
     refuses bad bases, tallies the first chunk on it and times it (s seconds).
     The rest go to a pool of w = min(workers, chunks left) workers that take
-    this kernel, when w > 1 and s * (chunks left) * (1 - 1/w), the time a pool
-    would save, exceeds its fixed cost ``_POOL_SECONDS``; else it tallies them."""
+    this kernel, 2w at a time, when w > 1 and s * (chunks left) * (1 - 1/w),
+    the time a pool would save, exceeds its fixed cost ``_POOL_SECONDS``;
+    else it tallies them."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     kernel = CopyKernel(h, d, bases)
@@ -872,7 +892,7 @@ def _run_chunks(h, d, bases, chunks, workers: int) -> _ExactSums:
     workers = min(workers, len(rest))
     if workers > 1 and seconds * len(rest) * (1 - 1 / workers) > _POOL_SECONDS:
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(kernel,)) as pool:
-            return reduce(_ExactSums.merge, pool.map(_tally_chunk, rest), record)
+            return reduce(_ExactSums.merge, _pooled(pool, rest, 2 * workers), record)
     return reduce(_ExactSums.merge, map(partial(_tally_chunk, kernel=kernel), rest), record)
 
 
@@ -889,7 +909,7 @@ def _head_copies(n: int, u: int, head: tuple[int, ...]):
 
 
 def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments | None = None,
-                       *, budget_n: int = 9, workers: int = 1) -> ExactSummary:
+                       *, budget_n: int = BRUTE_BUDGET, workers: int = 1) -> ExactSummary:
     """Sum the per-permutation probabilities over all n! permutations, one
     Aut(h) vertex orbit and one design point-stabiliser orbit at a time, as
     one chunk of ``_run_chunks`` each, on ``workers`` processes.
@@ -916,10 +936,10 @@ def exact_copy_summary(h: Orientation, d: Decomposition, bases: BaseTournaments 
     each (u, P) are one chunk (``_head_copies``), of weight |orbit(u)| · |P|.
 
     The budget counts the terms summed, (pattern orbits) · (stabiliser
-    orbits) · (n-2)!, against budget_n!; a refusal names the least k whose
-    k! covers that count.  It is at most n!, so any budget_n >= n is
-    accepted without computing budget_n!, and at least (n-2)!, so n - 2 >
-    budget_n is refused before any orbit search.
+    orbits) · (n-2)!, against budget_n! (``BRUTE_BUDGET``! by default); a
+    refusal names the least k whose k! covers that count.  It is at most n!,
+    so any budget_n >= n is accepted without computing budget_n!, and at
+    least (n-2)!, so n - 2 > budget_n is refused before any orbit search.
     """
     n = h.n
     if n - 2 > budget_n:

@@ -1,19 +1,22 @@
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 import orient_boost
-from orient_boost import designs
+from orient_boost import counting, designs
 from orient_boost.cli import build_parser, main
 from orient_boost.orientations import make_pattern, tournament_from_hex_text, tournament_from_json
 from orient_boost.reports import render_csv, write_report
+from orient_boost.sampling import circulant_regular_tournament
 
 
 def run(capsys, *argv):
@@ -516,6 +519,23 @@ def test_subcommands_take_only_the_budgets_they_read(capsys, tmp_path, monkeypat
     assert_refused_by_the_parser(capsys, argv, f"unrecognized arguments: {' '.join(argv[-2:])}")
 
 
+def test_every_brute_budget_default_is_the_one_library_constant():
+    defaults = {command: parser.get_default("brute_budget") for command, parser in SUBPARSERS.items()
+                if "--brute-budget" in parser._option_string_actions}
+    assert defaults == dict.fromkeys(["count", "exact-expect", "experiment"], counting.BRUTE_BUDGET)
+    for call in (counting.exact_copy_summary, counting.count_labeled_copies):
+        assert inspect.signature(call).parameters["budget_n"].default == counting.BRUTE_BUDGET
+
+
+def test_the_design_build_flags_are_filled_in_one_place(capsys):
+    # every command that builds a design takes --t and --node-budget unset, and the build fills them
+    builds = {command: (parser.get_default("t"), parser.get_default("node_budget"))
+              for command, parser in SUBPARSERS.items() if "--node-budget" in parser._option_string_actions}
+    assert builds == dict.fromkeys(["decompose", "sample", "estimate", "exact-expect", "experiment"], (None, None))
+    assert run(capsys, "decompose", "--n", "9") == run(capsys, "decompose", "--n", "9", "--t", "3",
+                                                        "--node-budget", str(designs.NODE_BUDGET))
+
+
 @pytest.mark.parametrize("argv", [(command, "--samples", value) for command, flag in typed_options("_positive")
                                   if flag == "--samples" for value in ("-2", "0")])
 def test_sample_counts_below_one_are_rejected_up_front(capsys, argv):
@@ -773,6 +793,29 @@ def test_a_pattern_file_on_another_vertex_count_is_refused(capsys, tmp_path, tou
              "exact-expect": ()}[command]
     obj = refusal(capsys, command, "--n", "9", "--pattern-file", str(pattern), *extra)
     assert obj["message"] == f"pattern file {pattern} has 7 vertices, --n is 9"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("estimate", "--n", "7", "--t", "3", "--samples", "5", "--base", "r5.json"),
+     "--base r5.json has 5 vertices; the design needs 3 (t = 3)"),
+    (("estimate", "--n", "7", "--t", "3", "--samples", "5", "--base-star", "r3.json"),
+     "--base-star r3.json has 3 vertices; the design needs 5 (t = 3)"),
+    # a design file's t is known once it is read
+    (("sample", "--design", "fano.json", "--base", "r5.json"),
+     "--base r5.json has 5 vertices; the design needs 3 (t = 3)"),
+    # refused before the (23,5) search, which runs for seconds and ends in a refusal of its own
+    (("estimate", "--n", "23", "--t", "5", "--samples", "10", "--base", "r3.json"),
+     "--base r3.json has 3 vertices; the design needs 5 (t = 5)"),
+])
+def test_a_base_file_of_the_wrong_size_is_refused_before_the_design_search(capsys, tmp_path, monkeypatch, argv,
+                                                                           message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fano.json").write_text(designs.steiner_triple_system(7).to_json())
+    for t in (3, 5):
+        (tmp_path / f"r{t}.json").write_text(circulant_regular_tournament(t).to_json())
+    start = time.perf_counter()
+    assert refusal(capsys, *argv, "--seed", "1") == {"error": "OrientBoostError", "message": message}
+    assert time.perf_counter() - start < 1
 
 
 def test_the_sidecar_records_the_files_of_its_run(capsys, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import os
 import random
 import time
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
@@ -732,9 +733,10 @@ def test_exact_expectation_budget_refuses_huge_n_before_the_orbit_search(monkeyp
 
     monkeypatch.setattr(counting, "vertex_orbits", searched)
     monkeypatch.setattr(counting, "point_stabiliser_orbits", searched)
-    with pytest.raises(BudgetExceededError, match=r"^exact sum at n=12 of at least 10! terms needs a budget of "
-                                                  r"at least 10, over the budget of 9 \(in k! terms\)$"):
-        exact_copy_summary(make_pattern("cycle", 12), adjusted_decomposition(12, 3))
+    # at the default budget of 10, C13 on STS(13) sums at least 11! terms
+    with pytest.raises(BudgetExceededError, match=r"^exact sum at n=13 of at least 11! terms needs a budget of "
+                                                  r"at least 11, over the budget of 10 \(in k! terms\)$"):
+        exact_copy_summary(make_pattern("cycle", 13), steiner_triple_system(13))
 
 
 def test_exact_expectation_budget_far_above_n_is_decided_at_once():
@@ -1471,6 +1473,31 @@ def test_exact_pins_give_one_record_on_one_and_two_workers(monkeypatch, pools, p
     assert serial_chunks == pooled_chunks == chunks
     assert vars(serial) == vars(pooled)
     assert pools == ([2] if chunks > 1 else [])
+
+
+def test_a_pool_holds_at_most_two_chunks_per_worker_unmerged(monkeypatch, pools):
+    # 40 spans of 512 samples: the first is tallied here and 39 go to the pool, which
+    # submits the next only as it merges one, so a long run holds a bounded set of futures
+    submitted, merged, outstanding = [], [], []
+    submit, merge = ProcessPoolExecutor.submit, _ExactSums.merge
+
+    def counted_submit(self, *args):
+        submitted.append(args)
+        outstanding.append(len(submitted) - len(merged))
+        return submit(self, *args)
+
+    def counted_merge(self, other):
+        merged.append(other)
+        return merge(self, other)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted_submit)
+    monkeypatch.setattr(_ExactSums, "merge", counted_merge)
+    run = partial(estimate_expected_copies, make_pattern("cycle", 7), steiner_triple_system(7),
+                  samples=40 * 512, master_seed=11)
+    pooled = run(workers=2)
+    assert pools == [2]
+    assert len(submitted) == len(merged) == 39 and max(outstanding) == 2 * 2
+    assert vars(pooled) == vars(run(workers=1))
 
 
 def test_a_copy_refused_in_a_pool_worker_reads_as_in_this_process(pools):
