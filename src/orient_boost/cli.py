@@ -89,8 +89,8 @@ def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, 
     read.  A seed not given is generated before the pattern is drawn from
     it and kept in args.seed and args.generated_seed, which ``main`` prints.
     A base file without the vertices of its blocks, t for --base and 2t-1
-    for --base-star, is refused before any design search.  Bases not given
-    by file are the circulant ones.
+    for --base-star, or not regular, is refused before any design search.
+    Bases not given by file are the circulant ones.
     """
     for flag, value in (("--t", args.t), ("--node-budget", args.node_budget)):
         if args.design and value is not None:
@@ -105,6 +105,8 @@ def _load_inputs(args) -> tuple[int, Orientation | None, designs.Decomposition, 
         for flag, path, base, size in (("--base", args.base, r, t), ("--base-star", args.base_star, rstar, 2 * t - 1)):
             if base and base.n != size:
                 raise OrientBoostError(f"{flag} {path} has {base.n} vertices; the design needs {size} (t = {t})")
+            if base and not base.is_regular():
+                raise OrientBoostError(f"{flag} {path} is not a regular tournament")
 
     d, design_label = _design_from_args(args, args.n, check_bases)
     bases = sampling.BaseTournaments(r or sampling.circulant_regular_tournament(d.t),

@@ -333,10 +333,10 @@ def projective_plane_decomposition(q: int) -> Decomposition:
 # Search nodes a design build may spend: the library default and the CLI's
 # --node-budget.  A node of the K_t search is a candidate block or a step of
 # its split check, so every clique search it makes is counted: a node takes
-# about 4 us at (23, 5), which is refused after 7-8 s, and about 3 us at
-# (37, 7) (0.17 s for 60,000 nodes).  (25, 5) builds in 2,621 nodes and
-# about 7.5 ms (2 vCPUs, Python 3.11.7).  The value is also written into
-# every experiment sidecar, whose bytes the tests pin.
+# about 1.8 us at (23, 5), which is refused after 3.6-3.7 s, and about
+# 1.05 us at (37, 7) (0.063 s for 60,000 nodes).  (25, 5) builds in 2,621
+# nodes and 4.0-4.2 ms (best of 9, 2 vCPUs, Python 3.11.7).  The value is
+# also written into every experiment sidecar, whose bytes the tests pin.
 NODE_BUDGET = 2_000_000
 
 
@@ -377,7 +377,7 @@ def _kt_search(adj: list[int], t: int, budget: _Budget) -> list[tuple[int, ...]]
     at t = 5 takes 98 candidates and 2,523 split steps, where the plain
     search tries 837,572 candidates.
     """
-    blocks: list[tuple[int, ...]] = []
+    blocks: list[int] = []
 
     def search(u: int) -> bool:
         # vertices before u have no uncovered edge left, and removals never add one
@@ -385,16 +385,15 @@ def _kt_search(adj: list[int], t: int, budget: _Budget) -> list[tuple[int, ...]]
             u += 1
         if u == len(adj):
             return True
-        v = (adj[u] & -adj[u]).bit_length() - 1  # v > u: a neighbour below u would be uncovered
-        for vs in _cliques(adj, t, (u, v), adj[u] & adj[v]):
+        low = adj[u] & -adj[u]  # v > u: a neighbour below u would be uncovered
+        v = low.bit_length() - 1
+        for mask in _cliques(adj, t - 2, (1 << u) | low, adj[u] & adj[v]):
             budget.spend()
-            mask = 0
-            for x in vs:
-                mask |= 1 << x
+            vs = _vertices(mask)
             for x in vs:
                 adj[x] &= ~mask
             if all(_splits(adj, adj[x], t - 1, budget) for x in vs):
-                blocks.append(vs)
+                blocks.append(mask)
                 if search(u):
                     return True
                 blocks.pop()
@@ -403,30 +402,43 @@ def _kt_search(adj: list[int], t: int, budget: _Budget) -> list[tuple[int, ...]]
         return False
 
     if search(0):
-        return blocks
+        return [_vertices(mask) for mask in blocks]
     return None
 
 
-def _bits(mask: int):
-    """The indices of the set bits of `mask`, lowest first."""
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of `mask`, lowest first: a block's vertex tuple."""
+    out = []
     while mask:
         low = mask & -mask
         mask ^= low
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
+    return tuple(out)
 
 
-def _cliques(adj: list[int], size: int, chosen: tuple[int, ...], pool: int):
-    """The K_size vertex sets of the rows `adj` that extend `chosen` by
-    vertices of `pool`, lazily and in lexicographic order."""
-    need = size - len(chosen)
-    if need == 0:
-        yield chosen
-        return
+def _cliques(adj: list[int], need: int, chosen: int, pool: int):
+    """The vertex bitsets `chosen | c`, for each clique c of `need` >= 1
+    vertices of `pool` in the rows `adj`, lazily and in lexicographic order
+    of c's vertices.  `pool` is taken to lie in the common neighbourhood of
+    `chosen`, which is not checked.
+
+    The one clique lister of the search: the K_t candidates, the split
+    parts, the layer triangles and the K_(2t-1) copies all come from it as
+    masks, and ``_vertices`` turns a mask into a tuple where a block is kept.
+    """
     while pool.bit_count() >= need:
         low = pool & -pool
         pool ^= low
-        w = low.bit_length() - 1
-        yield from _cliques(adj, size, chosen + (w,), pool & adj[w])
+        if need == 1:
+            yield chosen | low
+        elif need == 2:  # the last two vertices in one loop: a generator per pair costs more than the pair
+            rest = pool & adj[low.bit_length() - 1]
+            while rest:
+                last = rest & -rest
+                rest ^= last
+                yield chosen | low | last
+        else:
+            yield from _cliques(adj, need - 1, chosen | low, pool & adj[low.bit_length() - 1])
 
 
 def _splits(adj: list[int], pool: int, size: int, budget: _Budget) -> bool:
@@ -442,18 +454,19 @@ def _splits(adj: list[int], pool: int, size: int, budget: _Budget) -> bool:
     budget.spend()
     if not pool:
         return True
-    branch, fewest = -1, pool.bit_count()  # above every degree inside the pool
-    for x in _bits(pool):
-        degree = (adj[x] & pool).bit_count()
-        if degree < size - 1:
+    least = size - 1
+    branch, fewest = 0, pool.bit_count()  # the branch vertex's bit; above every degree inside the pool
+    rest = pool
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        degree = (adj[low.bit_length() - 1] & pool).bit_count()
+        if degree < least:
             return False
         if degree < fewest:
-            branch, fewest = x, degree
-    for part in _cliques(adj, size, (branch,), adj[branch] & pool):
-        rest = pool
-        for x in part:
-            rest ^= 1 << x
-        if _splits(adj, rest, size, budget):
+            branch, fewest = low, degree
+    for part in _cliques(adj, least, branch, adj[branch.bit_length() - 1] & pool):
+        if _splits(adj, pool ^ part, size, budget):
             return True
     return False
 
@@ -473,21 +486,22 @@ def _triangle_c4_factor(adj: list[int], n: int, budget: _Budget) -> list[Block] 
         if not free:
             return c4_left == 0
         remaining = free.bit_count()
-        v = (free & -free).bit_length() - 1
-        free ^= 1 << v
+        low = free & -free
+        v = low.bit_length() - 1
+        free ^= low
         near = adj[v] & free
         if remaining - 3 >= 4 * c4_left:  # triangles through v, when the 4-cycles still fit
-            for _, a, b in _cliques(adj, 3, (v,), near):
+            for mask in _cliques(adj, 2, low, near):
                 budget.spend()
-                out.append(Block(BlockKind.C3, (v, a, b)))
-                if search(free ^ (1 << a) ^ (1 << b), c4_left):
+                out.append(Block(BlockKind.C3, _vertices(mask)))
+                if search(free & ~mask, c4_left):
                     return True
                 out.pop()
         if c4_left > 0 and remaining >= 4:
-            for a in _bits(near):
-                for b in _bits(free & adj[a]):
+            for a in _vertices(near):
+                for b in _vertices(free & adj[a]):
                     # the cycle v-a-b-c-v equals v-c-b-a-v; keep a < c
-                    for c in _bits(near & adj[b] & ~((2 << a) - 1)):
+                    for c in _vertices(near & adj[b] & ~((2 << a) - 1)):
                         budget.spend()
                         out.append(Block(BlockKind.C4, (v, a, b, c)))
                         if search(free ^ (1 << a) ^ (1 << b) ^ (1 << c), c4_left - 1):
@@ -510,25 +524,25 @@ def _disjoint_cliques(adj: list[int], n: int, size: int, count: int,
     vertex tried and each candidate clique spends one node, so a placement
     that finds no clique is bounded too.
     """
-    found: list[tuple[int, ...]] = []
+    found: list[int] = []
 
     def place(free: int) -> bool:
         """Place the rest of the cliques on the bitset `free`, above the last minimal vertex."""
         if len(found) == count:
             return True
-        for v0 in _bits(free):
+        for v0 in _vertices(free):
             budget.spend()
             above = free & ~((2 << v0) - 1)
-            for vs in _cliques(adj, size, (v0,), adj[v0] & above):
+            for mask in _cliques(adj, size - 1, 1 << v0, adj[v0] & above):
                 budget.spend()
-                found.append(vs)
-                if place(above & ~sum(1 << x for x in vs[1:])):
+                found.append(mask)
+                if place(above & ~mask):
                     return True
                 found.pop()
         return False
 
     if place((1 << n) - 1):
-        return found
+        return [_vertices(mask) for mask in found]
     return None
 
 

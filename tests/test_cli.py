@@ -14,7 +14,7 @@ import pytest
 import orient_boost
 from orient_boost import counting, designs
 from orient_boost.cli import build_parser, main
-from orient_boost.orientations import make_pattern, tournament_from_hex_text, tournament_from_json
+from orient_boost.orientations import make_pattern, tournament_from_hex_text, tournament_from_json, transitive_tournament
 from orient_boost.reports import render_csv, write_report
 from orient_boost.sampling import circulant_regular_tournament
 
@@ -816,6 +816,23 @@ def test_a_base_file_of_the_wrong_size_is_refused_before_the_design_search(capsy
     start = time.perf_counter()
     assert refusal(capsys, *argv, "--seed", "1") == {"error": "OrientBoostError", "message": message}
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("flag, size", [("--base", 5), ("--base-star", 9)])
+@pytest.mark.parametrize("command", ["sample", "estimate", "exact-expect", "experiment"])
+def test_a_base_file_that_is_not_regular_is_refused_before_the_design_search(capsys, tmp_path, monkeypatch,
+                                                                             command, flag, size):
+    """A transitive base of the right size is refused by its flag, not after
+    the (23,5) search, which runs for seconds and ends in a refusal of its own."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"tt{size}.json").write_text(transitive_tournament(size).to_json())
+    extra = {"sample": (), "estimate": ("--samples", "10"), "exact-expect": (),
+             "experiment": ("--samples", "10", "--output", "x.csv")}[command]
+    start = time.perf_counter()
+    assert refusal(capsys, command, "--n", "23", "--t", "5", "--seed", "1", flag, f"tt{size}.json", *extra) == {
+        "error": "OrientBoostError", "message": f"{flag} tt{size}.json is not a regular tournament"}
+    assert time.perf_counter() - start < 1
+    assert [p.name for p in tmp_path.iterdir()] == [f"tt{size}.json"]  # no output written
 
 
 def test_the_sidecar_records_the_files_of_its_run(capsys, tmp_path, monkeypatch):

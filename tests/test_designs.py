@@ -14,6 +14,7 @@ from orient_boost.designs import (
     BlockKind,
     Decomposition,
     _Budget,
+    _cliques,
     _disjoint_cliques,
     _kt_search,
     _splits,
@@ -588,6 +589,20 @@ def test_disjoint_cliques_match_the_set_based_search(graph, size, count, nodes):
     got = run_budgeted(_disjoint_cliques, rows, (n, size, count), nodes)
     assert got == run_budgeted(reference_disjoint_cliques, sets, (n, size, count), nodes)
     assert rows == [sum(1 << w for w in s) for s in sets]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dense_graphs(), st.integers(1, 6), st.data())
+def test_cliques_lists_the_cliques_of_the_pool_in_lexicographic_order(graph, need, data):
+    """The lister against itertools: every `need`-subset of the pool, in
+    lexicographic order, whose pairs are all edges, joined to the chosen set."""
+    n, rows, sets = graph
+    pool = data.draw(st.integers(0, (1 << n) - 1))
+    chosen = data.draw(st.integers(0, (1 << n) - 1)) & ~pool
+    members = [w for w in range(n) if pool >> w & 1]
+    want = [chosen | sum(1 << w for w in c) for c in combinations(members, need)
+            if all(b in sets[a] for a, b in combinations(c, 2))]
+    assert list(_cliques(rows, need, chosen, pool)) == want
 
 
 @st.composite
