@@ -33,7 +33,7 @@ from .orientations import (
     tournament_from_hex_text,
     tournament_from_json,
 )
-from .rng import stream_for, stream_permutations, stream_residues
+from .rng import stream_for, stream_permutations
 
 
 # each input kind's readers: its JSON format, then its text format; a design is JSON only
@@ -305,10 +305,13 @@ def _cmd_verify(args) -> int:
           all(list(stream_permutations(11, 0, 500, n)) == [stream_for(11, i).permutation(n) for i in range(500)]
               for n in (7, 21)))
 
-    plan, streams = sampling.sampling_plan(fano, bases), [stream_for(5, i) for i in range(100)]
-    check("packed sampler draws equal the scalar Stream draws on 100 seeds (Fano)",
-          all(stream_residues(5, i, plan.mods, plan.limits) == tuple(map(streams[i].below, plan.mods))
-              for i in range(100)))
+    # Fano, coin blocks on (12,3), one K13 on (13,7)
+    sampled = [(d, sampling.BaseTournaments.circulant(d.t))
+               for d in (fano, designs.adjusted_decomposition(12, 3), designs.adjusted_decomposition(13, 7))]
+    layouts = [sampling.sampling_plan(d, d_bases).layout for d, d_bases in sampled]
+    check("packed sampler draws equal the scalar Stream draws on 100 seeds (Fano, (12,3), (13,7))",
+          all(layout.residues(5, i) == tuple(map(stream_for(5, i).below, layout.mods))
+              for layout in layouts for i in range(100)))
 
     kernel = counting.CopyKernel(c7, fano, bases)
     check("closed-form factors equal enumerated factors on 500 sampled copies",
@@ -319,8 +322,7 @@ def _cmd_verify(args) -> int:
     check("sampled tournaments are regular (100 seeds)", ok)
 
     ok = True
-    for d in (fano, designs.adjusted_decomposition(12, 3), designs.adjusted_decomposition(13, 7)):
-        d_bases = sampling.BaseTournaments.circulant(d.t)
+    for d, d_bases in sampled:
         for i in range(100):
             t = sampling.sample(d, d_bases, sampling.SampleSeed(5, i))
             ok = ok and Tournament(t.n, t.rows) == t

@@ -554,7 +554,8 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = NODE_BUDGET) ->
     """Decompose K_n into K_t blocks plus a bounded sparse leftover.
 
     Even n is the star-path extension (`extend_to_even`) of the design on
-    n-1 vertices.  For odd n, the explicit families come first: the triple
+    n-1 vertices, not validated again: a searched design is validated once,
+    as it is built.  For odd n, the explicit families come first: the triple
     systems for t = 3 and n = 1 or 3 (mod 6), n >= 7, and PG(2,4) for
     (21, 5).  Otherwise three steps run on one residual graph, kept as bit
     rows: (1) peel (q-1)/2 spanning triangle/4-cycle layers so every degree
@@ -578,7 +579,7 @@ def adjusted_decomposition(n: int, t: int, *, node_budget: int = NODE_BUDGET) ->
             odd = adjusted_decomposition(n - 1, t, node_budget=node_budget)
         except (CongruenceError, InfeasibleAtDeskScale) as exc:
             raise type(exc)(f"n={n} extends the design on n={n - 1}: {exc}") from exc
-        return extend_to_even(odd)
+        return _star_path_extension(odd)
     if t % 2 == 0 or t < 3:
         raise CongruenceError(f"need odd t >= 3, got n={n}, t={t}")
     if n < t:
@@ -647,13 +648,19 @@ def extend_to_even(d: Decomposition) -> Decomposition:
     """Extend a decomposition on odd m vertices to m+1 by star-paths at the new vertex.
 
     Adds (m-1)/2 star-paths (2i, m, 2i+1) and the single edge {m-1, m}.
+    The input is validated first.
     """
     report = validate(d)
     if not report.ok:
         raise InvalidDecompositionError(f"input decomposition invalid: {report.first_violation}")
-    m = d.n
-    if m % 2 == 0:
+    if d.n % 2 == 0:
         raise CongruenceError("can only extend a decomposition on an odd vertex count")
+    return _star_path_extension(d)
+
+
+def _star_path_extension(d: Decomposition) -> Decomposition:
+    """``extend_to_even`` of a design on odd m vertices, without its check."""
+    m = d.n
     extra = [Block(BlockKind.STARPATH, (2 * i, m, 2 * i + 1)) for i in range((m - 1) // 2)]
     extra.append(Block(BlockKind.EDGE, (m - 1, m)))
     return Decomposition(m + 1, d.t, d.blocks + tuple(extra))

@@ -12,7 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .errors import BudgetExceededError, InvalidOrientationError, InvalidTournamentError
 from .rng import stream_for
@@ -470,9 +470,9 @@ class Tournament:
         within each byte (bit 7 of byte 0 is v=0).
         """
         nbytes = (self.n + 7) // 8
-        lines = [str(self.n)]
-        lines += [row.to_bytes(nbytes, "little").translate(_REVERSED_BITS).hex() for row in self.rows]
-        return "\n".join(lines) + "\n"
+        packed = b"".join(map(int.to_bytes, self.rows, repeat(nbytes), repeat("little")))
+        rows = packed.translate(_REVERSED_BITS).hex("\n", nbytes)
+        return f"{self.n}\n{rows}\n"
 
 
 def _unchecked_tournament(n: int, rows: tuple[int, ...]) -> Tournament:

@@ -8,18 +8,18 @@ across workers, platforms, or Python builds.
 
 ``Stream`` draws one value at a time and is the reference.  The k-th state
 of a stream is its seed plus ``k`` times the increment, so many outputs of
-many streams are mixed at once, packed into one integer, by ``_words``.  Its
-two callers turn the outputs into exactly the scalar draws, rejection
-included: ``stream_residues`` gives the residues of ``Stream.below`` for a
-list of moduli on one stream, all the draws of a tournament sample, and
+many streams are mixed at once, packed into one integer.  Two callers turn
+the outputs into exactly the scalar draws, rejection included: a
+``ResidueLayout`` gives the residues of ``Stream.below`` for a fixed list of
+moduli on one stream, all the draws of a tournament sample, and
 ``stream_permutations`` yields ``stream_for(master, i).permutation(n)`` for a
-range of indices, the copies of the Monte Carlo scan.
+range of indices, the copies of the Monte Carlo scan, from ``_words``.
 
 An output is rejected at or over its modulus's limit from
-``rejection_limits``.  ``stream_residues`` takes the limits with the moduli,
-so a caller drawing many samples, a sampling plan, computes them once;
-``stream_permutations`` computes its n - 1 limits once per call.  The one
-cache the module keeps is ``_layout``'s packing constants per lane shape.
+``rejection_limits``.  A ``ResidueLayout`` lays out its moduli's limits
+with its packing constants once, for all the samples of a sampling plan;
+``stream_permutations`` computes its n - 1 limits once per call, and
+``_layout`` caches its packing constants per lane shape.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from operator import lt, mod
+from operator import mod
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -36,7 +36,7 @@ _INDEX_SALT = 0x6A09E667F3BCC909
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 # 128-bit lanes per packed int of a stream_permutations sub-batch, 32 KB, unless one
-# stream has more draws; stream_residues packs all the draws of its one stream
+# stream has more draws; a ResidueLayout packs all the draws of its one stream
 _LANES = 2048
 
 
@@ -148,18 +148,46 @@ def rejection_limits(mods: Sequence[int]) -> tuple[int, ...]:
     return tuple((1 << 64) - (1 << 64) % m for m in mods)
 
 
-def stream_residues(master: int, index: int, mods: Sequence[int], limits: Sequence[int]) -> tuple[int, ...]:
-    """``tuple(map(stream.below, mods))`` for ``stream = stream_for(master, index)``,
-    from one packed pass; ``limits`` is ``rejection_limits(mods)``, which a
-    caller drawing many tuples of the same moduli computes once.
+class ResidueLayout:
+    """``tuple(map(stream.below, mods))`` of one stream, from one packed pass.
 
-    If an output reaches its rejection limit, which ``below`` would redraw,
-    the whole tuple is drawn from the scalar stream instead.
+    ``limits`` is ``rejection_limits(mods)``.  Lane k of ``len(mods)``
+    128-bit lanes holds ``k + 1`` increments and the headroom
+    ``2^64 - limits[k]``; the replicator, a 1 in every lane, puts the stream
+    seed into each lane with one product.  Adding the headroom carries an
+    output into bit 64 of its lane exactly when it is at or over its limit,
+    so the rejection test is one carry test over all the lanes.
     """
-    words = _words(master, index, 1, len(mods))
-    if all(map(lt, words, limits)):
-        return tuple(map(mod, words, mods))
-    return tuple(map(stream_for(master, index).below, mods))
+
+    __slots__ = ("mods", "limits", "_replicator", "_steps", "_mask", "_headroom", "_carry", "_size")
+
+    def __init__(self, mods: Sequence[int], limits: Sequence[int]):
+        self.mods, self.limits = tuple(mods), tuple(limits)
+        draws = len(self.mods)
+        self._size = 16 * draws
+        self._replicator = _lanes([1, 0], draws)
+        self._steps = _lanes([w for k in range(1, draws + 1) for w in ((k * _GAMMA) & _MASK, 0)])
+        self._mask = _lanes([_MASK, 0], draws)
+        self._headroom = _lanes([w for limit in self.limits for w in ((1 << 64) - limit, 0)])
+        self._carry = _lanes([0, 1], draws)
+
+    def _rejected(self, z: int) -> int:
+        """Non-zero iff some lane of the packed outputs ``z`` is at or over its limit."""
+        return (z + self._headroom) & self._carry
+
+    def residues(self, master: int, index: int) -> tuple[int, ...]:
+        """The ``Stream.below`` residues of ``mods`` on ``stream_for(master, index)``.
+
+        If an output reaches its rejection limit, which ``below`` would
+        redraw, the whole tuple is drawn from the scalar stream instead.
+        """
+        if sys.byteorder != "little":
+            return tuple(map(stream_for(master, index).below, self.mods))
+        mask = self._mask
+        z = _mix_lanes((_stream_seed(master, index) * self._replicator + self._steps) & mask, mask)
+        if self._rejected(z):
+            return tuple(map(stream_for(master, index).below, self.mods))
+        return tuple(map(mod, memoryview(z.to_bytes(self._size, "little")).cast("Q")[::2], self.mods))
 
 
 def stream_permutations(master: int, lo: int, hi: int, n: int) -> Iterator[list[int]]:

@@ -10,11 +10,11 @@ tournament; the even-n star-path layer yields a balanced one.
 A sample walks the blocks in order on one stream: a complete block of size k
 takes the k - 1 draws of ``Stream.permutation(k)``, a coin block one
 ``Stream.coin()``.  ``SamplingPlan`` lays that walk out once per (design,
-bases) pair as its moduli ``mods`` and their rejection ``limits``, so a
-sample is one call of ``rng.stream_residues``, which packs the draws and
-handles their rejection, and a table lookup per block.  ``sampling_plan``
-keeps the plan of the last pair drawn from, matched by identity and then by
-equality.
+bases) pair as an ``rng.ResidueLayout`` of its moduli and their rejection
+limits, so a sample is one packed pass of that layout, which draws the
+residues and handles their rejection, and a table lookup per block.
+``sampling_plan`` keeps the plan of the last pair drawn from, matched by
+identity and then by equality.
 
 Every draw is a tournament exactly when the blocks partition the pairs of
 K_n, a property of the design alone: the plan checks it once, by
@@ -32,7 +32,7 @@ from itertools import permutations
 from .designs import Block, BlockKind, Decomposition
 from .errors import BudgetExceededError, InvalidTournamentError
 from .orientations import Tournament, _unchecked_tournament, searched_orbits
-from .rng import rejection_limits, stream_residues
+from .rng import ResidueLayout, rejection_limits
 
 
 def circulant_regular_tournament(m: int) -> Tournament:
@@ -140,8 +140,9 @@ class SamplingPlan:
 
     Draw ``i`` of a sample is ``Stream.below(mods[i])``: a complete block of
     size k owns the moduli k, k-1, ..., 2 of ``Stream.permutation(k)``, a coin
-    block one modulus 2^64, the raw word whose top bit is ``Stream.coin()``;
-    ``limits`` holds each modulus's rejection limit.  A complete block keeps
+    block one modulus 2^64, the raw word whose top bit is ``Stream.coin()``.
+    ``layout``, an ``rng.ResidueLayout``, holds the moduli, their rejection
+    limits and the packing constants of the draw.  A complete block keeps
     a table spreading local bit masks onto its vertices, and its kind's
     memo of local out-masks by draws; a block of a kind with too many
     relabelings to memoise gets its global out-masks straight from the
@@ -180,8 +181,7 @@ class SamplingPlan:
                 mods.append(1 << 64)
                 arcs = block.arcs()
                 self._coins.append((at, _coin_masks(arcs), _coin_masks((v, u) for u, v in arcs)))
-        self.mods = tuple(mods)
-        self.limits = rejection_limits(mods)
+        self.layout = ResidueLayout(mods, rejection_limits(mods))
 
     def orient(self, residues: tuple[int, ...]) -> Tournament:
         """The tournament the draws pick, each block ORed into the rows, unchecked."""
@@ -228,10 +228,10 @@ def sample(d: Decomposition, bases: BaseTournaments, seed: SampleSeed) -> Tourna
     """Draw one block-randomized tournament; pure in (d, bases, seed).
 
     The draws are ``Stream.below`` of the plan's moduli on the seed's stream,
-    taken by ``rng.stream_residues``.
+    taken in one packed pass of the plan's ``layout``.
     """
     plan = sampling_plan(d, bases)
-    return plan.orient(stream_residues(seed.master, seed.index, plan.mods, plan.limits))
+    return plan.orient(plan.layout.residues(seed.master, seed.index))
 
 
 def _block_outcomes(block: Block, bases: BaseTournaments) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:

@@ -753,6 +753,17 @@ def test_extend_to_even_from_21():
     assert validate(d).ok
 
 
+def test_an_even_build_validates_its_design_once(monkeypatch):
+    # the odd design is validated as it is built; its star-path extension is
+    # not validated again, while extend_to_even still checks a caller's design
+    calls = []
+    monkeypatch.setattr(designs, "validate", lambda d: calls.append(d.n) or validate(d))
+    d = adjusted_decomposition(26, 5)
+    assert calls == [25]
+    assert validate(d).ok and d == extend_to_even(adjusted_decomposition(25, 5))
+    assert calls == [25, 25, 25]
+
+
 def test_extend_rejects_invalid_input():
     broken = Decomposition(7, 3, steiner_triple_system(7).blocks[1:])
     with pytest.raises(InvalidDecompositionError):

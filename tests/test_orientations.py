@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from orient_boost.errors import InvalidOrientationError, InvalidTournamentError
 from orient_boost.orientations import (
     Orientation,
+    _REVERSED_BITS,
     Tournament,
     classify,
     consistency_check,
@@ -377,8 +378,8 @@ def hex_rows_oracle(text: str) -> tuple[int, ...]:
 
 
 @st.composite
-def tournaments(draw, max_n: int = 40) -> Tournament:
-    n = draw(st.integers(1, max_n))
+def tournaments(draw, sizes=st.integers(1, 40)) -> Tournament:
+    n = draw(sizes)
     pairs = list(combinations(range(n), 2))
     bits = draw(st.integers(0, (1 << len(pairs)) - 1))
     rows = [0] * n
@@ -402,6 +403,21 @@ def test_hex_and_json_round_trips_equal_the_bit_loop(t):
     assert text == hex_text_oracle(t)
     assert tournament_from_hex_text(text).rows == hex_rows_oracle(text) == t.rows
     assert tournament_from_json(t.to_json()).rows == t.rows
+
+
+def hex_rows_encoded_one_by_one(t: Tournament) -> str:
+    """The per-row encoder the one-call one replaced: each row's bytes reversed and hexed alone."""
+    nbytes = (t.n + 7) // 8
+    lines = [str(t.n)] + [row.to_bytes(nbytes, "little").translate(_REVERSED_BITS).hex() for row in t.rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(t=st.one_of(tournaments(), tournaments(sizes=st.sampled_from([8, 16, 24, 32, 40]))))
+def test_hex_text_equals_the_per_row_encoding_and_reads_back(t):
+    text = t.to_hex_text()
+    assert text == hex_rows_encoded_one_by_one(t)
+    assert tournament_from_hex_text(text).rows == t.rows
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orient_boost import rng
-from orient_boost.rng import Stream, mix64, stream_for, stream_permutations, stream_residues
+from orient_boost.rng import ResidueLayout, Stream, mix64, stream_for, stream_permutations
 
 
 def test_streams_are_deterministic_and_independent():
@@ -86,7 +86,8 @@ def test_rejected_streams_fall_back_to_the_scalar_draw(monkeypatch, n):
     assert 0.2 * (hi - lo) < len(redrawn) < 0.8 * (hi - lo)
     mods = tuple(range(n, 1, -1))
     redrawn.clear()
-    got = [stream_residues(-3, i, mods, _forced_limits(mods)) for i in range(lo, hi)]
+    layout = ResidueLayout(mods, _forced_limits(mods))
+    got = [layout.residues(-3, i) for i in range(lo, hi)]
     assert got == [tuple(map(stream_for(-3, i).below, mods)) for i in range(lo, hi)]
     assert 0.2 * (hi - lo) < len(redrawn) < 0.8 * (hi - lo)
 
@@ -120,7 +121,7 @@ def test_a_coin_modulus_never_rejects():
     assert rng.rejection_limits((1 << 64,)) == (1 << 64,)
     stream = stream_for(3, 4)
     mods = (1 << 64,) * 5
-    assert stream_residues(3, 4, mods, rng.rejection_limits(mods)) == tuple(stream.next_u64() for _ in range(5))
+    assert ResidueLayout(mods, rng.rejection_limits(mods)).residues(3, 4) == tuple(stream.next_u64() for _ in range(5))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -147,7 +148,28 @@ MODULI = st.one_of(st.integers(1, 70), st.integers(1, 1 << 64), st.just(1 << 64)
 def test_stream_residues_equal_the_scalar_below_draws(master, index, pool, length):
     mods = tuple(pool[i % len(pool)] for i in range(length))
     stream = stream_for(master, index)
-    assert stream_residues(master, index, mods, rng.rejection_limits(mods)) == tuple(map(stream.below, mods))
+    assert ResidueLayout(mods, rng.rejection_limits(mods)).residues(master, index) == tuple(map(stream.below, mods))
+
+
+# odd moduli, whose limits are below 2^64, and powers of two up to 2^64, whose
+# limit is 2^64 and which no 64-bit word reaches
+LIMITED_MODULI = st.one_of(st.integers(1, 2 ** 32).map(lambda k: 2 * k + 1),
+                           st.integers((1 << 62) // 2, (1 << 63) - 1).map(lambda k: 2 * k + 1),
+                           st.integers(0, 64).map(lambda e: 1 << e))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lanes=st.lists(st.tuples(LIMITED_MODULI, st.sampled_from([-1, 0])), min_size=1, max_size=40))
+def test_the_carry_test_rejects_exactly_the_words_at_or_over_their_limits(lanes):
+    # each word is at its limit - 1 or at its limit, where a 64-bit word can be
+    mods = [m for m, _ in lanes]
+    limits = rng.rejection_limits(mods)
+    words = [min(limit + offset, rng._MASK) for limit, (_, offset) in zip(limits, lanes)]
+    layout = ResidueLayout(mods, limits)
+    packed = rng._lanes([w for word in words for w in (word, 0)])
+    assert bool(layout._rejected(packed)) == any(u >= limit for u, limit in zip(words, limits))
+    for k, (u, limit) in enumerate(zip(words, limits)):
+        assert bool(layout._rejected(u << 128 * k)) == (u >= limit)
 
 
 def test_the_big_endian_branch_lays_out_the_words_alike(monkeypatch):

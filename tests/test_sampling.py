@@ -21,7 +21,7 @@ from orient_boost.designs import (
 from orient_boost.counting import CopyKernel
 from orient_boost.errors import BudgetExceededError, InvalidDecompositionError, InvalidTournamentError
 from orient_boost.orientations import Orientation, Tournament, make_pattern, vertex_orbits
-from orient_boost.rng import Stream, stream_for, stream_residues
+from orient_boost.rng import Stream, stream_for
 from orient_boost.sampling import (
     BaseTournaments,
     SampleSeed,
@@ -199,7 +199,7 @@ def test_a_design_that_is_not_a_partition_is_refused_before_any_draw(kind, monke
     def drawn(*args):
         raise AssertionError("drew before checking the design")
 
-    monkeypatch.setattr(sampling, "stream_residues", drawn)
+    monkeypatch.setattr(sampling, "ResidueLayout", drawn)
     monkeypatch.setattr(sampling, "_block_outcomes", drawn)
     refusals = []
     for refuse in (lambda: sampling.sampling_plan(d, bases), lambda: sample(d, bases, SampleSeed(1, 0)),
@@ -369,10 +369,10 @@ def test_planned_sample_equals_the_per_pair_walk(coin_design6, name, master, ind
 def test_a_packed_draw_at_its_limit_is_redrawn_from_a_scalar_stream(monkeypatch):
     d, bases, seed = _design("11-3"), BaseTournaments.circulant(3), SampleSeed(3, 8)
     plan = sampling.sampling_plan(d, bases)
-    words = rng._words(seed.master, seed.index, 1, len(plan.mods))
-    limits = list(rng.rejection_limits(plan.mods))
+    words = rng._words(seed.master, seed.index, 1, len(plan.layout.mods))
+    limits = list(rng.rejection_limits(plan.layout.mods))
     limits[-1] = words[-1]  # the K2T1 block's last draw reaches its limit
-    monkeypatch.setattr(plan, "limits", tuple(limits))
+    monkeypatch.setattr(plan, "layout", rng.ResidueLayout(plan.layout.mods, limits))
     redrawn = []
     monkeypatch.setattr(rng, "stream_for", lambda master, index=0: redrawn.append(index) or stream_for(master, index))
     assert sample(d, bases, seed).rows == oracle_sample(d, bases, seed).rows
@@ -396,7 +396,7 @@ def test_redrawn_words_are_read_like_the_per_pair_walk(monkeypatch):
     monkeypatch.setattr(Stream, "below", below)
     d, bases = _design("even-12"), BaseTournaments.circulant(3)
     plan = sampling.sampling_plan(d, bases)
-    monkeypatch.setattr(plan, "limits", tuple(map(limit, plan.mods)))
+    monkeypatch.setattr(plan, "layout", rng.ResidueLayout(plan.layout.mods, map(limit, plan.layout.mods)))
     redrawn = []
     monkeypatch.setattr(rng, "stream_for", lambda master, index=0: redrawn.append(index) or stream_for(master, index))
     for index in range(20):
@@ -410,7 +410,7 @@ def test_relabeling_memo_is_bounded():
     large = SamplingPlan(_design("13-7"), BaseTournaments.circulant(7))
     for index in range(300):
         for plan in (small, large):
-            plan.orient(stream_residues(1, index, plan.mods, plan.limits))
+            plan.orient(plan.layout.residues(1, index))
     memos = {id(memo): memo for *_, memo, _ in small._complete}
     assert len(memos) == 1 and 0 < len(*memos.values()) <= 120
     assert [memo for *_, memo, _ in large._complete] == [None]
@@ -419,8 +419,8 @@ def test_relabeling_memo_is_bounded():
 def test_sampling_plan_is_built_once_per_pair():
     d, bases = _design("fano"), BaseTournaments.circulant(3)
     assert sampling.sampling_plan(d, bases) is sampling.sampling_plan(d, bases)
-    assert sampling.sampling_plan(d, bases).mods == (3, 2) * 7
-    assert sampling.sampling_plan(d, bases).limits == rng.rejection_limits((3, 2) * 7)
+    assert sampling.sampling_plan(d, bases).layout.mods == (3, 2) * 7
+    assert sampling.sampling_plan(d, bases).layout.limits == rng.rejection_limits((3, 2) * 7)
 
 
 def test_plans_are_matched_by_identity_then_by_equality():
